@@ -1,0 +1,70 @@
+"""Behaviour lock: golden reports and the precision ladder.
+
+The golden files under tests/golden/ are the CLI's own output at prec 12;
+regenerate one with
+
+    affine-chabauty solve src/affine_chabauty/problems/<fixture>.json --prec 12 \
+        --out tests/golden/<fixture>.solve.json
+
+(and likewise `verify` into `<fixture>.verify.json`).  A change that moves
+any byte of them changes the engine's behaviour.
+"""
+
+import functools
+import json
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affine_chabauty.models import enumerate_reduction_types, selmer_target
+from affine_chabauty.problem import load_problem
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+FIXTURES = ("hyperelliptic_6081b", "superelliptic_a1")
+GOLDEN_PREC = 12
+LADDER_STEP = 4
+
+
+@pytest.mark.parametrize("mode", ["solve", "verify"])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_report_matches_golden_byte_for_byte(fixture, mode):
+    engine = load_problem(PROBLEMS / f"{fixture}.json", prec_override=GOLDEN_PREC)
+    fresh = json.dumps(getattr(engine, mode)(), indent=2)
+    assert fresh == (GOLDEN / f"{fixture}.{mode}.json").read_text()
+
+
+@functools.lru_cache(maxsize=None)
+def _printed_values(fixture: str, prec: int) -> tuple:
+    """Every matrix, kernel and c value of every reduction type, in a fixed order."""
+    engine = load_problem(PROBLEMS / f"{fixture}.json", prec_override=prec)
+    by_csp = {}
+    out = []
+    for sigma in enumerate_reduction_types(engine.problem, engine.model):
+        if not engine.check_chabauty_condition(sigma)[0]:
+            continue
+        if sigma.cuspidal_part() not in by_csp:
+            by_csp[sigma.cuspidal_part()] = engine.annihilator(sigma)
+        vectors, omegas, mat, _ = by_csp[sigma.cuspidal_part()]
+        target = selmer_target(engine.problem, engine.model, sigma)
+        out += [(sigma.label, "matrix", i, x.at_precision(prec))
+                for i, x in enumerate(x for row in mat.rows for x in row)]
+        out += [(sigma.label, "kernel", i, x)
+                for i, x in enumerate(x for vec in vectors for x in vec)]
+        out += [(sigma.label, "c", i, engine.constant_c(target, om))
+                for i, om in enumerate(omegas)]
+    return tuple(out)
+
+
+@settings(max_examples=2, deadline=None, database=None)
+@given(N=st.integers(min_value=8, max_value=12))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_raising_the_precision_keeps_every_printed_digit(fixture, N):
+    low = _printed_values(fixture, N)
+    high = _printed_values(fixture, N + LADDER_STEP)
+    assert [k[:3] for k in low] == [k[:3] for k in high]
+    clashes = [(lo[:3], str(lo[3]), str(hi[3])) for lo, hi in zip(low, high)
+               if lo[3].compare(hi[3]) == "distinct"]
+    assert not clashes
