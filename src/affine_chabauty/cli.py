@@ -27,7 +27,8 @@ def main(argv=None) -> int:
     ps.add_argument("--p", type=int, default=None, help="override the auxiliary prime")
     ps.add_argument("--prec", type=int, default=None, help="override working precision")
     ps.add_argument("--sigma", type=int, default=None,
-                    help="restrict to the reduction type with this index")
+                    help="solve only the reduction type with this index "
+                         "(0-based, in enumeration order)")
     ps.add_argument("--out", type=Path, default=None, help="report path (JSON)")
 
     pv = sub.add_parser("verify", help="vanishing checks on the known points")
@@ -46,10 +47,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "solve":
-            report = engine.solve()
-            if args.sigma is not None:
-                kept = report["reduction_types"][args.sigma:args.sigma + 1]
-                report["reduction_types"] = kept
+            report = engine.solve(sigma=args.sigma)
             _emit(report, args)
             _print_solve_summary(report)
             return 0 if report["status"] == "complete" else 2

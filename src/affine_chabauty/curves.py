@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadReduction, ProblemFileError, UnsupportedFamily
+from .errors import BadReduction, NonSeparableReduction, ProblemFileError, UnsupportedFamily
 from .numberfield import FieldEmbedding, NFElement, NumberField, hensel_embed
-from .padics import PadicNumber
+from .padics import PadicNumber, _horner_mod
 
 QQ = NumberField([-1, 1], name="one")  # the rational field as a degree-1 field
 
@@ -32,6 +32,31 @@ def _isqrt_exact(n: int) -> int | None:
         if c >= 0 and c * c == n:
             return c
     return None
+
+
+def _separable(fbar, p) -> bool:
+    """Whether the integer polynomial fbar is squarefree mod p: gcd(f, f') = 1 over Fp."""
+    a = [c % p for c in fbar]
+    b = [(k * c) % p for k, c in enumerate(fbar)][1:]
+    while any(b):
+        while a and a[-1] % p == 0:
+            a.pop()
+        while b and b[-1] % p == 0:
+            b.pop()
+        if not b:
+            break
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        inv = pow(b[-1], -1, p)
+        shift = len(a) - len(b)
+        c = a[-1] * inv % p
+        for k in range(len(b)):
+            a[k + shift] = (a[k + shift] - c * b[k]) % p
+        a.pop()
+    while a and a[-1] % p == 0:
+        a.pop()
+    return len(a) == 1
 
 
 @dataclass(frozen=True)
@@ -177,13 +202,11 @@ class EvenHyperellipticCurve(CurveFamily):
 
     def residue_discs(self, p: int) -> list[ResidueDisc]:
         fbar = [int(c) % p for c in self.f]
-        if not self._separable(fbar, p):
+        if not _separable(fbar, p):
             raise BadReduction(f"f is not squarefree mod {p}")
         out = []
         for xb in range(p):
-            v = 0
-            for c in reversed(fbar):
-                v = (v * xb + c) % p
+            v = _horner_mod(fbar, xb, p)
             if v == 0:
                 out.append(ResidueDisc(self, p, xb, 0, "weierstrass"))
             elif pow(v, (p - 1) // 2, p) == 1:
@@ -195,31 +218,6 @@ class EvenHyperellipticCurve(CurveFamily):
             out.append(ResidueDisc(self, p, None, None, "infinite",
                                    label=c.id, cuspidal=True))
         return out
-
-    @staticmethod
-    def _separable(fbar, p):
-        # gcd(f, f') = 1 over Fp
-        a = [c % p for c in fbar]
-        b = [(k * c) % p for k, c in enumerate(fbar)][1:]
-        while any(b):
-            while a and a[-1] % p == 0:
-                a.pop()
-            while b and b[-1] % p == 0:
-                b.pop()
-            if not b:
-                break
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            inv = pow(b[-1], -1, p)
-            shift = len(a) - len(b)
-            c = a[-1] * inv % p
-            for k in range(len(b)):
-                a[k + shift] = (a[k + shift] - c * b[k]) % p
-            a.pop()
-        while a and a[-1] % p == 0:
-            a.pop()
-        return len(a) == 1
 
 
 class SuperellipticCurve(CurveFamily):
@@ -268,7 +266,7 @@ class SuperellipticCurve(CurveFamily):
             return False
         g = [0, 1, int(self.a), 1]
         # smooth iff x^3+ax^2+x squarefree mod p (and p != 3)
-        return EvenHyperellipticCurve._separable([c % p for c in g], p)
+        return _separable(g, p)
 
     def residue_discs(self, p: int) -> list[ResidueDisc]:
         if p % 3 != 1:
@@ -352,7 +350,7 @@ class CurveProblem:
                         if len(hensel_embed(list(c.nfield.minpoly), q, 4, c.nfield)) \
                                 != c.nfield.degree:
                             ok = False
-                    except Exception:
+                    except NonSeparableReduction:
                         ok = False
             if ok:
                 out.append(q)

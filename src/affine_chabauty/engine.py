@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .curves import CurveProblem, LogDifferential, ResidueDisc
 from .errors import (
@@ -27,20 +28,8 @@ from .models import (
     horizontal_intersection,
     selmer_target,
 )
-from .padics import PadicNumber, iwasawa_log, render_padic
+from .padics import PadicNumber, _vp, iwasawa_log, render_padic
 from .series import formal_antiderivative, strassmann_roots
-
-
-def _vq_frac(x: Fraction, q: int) -> int:
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n and n % q == 0:
-        n //= q
-        v += 1
-    while d % q == 0:
-        d //= q
-        v -= 1
-    return v
 
 
 @dataclass
@@ -103,6 +92,7 @@ class Engine:
         self._emb = {}
         self._H_cache = {}
         self._gen_int_cache = {}
+        self._cusps = {c.id: c for c in problem.curve.cusps}
         check_pi_compatibility(problem, model)
 
     # -- small helpers ---------------------------------------------------------
@@ -114,6 +104,26 @@ class Engine:
 
     def _lam_log(self, phi, lam: LambdaRecord) -> PadicNumber:
         return iwasawa_log(phi(lam.generator)) * lam.gen_exponent
+
+    def _residue_log_sum(self, omega: LogDifferential, terms) -> PadicNumber:
+        """The sum over (cusp, log, coeff) in terms and over the embeddings phi
+        of the cusp field of phi(Res_cusp omega) * log(phi) * coeff."""
+        acc = PadicNumber.exact_zero(self.problem.p)
+        for cusp, log, coeff in terms:
+            for phi in self.embeddings(cusp):
+                r = omega.embedded_residue(cusp, phi)
+                if r.is_zero():
+                    continue
+                acc = acc + r * log(phi) * coeff
+        return acc
+
+    def _lambda_terms(self, pairs) -> list:
+        """Terms of sum_lambda coeff * log phi(pi_lambda) for (lambda, coeff) pairs."""
+        return [(self._cusps[lam.cusp], partial(self._lam_log, lam=lam), coeff)
+                for lam, coeff in pairs]
+
+    def _lambda_terms_by_id(self, coeffs: dict) -> list:
+        return self._lambda_terms((self.model.lambda_by_id(lid), c) for lid, c in coeffs.items())
 
     def base_pair(self):
         return (self.problem.base_point.x, self.problem.base_point.y)
@@ -163,18 +173,9 @@ class Engine:
         return acc - self._H_correction(gen, omega)
 
     def _H_correction(self, gen: MWGenerator, omega: LogDifferential) -> PadicNumber:
-        acc = PadicNumber.exact_zero(self.problem.p)
-        for lam in self.model.lambdas:
-            i_l = self.psi_lambda(gen, lam)
-            if i_l == 0:
-                continue
-            cusp = next(c for c in self.problem.curve.cusps if c.id == lam.cusp)
-            for phi in self.embeddings(cusp):
-                r = omega.embedded_residue(cusp, phi)
-                if r.is_zero():
-                    continue
-                acc = acc + r * self._lam_log(phi, lam) * i_l
-        return acc
+        psi = [(lam, self.psi_lambda(gen, lam)) for lam in self.model.lambdas]
+        return self._residue_log_sum(
+            omega, self._lambda_terms((lam, i_l) for lam, i_l in psi if i_l != 0))
 
     # -- matrix assembly --------------------------------------------------------------
 
@@ -195,35 +196,17 @@ class Engine:
             rows.append(row)
             labels.append(f"A|B {gen.id}")
         for ug in self.units:
-            row = [PadicNumber.exact_zero(p)] * g
-            for j in range(g, g + n - 1):
-                acc = PadicNumber.exact_zero(p)
-                for cusp in self.problem.curve.cusps:
-                    val = ug.values.get(cusp.id)
-                    if val is None or val.is_zero():
-                        continue
-                    for phi in self.embeddings(cusp):
-                        r = basis[j].embedded_residue(cusp, phi)
-                        if r.is_zero():
-                            continue
-                        acc = acc + r * iwasawa_log(phi(val))
-                row.append(acc)
-            rows.append(row)
+            # PadicNumber * 1 keeps v, u and N, so the unit coefficient moves no digit
+            terms = [(cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1)
+                     for cusp in self.problem.curve.cusps
+                     if (val := ug.values.get(cusp.id)) is not None and not val.is_zero()]
+            rows.append([PadicNumber.exact_zero(p)] * g
+                        + [self._residue_log_sum(basis[j], terms) for j in range(g, g + n - 1)])
             labels.append(f"C {ug.id}")
         for i, u in enumerate(st.u_basis):
-            row = [PadicNumber.exact_zero(p)] * g
-            for j in range(g, g + n - 1):
-                acc = PadicNumber.exact_zero(p)
-                for lid, coeff in u.items():
-                    lam = self.model.lambda_by_id(lid)
-                    cusp = next(c for c in self.problem.curve.cusps if c.id == lam.cusp)
-                    for phi in self.embeddings(cusp):
-                        r = basis[j].embedded_residue(cusp, phi)
-                        if r.is_zero():
-                            continue
-                        acc = acc + r * self._lam_log(phi, lam) * coeff
-                row.append(acc)
-            rows.append(row)
+            terms = self._lambda_terms_by_id(u)
+            rows.append([PadicNumber.exact_zero(p)] * g
+                        + [self._residue_log_sum(basis[j], terms) for j in range(g, g + n - 1)])
             labels.append(f"D(U) u{i + 1}")
         mat = ChabautyMatrix(rows=rows, row_labels=labels,
                              shape=(len(rows), g + n - 1),
@@ -251,16 +234,7 @@ class Engine:
 
     def constant_c(self, st: SelmerTarget, omega: LogDifferential) -> PadicNumber:
         """c(b, omega) = sum_(Q,phi) phi(Res_Q omega) sum_lambda b_lambda log phi(pi_lambda)."""
-        acc = PadicNumber.exact_zero(self.problem.p)
-        for lid, b_l in st.b.items():
-            lam = self.model.lambda_by_id(lid)
-            cusp = next(c for c in self.problem.curve.cusps if c.id == lam.cusp)
-            for phi in self.embeddings(cusp):
-                r = omega.embedded_residue(cusp, phi)
-                if r.is_zero():
-                    continue
-                acc = acc + r * self._lam_log(phi, lam) * b_l
-        return acc
+        return self._residue_log_sum(omega, self._lambda_terms_by_id(st.b))
 
     # -- loci ------------------------------------------------------------------------------
 
@@ -349,8 +323,16 @@ class Engine:
 
     # -- orchestration ----------------------------------------------------------------------
 
-    def solve(self) -> dict:
+    def solve(self, sigma: int | None = None) -> dict:
+        """The locus report over all reduction types, or only over the type
+        with index sigma in enumeration order; points and status then
+        describe that type alone."""
         types = enumerate_reduction_types(self.problem, self.model)
+        if sigma is not None:
+            if not 0 <= sigma < len(types):
+                raise ChabautyError(f"reduction type index {sigma} is out of range "
+                                    f"0..{len(types) - 1}")
+            types = [types[sigma]]
         discs = self.integrator.residue_discs()
         report = {
             "problem": self.problem.label,
@@ -566,7 +548,7 @@ class Engine:
     def _cuspidal_reduction(self, pt, q: int):
         """The lambda record the point reduces onto modulo q in S, or None."""
         x = Fraction(pt.x)
-        if x == 0 or _vq_frac(x, q) >= 0:
+        if x == 0 or _vp(x, q) >= 0:
             return None
         coords = self.problem.curve.cusp_chart_coords(pt.x, pt.y)
         if coords is None:
@@ -576,8 +558,7 @@ class Engine:
         for lam in self.model.lambdas_over(q):
             if not lam.cuspidal_point:
                 continue
-            cusp = next(c for c in self.problem.curve.cusps if c.id == lam.cusp)
-            cu = cusp.chart_coords[0]
+            cu = self._cusps[lam.cusp].chart_coords[0]
             if cu.is_rational():
                 target = cu.as_rational()
                 tbar = (target.numerator * pow(target.denominator, -1, q)) % q

@@ -15,12 +15,15 @@ solve once the cohomology computation is cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
+from .curves import _separable
 from .errors import BadReduction, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
-from .padics import PadicNumber, _vp, hensel_lift_root, sqrt, teichmuller
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, sqrt, teichmuller
 from .polyutil import padd, pderiv, pdivmod, peval, pmul, pscale, ptrim
 from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
 
@@ -109,21 +112,8 @@ class HyperellipticModel:
         return PadicNumber.from_rational(c, self.p, N)
 
     def _check_good_reduction(self):
-        fbar = [c.residue(1) for c in self.f]
-        dfbar = [(k * c) % self.p for k, c in enumerate(fbar)][1:]
-        n, m = self.deg, self.deg - 1
-        rows = []
-        for i in range(m):
-            row = [0] * (n + m)
-            for k, c in enumerate(reversed(fbar)):
-                row[i + k] = c
-            rows.append(row)
-        for i in range(n):
-            row = [0] * (n + m)
-            for k, c in enumerate(reversed(dfbar)):
-                row[i + k] = c
-            rows.append(row)
-        if _int_det_mod_p(rows, self.p) == 0:
+        # the leading coefficient is a unit, so squarefree mod p is good reduction
+        if not _separable([c.residue(1) for c in self.f], self.p):
             raise BadReduction(f"discriminant of f vanishes mod {self.p}")
 
     # -- point utilities -------------------------------------------------------
@@ -154,9 +144,7 @@ class HyperellipticModel:
 
     def _weierstrass_center_x(self, pt: Point) -> PadicNumber:
         if self.f_rational is not None:
-            den = 1
-            for c in self.f_rational:
-                den = den * c.denominator // _gcd_int(den, c.denominator)
+            den = math.lcm(*(c.denominator for c in self.f_rational))
             ics = [int(c * den) for c in self.f_rational]
             r = hensel_lift_root(ics, pt.x.residue(1), self.p, self.M)
             return PadicNumber.from_int(r, self.p, self.M)
@@ -175,27 +163,10 @@ class HyperellipticModel:
         from f(x) = y^2 by Newton iteration on series.
         """
         T = order or 2 * self.prec
-        p = self.p
         if not self.is_weierstrass_disc(pt):
-            zeros = [PadicNumber.exact_zero(p)] * (T - 2)
-            xs = TruncatedSeries(p, [pt.x, PadicNumber.from_int(p, p, self.M)] + zeros,
-                                 Subordination(1, min(0, pt.x.v)), check=False, exact=True)
-            fx = _poly_of_series(self.f, xs)
-            ys = sqrt_series(fx, sign_hint=pt.y.residue(1))
-            return xs, ys
-        x0 = self._weierstrass_center_x(pt)
-        zeros = [PadicNumber.exact_zero(p)] * (T - 2)
-        ys = TruncatedSeries(p, [PadicNumber.exact_zero(p), PadicNumber.from_int(p, p, self.M)]
-                             + zeros, Subordination(1, 0), check=False, exact=True)
-        target = ys * ys
-        xs = TruncatedSeries(p, [x0] + [PadicNumber.exact_zero(p)] * (T - 1),
-                             Subordination(1, min(0, x0.v)), check=False, exact=True)
-        for _ in range(T.bit_length() + 2):
-            fx = _poly_of_series(self.f, xs)
-            dfx = _poly_of_series(pderiv(self.f), xs)
-            xs = xs - (fx - target) * dfx.inverse()
-        xs = TruncatedSeries(p, xs.coeffs, Subordination(1, min(0, x0.v)), check=False)
-        return xs, ys
+            root = partial(sqrt_series, sign_hint=pt.y.residue(1))
+            return _local_parametrization(self.f, 2, pt.x, root, self.M, T)
+        return _local_parametrization(self.f, 2, self._weierstrass_center_x(pt), None, self.M, T)
 
     # -- Frobenius data ------------------------------------------------------------
 
@@ -351,9 +322,7 @@ class HyperellipticModel:
         fbar = [c.residue(1) for c in self.f]
         count = 0
         for x in range(p):
-            fx = 0
-            for c in reversed(fbar):
-                fx = (fx * x + c) % p
+            fx = _horner_mod(fbar, x, p)
             if fx == 0:
                 count += 1
             elif pow(fx, (p - 1) // 2, p) == 1:
@@ -610,28 +579,29 @@ def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
     return acc
 
 
-def _int_det_mod_p(rows, p):
-    n = len(rows)
-    a = [[x % p for x in r] for r in rows]
-    det = 1
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] % p), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det = det * a[i][i] % p
-        inv = pow(a[i][i], -1, p)
-        for r in range(i + 1, n):
-            if a[r][i]:
-                fct = a[r][i] * inv % p
-                for c in range(i, n):
-                    a[r][c] = (a[r][c] - fct * a[i][c]) % p
-    return det % p
+def _local_parametrization(g, n: int, x0: PadicNumber, root, N: int, T: int):
+    """Series (x(t), y(t)) to order T on the residue disc of y^n = g(x) at x0.
 
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    With root given, x = x0 + p t and y = root(g(x)), the branch of the n-th
+    root that picks the disc.  With root None, x0 is a root of g (a
+    ramification point), y = p t and x(t) is solved from g(x) = y^n by
+    Newton's method on series.  N is the precision of the coefficient p.
+    """
+    p = x0.p
+    zero = PadicNumber.exact_zero(p)
+    bound = Subordination(1, min(0, x0.v))
+    p_coeff = PadicNumber.from_int(p, p, N)
+    if root is not None:
+        xs = TruncatedSeries(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
+        return xs, root(_poly_of_series(g, xs))
+    ys = TruncatedSeries(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
+                         check=False, exact=True)
+    target = ys
+    for _ in range(n - 1):
+        target = target * ys
+    xs = TruncatedSeries(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
+    for _ in range(T.bit_length() + 2):
+        gx = _poly_of_series(g, xs)
+        dgx = _poly_of_series(pderiv(g), xs)
+        xs = xs - (gx - target) * dgx.inverse()
+    return TruncatedSeries(p, xs.coeffs, bound, check=False), ys

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .curves import (
-    Cusp,
     CurveProblem,
     EvenHyperellipticCurve,
     LogDifferential,
@@ -27,16 +27,18 @@ from .errors import (
     PoleOnDisc,
     UnsupportedFamily,
 )
-from .hyperelliptic import INFINITY, HyperellipticModel, Point, loss_budget
+from .hyperelliptic import (
+    INFINITY,
+    HyperellipticModel,
+    Point,
+    _local_parametrization,
+    _poly_of_series,
+    loss_budget,
+)
 from .numberfield import NFElement, hensel_embed
 from .padics import PadicNumber, iwasawa_log, nth_root, teichmuller
-from .polyutil import pderiv, peval
-from .series import (
-    Subordination,
-    TruncatedSeries,
-    formal_antiderivative,
-    nth_root_series,
-)
+from .polyutil import peval
+from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
 
 ZETA_PREC_PAD = 24
 
@@ -155,18 +157,6 @@ class Integrator:
         loss = max(self.prec - acc.N, 0) if not acc.is_exact_zero() else 0
         return IntegralValue(value=acc, method="frobenius", loss=loss,
                              endpoints=(P, Q))
-
-    # spec-facing names
-    def coleman_integral(self, omega: LogDifferential, P, Q) -> IntegralValue:
-        """Global Coleman integral of a log differential (Iwasawa branch)."""
-        return self.integral(omega, P, Q)
-
-    def superelliptic_integral(self, j: int, P, Q) -> IntegralValue:
-        """Basis integral on the superelliptic family via the splitting transport."""
-        if not isinstance(self.curve, SuperellipticCurve):
-            raise UnsupportedFamily("superelliptic_integral needs the superelliptic family")
-        vec = self.basis_integral_vector(P, Q)
-        return IntegralValue(value=vec[j], method="pullback", endpoints=(P, Q))
 
     def divisor_integral(self, omega: LogDifferential, divisor) -> IntegralValue:
         """Integral over a degree-zero divisor given as [(point, multiplicity)]."""
@@ -346,7 +336,6 @@ class Integrator:
 
     def disc_parametrization(self, disc: ResidueDisc, order: int | None = None):
         """Series (x(t), y(t)) around the canonical center; t runs over Zp."""
-        p = self.p
         T = order or 2 * self.prec
         if disc.cuspidal and disc.kind == "infinite":
             return self._infinite_parametrization(disc, T)
@@ -356,28 +345,9 @@ class Integrator:
         if isinstance(self.curve, EvenHyperellipticCurve):
             m = self.main_model()
             return m.disc_series(Point(cx, cy), order=T)
-        # superelliptic
-        g = self._g_poly()
-        zeros = [PadicNumber.exact_zero(p)] * (T - 2)
-        if disc.kind == "affine":
-            xs = TruncatedSeries(p, [cx, PadicNumber.from_int(p, p, self._hi())] + zeros,
-                                 Subordination(1, 0), check=False, exact=True)
-            gx = _poly_on_series(g, xs)
-            ys = nth_root_series(gx, 3, disc.ybar)
-            return xs, ys
-        # ramification disc: y = p t, solve g(x) = y^3
-        ys = TruncatedSeries(p, [PadicNumber.exact_zero(p),
-                                 PadicNumber.from_int(p, p, self._hi())] + zeros,
-                             Subordination(1, 0), check=False, exact=True)
-        target = ys * ys * ys
-        xs = TruncatedSeries(p, [cx] + [PadicNumber.exact_zero(p)] * (T - 1),
-                             Subordination(1, 0), check=False, exact=True)
-        for _ in range(T.bit_length() + 2):
-            gx = _poly_on_series(g, xs)
-            dgx = _poly_on_series(pderiv(g), xs)
-            xs = xs - (gx - target) * dgx.inverse()
-        xs = TruncatedSeries(p, xs.coeffs, Subordination(1, 0), check=False)
-        return xs, ys
+        root = (partial(nth_root_series, n=3, residue_hint=disc.ybar)
+                if disc.kind == "affine" else None)
+        return _local_parametrization(self._g_poly(), 3, cx, root, self._hi(), T)
 
     def _infinite_parametrization(self, disc, T):
         """w = 1/x = p t chart at an infinite disc of the even model."""
@@ -388,7 +358,7 @@ class Integrator:
                                  PadicNumber.from_int(p, p, m.M)] + zeros,
                              Subordination(1, 0), check=False, exact=True)
         frev = list(reversed(m.f))  # w^(2g+2) f(1/w)
-        fw = _poly_on_series(frev, ws)
+        fw = _poly_of_series(frev, ws)
         sign = 1 if disc.label == "inf+" else -1
         from .series import sqrt_series
         sq = sqrt_series(fw, sign_hint=int(sign * int(self.curve.sqrt_lead)) % p)
@@ -521,22 +491,6 @@ class Integrator:
                     continue
                 rhs = rhs + r * iwasawa_log(phi(val))
         return lhs, rhs
-
-
-def frobenius_matrix(f_coeffs, p: int, prec: int):
-    """Frobenius data for y^2 = f(x); the spec-level entry point."""
-    return HyperellipticModel(f_coeffs, p, prec).frobenius_data()
-
-
-def _poly_on_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
-    p = xs.p
-    top = coeffs[-1]
-    acc = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
-                          Subordination(1, min(0, top.v if not top.is_zero() else 0)),
-                          check=False, exact=True)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * xs + c
-    return acc
 
 
 def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:

@@ -31,7 +31,8 @@ class RationalMatrix:
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
-            assert self.n == other.m
+            if self.n != other.m:
+                raise ValueError(f"shape mismatch: {self.m}x{self.n} times {other.m}x{other.n}")
             return RationalMatrix([
                 [sum(self.rows[i][k] * other.rows[k][j] for k in range(self.n))
                  for j in range(other.n)]
@@ -79,7 +80,8 @@ class RationalMatrix:
         return len(self.rref()[1])
 
     def inverse(self):
-        assert self.m == self.n
+        if self.m != self.n:
+            raise ValueError(f"cannot invert a non-square {self.m}x{self.n} matrix")
         aug = RationalMatrix([row + list(ident_row) for row, ident_row in
                               zip(self.rows, RationalMatrix.identity(self.n).rows)])
         red, piv = aug.rref()
@@ -123,6 +125,32 @@ class PadicKernel:
 PIVOT_GUARD = 2  # entries within this many digits of their precision cannot pivot
 
 
+def _pick_pivot(a, rows, used_cols, ncols):
+    """(row, column) of the first entry of minimal valuation among ``rows`` and
+    the columns below ``ncols`` not in ``used_cols``; None if all are zero classes."""
+    best, best_v = None, None
+    for i in rows:
+        for j in range(ncols):
+            if j in used_cols:
+                continue
+            x = a[i][j]
+            if x.is_zero():
+                continue
+            if best is None or x.v < best_v:
+                best, best_v = (i, j), x.v
+    return best
+
+
+def _clear_column(a, i0, j0, rows):
+    """Subtract multiples of row i0 from ``rows`` so that column j0 vanishes there."""
+    inv = a[i0][j0].inverse()
+    for i in rows:
+        if i == i0 or a[i][j0].is_zero():
+            continue
+        f = a[i][j0] * inv
+        a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+
+
 def padic_kernel(rows, guard: int = PIVOT_GUARD) -> PadicKernel:
     """Kernel basis of a matrix over Qp by echelon reduction.
 
@@ -142,33 +170,19 @@ def padic_kernel(rows, guard: int = PIVOT_GUARD) -> PadicKernel:
     loss = 0
     free_rows = list(range(m))
     for _ in range(min(m, n)):
-        best = None
-        for i in free_rows:
-            for j in range(n):
-                if j in piv_cols:
-                    continue
-                x = a[i][j]
-                if x.is_zero():
-                    continue
-                if best is None or x.v < best[2]:
-                    best = (i, j, x.v)
+        best = _pick_pivot(a, free_rows, piv_cols, n)
         if best is None:
             break
-        i0, j0, v0 = best
+        i0, j0 = best
         pivot = a[i0][j0]
         if pivot.N - pivot.v <= guard:
             raise PrecisionLoss(
                 f"pivot candidate at ({i0},{j0}) has only {pivot.N - pivot.v} digits")
-        loss = max(loss, v0)
+        loss = max(loss, pivot.v)
         piv_cols.append(j0)
         piv_rows.append(i0)
         free_rows.remove(i0)
-        inv = pivot.inverse()
-        for i in range(m):
-            if i == i0 or a[i][j0].is_zero():
-                continue
-            f = a[i][j0] * inv
-            a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+        _clear_column(a, i0, j0, range(m))
     # remaining rows must be indistinguishable from zero
     for i in free_rows:
         for x in a[i]:
@@ -214,30 +228,16 @@ def padic_solve(rows, rhs, guard: int = PIVOT_GUARD):
     n = len(a)
     perm_cols: list[int] = []
     used_rows: list[int] = []
+    free_rows = list(range(n))
     for _ in range(n):
-        best = None
-        for i in range(n):
-            if i in used_rows:
-                continue
-            for j in range(n):
-                if j in perm_cols:
-                    continue
-                x = a[i][j]
-                if x.is_zero():
-                    continue
-                if best is None or x.v < best[2]:
-                    best = (i, j, x.v)
+        best = _pick_pivot(a, free_rows, perm_cols, n)
         if best is None:
             raise PrecisionLoss("matrix is singular to working precision")
-        i0, j0, _ = best
+        i0, j0 = best
         used_rows.append(i0)
         perm_cols.append(j0)
-        inv = a[i0][j0].inverse()
-        for i in range(n):
-            if i == i0 or a[i][j0].is_zero():
-                continue
-            f = a[i][j0] * inv
-            a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+        free_rows.remove(i0)
+        _clear_column(a, i0, j0, range(n))
     x = [None] * n
     for i0, j0 in zip(used_rows, perm_cols):
         x[j0] = a[i0][n] / a[i0][j0]
@@ -254,35 +254,23 @@ def padic_det(rows):
     sign = 1
     used = []
     perm = []
+    free_rows = list(range(n))
     for _ in range(n):
-        best = None
-        for i in range(n):
-            if i in used:
-                continue
-            for j in range(n):
-                if j in perm:
-                    continue
-                x = a[i][j]
-                if x.is_zero():
-                    continue
-                if best is None or x.v < best[2]:
-                    best = (i, j, x.v)
+        best = _pick_pivot(a, free_rows, perm, n)
         if best is None:
             # remaining block indistinguishable from zero: det is a zero class
-            prec = min(x.N for i in range(n) for x in a[i] if i not in used)
+            prec = min(x.N for i in free_rows for x in a[i])
             out = PadicNumber.unknown_zero(p, prec)
             for i0, j0 in zip(used, perm):
                 out = out * a[i0][j0]
             return out
-        i0, j0, _ = best
+        i0, j0 = best
         used.append(i0)
         perm.append(j0)
-        inv = a[i0][j0].inverse()
-        for i in range(n):
-            if i in used or a[i][j0].is_zero():
-                continue
-            f = a[i][j0] * inv
-            a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+        free_rows.remove(i0)
+        # only the unpivoted rows: clearing above a pivot would cost earlier
+        # pivots precision
+        _clear_column(a, i0, j0, free_rows)
     for i0, j0 in zip(used, perm):
         det = det * a[i0][j0]
     # parity of the permutation row->col

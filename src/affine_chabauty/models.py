@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import RationalMatrix, moore_penrose
 from .numberfield import NFElement, lambda_valuation
-from .padics import iwasawa_log
+from .padics import _vp, iwasawa_log
 
 
 @dataclass
@@ -332,7 +332,7 @@ def check_pi_compatibility(problem: CurveProblem, model: RegularModelData) -> No
                 # records do not list every prime over q; skip the identity check
                 continue
             for lam in group:
-                v = _vq(Fraction(lam.generator.norm()), q)
+                v = _vp(lam.generator.norm(), q)
                 if Fraction(v) * lam.gen_exponent != lam.f:
                     raise ProblemFileError(
                         f"generator of {lam.id} has q-norm valuation {v}, "
@@ -347,15 +347,3 @@ def check_pi_compatibility(problem: CurveProblem, model: RegularModelData) -> No
                 if not diff.is_zero():
                     raise ProblemFileError(
                         f"pi-compatibility fails over {q} at cusp {cusp.id}: {diff}")
-
-
-def _vq(x: Fraction, q: int) -> int:
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n % q == 0:
-        n //= q
-        v += 1
-    while d % q == 0:
-        d //= q
-        v -= 1
-    return v

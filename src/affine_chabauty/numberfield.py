@@ -8,11 +8,12 @@ Hensel lifts of simple roots of the minimal polynomial mod p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NeedsOverride, NonSeparableReduction
-from .padics import PadicNumber, hensel_lift_root, iwasawa_log, _vp
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, iwasawa_log
 
 
 def _poly_trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -255,36 +256,21 @@ def hensel_embed(minpoly, p: int, N: int, field: NumberField | None = None) -> l
     """
     field = field or NumberField(minpoly)
     cs = field.minpoly
-    den = 1
-    for c in cs:
-        den = den * c.denominator // _gcd(den, c.denominator) if c.denominator > 1 else den
+    den = math.lcm(*(c.denominator for c in cs))
     ics = [int(c * den) for c in cs]
     if ics[-1] % p == 0:
         raise NonSeparableReduction("leading coefficient vanishes mod p")
     red = [c % p for c in ics]
     dred = [k * c % p for k, c in enumerate(red)][1:]
-    roots = [r for r in range(p) if _poly_eval_mod(red, r, p) == 0]
+    roots = [r for r in range(p) if _horner_mod(red, r, p) == 0]
     for r in roots:
-        if _poly_eval_mod(dred, r, p) == 0:
+        if _horner_mod(dred, r, p) == 0:
             raise NonSeparableReduction(f"repeated root {r} of minpoly mod {p}")
     out = []
     for r in roots:
         lifted = hensel_lift_root(ics, r, p, N)
         out.append(FieldEmbedding(field, PadicNumber.from_int(lifted, p, N)))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _poly_eval_mod(cs, t, m):
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc * t + c) % m
-    return acc
 
 
 # -- rational powers ---------------------------------------------------------
@@ -321,11 +307,9 @@ def lambda_valuation(x: NFElement, q: int, e: int, f: int, split_residue: int | 
         raise ZeroDivisionError("valuation of zero")
     deg = x.field.degree
     if deg == 1:
-        r = x.as_rational()
-        return Fraction(_vp(r.numerator, q) - _vp(r.denominator, q))
+        return Fraction(_vp(x.as_rational(), q))
     if e * f == deg:  # unique prime over q
-        nrm = x.norm()
-        return Fraction(_vp(nrm.numerator, q) - _vp(nrm.denominator, q), f)
+        return Fraction(_vp(x.norm(), q), f)
     if f == 1 and e == 1 and split_residue is not None:
         nrm = x.norm()
         bound = abs(_vp(nrm.numerator, q)) + abs(_vp(nrm.denominator, q)) + 2

@@ -16,13 +16,25 @@ from .errors import NotAUnit, PrecisionLoss, ZeroInput
 INF = 10 ** 9  # sentinel for +infinity; real valuations/precisions stay far below
 
 
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+def _vp(n, p: int) -> int:
+    """p-adic valuation of a nonzero integer or Fraction."""
+    if not isinstance(n, int):  # a Fraction: testing int first skips a slow ABC check
+        return _vp(n.numerator, p) - _vp(n.denominator, p)
+    if n == 0:
+        raise ZeroInput("valuation of zero")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def _horner_mod(cs, t: int, m: int) -> int:
+    """Value at t of the integer polynomial cs (ascending) modulo m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * t + c) % m
+    return acc
 
 
 class PadicNumber:
@@ -128,8 +140,8 @@ class PadicNumber:
             if add:
                 N = self.N
             else:
-                vo = _vp(x.numerator, self.p) - _vp(x.denominator, self.p)
-                N = vo + (self.N - self.v)  # matched relative precision: lossless product
+                # matched relative precision: lossless product
+                N = _vp(x, self.p) + (self.N - self.v)
             return PadicNumber.from_rational(x, self.p, N)
         return None
 
@@ -200,9 +212,8 @@ class PadicNumber:
                 raise ZeroDivisionError("division by zero scalar")
             if self.is_exact_zero():
                 return self
-            vo = _vp(x.numerator, self.p) - _vp(x.denominator, self.p)
             if self.u == 0:
-                return PadicNumber.unknown_zero(self.p, self.N - vo)
+                return PadicNumber.unknown_zero(self.p, self.N - _vp(x, self.p))
         o = self._coerce(other, add=False)
         if o is None:
             return NotImplemented
@@ -468,18 +479,12 @@ def nth_root(x: PadicNumber, n: int, residue_hint: int) -> PadicNumber:
 
 def hensel_lift_root(coeffs: list[int], r0: int, p: int, N: int) -> int:
     """Lift a simple root r0 (mod p) of an integer polynomial to mod p^N."""
-    def ev(cs, t, m):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * t + c) % m
-        return acc
-
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    if ev(dcoeffs, r0, p) == 0:
+    if _horner_mod(dcoeffs, r0, p) == 0:
         raise ValueError("root is not simple mod p")
     r, k = r0 % p, 1
     while k < N:
         k = min(2 * k, N)
         m = p ** k
-        r = (r - ev(coeffs, r, m) * pow(ev(dcoeffs, r, m), -1, m)) % m
+        r = (r - _horner_mod(coeffs, r, m) * pow(_horner_mod(dcoeffs, r, m), -1, m)) % m
     return r

@@ -12,10 +12,6 @@ def ptrim(a):
     return a[:n]
 
 
-def pzero(p):
-    return []
-
-
 def padd(a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -23,14 +19,6 @@ def padd(a, b):
     for i, c in enumerate(b):
         out[i] = out[i] + c
     return out
-
-
-def pneg(a):
-    return [-c for c in a]
-
-
-def psub(a, b):
-    return padd(a, pneg(b))
 
 
 def pscale(a, c):
@@ -79,10 +67,3 @@ def peval(a, x, p):
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def pmonomial_mul(a, k, p):
-    """Multiply by x^k."""
-    if not a:
-        return []
-    return [PadicNumber.exact_zero(p)] * k + list(a)

@@ -118,6 +118,8 @@ def _build_model(block: dict, cusp_fields: dict) -> RegularModelData:
         if cusp not in cusp_fields:
             raise ProblemFileError(f"lambda record {rec['id']} references unknown cusp {cusp}")
         gen = cusp_fields[cusp]([_frac(c) for c in rec["generator"]])
+        if gen.is_zero():
+            raise ProblemFileError(f"lambda record {rec['id']} has a zero generator")
         lambdas.append(LambdaRecord(
             id=rec["id"], cusp=cusp, over_prime=int(rec["over_prime"]),
             e=int(rec.get("e", 1)), f=int(rec.get("f", 1)),

@@ -20,7 +20,7 @@ from .errors import (
     PrecisionLoss,
     ZeroInput,
 )
-from .padics import INF, PadicNumber, _vp
+from .padics import INF, PadicNumber, _horner_mod, _vp
 
 _BIG = INF // 2
 
@@ -47,7 +47,7 @@ def _scalar_val(a, p: int):
     fa = Fraction(a)
     if fa == 0:
         return INF
-    return _vp(fa.numerator, p) - _vp(fa.denominator, p)
+    return _vp(fa, p)
 
 
 class TruncatedSeries:
@@ -68,16 +68,6 @@ class TruncatedSeries:
                     raise ValueError(
                         f"coefficient t^{n} (valuation >= {guar}) violates claimed bound {bound.at(n)}")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rationals(cls, vals, p: int, N: int,
-                       bound: Subordination | None = None) -> "TruncatedSeries":
-        cs = [PadicNumber.from_rational(v, p, N) for v in vals]
-        if bound is None:
-            bound = derive_bound(cs, slope=Fraction(0))
-        return cls(p, cs, bound, exact=True)
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -86,10 +76,6 @@ class TruncatedSeries:
         if not 0 <= n < self.order:
             raise IndexError(f"coefficient {n} outside known range [0, {self.order})")
         return self.coeffs[n]
-
-    def min_known_valuation(self) -> int:
-        vals = [c.v for c in self.coeffs if not c.is_zero()]
-        return min(vals, default=INF)
 
     def padic_precision(self) -> int:
         """Modulus exponent: the series is known modulo (p^N, t^T)."""
@@ -401,7 +387,8 @@ def strassmann_roots(f: TruncatedSeries, max_depth: int | None = None) -> Strass
     if max_depth is None:
         max_depth = f.padic_precision() + 2
     roots = _isolate(f, m, max_depth)
-    assert len(roots) <= star, "more roots than the Strassmann bound"
+    if len(roots) > star:
+        raise PrecisionLoss(f"{len(roots)} roots isolated but the Strassmann bound is {star}")
     return StrassmannResult(roots=roots, bound=star)
 
 
@@ -414,15 +401,9 @@ def _isolate(f: TruncatedSeries, m: int, depth: int):
     fprime = f.derivative()
     out = []
     for a in range(p):
-        val = 0
-        for c in reversed(red):
-            val = (val * a + c) % p
-        if val != 0:
+        if _horner_mod(red, a, p) != 0:
             continue
-        dval = 0
-        for c in reversed(dred):
-            dval = (dval * a + c) % p
-        if dval != 0:
+        if _horner_mod(dred, a, p) != 0:
             out.append((_newton_refine(f, fprime, a), 1))
         else:
             if depth <= 0:

@@ -2,7 +2,11 @@ import json
 import pathlib
 import shutil
 
+import pytest
+
 from affine_chabauty.cli import main
+from affine_chabauty.models import enumerate_reduction_types
+from affine_chabauty.problem import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -89,3 +93,37 @@ def test_roundtrip_pinned_integrals_reproduce_kernel(tmp_path, capsys):
     k2 = report2["reduction_types"][0]["kernel"]
     assert k1 == k2
     capsys.readouterr()
+
+
+def test_sigma_solves_only_the_chosen_reduction_type(tmp_path, capsys):
+    path = _stage(tmp_path, "superelliptic_a1.json")
+    engine = load_problem(path)
+    label = enumerate_reduction_types(engine.problem, engine.model)[2].label
+    rc = main(["solve", str(path), "--prec", "10", "--sigma", "2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    report = json.loads((tmp_path / "r.json").read_text())
+    (entry,) = report["reduction_types"]
+    assert entry["label"] == label
+    # points and status describe the chosen type alone
+    points = report["points"]
+    roots = [r for d in entry["discs"] for r in d.get("roots", [])]
+    assert points["extra_candidates"] == [r for r in roots if not r["matched"]]
+    assert points["matched_known"] == sorted(
+        [list(m) for m in {tuple(r["matched"]) for r in roots if r["matched"]}])
+    assert ["216/487", "438/487"] in points["matched_known"]
+    assert [(u["sigma"], u["disc"]) for u in points["unresolved_discs"]] == [
+        (label, d["disc"]) for d in entry["discs"] if d["status"] == "unresolved"]
+    assert report["status"] == "partial"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("index", ["4", "-1"])
+def test_sigma_out_of_range_exits_one(tmp_path, capsys, index):
+    path = _stage(tmp_path, "superelliptic_a1.json")
+    rc = main(["solve", str(path), "--prec", "10", "--sigma", index,
+               "--out", str(tmp_path / "r.json")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1
+    assert err["error"] == "ChabautyError" and "out of range" in err["message"]
+    assert not (tmp_path / "r.json").exists()

@@ -200,3 +200,19 @@ def test_degenerate_rank_zero_shape():
     assert len(vectors) == 3
     for j, v in enumerate(vectors):
         assert v[j].compare(1) == "equal"
+
+
+def test_more_roots_than_the_strassmann_bound_leave_the_disc_unresolved(monkeypatch):
+    import affine_chabauty.series as series
+
+    eng = load("hyperelliptic_6081b.json", prec_override=8)
+    types = enumerate_reduction_types(eng.problem, eng.model)
+    vectors, omegas, mat, st = eng.annihilator(types[0])
+    pairs = [(om, eng.constant_c(st, om)) for om in omegas]
+    disc = next(d for d in eng.integrator.residue_discs() if not d.cuspidal)
+    assert eng.disc_locus(pairs, disc).status == "ok"
+    root = (PadicNumber.from_int(1, 7, 8), 1)
+    monkeypatch.setattr(series, "_isolate", lambda f, m, depth: [root] * f.order)
+    locus = eng.disc_locus(pairs, disc)
+    assert locus.status == "unresolved"
+    assert locus.reason.startswith("PrecisionLoss") and "Strassmann bound" in locus.reason

@@ -10,7 +10,8 @@ from affine_chabauty.curves import (
     SuperellipticCurve,
 )
 from affine_chabauty.errors import DifferentDiscs, EndpointRestriction
-from affine_chabauty.integration import Integrator, frobenius_matrix
+from affine_chabauty.hyperelliptic import HyperellipticModel
+from affine_chabauty.integration import Integrator
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic, sqrt as padic_sqrt
 from affine_chabauty.series import Subordination, TruncatedSeries
 
@@ -200,5 +201,5 @@ def test_imported_integrals_take_precedence():
 
 
 def test_frobenius_matrix_entry_point():
-    fd = frobenius_matrix([1, 1, 0, 1], 7, 8)
+    fd = HyperellipticModel([1, 1, 0, 1], 7, 8).frobenius_data()
     assert fd.a_p == 3 and fd.point_count == 5

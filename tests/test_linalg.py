@@ -129,3 +129,11 @@ def test_det_duplicate_rows_is_zero():
     row = [pad(3), pad(5), pad(11)]
     rows = [row, list(row), [pad(1), pad(2), pad(4)]]
     assert padic_det(rows).is_zero()
+
+
+def test_rational_matrix_shape_mismatch_raises():
+    row = RationalMatrix([[1, 2]])
+    with pytest.raises(ValueError):
+        row * row
+    with pytest.raises(ValueError):
+        row.inverse()

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from affine_chabauty.models import (
     psi_intersection_with_components,
     selmer_target,
 )
-from affine_chabauty.problem import load_problem
+from affine_chabauty.problem import build_engine, load_problem
 
 import pathlib
 
@@ -168,3 +169,11 @@ def test_sigma_enumeration_trivial():
     types = enumerate_reduction_types(eng.problem, eng.model)
     assert len(types) == 1
     assert not types[0].cuspidal_support and not types[0].component_choice
+
+
+def test_zero_cusp_prime_generator_is_rejected():
+    # a zero generator has no valuation; ingesting it used to hang
+    data = json.loads((PROBLEMS / "superelliptic_a1.json").read_text())
+    data["model"]["cusp_primes"][0]["generator"] = ["0"]
+    with pytest.raises(ProblemFileError, match="zero generator"):
+        build_engine(data)

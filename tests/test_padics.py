@@ -13,6 +13,7 @@ from affine_chabauty.numberfield import (
 )
 from affine_chabauty.padics import (
     PadicNumber,
+    _vp,
     iwasawa_log,
     parse_padic,
     render_padic,
@@ -210,3 +211,12 @@ def test_signature():
     assert NumberField([1, 1, 1]).signature() == (0, 1)
     assert NumberField([-2, 0, 1]).signature() == (2, 0)
     assert NumberField([-1, 1]).signature() == (1, 0)
+
+
+def test_valuation_of_integers_and_rationals():
+    assert _vp(98, 7) == 2
+    assert _vp(Fraction(3, 49), 7) == -2
+    assert _vp(Fraction(-98, 5), 7) == 2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInput):
+            _vp(zero, 7)
