@@ -90,7 +90,6 @@ class Engine:
         self.known_points = known_points or []
         self.integrator = Integrator(problem, imported)
         self._emb = {}
-        self._H_cache = {}
         self._gen_int_cache = {}
         self._cusps = {c.id: c for c in problem.curve.cusps}
         check_pi_compatibility(problem, model)

@@ -70,16 +70,14 @@ class FrobeniusData:
 class HyperellipticModel:
     """y^2 = f(x) over Zp with good reduction; Coleman integration backend."""
 
-    def __init__(self, f_coeffs, p: int, prec: int, internal: int | None = None):
+    def __init__(self, f_coeffs, p: int, prec: int):
         self.p = p
         self.prec = prec
         if p == 2:
             raise BadReduction("p = 2 not supported")
-        self.f_rational = None
-        if all(isinstance(c, (int, Fraction)) for c in f_coeffs):
-            self.f_rational = [Fraction(c) for c in f_coeffs]
+        self.f_rational = [Fraction(c) for c in f_coeffs]
         deg = len(f_coeffs) - 1
-        while deg >= 0 and self._is_zero_coeff(f_coeffs[deg]):
+        while deg >= 0 and self.f_rational[deg] == 0:
             deg -= 1
         if deg < 3:
             raise ValueError("need deg f >= 3")
@@ -88,28 +86,14 @@ class HyperellipticModel:
         self.is_even = deg % 2 == 0
         self.dim = 2 * self.g + (1 if self.is_even else 0)
         self.K = prec + 6
-        self.M = internal if internal is not None else prec + loss_budget(p, self.K, deg) + 8
-        self.f = [self._lift(c, self.M) for c in f_coeffs[: deg + 1]]
+        self.M = prec + loss_budget(p, self.K, deg) + 8
+        self.f = [PadicNumber.from_rational(c, p, self.M) for c in self.f_rational[: deg + 1]]
         if self.f[-1].v != 0:
             raise BadReduction("leading coefficient must be a unit")
         self._check_good_reduction()
         self._frob: FrobeniusData | None = None
 
     # -- setup helpers -------------------------------------------------------
-
-    @staticmethod
-    def _is_zero_coeff(c) -> bool:
-        if isinstance(c, PadicNumber):
-            return c.is_exact_zero() or c.is_zero()
-        return Fraction(c) == 0
-
-    def _lift(self, c, N) -> PadicNumber:
-        if isinstance(c, PadicNumber):
-            if c.N < N:
-                raise PrecisionExceeded(
-                    f"curve coefficient known to O(p^{c.N}) but internal precision {N} needed")
-            return c.at_precision(N)
-        return PadicNumber.from_rational(c, self.p, N)
 
     def _check_good_reduction(self):
         # the leading coefficient is a unit, so squarefree mod p is good reduction
@@ -143,15 +127,10 @@ class HyperellipticModel:
         return Point(xt, sqrt(self.curve_rhs(xt), sign_hint=pt.y.residue(1)))
 
     def _weierstrass_center_x(self, pt: Point) -> PadicNumber:
-        if self.f_rational is not None:
-            den = math.lcm(*(c.denominator for c in self.f_rational))
-            ics = [int(c * den) for c in self.f_rational]
-            r = hensel_lift_root(ics, pt.x.residue(1), self.p, self.M)
-            return PadicNumber.from_int(r, self.p, self.M)
-        x = pt.x.at_precision(self.M)
-        for _ in range(self.M.bit_length() + 3):
-            x = x - peval(self.f, x, self.p) / peval(pderiv(self.f), x, self.p)
-        return x
+        den = math.lcm(*(c.denominator for c in self.f_rational))
+        ics = [int(c * den) for c in self.f_rational]
+        r = hensel_lift_root(ics, pt.x.residue(1), self.p, self.M)
+        return PadicNumber.from_int(r, self.p, self.M)
 
     # -- local expansions --------------------------------------------------------
 

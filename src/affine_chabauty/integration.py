@@ -33,14 +33,11 @@ from .hyperelliptic import (
     Point,
     _local_parametrization,
     _poly_of_series,
-    loss_budget,
 )
 from .numberfield import NFElement, hensel_embed
 from .padics import PadicNumber, iwasawa_log, nth_root, teichmuller
 from .polyutil import peval
 from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
-
-ZETA_PREC_PAD = 24
 
 
 @dataclass
@@ -92,29 +89,22 @@ class Integrator:
 
     def cube_roots(self) -> list[PadicNumber]:
         if "zetas" not in self._models:
-            need = self._xzeta_internal() + ZETA_PREC_PAD
-            roots = [PadicNumber.from_int(1, self.p, need)]
-            roots += [e.root for e in hensel_embed([1, 1, 1], self.p, need)]
+            hi = self._hi()
+            roots = [PadicNumber.from_int(1, self.p, hi)]
+            roots += [e.root for e in hensel_embed([1, 1, 1], self.p, hi)]
             self._models["zetas"] = roots
         return self._models["zetas"]
 
-    def _xzeta_internal(self) -> int:
-        return self.work + loss_budget(self.p, self.work + 6, 4) + 8
+    def x1_model(self) -> HyperellipticModel:
+        """X_1 of the family X_zeta: t^2 = (4/a^2) [s (1 + zeta s)^3 + (a^2/4 - 1) s^4].
 
-    def x_zeta_model(self, idx: int) -> HyperellipticModel:
-        key = ("xz", idx)
-        if key not in self._models:
-            z = self.cube_roots()[idx]
-            a = self.curve.a
-            # t^2 = (4/a^2) [ s (1 + zeta s)^3 + (a^2/4 - 1) s^4 ], which is monic
-            one = z ** 0
-            q = [PadicNumber.exact_zero(self.p),
-                 one * (Fraction(4) / (a * a)),
-                 z * (Fraction(12) / (a * a)),
-                 (z * z) * (Fraction(12) / (a * a)),
-                 one]
-            self._models[key] = HyperellipticModel(q, self.p, self.work)
-        return self._models[key]
+        (s, t) = (zeta^2 s', zeta t') maps X_1 onto X_zeta and pulls s ds/t back to s' ds'/t'.
+        """
+        if "x1" not in self._models:
+            c = Fraction(4) / (self.curve.a * self.curve.a)
+            self._models["x1"] = HyperellipticModel(
+                [0, c, 3 * c, 3 * c, 1], self.p, self.work)
+        return self._models["x1"]
 
     # -- endpoint conversion ---------------------------------------------------
 
@@ -235,7 +225,6 @@ class Integrator:
         return vals[0] * Fraction(-3, 2)
 
     def _super_omega23(self, P, Q):
-        p = self.p
         zetas = self.cube_roots()
         uvP, uvQ = self._uv_coords(P), self._uv_coords(Q)
         for uv in (uvP, uvQ):
@@ -246,10 +235,9 @@ class Integrator:
             - self._plus_part(uvP, zetas, inverse_weight=True)
         i3 = self._plus_part(uvQ, zetas, inverse_weight=False) \
             - self._plus_part(uvP, zetas, inverse_weight=False)
-        # antisymmetric parts through the auxiliary even models
-        a = self.curve.a
-        for idx, z in enumerate(zetas):
-            X = self.x_zeta_model(idx)
+        # antisymmetric parts on X_zeta, each computed on X_1
+        X = self.x1_model()
+        for z in zetas:
             tauP = self._tau(uvP, z, X)
             tauQ = self._tau(uvQ, z, X)
             vals = X.basis_integrals(tauP, tauQ)
@@ -277,7 +265,10 @@ class Integrator:
         return acc
 
     def _tau(self, uv, z, X: HyperellipticModel):
-        """tau_zeta(u', v') = (1/(u'-z), -2 v' / (a (u'-z)^2)) with tau(infinity) = (0,0)."""
+        """tau_zeta(u', v') = (s, t) = (1/(u'-z), -2 v'/(a (u'-z)^2)), sent to X_1 as (z s, z^2 t).
+
+        tau(infinity) = (0, 0) on every X_zeta.
+        """
         p = self.p
         if uv is INFINITY:
             return X.point(PadicNumber.exact_zero(p), PadicNumber.exact_zero(p))
@@ -285,7 +276,7 @@ class Integrator:
         a = self.curve.a
         s = (u - z).inverse()
         t = (-2) * v * ((u - z) ** 2).inverse() / a
-        return X.point(s, t)
+        return X.point(z * s, z * z * t)
 
     # -- residue discs and expansions ------------------------------------------------
 

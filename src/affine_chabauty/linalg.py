@@ -151,7 +151,7 @@ def _clear_column(a, i0, j0, rows):
         a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
 
 
-def padic_kernel(rows, guard: int = PIVOT_GUARD) -> PadicKernel:
+def padic_kernel(rows) -> PadicKernel:
     """Kernel basis of a matrix over Qp by echelon reduction.
 
     Pivots are chosen with minimal valuation (maximal p-adic size) to control
@@ -175,7 +175,7 @@ def padic_kernel(rows, guard: int = PIVOT_GUARD) -> PadicKernel:
             break
         i0, j0 = best
         pivot = a[i0][j0]
-        if pivot.N - pivot.v <= guard:
+        if pivot.N - pivot.v <= PIVOT_GUARD:
             raise PrecisionLoss(
                 f"pivot candidate at ({i0},{j0}) has only {pivot.N - pivot.v} digits")
         loss = max(loss, pivot.v)
@@ -222,8 +222,8 @@ def _normalize_kernel_vector(vec):
     return out
 
 
-def padic_solve(rows, rhs, guard: int = PIVOT_GUARD):
-    """Solve A x = b over Qp for square nonsingular A (same pivoting rules)."""
+def padic_solve(rows, rhs):
+    """Solve A x = b over Qp for square nonsingular A; min-valuation pivots, no PIVOT_GUARD."""
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
     n = len(a)
     perm_cols: list[int] = []

@@ -38,9 +38,9 @@ def build_engine(data: dict, p_override: int | None = None,
     family = curve_block["family"]
     kw = {}
     if "f" in curve_block:
-        kw["f"] = [int(_frac(c)) for c in curve_block["f"]]
+        kw["f"] = [_frac(c) for c in curve_block["f"]]
     if "a" in curve_block:
-        kw["a"] = int(_frac(curve_block["a"]))
+        kw["a"] = _frac(curve_block["a"])
     curve = make_curve(family, **kw)
 
     arith = data["arithmetic"]

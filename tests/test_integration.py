@@ -122,6 +122,36 @@ def test_superelliptic_split_decomposition_series():
         assert full[n].compare(recomposed[n]) != "distinct"
 
 
+@pytest.mark.parametrize("a", [1, 3])
+def test_x1_model_carries_every_x_zeta(a):
+    """q_zeta(zeta^2 s) = zeta^2 q_1(s), q_zeta = (4/a^2) [s (1 + zeta s)^3 + (a^2/4 - 1) s^4]."""
+    I = Integrator(CurveProblem(curve=SuperellipticCurve(a),
+                                base_point=KnownPoint(Fraction(0), Fraction(0)),
+                                S=[], p=7, prec=8))
+    X1 = I.x1_model()
+    c = Fraction(4, a * a)
+    for z in I.cube_roots():
+        q = [PadicNumber.exact_zero(7), z ** 0 * c, z * (3 * c), z * z * (3 * c), z ** 0]
+        for k, (qk, fk) in enumerate(zip(q, X1.f)):
+            assert (qk * z ** (2 * k)).compare(z * z * fk) == "equal", (z, k)
+
+
+def test_superelliptic_vector_runs_frobenius_on_two_models(monkeypatch):
+    """The w model and X_1; no model per cube root of unity."""
+    computed = []
+    original = HyperellipticModel._compute_frobenius
+
+    def counting(self):
+        computed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HyperellipticModel, "_compute_frobenius", counting)
+    I = Integrator(super_problem(prec=8))
+    I.basis_integral_vector((Fraction(0), Fraction(0)), (Fraction(1, 18), Fraction(7, 18)))
+    assert len(computed) == 2
+    assert {id(m) for m in computed} == {id(I.w_model()), id(I.x1_model())}
+
+
 def test_partial_fraction_identity_on_series():
     """omega_2+ = -1/2 sum_zeta zeta^(-1)/(w - zeta) dw matches -(3/2) du'/(u'^3-1).
 
@@ -133,7 +163,7 @@ def test_partial_fraction_identity_on_series():
     I = Integrator(prob)
     zetas = I.cube_roots()
     from affine_chabauty.series import polynomial
-    hi = I._xzeta_internal()
+    hi = I._hi()
     us = polynomial([3] + [7] + [0] * (T - 2), p, hi)
     du = us.derivative()
     u3m1 = (us * us * us) + PadicNumber.from_int(-1, p, hi)

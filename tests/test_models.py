@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from affine_chabauty.errors import NeedsOverride, NotTransversal, ProblemFileError
+from affine_chabauty.errors import (
+    NeedsOverride,
+    NotTransversal,
+    ProblemFileError,
+    UnsupportedFamily,
+)
 from affine_chabauty.linalg import RationalMatrix
 from affine_chabauty.models import (
     ComponentData,
@@ -176,4 +181,20 @@ def test_zero_cusp_prime_generator_is_rejected():
     data = json.loads((PROBLEMS / "superelliptic_a1.json").read_text())
     data["model"]["cusp_primes"][0]["generator"] = ["0"]
     with pytest.raises(ProblemFileError, match="zero generator"):
+        build_engine(data)
+
+
+def test_fractional_superelliptic_parameter_is_rejected():
+    # a = 3/2 must not load as the a = 1 curve
+    data = json.loads((PROBLEMS / "superelliptic_a1.json").read_text())
+    data["curve"]["a"] = "3/2"
+    with pytest.raises(UnsupportedFamily, match="parameter a must be an integer"):
+        build_engine(data)
+
+
+def test_fractional_hyperelliptic_coefficient_is_rejected():
+    # rejected for the coefficient itself, not as a truncated f_0 = 0 failing the base point
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["curve"]["f"][0] = "1/2"
+    with pytest.raises(ProblemFileError, match="integer coefficients required"):
         build_engine(data)
