@@ -8,6 +8,11 @@ regenerate one with
 
 (and likewise `verify` into `<fixture>.verify.json`).  A change that moves
 any byte of them changes the engine's behaviour.
+
+tests/golden/disc_layer.json locks the disc layer underneath the reports:
+the center, x(t), y(t) and every basis expansion of each non-cuspidal disc,
+at primes that reach even and superelliptic Weierstrass discs.  Regenerate
+it with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import functools
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
+from affine_chabauty.padics import render_padic
 from affine_chabauty.problem import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
@@ -26,6 +32,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 FIXTURES = ("hyperelliptic_6081b", "superelliptic_a1")
 GOLDEN_PREC = 12
 LADDER_STEP = 4
+DISC_LAYER_PREC = 8
+DISC_LAYER_PRIMES = {"hyperelliptic_6081b": (7, 19), "superelliptic_a1": (7, 13)}
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify"])
@@ -34,6 +42,46 @@ def test_report_matches_golden_byte_for_byte(fixture, mode):
     engine = load_problem(PROBLEMS / f"{fixture}.json", prec_override=GOLDEN_PREC)
     fresh = json.dumps(getattr(engine, mode)(), indent=2)
     assert fresh == (GOLDEN / f"{fixture}.{mode}.json").read_text()
+
+
+def _disc_layer() -> dict:
+    """Per fixture and prime: every non-cuspidal disc's center, x(t), y(t) and
+    basis expansions, rendered at work + 20 digits (exact zeros as "0").
+    Also asserts that each value that is not an exact zero carries at least
+    _hi() digits."""
+    out = {}
+    for fixture, primes in DISC_LAYER_PRIMES.items():
+        for p in primes:
+            I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p,
+                             prec_override=DISC_LAYER_PREC).integrator
+
+            def render(values):
+                values = list(values)
+                assert all(v.is_exact_zero() or v.N >= I._hi() for v in values)
+                return [render_padic(v if v.is_exact_zero() else v.at_precision(I.work + 20))
+                        for v in values]
+
+            discs = []
+            for disc in I.residue_discs():
+                if disc.cuspidal:
+                    continue
+                xs, ys = I.disc_parametrization(disc)
+                expansions = [I.expand_differential_on_disc(om, disc) for om in I.curve.basis()]
+                discs.append({
+                    "disc": [disc.xbar, disc.ybar, disc.kind],
+                    "center": render(I.disc_center(disc)),
+                    "x": render(xs.coeffs),
+                    "y": render(ys.coeffs),
+                    "omega": [{"pole": render([e.pole_coeff])[0], "series": render(e.series.coeffs)}
+                              for e in expansions],
+                })
+            out[f"{fixture}@{p}"] = discs
+    return out
+
+
+def test_disc_layer_matches_golden_byte_for_byte():
+    fresh = json.dumps(_disc_layer(), indent=1)
+    assert fresh == (GOLDEN / "disc_layer.json").read_text()
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,3 +116,7 @@ def test_raising_the_precision_keeps_every_printed_digit(fixture, N):
     clashes = [(lo[:3], str(lo[3]), str(hi[3])) for lo, hi in zip(low, high)
                if lo[3].compare(hi[3]) == "distinct"]
     assert not clashes
+
+
+if __name__ == "__main__":
+    (GOLDEN / "disc_layer.json").write_text(json.dumps(_disc_layer(), indent=1))
