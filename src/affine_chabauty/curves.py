@@ -109,11 +109,19 @@ class ResidueDisc:
 
 
 class CurveFamily:
-    """Shared interface of the supported curve families."""
+    """Shared interface of the supported curve families.
+
+    Each family is a chart y^n = g(x), g with ascending integer coefficients,
+    and its basis omega_j = x^i dx/y^b is listed in monomials as (i, b), with
+    x^(i-1) dx/y^b ahead of x^i dx/y^b.
+    """
 
     family: str
     genus: int
     cusps: list
+    n: int
+    g: list
+    monomials: list
 
     def basis_size(self) -> int:
         return self.genus + self.geometric_cusp_count() - 1
@@ -140,6 +148,28 @@ class CurveFamily:
             out.append(LogDifferential(self, tuple(coeffs)))
         return out
 
+    def rhs(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.g):
+            acc = acc * x + c
+        return acc
+
+    def contains(self, x, y) -> bool:
+        return Fraction(y) ** self.n == self.rhs(Fraction(x))
+
+    def residue_discs(self, p: int) -> list[ResidueDisc]:
+        """The Weierstrass and affine discs over xbar = 0..p-1, then the boundary discs."""
+        boundary = self.boundary_discs(p)
+        gbar = [c % p for c in self.g]
+        out = []
+        for xb in range(p):
+            v = _horner_mod(gbar, xb, p)
+            if v == 0:
+                out.append(ResidueDisc(self, p, xb, 0, "weierstrass"))
+            out += [ResidueDisc(self, p, xb, yb, "affine")
+                    for yb in range(1, p) if pow(yb, self.n, p) == v]
+        return out + boundary
+
 
 class EvenHyperellipticCurve(CurveFamily):
     """y^2 = f(x), deg f = 2g+2, square leading coefficient."""
@@ -158,6 +188,8 @@ class EvenHyperellipticCurve(CurveFamily):
             raise UnsupportedFamily("even hyperelliptic needs even degree >= 4")
         self.genus = (deg - 2) // 2
         self.deg = deg
+        self.n, self.g = 2, [int(c) for c in self.f]
+        self.monomials = [(i, 1) for i in range(self.genus + 1)]
         e = _isqrt_exact(int(self.f[-1]))
         if not e:
             raise ProblemFileError("leading coefficient must be a nonzero square")
@@ -176,15 +208,6 @@ class EvenHyperellipticCurve(CurveFamily):
         sign = -1 if cusp.id == "inf+" else 1
         return QQ(sign / self.sqrt_lead)
 
-    def rhs(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.f):
-            acc = acc * x + c
-        return acc
-
-    def contains(self, x, y) -> bool:
-        return Fraction(y) ** 2 == self.rhs(Fraction(x))
-
     def good_reduction_at(self, p: int) -> bool:
         from .hyperelliptic import HyperellipticModel
         try:
@@ -200,24 +223,11 @@ class EvenHyperellipticCurve(CurveFamily):
             return None
         return (QQ(1 / x), QQ(y / x ** (self.genus + 1)))
 
-    def residue_discs(self, p: int) -> list[ResidueDisc]:
-        fbar = [int(c) % p for c in self.f]
-        if not _separable(fbar, p):
+    def boundary_discs(self, p: int) -> list[ResidueDisc]:
+        if not _separable(self.g, p):
             raise BadReduction(f"f is not squarefree mod {p}")
-        out = []
-        for xb in range(p):
-            v = _horner_mod(fbar, xb, p)
-            if v == 0:
-                out.append(ResidueDisc(self, p, xb, 0, "weierstrass"))
-            elif pow(v, (p - 1) // 2, p) == 1:
-                for yb in range(1, p):
-                    if yb * yb % p == v:
-                        out.append(ResidueDisc(self, p, xb, yb, "affine"))
-            # non-residue: no Fp-points over xb
-        for c in self.cusps:
-            out.append(ResidueDisc(self, p, None, None, "infinite",
-                                   label=c.id, cuspidal=True))
-        return out
+        return [ResidueDisc(self, p, None, None, "infinite", label=c.id, cuspidal=True)
+                for c in self.cusps]
 
 
 class SuperellipticCurve(CurveFamily):
@@ -230,6 +240,8 @@ class SuperellipticCurve(CurveFamily):
         if self.a.denominator != 1 or self.a in (2, -2):
             raise UnsupportedFamily("parameter a must be an integer, a != +-2")
         self.genus = 1
+        self.n, self.g = 3, [0, 1, int(self.a), 1]
+        self.monomials = [(0, 2), (1, 2), (0, 1)]
         zeta_field = NumberField([1, 1, 1], name="zeta")
         self.cusps = [
             Cusp("Q1", QQ, (QQ(1), QQ(0)), 1),
@@ -247,13 +259,6 @@ class SuperellipticCurve(CurveFamily):
             return cusp.nfield(0) if cusp.id == "Q2" else QQ(0)
         return self._residue_table[(cusp.id, j)]
 
-    def rhs(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        return x ** 3 + self.a * x ** 2 + x
-
-    def contains(self, x, y) -> bool:
-        return Fraction(y) ** 3 == self.rhs(Fraction(x))
-
     def cusp_chart_coords(self, x, y):
         """(u, v) = (y/x, 1/x); None when x = 0 (the base-point chart)."""
         x, y = Fraction(x), Fraction(y)
@@ -264,32 +269,16 @@ class SuperellipticCurve(CurveFamily):
     def good_reduction_at(self, p: int) -> bool:
         if p == 3 or p % 3 != 1:
             return False
-        g = [0, 1, int(self.a), 1]
         # smooth iff x^3+ax^2+x squarefree mod p (and p != 3)
-        return _separable(g, p)
+        return _separable(self.g, p)
 
-    def residue_discs(self, p: int) -> list[ResidueDisc]:
+    def boundary_discs(self, p: int) -> list[ResidueDisc]:
+        """Cusp discs of the elliptic chart: u = 1 for Q1, the cube roots of unity for Q2."""
         if p % 3 != 1:
             raise BadReduction("need p = 1 mod 3")
-        out = []
-        for xb in range(p):
-            v = (xb ** 3 + int(self.a) * xb ** 2 + xb) % p
-            if v == 0:
-                out.append(ResidueDisc(self, p, xb, 0, "weierstrass"))
-                continue
-            if pow(v, (p - 1) // 3, p) == 1:  # nonzero cube: three roots
-                for yb in range(1, p):
-                    if pow(yb, 3, p) == v % p:
-                        out.append(ResidueDisc(self, p, xb, yb, "affine"))
-        for c, ubars in self._cusp_residues(p):
-            for ub in ubars:
-                out.append(ResidueDisc(self, p, None, None, "cuspidal",
-                                       label=f"{c.id}@u={ub}", cuspidal=True))
-        return out
-
-    def _cusp_residues(self, p: int):
-        roots = [r for r in range(p) if (r * r + r + 1) % p == 0]
-        return [(self.cusps[0], [1]), (self.cusps[1], roots)]
+        ubars = [("Q1", 1)] + [("Q2", r) for r in range(p) if (r * r + r + 1) % p == 0]
+        return [ResidueDisc(self, p, None, None, "cuspidal", label=f"{c}@u={ub}", cuspidal=True)
+                for c, ub in ubars]
 
 
 def make_curve(family: str, **kw) -> CurveFamily:

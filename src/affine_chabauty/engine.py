@@ -31,6 +31,8 @@ from .models import (
 from .padics import PadicNumber, _vp, iwasawa_log, render_padic
 from .series import formal_antiderivative, strassmann_roots
 
+DETERMINANT_SUBSETS = 200  # point subsets per cuspidal part checked by verify()
+
 
 @dataclass
 class NamedPoint:
@@ -477,7 +479,7 @@ class Engine:
                 "determinants": dets,
                 "pass": all(r["pass"] for r in rows) and all(d["pass"] for d in dets)}
 
-    def _verify_determinants(self, types, cap: int = 200) -> list:
+    def _verify_determinants(self, types) -> list:
         """Determinant criterion over subsets of known points sharing a
         cuspidal part; skipped (empty) when fewer than g+n-1 points qualify."""
         import itertools as _it
@@ -496,7 +498,7 @@ class Engine:
         for csp, members in groups.items():
             if len(members) < size:
                 continue
-            for subset in _it.islice(_it.combinations(members, size), cap):
+            for subset in _it.islice(_it.combinations(members, size), DETERMINANT_SUBSETS):
                 det = self.determinant_criterion(
                     [((pt.x, pt.y), sigma) for pt, sigma in subset])
                 out.append({

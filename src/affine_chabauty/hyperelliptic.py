@@ -173,6 +173,7 @@ class HyperellipticModel:
             S_levels[0] = _int_padd(S_levels.get(0, []), [ck], mod)
 
         half = (p - 1) // 2
+        t_bez = self._bezout()
         tp = self.K - 4  # the K-term series truncation caps provable digits
         matrix = []
         dagger = []
@@ -185,7 +186,7 @@ class HyperellipticModel:
                 for jj, piece in _f_adic_expand(shifted, fint, mod).items():
                     tgt = j + half - jj
                     levels[tgt] = _int_padd(levels.get(tgt, []), piece, mod)
-            col, poles, yparts = self._reduce(levels)
+            col, poles, yparts = self._reduce(levels, t_bez)
             matrix.append([_cap(c, tp) for c in col])
             dagger.append(([(m, [_cap(c, tp) for c in poly]) for m, poly in poles],
                            [(s, _cap(lam, tp)) for s, lam in yparts]))
@@ -194,8 +195,11 @@ class HyperellipticModel:
         return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp,
                              a_p=a_p, point_count=count)
 
-    def _reduce(self, int_levels):
-        """Reduce  sum_m P_m(x) dx / y^(2m+1)  to the basis, recording exact parts."""
+    def _reduce(self, int_levels, t_bez):
+        """Reduce  sum_m P_m(x) dx / y^(2m+1)  to the basis, recording exact parts.
+
+        t_bez is the cofactor of f' returned by _bezout.
+        """
         p, M = self.p, self.M
         levels: dict[int, list] = {}
         poly_part: list = []
@@ -210,7 +214,6 @@ class HyperellipticModel:
                 for _ in range(-m):
                     lifted = pmul(lifted, self.f, p)
                 poly_part = padd(poly_part, lifted)
-        s_bez, t_bez = self._bezout()
         fprime = pderiv(self.f)
         poles = []   # (m, poly):  exact part  poly(x) / y^(2m-1)
         yparts = []  # (s, coeff): exact part  coeff * x^s * y
@@ -256,7 +259,7 @@ class HyperellipticModel:
         return col, poles, yparts
 
     def _bezout(self):
-        """s, t with s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
+        """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
         p = self.p
         fprime = pderiv(self.f)
         ns, nt = self.deg - 1, self.deg
@@ -272,8 +275,7 @@ class HyperellipticModel:
                 row.append(fprime[r - k] if 0 <= r - k <= self.deg - 1 else zero)
             rows.append(row)
             rhs.append(PadicNumber.from_int(1, p, self.M) if r == 0 else zero)
-        sol = padic_solve(rows, rhs)
-        return ptrim(sol[:ns]), ptrim(sol[ns:])
+        return ptrim(padic_solve(rows, rhs)[ns:])
 
     def _verify(self, matrix):
         p = self.p

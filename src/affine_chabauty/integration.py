@@ -35,7 +35,7 @@ from .hyperelliptic import (
     _poly_of_series,
 )
 from .numberfield import NFElement, hensel_embed
-from .padics import PadicNumber, iwasawa_log, nth_root, teichmuller
+from .padics import PadicNumber, hensel_lift_root, iwasawa_log, nth_root, teichmuller
 from .polyutil import peval
 from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
 
@@ -210,25 +210,22 @@ class Integrator:
                 "endpoint lies in a cusp residue disc or its involution image")
 
     def _super_vector(self, P, Q):
-        w1 = self._super_omega1(P, Q)
-        w2, w3 = self._super_omega23(P, Q)
-        return [w1, w2, w3]
-
-    def _super_omega1(self, P, Q):
-        m = self.w_model()
         uvP, uvQ = self._uv_coords(P), self._uv_coords(Q)
         for uv in (uvP, uvQ):
             self._check_endpoint(uv)
+        w1 = self._super_omega1(uvP, uvQ)
+        w2, w3 = self._super_omega23(uvP, uvQ)
+        return [w1, w2, w3]
+
+    def _super_omega1(self, uvP, uvQ):
+        m = self.w_model()
         ptP = uvP if uvP is INFINITY else m.point(*uvP)
         ptQ = uvQ if uvQ is INFINITY else m.point(*uvQ)
         vals = m.basis_integrals(ptP, ptQ)
         return vals[0] * Fraction(-3, 2)
 
-    def _super_omega23(self, P, Q):
+    def _super_omega23(self, uvP, uvQ):
         zetas = self.cube_roots()
-        uvP, uvQ = self._uv_coords(P), self._uv_coords(Q)
-        for uv in (uvP, uvQ):
-            self._check_endpoint(uv)
         # symmetric parts: pullbacks from P^1 in the coordinate w = 1/u'; the
         # residue weights sum to zero, so the value at w = infinity vanishes
         i2 = self._plus_part(uvQ, zetas, inverse_weight=True) \
@@ -283,47 +280,23 @@ class Integrator:
     def residue_discs(self) -> list[ResidueDisc]:
         return self.curve.residue_discs(self.p)
 
+    def _chart(self):
+        """(n, g) of the chart y^n = g(x), with g's coefficients at _hi()."""
+        return self.curve.n, [PadicNumber.from_int(c, self.p, self._hi()) for c in self.curve.g]
+
     def disc_center(self, disc: ResidueDisc):
         """Canonical (Teichmueller-type) center of a non-cuspidal disc."""
         p = self.p
         hi = self._hi()
         if disc.cuspidal:
             raise PoleOnDisc("cuspidal discs have no integration center")
-        if isinstance(self.curve, EvenHyperellipticCurve):
-            m = self.main_model()
-            if disc.kind == "weierstrass":
-                x0 = m._weierstrass_center_x(Point(
-                    PadicNumber.from_int(disc.xbar, p, m.M), PadicNumber.from_int(p, p, m.M)))
-                return (x0, PadicNumber.exact_zero(p))
-            xt = PadicNumber.exact_zero(p) if disc.xbar == 0 else \
-                teichmuller(PadicNumber.from_int(disc.xbar, p, hi))
-            from .padics import sqrt as padic_sqrt
-            y = padic_sqrt(peval(m.f, xt, p) if not xt.is_exact_zero()
-                           else m.f[0], sign_hint=disc.ybar)
-            return (xt, y)
-        # superelliptic
-        g = self._g_poly()
         if disc.kind == "weierstrass":
-            x0 = self._super_ram_center(disc)
-            return (x0, PadicNumber.exact_zero(p))
+            x0 = hensel_lift_root(self.curve.g, disc.xbar, p, hi)
+            return (PadicNumber.from_int(x0, p, hi), PadicNumber.exact_zero(p))
+        n, g = self._chart()
         xt = PadicNumber.exact_zero(p) if disc.xbar == 0 else \
             teichmuller(PadicNumber.from_int(disc.xbar, p, hi))
-        gx = peval(g, xt, p) if not xt.is_exact_zero() else g[0]
-        y = nth_root(gx, 3, disc.ybar)
-        return (xt, y)
-
-    def _g_poly(self):
-        hi = self._hi()
-        return [PadicNumber.exact_zero(self.p),
-                PadicNumber.from_int(1, self.p, hi),
-                PadicNumber.from_rational(self.curve.a, self.p, hi),
-                PadicNumber.from_int(1, self.p, hi)]
-
-    def _super_ram_center(self, disc):
-        from .padics import hensel_lift_root
-        a = int(self.curve.a)
-        r = hensel_lift_root([0, 1, a, 1], disc.xbar, self.p, self._hi())
-        return PadicNumber.from_int(r, self.p, self._hi())
+        return (xt, nth_root(peval(g, xt, p), n, disc.ybar))
 
     def disc_parametrization(self, disc: ResidueDisc, order: int | None = None):
         """Series (x(t), y(t)) around the canonical center; t runs over Zp."""
@@ -332,13 +305,11 @@ class Integrator:
             return self._infinite_parametrization(disc, T)
         if disc.cuspidal:
             raise PoleOnDisc("no parametrization for cusp discs of the chart")
-        cx, cy = self.disc_center(disc)
-        if isinstance(self.curve, EvenHyperellipticCurve):
-            m = self.main_model()
-            return m.disc_series(Point(cx, cy), order=T)
-        root = (partial(nth_root_series, n=3, residue_hint=disc.ybar)
+        cx, _ = self.disc_center(disc)
+        n, g = self._chart()
+        root = (partial(nth_root_series, n=n, residue_hint=disc.ybar)
                 if disc.kind == "affine" else None)
-        return _local_parametrization(self._g_poly(), 3, cx, root, self._hi(), T)
+        return _local_parametrization(g, n, cx, root, self._hi(), T)
 
     def _infinite_parametrization(self, disc, T):
         """w = 1/x = p t chart at an infinite disc of the even model."""
@@ -351,9 +322,7 @@ class Integrator:
         frev = list(reversed(m.f))  # w^(2g+2) f(1/w)
         fw = _poly_of_series(frev, ws)
         sign = 1 if disc.label == "inf+" else -1
-        from .series import sqrt_series
-        sq = sqrt_series(fw, sign_hint=int(sign * int(self.curve.sqrt_lead)) % p)
-        return ws, sq
+        return ws, nth_root_series(fw, 2, int(sign * int(self.curve.sqrt_lead)) % p)
 
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc,
@@ -367,33 +336,20 @@ class Integrator:
             return self._expand_infinite(omega, disc, T)
         xs, ys = self.disc_parametrization(disc, T)
         dx = xs.derivative()
-        if isinstance(self.curve, EvenHyperellipticCurve):
-            if disc.kind == "weierstrass":
-                shifted = _shift_down(dx, 1)
-                base = shifted.scale(Fraction(1, p))       # dx/y with y = p t
-            else:
-                base = dx * ys.inverse()
-            series = None
-            xpow = base
-            for j, a in enumerate(omega.coeffs):
-                if j > 0:
-                    xpow = xpow * xs
-                term = xpow.scale(a)
-                series = term if series is None else series + term
-            return DiscExpansion(PadicNumber.exact_zero(p), series)
-        # superelliptic: components 1/y^2, x/y^2, 1/y
-        if disc.kind == "weierstrass":
-            # y = p t; x' is divisible by t^2
-            s2 = _shift_down(dx, 2).scale(Fraction(1, p * p))   # dx/y^2
-            s1 = _shift_down(dx, 1).scale(Fraction(1, p))       # dx/y
-            comps = [s2, s2 * xs, s1]
-        else:
-            inv_y = ys.inverse()
-            inv_y2 = inv_y * inv_y
-            comps = [dx * inv_y2, (dx * inv_y2) * xs, dx * inv_y]
+        inv_y = None if disc.kind == "weierstrass" else ys.inverse()
+        comps = {}  # (i, b) -> x^i dx/y^b as a series in t; x^i dx/y^b = x * x^(i-1) dx/y^b
         series = None
-        for a, comp in zip(omega.coeffs, comps):
-            term = comp.scale(a)
+        for (i, b), a in zip(self.curve.monomials, omega.coeffs):
+            if i:
+                comps[i, b] = comps[i - 1, b] * xs
+            elif inv_y is None:  # y = p t; x' is divisible by t^b
+                comps[i, b] = _shift_down(dx, b).scale(Fraction(1, p ** b))
+            else:
+                inv_yb = inv_y
+                for _ in range(b - 1):
+                    inv_yb = inv_yb * inv_y
+                comps[i, b] = dx * inv_yb
+            term = comps[i, b].scale(a)
             series = term if series is None else series + term
         return DiscExpansion(PadicNumber.exact_zero(p), series)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NeedsOverride, NonSeparableReduction
-from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, iwasawa_log
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root
 
 
 def _poly_trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -271,26 +271,6 @@ def hensel_embed(minpoly, p: int, N: int, field: NumberField | None = None) -> l
         lifted = hensel_lift_root(ics, r, p, N)
         out.append(FieldEmbedding(field, PadicNumber.from_int(lifted, p, N)))
     return out
-
-
-# -- rational powers ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalPower:
-    """An element base^exponent of k^x tensor Q (exponent a rational number)."""
-
-    base: NFElement
-    exponent: Fraction
-
-    def __post_init__(self):
-        if self.exponent.denominator < 1:
-            raise ValueError("exponent denominator must be >= 1")
-
-
-def log_rational_power(x: RationalPower, phi: FieldEmbedding) -> PadicNumber:
-    """Iwasawa-branch logarithm extended by log(a^(1/m)) = log(a)/m."""
-    return iwasawa_log(phi(x.base)) * x.exponent
 
 
 # -- valuations at primes of the cusp ring ----------------------------------

@@ -355,18 +355,7 @@ def teichmuller(x: PadicNumber) -> PadicNumber:
     """The (p-1)-th root of unity congruent to the unit x modulo p."""
     if not x.is_unit():
         raise NotAUnit("teichmuller lift requires a unit")
-    p, N = x.p, x.N
-    if p == 2:
-        return PadicNumber.from_int(1, 2, N)
-    t = x.u % p
-    k = 1
-    while k < N:  # Newton for T^(p-1) = 1 doubles correct digits
-        k = min(2 * k, N)
-        m = p ** k
-        f = (pow(t, p - 1, m) - 1) % m
-        df = ((p - 1) * pow(t, p - 2, m)) % m
-        t = (t - f * pow(df, -1, m)) % m
-    return PadicNumber.from_int(t, p, N)
+    return nth_root(PadicNumber.from_int(1, x.p, x.N), x.p - 1, x.u % x.p)
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
@@ -405,56 +394,16 @@ def _digits_base_p(k: int, p: int) -> int:
     return d
 
 
-def sqrt(x: PadicNumber, sign_hint: int | None = None) -> PadicNumber:
-    """Square root of x (p odd, even valuation, square unit part).
-
-    sign_hint, if given, selects the root congruent to it mod p.
-    """
+def sqrt(x: PadicNumber, sign_hint: int) -> PadicNumber:
+    """Square root of x (even valuation) whose unit part is congruent to sign_hint mod p."""
     if x.is_zero():
         if x.is_exact_zero():
             return x
         raise ZeroInput("sqrt of possible zero cannot be certified")
-    p = x.p
-    if p == 2:
-        raise NotImplementedError("p = 2 not supported")
     if x.v % 2:
         raise ValueError("odd valuation: square root not in Qp")
-    rel = x.N - x.v
-    r = _tonelli(x.u % p, p)
-    if pow(r, 2, p) != x.u % p:
-        raise ValueError("unit part is not a quadratic residue")
-    if sign_hint is not None and r % p != sign_hint % p:
-        r = p - r
-    k = 1
-    while k < rel:
-        k = min(2 * k, rel)
-        mk = p ** k
-        r = (r - (r * r - x.u) * pow(2 * r, -1, mk)) % mk
-    return PadicNumber(p, x.v // 2, r % p ** rel, x.v // 2 + rel)
-
-
-def _tonelli(a: int, p: int) -> int:
-    """Square root mod p (p odd prime, a a quadratic residue)."""
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+    r = nth_root(PadicNumber(x.p, 0, x.u, x.N - x.v), 2, sign_hint)
+    return PadicNumber(x.p, x.v // 2, r.u, x.v // 2 + r.N)
 
 
 def nth_root(x: PadicNumber, n: int, residue_hint: int) -> PadicNumber:
@@ -466,15 +415,8 @@ def nth_root(x: PadicNumber, n: int, residue_hint: int) -> PadicNumber:
         raise ValueError("p divides the root order")
     if pow(residue_hint, n, p) != x.u % p:
         raise ValueError("residue_hint is not an n-th root mod p")
-    r = residue_hint % p
-    k = 1
-    while k < rel:
-        k = min(2 * k, rel)
-        m = p ** k
-        f = (pow(r, n, m) - x.u) % m
-        df = (n * pow(r, n - 1, m)) % m
-        r = (r - f * pow(df, -1, m)) % m
-    return PadicNumber(p, 0, r % p ** rel, rel)
+    r = hensel_lift_root([-x.u] + [0] * (n - 1) + [1], residue_hint, p, rel)
+    return PadicNumber(p, 0, r, rel)
 
 
 def hensel_lift_root(coeffs: list[int], r0: int, p: int, N: int) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     PrecisionLoss,
     ZeroInput,
 )
-from .padics import INF, PadicNumber, _horner_mod, _vp
+from .padics import INF, PadicNumber, _horner_mod, _vp, nth_root
 
 _BIG = INF // 2
 
@@ -305,51 +305,45 @@ def formal_antiderivative(f: TruncatedSeries) -> TruncatedSeries:
 
 def sqrt_series(f: TruncatedSeries, sign_hint: int) -> TruncatedSeries:
     """Square root with unit constant term; branch fixed by sign_hint mod p."""
-    from .padics import sqrt as padic_sqrt
-
-    c0 = f.coeffs[0]
-    if c0.is_zero() or c0.v != 0:
-        raise ZeroInput("sqrt_series requires a unit constant term")
-    y0 = padic_sqrt(c0, sign_hint=sign_hint)
-    p = f.p
-    out = [y0]
-    inv2y0 = (2 * y0).inverse()
-    for n in range(1, f.order):
-        conv = PadicNumber.exact_zero(p)
-        for i in range(1, n):
-            conv = conv + out[i] * out[n - i]
-        out.append((f.coeffs[n] - conv) * inv2y0)
-    bound = f.bound
-    if bound is not None:
-        s = bound.slope + min(bound.offset, 0)
-        bound = Subordination(s, Fraction(0)) if s > 0 else None
-    return TruncatedSeries(p, out, bound, check=False)
+    return nth_root_series(f, 2, sign_hint)
 
 
 def nth_root_series(f: TruncatedSeries, n: int, residue_hint: int) -> TruncatedSeries:
-    """n-th root with unit constant term (p not dividing n)."""
-    from .padics import nth_root as padic_nth_root
+    """n-th root with unit constant term (p not dividing n).
 
+    Step k solves [y^n]_k = f_k for y_k.  The known part of [y^n]_k is built
+    as in the product ((y * y) * y) ... of the series with y_k still zero,
+    from the stored coefficients of y^2 .. y^(n-1), so a step costs O(n k).
+    """
     c0 = f.coeffs[0]
     if c0.is_zero() or c0.v != 0:
         raise ZeroInput("nth_root_series requires a unit constant term")
-    y0 = padic_nth_root(c0, n, residue_hint)
     p = f.p
-    out = [y0]
+    zero = PadicNumber.exact_zero(p)
+    y0 = nth_root(c0, n, residue_hint)
     lead_inv = (n * y0 ** (n - 1)).inverse()
+    powers = [[y0 ** m] for m in range(1, n)]  # powers[m - 1][i] = [y^m]_i
+
+    def conv(a, b, k):  # [a * b]_k, from the products TruncatedSeries.__mul__ sums
+        acc = zero
+        for i in range(k + 1):
+            if not a[i].is_exact_zero() and not b[k - i].is_exact_zero():
+                acc = acc + a[i] * b[k - i]
+        return acc
+
     for k in range(1, f.order):
-        partial = TruncatedSeries(p, out + [PadicNumber.exact_zero(p)] * (f.order - k),
-                                  None, check=False)
-        pk = partial
-        for _ in range(n - 1):
-            pk = pk * partial
-        conv = pk.coeffs[k]
-        out.append((f.coeffs[k] - conv) * lead_inv)
+        ys = powers[0] + [zero]  # y_k is still zero
+        known = zero
+        for m in range(1, n):  # [y^(m+1)]_k without the y_k terms
+            known = conv(powers[m - 1] + [known], ys, k)
+        powers[0].append((f.coeffs[k] - known) * lead_inv)
+        for m in range(2, n):  # complete [y^m]_k for the later steps
+            powers[m - 1].append(conv(powers[m - 2], powers[0], k))
     bound = f.bound
     if bound is not None:
         s = bound.slope + min(bound.offset, 0)
         bound = Subordination(s, Fraction(0)) if s > 0 else None
-    return TruncatedSeries(p, out, bound, check=False)
+    return TruncatedSeries(p, powers[0], bound, check=False)
 
 
 # -- Strassmann --------------------------------------------------------------

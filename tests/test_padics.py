@@ -1,16 +1,12 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from affine_chabauty.errors import NonSeparableReduction, NotAUnit, ZeroInput
-from affine_chabauty.numberfield import (
-    NumberField,
-    RationalPower,
-    hensel_embed,
-    lambda_valuation,
-    log_rational_power,
-)
+from affine_chabauty.models import LambdaRecord
+from affine_chabauty.numberfield import NumberField, hensel_embed, lambda_valuation
 from affine_chabauty.padics import (
     PadicNumber,
     _vp,
@@ -20,6 +16,9 @@ from affine_chabauty.padics import (
     sqrt,
     teichmuller,
 )
+from affine_chabauty.problem import load_problem
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
 P = 7
 N = 12
@@ -144,6 +143,12 @@ def test_sqrt():
     assert (r2 + 3).is_zero()
 
 
+def test_sqrt_rejects_a_hint_that_is_not_a_root_mod_p():
+    # 1 * 1 = 1 != 2 mod 7: no root of 2 is congruent to 1
+    with pytest.raises(ValueError):
+        sqrt(PadicNumber.from_int(2, 7, 10), sign_hint=1)
+
+
 def test_hensel_embed_quadratic():
     embs = hensel_embed([1, 1, 1], 7, N)
     assert sorted(e.residue() for e in embs) == [2, 4]
@@ -163,20 +168,23 @@ def test_hensel_embed_nonseparable():
 
 
 def test_log_rational_power():
-    field = NumberField([-3, 0, 1])  # Q(sqrt 3); p = 11 splits it (5^2 = 25 = 3 mod 11)
-    embs = hensel_embed([-3, 0, 1], 11, N)
+    """Engine._lam_log extends the log to generator^gen_exponent: log(a^e) = e log(a)."""
+    embs = hensel_embed([-3, 0, 1], 11, N)  # Q(sqrt 3); p = 11 splits it (5^2 = 3 mod 11)
     assert len(embs) == 2
+    engine = load_problem(PROBLEMS / "hyperelliptic_6081b.json", p_override=11)
     q = NumberField([-1, 1])
-    one = q.gen().field(1)
     emb_q = hensel_embed([-1, 1], 11, N)[0]
-    x = RationalPower(q(3), Fraction(1, 2))
-    got = log_rational_power(x, emb_q)
+
+    def lam_log(a, e):
+        return engine._lam_log(emb_q, LambdaRecord("l", "inf+", 3, 1, 1, q(a), e))
+
+    got = lam_log(3, Fraction(1, 2))
     ref = iwasawa_log(PadicNumber.from_int(3, 11, N))
     assert (2 * got - ref).is_zero()
     # branch kills p
-    assert log_rational_power(RationalPower(q(11), Fraction(1, 1)), emb_q).is_zero()
+    assert lam_log(11, Fraction(1)).is_zero()
     # 4^(1/2) -> log 2
-    got2 = log_rational_power(RationalPower(q(4), Fraction(1, 2)), emb_q)
+    got2 = lam_log(4, Fraction(1, 2))
     assert (got2 - iwasawa_log(PadicNumber.from_int(2, 11, N))).is_zero()
 
 

@@ -94,12 +94,16 @@ def test_sqrt_series_squares_back():
     assert y[0].residue(1) == 3
 
 
-def test_nth_root_series_cubes_back():
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_nth_root_series_cubes_back(k):
+    # k = 2 stores no powers of y, k = 3 stores y^2, k = 4 also y^3 (built from y^2)
     f = poly([1, 7, 14, 0, 0, 0])
-    y = nth_root_series(f, 3, residue_hint=1)
-    y3 = (y * y) * y
+    y = nth_root_series(f, k, residue_hint=1)
+    yk = y
+    for _ in range(k - 1):
+        yk = yk * y
     for n in range(6):
-        assert y3[n].compare(f[n]) != "distinct"
+        assert yk[n].compare(f[n]) != "distinct"
 
 
 def test_series_inverse():
