@@ -11,20 +11,28 @@ any byte of them changes the engine's behaviour.
 
 tests/golden/disc_layer.json locks the disc layer underneath the reports:
 the center, x(t), y(t) and every basis expansion of each non-cuspidal disc,
-at primes that reach even and superelliptic Weierstrass discs.  Regenerate
-it with `PYTHONPATH=src python tests/test_golden.py`.
+at primes that reach even and superelliptic Weierstrass discs.
+
+tests/golden/model_disc_layer.json locks the same layer on the Frobenius
+models (main, w and X_1): per affine and Weierstrass disc, one point of the
+disc, its center, the disc series at the point and the tiny integrals of the
+basis from the point to the center, at full stored precision.
+
+Regenerate both disc files with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import functools
 import json
+import math
 import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_chabauty.hyperelliptic import Point
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
-from affine_chabauty.padics import render_padic
+from affine_chabauty.padics import PadicNumber, _horner_mod, hensel_lift_root, render_padic
 from affine_chabauty.problem import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
@@ -34,6 +42,8 @@ GOLDEN_PREC = 12
 LADDER_STEP = 4
 DISC_LAYER_PREC = 8
 DISC_LAYER_PRIMES = {"hyperelliptic_6081b": (7, 19), "superelliptic_a1": (7, 13)}
+FROBENIUS_MODELS = {"hyperelliptic_6081b": ("main_model",),
+                    "superelliptic_a1": ("w_model", "x1_model")}
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify"])
@@ -84,6 +94,63 @@ def test_disc_layer_matches_golden_byte_for_byte():
     assert fresh == (GOLDEN / "disc_layer.json").read_text()
 
 
+def _model_discs(m):
+    """(xbar, ybar, P, center) for every affine and Weierstrass disc of the model.
+
+    An affine disc gets P = (xbar + p, y) with y over ybar and its Teichmueller
+    point; a Weierstrass disc gets P = (x, p) with f(x) = p^2 and its
+    Weierstrass point (ybar = 0).
+    """
+    p, M = m.p, m.M
+    den = math.lcm(*(c.denominator for c in m.f_rational))
+    ics = [int(c * den) for c in m.f_rational[: m.deg + 1]]
+    out = []
+    for xb in range(p):
+        fb = _horner_mod(ics, xb, p)
+        if fb == 0:
+            wx = PadicNumber.from_int(hensel_lift_root(ics, xb, p, M), p, M)
+            x = hensel_lift_root([ics[0] - den * p * p] + ics[1:], xb, p, M)
+            P = m.point(PadicNumber.from_int(x, p, M), p)
+            out.append((xb, 0, P, Point(wx, PadicNumber.exact_zero(p))))
+            continue
+        for yb in range(1, p):
+            if yb * yb * den % p == fb:
+                P = m.lift_x(xb + p, sign_hint=yb)
+                out.append((xb, yb, P, m.teichmueller_point(P)))
+    return out
+
+
+def _model_disc_layer() -> dict:
+    """Per fixture, prime and Frobenius model: the _model_discs of the model
+    with the disc series at P and the tiny basis integrals from P to the
+    center, every value rendered at its full stored precision."""
+    out = {}
+    for fixture, primes in DISC_LAYER_PRIMES.items():
+        for p in primes:
+            I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p,
+                             prec_override=DISC_LAYER_PREC).integrator
+            for name in FROBENIUS_MODELS[fixture]:
+                m = getattr(I, name)()
+                discs = []
+                for xb, yb, P, center in _model_discs(m):
+                    xs, ys = m.disc_series(P)
+                    discs.append({
+                        "disc": [xb, yb],
+                        "point": [render_padic(P.x), render_padic(P.y)],
+                        "center": [render_padic(center.x), render_padic(center.y)],
+                        "x": [render_padic(c) for c in xs.coeffs],
+                        "y": [render_padic(c) for c in ys.coeffs],
+                        "tiny": [render_padic(v) for v in m.tiny_basis_integrals(P, center)],
+                    })
+                out[f"{fixture}@{p}/{name}"] = discs
+    return out
+
+
+def test_model_disc_layer_matches_golden_byte_for_byte():
+    fresh = json.dumps(_model_disc_layer(), indent=1)
+    assert fresh == (GOLDEN / "model_disc_layer.json").read_text()
+
+
 @functools.lru_cache(maxsize=None)
 def _printed_values(fixture: str, prec: int) -> tuple:
     """Every matrix, kernel and c value of every reduction type, in a fixed order."""
@@ -120,3 +187,4 @@ def test_raising_the_precision_keeps_every_printed_digit(fixture, N):
 
 if __name__ == "__main__":
     (GOLDEN / "disc_layer.json").write_text(json.dumps(_disc_layer(), indent=1))
+    (GOLDEN / "model_disc_layer.json").write_text(json.dumps(_model_disc_layer(), indent=1))
