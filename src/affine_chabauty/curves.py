@@ -14,6 +14,7 @@ elements of the cusp residue fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,8 @@ QQ = NumberField([-1, 1], name="one")  # the rational field as a degree-1 field
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _separable(fbar, p) -> bool:

@@ -14,7 +14,7 @@ from .errors import (
     PoleOnDisc,
     PrecisionLoss,
 )
-from .integration import Integrator
+from .integration import Integrator, residue_log_sum
 from .linalg import padic_det, padic_kernel
 from .models import (
     LambdaRecord,
@@ -107,16 +107,7 @@ class Engine:
         return iwasawa_log(phi(lam.generator)) * lam.gen_exponent
 
     def _residue_log_sum(self, omega: LogDifferential, terms) -> PadicNumber:
-        """The sum over (cusp, log, coeff) in terms and over the embeddings phi
-        of the cusp field of phi(Res_cusp omega) * log(phi) * coeff."""
-        acc = PadicNumber.exact_zero(self.problem.p)
-        for cusp, log, coeff in terms:
-            for phi in self.embeddings(cusp):
-                r = omega.embedded_residue(cusp, phi)
-                if r.is_zero():
-                    continue
-                acc = acc + r * log(phi) * coeff
-        return acc
+        return residue_log_sum(self.problem.p, omega, terms, self.embeddings)
 
     def _lambda_terms(self, pairs) -> list:
         """Terms of sum_lambda coeff * log phi(pi_lambda) for (lambda, coeff) pairs."""
@@ -273,11 +264,10 @@ class Engine:
         for other in root_sets[1:]:
             roots = [(t, m) for (t, m) in roots
                      if any(self._same_root(t, t2) for t2, _ in other)]
-        xs, ys = I.disc_parametrization(disc)
         out = []
         for t, mult in roots:
-            xv = xs.evaluate(t)
-            yv = ys.evaluate(t)
+            xv = exp.xs.evaluate(t)
+            yv = exp.ys.evaluate(t)
             out.append(DiscRoot(t=t, x=xv, y=yv, matched=self._match_known(xv, yv)))
         return DiscLocus(disc, "ok", bound=bound, roots=out)
 

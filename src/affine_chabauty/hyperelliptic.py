@@ -11,19 +11,28 @@ The reduction keeps, per basis element, the exact-form bookkeeping needed
 to evaluate the associated dagger function at integration endpoints, so a
 Coleman integral between non-cuspidal points costs only a small linear
 solve once the cohomology computation is cached.
+
+The residue-disc layer of a chart y^n = g(x) (disc centers, disc parameters,
+parametrizations and the series of x^i dx/y^b) lives at the end of this
+module; the models here and the curve charts of integration.py share it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .curves import _separable
-from .errors import BadReduction, EndpointRestriction, PrecisionExceeded
+from .errors import (
+    BadReduction,
+    DifferentDiscs,
+    EndpointRestriction,
+    PoleOnDisc,
+    PrecisionExceeded,
+)
 from .linalg import padic_det, padic_solve
-from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, sqrt, teichmuller
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, nth_root, sqrt, teichmuller
 from .polyutil import padd, pderiv, pdivmod, peval, pmul, pscale, ptrim
 from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
 
@@ -120,17 +129,14 @@ class HyperellipticModel:
         return pt.y.is_zero() or pt.y.v >= 1
 
     def teichmueller_point(self, pt: Point) -> Point:
-        if pt.x.is_zero() or pt.x.v >= 1:
-            xt = PadicNumber.exact_zero(self.p)
-        else:
-            xt = teichmuller(pt.x.at_precision(min(pt.x.N, self.M)))
-        return Point(xt, sqrt(self.curve_rhs(xt), sign_hint=pt.y.residue(1)))
-
-    def _weierstrass_center_x(self, pt: Point) -> PadicNumber:
-        den = math.lcm(*(c.denominator for c in self.f_rational))
-        ics = [int(c * den) for c in self.f_rational]
-        r = hensel_lift_root(ics, pt.x.residue(1), self.p, self.M)
-        return PadicNumber.from_int(r, self.p, self.M)
+        """The Frobenius-fixed center of pt's disc: the Weierstrass point of a
+        Weierstrass disc, otherwise the Teichmueller point over pt."""
+        if pt.x.v < 0:
+            raise EndpointRestriction("point lies in an infinite disc")
+        if self.is_weierstrass_disc(pt):
+            return Point(*chart_center(self.f, 2, pt.x.residue(1), 0, self.M))
+        return Point(*chart_center(self.f, 2, pt.x.residue(1), pt.y.residue(1),
+                                  min(pt.x.N, self.M)))
 
     # -- local expansions --------------------------------------------------------
 
@@ -142,10 +148,11 @@ class HyperellipticModel:
         from f(x) = y^2 by Newton iteration on series.
         """
         T = order or 2 * self.prec
-        if not self.is_weierstrass_disc(pt):
-            root = partial(sqrt_series, sign_hint=pt.y.residue(1))
-            return _local_parametrization(self.f, 2, pt.x, root, self.M, T)
-        return _local_parametrization(self.f, 2, self._weierstrass_center_x(pt), None, self.M, T)
+        if self.is_weierstrass_disc(pt):
+            x0, root = self.teichmueller_point(pt).x, None
+        else:
+            x0, root = pt.x, partial(sqrt_series, sign_hint=pt.y.residue(1))
+        return _local_parametrization(self.f, 2, x0, root, self.M, T)
 
     # -- Frobenius data ------------------------------------------------------------
 
@@ -345,38 +352,18 @@ class HyperellipticModel:
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
         """Integrals of x^i dx/y between two points of one residue disc."""
         if P.x.residue(1) != Q.x.residue(1):
-            raise ValueError("tiny integral endpoints lie in different discs")
+            raise DifferentDiscs("tiny integral endpoints lie in different discs")
         wdisc = self.is_weierstrass_disc(P)
         if not wdisc and P.y.residue(1) != Q.y.residue(1):
-            raise ValueError("tiny integral endpoints lie in involution-opposite discs")
+            raise DifferentDiscs("tiny integral endpoints lie in involution-opposite discs")
         xs, ys = self.disc_series(P)
-        dx = xs.derivative()
-        if wdisc:
-            # y = p t: integrand x^i x'(t) / (p t); x(t) is even so x'/t is exact
-            if not dx[0].is_zero():
-                raise PrecisionExceeded("Weierstrass parametrization is not even")
-            shifted = TruncatedSeries(self.p, dx.coeffs[1:],
-                                      Subordination(dx.bound.slope,
-                                                    dx.bound.offset + dx.bound.slope)
-                                      if dx.bound else None, check=False)
-            base = shifted.scale(Fraction(1, self.p))
-        else:
-            base = dx * ys.inverse()
-        tP = self._param_of(P, xs)
-        tQ = self._param_of(Q, xs)
+        cx = None if wdisc else xs[0]
+        tP, tQ = disc_parameter(P.x, P.y, cx), disc_parameter(Q.x, Q.y, cx)
         out = []
-        integrand = base
-        for i in range(self.dim):
-            if i > 0:
-                integrand = integrand * xs
+        for integrand in monomial_series(xs, ys, [(i, 1) for i in range(self.dim)], wdisc):
             F = formal_antiderivative(integrand)
             out.append(F.evaluate(tQ) - F.evaluate(tP))
         return out
-
-    def _param_of(self, pt: Point, xs) -> PadicNumber:
-        if self.is_weierstrass_disc(pt):
-            return pt.y / self.p
-        return (pt.x - xs[0]) / self.p
 
     def basis_integrals(self, P, Q) -> list[PadicNumber]:
         """Coleman integrals of all basis differentials from P to Q.
@@ -398,12 +385,12 @@ class HyperellipticModel:
             return [-x for x in self.basis_integrals(Q, P)]
         wP, wQ = self.is_weierstrass_disc(P), self.is_weierstrass_disc(Q)
         if wP and wQ:
-            t1 = self.tiny_basis_integrals(P, self._weierstrass_point(P))
-            t2 = self.tiny_basis_integrals(self._weierstrass_point(Q), Q)
+            t1 = self.tiny_basis_integrals(P, self.teichmueller_point(P))
+            t2 = self.tiny_basis_integrals(self.teichmueller_point(Q), Q)
             # the integral between the two Weierstrass points vanishes
             return [a + b for a, b in zip(t1, t2)]
         if wP:
-            t1 = self.tiny_basis_integrals(P, self._weierstrass_point(P))
+            t1 = self.tiny_basis_integrals(P, self.teichmueller_point(P))
             half = self.basis_integrals(Q.involution(), Q)
             return [t1[i] + half[i] / 2 for i in range(self.dim)]
         if wQ:
@@ -420,9 +407,6 @@ class HyperellipticModel:
             out.append(val.at_precision(min(val.N, cap)) if not val.is_exact_zero()
                        else PadicNumber.unknown_zero(p, cap))
         return out
-
-    def _weierstrass_point(self, pt: Point) -> Point:
-        return Point(self._weierstrass_center_x(pt), PadicNumber.exact_zero(self.p))
 
     def _teich_system(self, TP: Point, TQ: Point) -> list[PadicNumber]:
         p = self.p
@@ -548,6 +532,9 @@ def _levels_mul(A, B, f, mod):
     return out
 
 
+# -- the residue-disc layer of a chart y^n = g(x), g with PadicNumber coefficients --
+
+
 def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
     """Evaluate a polynomial with PadicNumber coefficients on a series."""
     p = xs.p
@@ -558,6 +545,56 @@ def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
     for c in reversed(coeffs[:-1]):
         acc = acc * xs + c
     return acc
+
+
+def chart_center(g, n: int, xbar: int, ybar: int, N: int):
+    """Center (x, y) at precision N of the residue disc over (xbar, ybar).
+
+    ybar = 0: the ramification point, x the root of g over xbar and y = 0.
+    Otherwise x is the Teichmueller lift of xbar and y the n-th root of g(x)
+    over ybar.
+    """
+    p = g[-1].p
+    if ybar == 0:
+        x0 = hensel_lift_root([c.residue(N) for c in g], xbar, p, N)
+        return PadicNumber.from_int(x0, p, N), PadicNumber.exact_zero(p)
+    xt = PadicNumber.exact_zero(p) if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, p, N))
+    return xt, nth_root(peval(g, xt, p), n, ybar)
+
+
+def disc_parameter(x: PadicNumber, y: PadicNumber, cx) -> PadicNumber:
+    """The disc parameter t of (x, y): y = p t on a ramified disc (cx None), else x = cx + p t."""
+    return y / y.p if cx is None else (x - cx) / x.p
+
+
+def monomial_series(xs: TruncatedSeries, ys: TruncatedSeries, monomials, ramified: bool) -> list:
+    """x^i dx/y^b as series in t for each (i, b) in monomials, on a disc
+    parametrized by (xs, ys); x^(i-1) dx/y^b must come before x^i dx/y^b."""
+    dx = xs.derivative()
+    inv_y = None if ramified else ys.inverse()
+    comps = {}  # x^i dx/y^b = x * x^(i-1) dx/y^b
+    for i, b in monomials:
+        if i:
+            comps[i, b] = comps[i - 1, b] * xs
+        elif inv_y is None:  # y = p t; x' is divisible by t^b
+            comps[i, b] = _shift_down(dx, b).scale(Fraction(1, xs.p ** b))
+        else:
+            inv_yb = inv_y
+            for _ in range(b - 1):
+                inv_yb = inv_yb * inv_y
+            comps[i, b] = dx * inv_yb
+    return [comps[m] for m in monomials]
+
+
+def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Divide by t^k; the dropped low coefficients must be zero classes."""
+    for c in f.coeffs[:k]:
+        if not c.is_zero():
+            raise PoleOnDisc("series has a genuine pole: cannot shift down")
+    bound = f.bound
+    if bound is not None:
+        bound = Subordination(bound.slope, bound.offset + k * bound.slope)
+    return TruncatedSeries(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
 
 
 def _local_parametrization(g, n: int, x0: PadicNumber, root, N: int, T: int):

@@ -32,11 +32,13 @@ from .hyperelliptic import (
     HyperellipticModel,
     Point,
     _local_parametrization,
-    _poly_of_series,
+    _shift_down,
+    chart_center,
+    disc_parameter,
+    monomial_series,
 )
 from .numberfield import NFElement, hensel_embed
-from .padics import PadicNumber, hensel_lift_root, iwasawa_log, nth_root, teichmuller
-from .polyutil import peval
+from .padics import PadicNumber, iwasawa_log
 from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
 
 
@@ -50,10 +52,13 @@ class IntegralValue:
 
 @dataclass
 class DiscExpansion:
-    """omega restricted to a disc:  (pole_coeff / t) dt + series(t) dt."""
+    """omega restricted to a disc:  (pole_coeff / t) dt + series(t) dt,
+    on the disc parametrization (xs, ys) it was built on."""
 
     pole_coeff: PadicNumber
     series: TruncatedSeries
+    xs: TruncatedSeries
+    ys: TruncatedSeries
 
 
 class Integrator:
@@ -286,23 +291,24 @@ class Integrator:
 
     def disc_center(self, disc: ResidueDisc):
         """Canonical (Teichmueller-type) center of a non-cuspidal disc."""
-        p = self.p
-        hi = self._hi()
         if disc.cuspidal:
             raise PoleOnDisc("cuspidal discs have no integration center")
-        if disc.kind == "weierstrass":
-            x0 = hensel_lift_root(self.curve.g, disc.xbar, p, hi)
-            return (PadicNumber.from_int(x0, p, hi), PadicNumber.exact_zero(p))
         n, g = self._chart()
-        xt = PadicNumber.exact_zero(p) if disc.xbar == 0 else \
-            teichmuller(PadicNumber.from_int(disc.xbar, p, hi))
-        return (xt, nth_root(peval(g, xt, p), n, disc.ybar))
+        return chart_center(g, n, disc.xbar, disc.ybar, self._hi())
 
     def disc_parametrization(self, disc: ResidueDisc, order: int | None = None):
-        """Series (x(t), y(t)) around the canonical center; t runs over Zp."""
+        """Series (x(t), y(t)) around the canonical center; t runs over Zp.
+
+        An infinite disc of the even model is parametrized in the chart
+        y'^2 = w^(2g+2) f(1/w) of the main model, w = 1/x = p t."""
         T = order or 2 * self.prec
-        if disc.cuspidal and disc.kind == "infinite":
-            return self._infinite_parametrization(disc, T)
+        if disc.kind == "infinite":
+            m = self.main_model()
+            sign = 1 if disc.label == "inf+" else -1
+            root = partial(nth_root_series, n=2,
+                           residue_hint=sign * int(self.curve.sqrt_lead) % self.p)
+            return _local_parametrization(list(reversed(m.f)), 2, PadicNumber.exact_zero(self.p),
+                                          root, m.M, T)
         if disc.cuspidal:
             raise PoleOnDisc("no parametrization for cusp discs of the chart")
         cx, _ = self.disc_center(disc)
@@ -311,53 +317,26 @@ class Integrator:
                 if disc.kind == "affine" else None)
         return _local_parametrization(g, n, cx, root, self._hi(), T)
 
-    def _infinite_parametrization(self, disc, T):
-        """w = 1/x = p t chart at an infinite disc of the even model."""
-        m = self.main_model()
-        p = self.p
-        zeros = [PadicNumber.exact_zero(p)] * (T - 2)
-        ws = TruncatedSeries(p, [PadicNumber.exact_zero(p),
-                                 PadicNumber.from_int(p, p, m.M)] + zeros,
-                             Subordination(1, 0), check=False, exact=True)
-        frev = list(reversed(m.f))  # w^(2g+2) f(1/w)
-        fw = _poly_of_series(frev, ws)
-        sign = 1 if disc.label == "inf+" else -1
-        return ws, nth_root_series(fw, 2, int(sign * int(self.curve.sqrt_lead)) % p)
-
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc,
                                     order: int | None = None) -> DiscExpansion:
         """omega|disc = (pole/t) dt + series dt in the disc parameter."""
-        p = self.p
-        T = order or 2 * self.prec
         if disc.kind == "cuspidal":
             raise PoleOnDisc("omega has a pole inside a cusp disc")
+        xs, ys = self.disc_parametrization(disc, order)
         if disc.kind == "infinite":
-            return self._expand_infinite(omega, disc, T)
-        xs, ys = self.disc_parametrization(disc, T)
-        dx = xs.derivative()
-        inv_y = None if disc.kind == "weierstrass" else ys.inverse()
-        comps = {}  # (i, b) -> x^i dx/y^b as a series in t; x^i dx/y^b = x * x^(i-1) dx/y^b
+            return self._expand_infinite(omega, xs, ys)
         series = None
-        for (i, b), a in zip(self.curve.monomials, omega.coeffs):
-            if i:
-                comps[i, b] = comps[i - 1, b] * xs
-            elif inv_y is None:  # y = p t; x' is divisible by t^b
-                comps[i, b] = _shift_down(dx, b).scale(Fraction(1, p ** b))
-            else:
-                inv_yb = inv_y
-                for _ in range(b - 1):
-                    inv_yb = inv_yb * inv_y
-                comps[i, b] = dx * inv_yb
-            term = comps[i, b].scale(a)
+        for comp, a in zip(monomial_series(xs, ys, self.curve.monomials,
+                                           disc.kind == "weierstrass"), omega.coeffs):
+            term = comp.scale(a)
             series = term if series is None else series + term
-        return DiscExpansion(PadicNumber.exact_zero(p), series)
+        return DiscExpansion(PadicNumber.exact_zero(self.p), series, xs, ys)
 
-    def _expand_infinite(self, omega, disc, T):
+    def _expand_infinite(self, omega, ws, sq):
         """Expansion on an infinite disc of the even model (log pole allowed)."""
         p = self.p
         g = self.curve.genus
-        ws, sq = self._infinite_parametrization(disc, T)
         inv_sq = sq.inverse()
         series = None
         pole = PadicNumber.exact_zero(p)
@@ -378,15 +357,14 @@ class Integrator:
                 rest = _shift_down(h - h[0], 1).scale(a)
                 series = rest if series is None else series + rest
         if series is None:
-            series = TruncatedSeries(p, [PadicNumber.unknown_zero(p, self.work)] * T,
+            series = TruncatedSeries(p, [PadicNumber.unknown_zero(p, self.work)] * ws.order,
                                      Subordination(1, 0), check=False)
-        return DiscExpansion(pole, series)
+        return DiscExpansion(pole, series, ws, sq)
 
     # -- tiny integrals ------------------------------------------------------------
 
     def tiny_integral(self, omega: LogDifferential, P, Q) -> IntegralValue:
         """Integral between two points of one non-cuspidal residue disc."""
-        p = self.p
         disc = self._disc_of(P)
         discQ = self._disc_of(Q)
         if (disc.xbar, disc.ybar, disc.kind) != (discQ.xbar, discQ.ybar, discQ.kind):
@@ -395,8 +373,8 @@ class Integrator:
         if not exp.pole_coeff.is_zero():
             raise PoleOnDisc("differential has a pole in the disc interior")
         F = formal_antiderivative(exp.series)
-        tP = self._param_in_disc(P, disc)
-        tQ = self._param_in_disc(Q, disc)
+        cx = None if disc.kind == "weierstrass" else exp.xs[0]
+        tP, tQ = (disc_parameter(self._to_pad(x), self._to_pad(y), cx) for x, y in (P, Q))
         return IntegralValue(value=F.evaluate(tQ) - F.evaluate(tP), method="tiny")
 
     def _disc_of(self, pt) -> ResidueDisc:
@@ -409,14 +387,6 @@ class Integrator:
         kind = "affine" if yb != 0 else "weierstrass"
         return ResidueDisc(self.curve, self.p, xb, yb, kind)
 
-    def _param_in_disc(self, pt, disc) -> PadicNumber:
-        x, y = pt
-        xp, yp = self._to_pad(x), self._to_pad(y)
-        if disc.kind == "weierstrass":
-            return yp / self.p
-        cx, cy = self.disc_center(disc)
-        return (xp - cx) / self.p
-
     # -- residue theorem -------------------------------------------------------------
 
     def residue_theorem_check(self, divisor, cusp_values: dict,
@@ -427,26 +397,24 @@ class Integrator:
         cusp_values: cusp id -> f(Q) as an element of k(Q) (nonzero).
         """
         lhs = self.divisor_integral(omega, divisor).value
-        rhs = PadicNumber.exact_zero(self.p)
+        terms = []
         for cusp in self.curve.cusps:
             val = cusp_values[cusp.id]
             if not isinstance(val, NFElement):
                 val = cusp.nfield(val)
-            for phi in self.problem.embeddings(cusp):
-                r = omega.embedded_residue(cusp, phi)
-                if r.is_zero():
-                    continue
-                rhs = rhs + r * iwasawa_log(phi(val))
-        return lhs, rhs
+            terms.append((cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1))
+        return lhs, residue_log_sum(self.p, omega, terms, self.problem.embeddings)
 
 
-def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide by t^k; the dropped low coefficients must be zero classes."""
-    p = f.p
-    for c in f.coeffs[:k]:
-        if not c.is_zero():
-            raise PoleOnDisc("series has a genuine pole: cannot shift down")
-    bound = f.bound
-    if bound is not None:
-        bound = Subordination(bound.slope, bound.offset + k * bound.slope)
-    return TruncatedSeries(p, f.coeffs[k:], bound, check=False, exact=f.exact)
+def residue_log_sum(p: int, omega: LogDifferential, terms, embeddings) -> PadicNumber:
+    """The sum over (cusp, log, coeff) in terms and over the embeddings phi
+    in embeddings(cusp) of phi(Res_cusp omega) * log(phi) * coeff."""
+    acc = PadicNumber.exact_zero(p)
+    for cusp, log, coeff in terms:
+        for phi in embeddings(cusp):
+            r = omega.embedded_residue(cusp, phi)
+            if r.is_zero():
+                continue
+            acc = acc + r * log(phi) * coeff
+    return acc
+

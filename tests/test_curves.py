@@ -104,6 +104,14 @@ def test_family_validation():
         make_curve("nodal_cubic")
 
 
+@pytest.mark.parametrize("root", [3 ** 35 + 7, 10 ** 200 + 1], ids=["3^35+7", "10^200+1"])
+def test_large_square_leading_coefficient(root):
+    c = EvenHyperellipticCurve([1, 0, 0, 0, root * root])
+    assert c.sqrt_lead == root
+    with pytest.raises(ProblemFileError):
+        EvenHyperellipticCurve([1, 0, 0, 0, root * root + 1])  # not a square
+
+
 def test_problem_rejects_bad_primes():
     c = SuperellipticCurve(1)
     with pytest.raises(BadReduction) as e:

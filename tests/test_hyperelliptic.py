@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_chabauty.errors import BadReduction, EndpointRestriction
+from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
 from affine_chabauty.hyperelliptic import INFINITY, HyperellipticModel, Point
 from affine_chabauty.padics import PadicNumber
 
@@ -80,6 +80,22 @@ def test_tiny_equals_global_within_disc():
     full = m.basis_integrals(P, Q)
     for i in range(m.dim):
         assert tiny[i].compare(full[i]) != "distinct"
+
+
+def test_tiny_integrals_reject_endpoints_of_two_discs():
+    m = model([1, 1, 0, 1])
+    P = m.lift_x(2, sign_hint=2)
+    with pytest.raises(DifferentDiscs):
+        m.tiny_basis_integrals(P, m.lift_x(0, sign_hint=1))   # another x residue
+    with pytest.raises(DifferentDiscs):
+        m.tiny_basis_integrals(P, P.involution())             # the opposite disc
+
+
+def test_center_of_a_point_at_infinity_is_rejected():
+    m = model([1, 1, 0, 1])
+    P = Point(PadicNumber.from_rational(Fraction(1, 7), 7, m.M), PadicNumber.from_int(1, 7, m.M))
+    with pytest.raises(EndpointRestriction):
+        m.teichmueller_point(P)
 
 
 def test_independent_of_center_choice():
