@@ -15,7 +15,7 @@ at primes that reach even and superelliptic Weierstrass discs.
 
 tests/golden/model_disc_layer.json locks the same layer on the Frobenius
 models (main, w and X_1): per affine and Weierstrass disc, one point of the
-disc, its center, the disc series at the point and the tiny integrals of the
+disc, its center, the disc series at the center and the tiny integrals of the
 basis from the point to the center, at full stored precision.
 
 Regenerate both disc files with `PYTHONPATH=src python tests/test_golden.py`.
@@ -122,8 +122,8 @@ def _model_discs(m):
 
 def _model_disc_layer() -> dict:
     """Per fixture, prime and Frobenius model: the _model_discs of the model
-    with the disc series at P and the tiny basis integrals from P to the
-    center, every value rendered at its full stored precision."""
+    with the disc series at the center and the tiny basis integrals from P to
+    the center, every value rendered at its full stored precision."""
     out = {}
     for fixture, primes in DISC_LAYER_PRIMES.items():
         for p in primes:
@@ -133,7 +133,7 @@ def _model_disc_layer() -> dict:
                 m = getattr(I, name)()
                 discs = []
                 for xb, yb, P, center in _model_discs(m):
-                    xs, ys = m.disc_series(P)
+                    xs, ys = m.disc_series(center)
                     discs.append({
                         "disc": [xb, yb],
                         "point": [render_padic(P.x), render_padic(P.y)],
