@@ -252,8 +252,6 @@ class Engine:
                 else:
                     const = I.integral(omega, base, (cx, cy)).value - c
                 exp = I.expand_differential_on_disc(omega, disc)
-                if not exp.pole_coeff.is_zero():
-                    raise PoleOnDisc("pole inside a non-cuspidal disc")
                 rho = formal_antiderivative(exp.series) + const
                 res = strassmann_roots(rho)
                 root_sets.append(res.roots)

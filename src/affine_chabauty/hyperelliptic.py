@@ -101,6 +101,7 @@ class HyperellipticModel:
             raise BadReduction("leading coefficient must be a unit")
         self._check_good_reduction()
         self._frob: FrobeniusData | None = None
+        self._discs: dict = {}
 
     # -- setup helpers -------------------------------------------------------
 
@@ -141,18 +142,23 @@ class HyperellipticModel:
     # -- local expansions --------------------------------------------------------
 
     def disc_series(self, pt: Point, order: int | None = None):
-        """Disc parametrization (x(t), y(t)) centered at pt.
+        """(x(t), y(t)) and the series of each basis monomial x^i dx/y on
+        pt's disc, centered at teichmueller_point(pt).
 
-        Non-Weierstrass discs use x = x(pt) + p t; Weierstrass discs are
-        centered at the Weierstrass point and use y = p t with x(t) solved
-        from f(x) = y^2 by Newton iteration on series.
+        Non-Weierstrass discs use x = x(center) + p t; Weierstrass discs use
+        y = p t with x(t) solved from f(x) = y^2 by Newton iteration on
+        series.  Built once per disc, center precision and order.
         """
         T = order or 2 * self.prec
-        if self.is_weierstrass_disc(pt):
-            x0, root = self.teichmueller_point(pt).x, None
-        else:
-            x0, root = pt.x, partial(sqrt_series, sign_hint=pt.y.residue(1))
-        return _local_parametrization(self.f, 2, x0, root, self.M, T)
+        x0 = self.teichmueller_point(pt).x
+        key = (pt.x.residue(1), pt.y.residue(1), x0.N, T)
+        if key not in self._discs:
+            wdisc = self.is_weierstrass_disc(pt)
+            root = None if wdisc else partial(sqrt_series, sign_hint=pt.y.residue(1))
+            xs, ys = _local_parametrization(self.f, 2, x0, root, self.M, T)
+            self._discs[key] = xs, ys, monomial_series(
+                xs, ys, [(i, 1) for i in range(self.dim)], wdisc)
+        return self._discs[key]
 
     # -- Frobenius data ------------------------------------------------------------
 
@@ -356,11 +362,11 @@ class HyperellipticModel:
         wdisc = self.is_weierstrass_disc(P)
         if not wdisc and P.y.residue(1) != Q.y.residue(1):
             raise DifferentDiscs("tiny integral endpoints lie in involution-opposite discs")
-        xs, ys = self.disc_series(P)
+        xs, _, monomials = self.disc_series(P)
         cx = None if wdisc else xs[0]
         tP, tQ = disc_parameter(P.x, P.y, cx), disc_parameter(Q.x, Q.y, cx)
         out = []
-        for integrand in monomial_series(xs, ys, [(i, 1) for i in range(self.dim)], wdisc):
+        for integrand in monomials:
             F = formal_antiderivative(integrand)
             out.append(F.evaluate(tQ) - F.evaluate(tP))
         return out

@@ -39,7 +39,7 @@ from .hyperelliptic import (
 )
 from .numberfield import NFElement, hensel_embed
 from .padics import PadicNumber, iwasawa_log
-from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
+from .series import TruncatedSeries, formal_antiderivative, nth_root_series
 
 
 @dataclass
@@ -73,6 +73,7 @@ class Integrator:
         self.imported = imported or {}
         self._models: dict = {}
         self._pair_cache: dict = {}
+        self._discs: dict = {}
 
     # -- model access --------------------------------------------------------
 
@@ -133,7 +134,7 @@ class Integrator:
         key = self._pair_key(P, Q)
         if key in self._pair_cache:
             return self._pair_cache[key]
-        got = self._imported_lookup(P, Q)
+        got = self.imported.get(key)
         if got is None:
             if isinstance(self.curve, EvenHyperellipticCurve):
                 got = self._even_vector(P, Q)
@@ -172,14 +173,6 @@ class Integrator:
             return (str(Fraction(x)) if not isinstance(x, PadicNumber) else str(x),
                     str(Fraction(y)) if not isinstance(y, PadicNumber) else str(y))
         return (k(P), k(Q))
-
-    def _imported_lookup(self, P, Q):
-        if not self.imported:
-            return None
-        key = self._pair_key(P, Q)
-        if key in self.imported:
-            return self.imported[key]
-        return None
 
     # -- even hyperelliptic ---------------------------------------------------------
 
@@ -309,8 +302,6 @@ class Integrator:
                            residue_hint=sign * int(self.curve.sqrt_lead) % self.p)
             return _local_parametrization(list(reversed(m.f)), 2, PadicNumber.exact_zero(self.p),
                                           root, m.M, T)
-        if disc.cuspidal:
-            raise PoleOnDisc("no parametrization for cusp discs of the chart")
         cx, _ = self.disc_center(disc)
         n, g = self._chart()
         root = (partial(nth_root_series, n=n, residue_hint=disc.ybar)
@@ -320,46 +311,43 @@ class Integrator:
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc,
                                     order: int | None = None) -> DiscExpansion:
-        """omega|disc = (pole/t) dt + series dt in the disc parameter."""
-        if disc.kind == "cuspidal":
-            raise PoleOnDisc("omega has a pole inside a cusp disc")
-        xs, ys = self.disc_parametrization(disc, order)
-        if disc.kind == "infinite":
-            return self._expand_infinite(omega, xs, ys)
-        series = None
-        for comp, a in zip(monomial_series(xs, ys, self.curve.monomials,
-                                           disc.kind == "weierstrass"), omega.coeffs):
+        """omega|disc = (pole/t) dt + series dt in the disc parameter.
+
+        The disc parametrization and the (pole, series) of each basis
+        element on it are built once per disc and order."""
+        key = (disc.kind, disc.label, disc.xbar, disc.ybar, order)
+        if key not in self._discs:
+            xs, ys = self.disc_parametrization(disc, order)
+            if disc.kind == "infinite":
+                terms = self._infinite_terms(xs, ys)
+            else:
+                zero = PadicNumber.exact_zero(self.p)
+                terms = [(zero, m) for m in monomial_series(xs, ys, self.curve.monomials,
+                                                            disc.kind == "weierstrass")]
+            self._discs[key] = xs, ys, terms
+        xs, ys, terms = self._discs[key]
+        pole, series = PadicNumber.exact_zero(self.p), None
+        for (pole_j, comp), a in zip(terms, omega.coeffs):
+            pole = pole + pole_j * a
             term = comp.scale(a)
             series = term if series is None else series + term
-        return DiscExpansion(PadicNumber.exact_zero(self.p), series, xs, ys)
+        return DiscExpansion(pole, series, xs, ys)
 
-    def _expand_infinite(self, omega, ws, sq):
-        """Expansion on an infinite disc of the even model (log pole allowed)."""
-        p = self.p
+    def _infinite_terms(self, ws, sq):
+        """(pole, series) of each basis element on an infinite disc of the
+        even model: omega_j = -w^(g-1-j) p / sqrt(fw) dt for j < g (see the
+        chart computation), and the log element -(1/sqrt(fw)) dt/t."""
         g = self.curve.genus
         inv_sq = sq.inverse()
-        series = None
-        pole = PadicNumber.exact_zero(p)
-        sign = Fraction(-1)  # omega_j = -w^(g-1-j) p / sqrt(fw) dt - see chart computation
-        for j, a in enumerate(omega.coeffs):
-            if isinstance(a, Fraction) and a == 0:
-                continue
-            if j < g:
-                wpow = inv_sq
-                for _ in range(g - 1 - j):
-                    wpow = wpow * ws
-                term = wpow.scale(sign * p).scale(a)
-                series = term if series is None else series + term
-            else:
-                # log element: -(1/sqrt(fw)) dt/t
-                h = inv_sq.scale(sign)
-                pole = pole + h[0] * a
-                rest = _shift_down(h - h[0], 1).scale(a)
-                series = rest if series is None else series + rest
-        if series is None:
-            series = TruncatedSeries(p, [PadicNumber.unknown_zero(p, self.work)] * ws.order,
-                                     Subordination(1, 0), check=False)
-        return DiscExpansion(pole, series, ws, sq)
+        sign = Fraction(-1)
+        terms = []
+        for j in range(g):
+            wpow = inv_sq
+            for _ in range(g - 1 - j):
+                wpow = wpow * ws
+            terms.append((PadicNumber.exact_zero(self.p), wpow.scale(sign * self.p)))
+        h = inv_sq.scale(sign)
+        return terms + [(h[0], _shift_down(h - h[0], 1))]
 
     # -- tiny integrals ------------------------------------------------------------
 
@@ -370,8 +358,6 @@ class Integrator:
         if (disc.xbar, disc.ybar, disc.kind) != (discQ.xbar, discQ.ybar, discQ.kind):
             raise DifferentDiscs(f"{disc} vs {discQ}")
         exp = self.expand_differential_on_disc(omega, disc)
-        if not exp.pole_coeff.is_zero():
-            raise PoleOnDisc("differential has a pole in the disc interior")
         F = formal_antiderivative(exp.series)
         cx = None if disc.kind == "weierstrass" else exp.xs[0]
         tP, tQ = (disc_parameter(self._to_pad(x), self._to_pad(y), cx) for x, y in (P, Q))

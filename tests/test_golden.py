@@ -133,7 +133,7 @@ def _model_disc_layer() -> dict:
                 m = getattr(I, name)()
                 discs = []
                 for xb, yb, P, center in _model_discs(m):
-                    xs, ys = m.disc_series(center)
+                    xs, ys, _ = m.disc_series(center)
                     discs.append({
                         "disc": [xb, yb],
                         "point": [render_padic(P.x), render_padic(P.y)],

@@ -9,7 +9,7 @@ from affine_chabauty.curves import (
     KnownPoint,
     SuperellipticCurve,
 )
-from affine_chabauty.errors import DifferentDiscs, EndpointRestriction
+from affine_chabauty.errors import DifferentDiscs, EndpointRestriction, PoleOnDisc
 from affine_chabauty.hyperelliptic import HyperellipticModel
 from affine_chabauty.integration import Integrator
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic, sqrt as padic_sqrt
@@ -96,6 +96,20 @@ def test_expand_differential_infinite_disc_residue():
         assert exp.pole_coeff.is_zero() or exp.pole_coeff.is_exact_zero()
 
 
+def test_cuspidal_discs_have_no_center_parametrization_or_expansion():
+    I = Integrator(super_problem())
+    discs = [d for d in I.residue_discs() if d.cuspidal]
+    assert [d.label for d in discs] == ["Q1@u=1", "Q2@u=2", "Q2@u=4"]
+    for d in discs:
+        with pytest.raises(PoleOnDisc):
+            I.disc_center(d)
+        with pytest.raises(PoleOnDisc):
+            I.disc_parametrization(d)
+        for om in I.curve.basis():
+            with pytest.raises(PoleOnDisc):
+                I.expand_differential_on_disc(om, d)
+
+
 def test_superelliptic_split_decomposition_series():
     """omega_2 = omega_2+ + omega_2- re-expanded on a disc of the chart."""
     p, N, T = 7, 12, 18
@@ -105,7 +119,7 @@ def test_superelliptic_split_decomposition_series():
     # disc of u' = 0 on v'^2 = u'^3 - 3/4: the non-Weierstrass affine disc
     v2 = W.curve_rhs(PadicNumber.from_int(0, p, W.M))
     P = W.point(PadicNumber.from_int(0, p, W.M), padic_sqrt(v2, sign_hint=1))
-    us, vs = W.disc_series(P, order=T)
+    us, vs, _ = W.disc_series(P, order=T)
     du = us.derivative()
     a = Fraction(1)
     # full omega_2 = -3 du/(v(2v+a)) with v = v' - a/2
