@@ -25,6 +25,10 @@ from .padics import PadicNumber, _horner_mod
 QQ = NumberField([-1, 1], name="one")  # the rational field as a degree-1 field
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
@@ -308,6 +312,10 @@ class CurveProblem:
     label: str = "problem"
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ProblemFileError(f"p = {self.p} is not a prime")
+        if self.prec < 1:
+            raise ProblemFileError(f"precision must be positive, got {self.prec}")
         if self.p in self.S:
             raise ProblemFileError("auxiliary prime must avoid S")
         if not self.curve.contains(self.base_point.x, self.base_point.y):
@@ -326,9 +334,7 @@ class CurveProblem:
     def admissible_primes(self, bound: int) -> list:
         out = []
         for q in range(3, bound):
-            if any(q % d == 0 for d in range(2, q)):
-                continue
-            if q in self.S or not self.curve.good_reduction_at(q):
+            if not _is_prime(q) or q in self.S or not self.curve.good_reduction_at(q):
                 continue
             ok = True
             for c in self.curve.cusps:

@@ -27,7 +27,10 @@ def _frac(v) -> Fraction:
 def load_problem(path, p_override: int | None = None,
                  prec_override: int | None = None) -> Engine:
     data = json.loads(Path(path).read_text())
-    return build_engine(data, p_override, prec_override)
+    try:
+        return build_engine(data, p_override, prec_override)
+    except KeyError as e:
+        raise ProblemFileError(f"problem file lacks the required field {e.args[0]!r}") from None
 
 
 def build_engine(data: dict, p_override: int | None = None,
@@ -44,8 +47,8 @@ def build_engine(data: dict, p_override: int | None = None,
     curve = make_curve(family, **kw)
 
     arith = data["arithmetic"]
-    p = p_override or int(arith["p"])
-    prec = prec_override or int(arith.get("precision", 12))
+    p = int(arith["p"]) if p_override is None else p_override
+    prec = int(arith.get("precision", 12)) if prec_override is None else prec_override
     S = [int(q) for q in arith.get("S", [])]
 
     bp = data["base_point"]

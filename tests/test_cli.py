@@ -44,12 +44,33 @@ def test_solve_superelliptic_partial_exit_two(tmp_path, capsys):
         for d in e.get("discs", []) for r in d.get("roots", []) if r["matched"]]
 
 
-def test_prime_rejection_exit_one(tmp_path, capsys):
-    path = _stage(tmp_path, "superelliptic_a1.json")
-    rc = main(["solve", str(path), "--p", "5"])
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("fixture, flags, error, message", [
+    ("superelliptic_a1.json", ["--p", "5"], "BadReduction", "admissible"),
+    ("hyperelliptic_6081b.json", ["--p", "0"], "ProblemFileError", "not a prime"),
+    ("hyperelliptic_6081b.json", ["--p", "1"], "ProblemFileError", "not a prime"),
+    ("hyperelliptic_6081b.json", ["--p", "9"], "ProblemFileError", "not a prime"),
+    ("hyperelliptic_6081b.json", ["--prec", "0"], "ProblemFileError", "must be positive"),
+    ("hyperelliptic_6081b.json", ["--prec", "-2"], "ProblemFileError", "must be positive"),
+], ids=["super-p5", "p0", "p1", "p9", "prec0", "prec-2"])
+def test_prime_rejection_exit_one(tmp_path, capsys, fixture, flags, error, message):
+    path = _stage(tmp_path, fixture)
+    rc = main(["solve", str(path)] + flags)
+    err = json.loads(capsys.readouterr().err)
     assert rc == 1
-    assert "admissible" in err
+    assert err["error"] == error
+    assert message in err["message"]
+
+
+def test_missing_field_exit_one(tmp_path, capsys):
+    path = _stage(tmp_path, "hyperelliptic_6081b.json")
+    data = json.loads(path.read_text())
+    del data["curve"]
+    path.write_text(json.dumps(data))
+    rc = main(["solve", str(path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ProblemFileError",
+        "message": "problem file lacks the required field 'curve'"}
 
 
 def test_bad_known_point_rejected(tmp_path, capsys):
