@@ -359,6 +359,5 @@ class CurveProblem:
             "n2": n2,
         }
 
-    def embeddings(self, cusp: Cusp, high: int | None = None) -> list[FieldEmbedding]:
-        N = high or (self.prec + 40)
-        return hensel_embed(list(cusp.nfield.minpoly), self.p, N, cusp.nfield)
+    def embeddings(self, cusp: Cusp) -> list[FieldEmbedding]:
+        return hensel_embed(list(cusp.nfield.minpoly), self.p, self.prec + 40, cusp.nfield)

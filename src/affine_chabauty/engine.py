@@ -11,6 +11,7 @@ from .curves import CurveProblem, LogDifferential, ResidueDisc
 from .errors import (
     ChabautyError,
     EndpointRestriction,
+    IndistinguishableFromZero,
     PoleOnDisc,
     PrecisionLoss,
 )
@@ -81,10 +82,20 @@ class DiscLocus:
     reason: str = ""
 
 
+@dataclass
+class TypeRecord:
+    """What the engine builds once per reduction type: its Selmer target,
+    the kernel of its cuspidal part (annihilator(), shared by every type
+    with that part) and c(b, omega) for each kernel differential."""
+    target: SelmerTarget
+    kernel: tuple | None = None
+    constants: list | None = None
+
+
 class Engine:
     def __init__(self, problem: CurveProblem, model: RegularModelData,
                  generators: list, units: list | None = None,
-                 imported: dict | None = None, known_points: list | None = None):
+                 imported=(), known_points: list | None = None):
         self.problem = problem
         self.model = model.validate()
         self.generators = generators
@@ -93,6 +104,8 @@ class Engine:
         self.integrator = Integrator(problem, imported)
         self._emb = {}
         self._gen_int_cache = {}
+        self._types = {}      # type label -> TypeRecord
+        self._kernels = {}    # cuspidal part -> annihilator()
         self._cusps = {c.id: c for c in problem.curve.cusps}
         check_pi_compatibility(problem, model)
 
@@ -173,7 +186,7 @@ class Engine:
 
     def assemble_M(self, sigma: ReductionType) -> tuple:
         """(ChabautyMatrix, SelmerTarget) for the reduction type."""
-        st = selmer_target(self.problem, self.model, sigma)
+        st = self.type_record(sigma).target
         counts = self.problem.counts()
         g, n = counts["g"], counts["n"]
         basis = self.problem.curve.basis()
@@ -222,6 +235,25 @@ class Engine:
         omegas = [self.problem.curve.differential(v) for v in vectors]
         return vectors, omegas, mat, st
 
+    def type_record(self, sigma: ReductionType) -> TypeRecord:
+        """The record of sigma; its Selmer target is built on first use."""
+        rec = self._types.get(sigma.label)
+        if rec is None:
+            rec = self._types[sigma.label] = TypeRecord(
+                selmer_target(self.problem, self.model, sigma))
+        return rec
+
+    def locus_record(self, sigma: ReductionType) -> TypeRecord:
+        """The record of sigma with its kernel and constants filled in."""
+        rec = self.type_record(sigma)
+        if rec.constants is None:
+            csp = sigma.cuspidal_part()
+            if csp not in self._kernels:
+                self._kernels[csp] = self.annihilator(sigma)
+            rec.kernel = self._kernels[csp]
+            rec.constants = [self.constant_c(rec.target, om) for om in rec.kernel[1]]
+        return rec
+
     # -- constants ----------------------------------------------------------------------
 
     def constant_c(self, st: SelmerTarget, omega: LogDifferential) -> PadicNumber:
@@ -256,7 +288,7 @@ class Engine:
                 res = strassmann_roots(rho)
                 root_sets.append(res.roots)
                 bound = res.bound if bound is None else min(bound, res.bound)
-        except (EndpointRestriction, PrecisionLoss, PoleOnDisc) as e:
+        except (EndpointRestriction, PrecisionLoss, PoleOnDisc, IndistinguishableFromZero) as e:
             return DiscLocus(disc, "unresolved", reason=f"{type(e).__name__}: {e}")
         roots = root_sets[0]
         for other in root_sets[1:]:
@@ -298,13 +330,9 @@ class Engine:
         if len(labeled_points) != size:
             raise ValueError(f"need exactly {size} points")
         base = self.base_pair()
-        st_cache = {}
         rows = []
         for pt, sigma in labeled_points:
-            key = sigma.label
-            if key not in st_cache:
-                st_cache[key] = selmer_target(self.problem, self.model, sigma)
-            st = st_cache[key]
+            st = self.type_record(sigma).target
             vec = self.integrator.basis_integral_vector(base, pt)
             row = [vec[j] - self.constant_c(st, basis[j]) for j in range(size)]
             rows.append(row)
@@ -331,7 +359,6 @@ class Engine:
             "reduction_types": [],
             "status": "complete",
         }
-        by_csp = {}
         matched, extra, unresolved = [], [], []
         for sigma in types:
             entry = {"label": sigma.label,
@@ -344,17 +371,14 @@ class Engine:
                 report["status"] = "partial"
                 continue
             try:
-                csp_key = sigma.cuspidal_part()
-                if csp_key not in by_csp:
-                    by_csp[csp_key] = self.annihilator(sigma)
-                vectors, omegas, mat, st0 = by_csp[csp_key]
-                st = selmer_target(self.problem, self.model, sigma)
-                cs = [self.constant_c(st, om) for om in omegas]
+                rec = self.locus_record(sigma)
             except ChabautyError as e:
                 entry["error"] = f"{type(e).__name__}: {e}"
                 report["reduction_types"].append(entry)
                 report["status"] = "partial"
                 continue
+            vectors, omegas, mat, _ = rec.kernel
+            cs = rec.constants
             entry["matrix"] = [[render_padic(x.at_precision(self.problem.prec))
                                 for x in row] for row in mat.rows]
             entry["row_labels"] = mat.row_labels
@@ -365,7 +389,7 @@ class Engine:
                 "kernel_precision": min((x.N for vec in vectors for x in vec
                                          if not x.is_exact_zero()), default=None),
             }
-            entry["b"] = {k: str(v) for k, v in st.b.items()}
+            entry["b"] = {k: str(v) for k, v in rec.target.b.items()}
             entry["c"] = [render_padic(c) if isinstance(c, PadicNumber) else str(c)
                           for c in cs]
             entry["discs"] = []
@@ -407,9 +431,8 @@ class Engine:
         base = self.base_pair()
         for gen in self.generators:
             for pt, mult in gen.divisor:
-                key = self.integrator._pair_key(base, (pt.x, pt.y))
-                if key in self.integrator._pair_cache:
-                    vec = self.integrator._pair_cache[key]
+                vec = self.integrator.cached_vector(base, (pt.x, pt.y))
+                if vec is not None:
                     out.append({"from": [str(base[0]), str(base[1])],
                                 "to": [str(pt.x), str(pt.y)],
                                 "values": [render_padic(v) for v in vec]})
@@ -424,7 +447,6 @@ class Engine:
         are ingested.
         """
         types = enumerate_reduction_types(self.problem, self.model)
-        by_csp = {}
         rows = []
         base = self.base_pair()
         for pt in self.known_points:
@@ -436,16 +458,9 @@ class Engine:
             candidates = self._candidate_types(pt, types)
             best = None
             for sigma in candidates:
-                csp = sigma.cuspidal_part()
-                if csp not in by_csp:
-                    by_csp[csp] = self.annihilator(sigma)
-                vectors, omegas, mat, st0 = by_csp[csp]
-                st = selmer_target(self.problem, self.model, sigma)
-                residuals = []
-                for om in omegas:
-                    c = self.constant_c(st, om)
-                    val = self.integrator.integral(om, base, (pt.x, pt.y)).value - c
-                    residuals.append(val)
+                tr = self.locus_record(sigma)
+                residuals = [self.integrator.integral(om, base, (pt.x, pt.y)).value - c
+                             for om, c in zip(tr.kernel[1], tr.constants)]
                 ok = all(v.is_zero() for v in residuals)
                 rec = {
                     "point": [str(pt.x), str(pt.y)],

@@ -30,6 +30,7 @@ from .errors import (
     EndpointRestriction,
     PoleOnDisc,
     PrecisionExceeded,
+    PrecisionLoss,
 )
 from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, nth_root, sqrt, teichmuller
@@ -141,21 +142,20 @@ class HyperellipticModel:
 
     # -- local expansions --------------------------------------------------------
 
-    def disc_series(self, pt: Point, order: int | None = None):
-        """(x(t), y(t)) and the series of each basis monomial x^i dx/y on
-        pt's disc, centered at teichmueller_point(pt).
+    def disc_series(self, pt: Point):
+        """(x(t), y(t)) to order 2 prec and the series of each basis monomial
+        x^i dx/y on pt's disc, centered at teichmueller_point(pt).
 
         Non-Weierstrass discs use x = x(center) + p t; Weierstrass discs use
         y = p t with x(t) solved from f(x) = y^2 by Newton iteration on
-        series.  Built once per disc, center precision and order.
+        series.  Built once per disc and center precision.
         """
-        T = order or 2 * self.prec
         x0 = self.teichmueller_point(pt).x
-        key = (pt.x.residue(1), pt.y.residue(1), x0.N, T)
+        key = (pt.x.residue(1), pt.y.residue(1), x0.N)
         if key not in self._discs:
             wdisc = self.is_weierstrass_disc(pt)
             root = None if wdisc else partial(sqrt_series, sign_hint=pt.y.residue(1))
-            xs, ys = _local_parametrization(self.f, 2, x0, root, self.M, T)
+            xs, ys = _local_parametrization(self.f, 2, x0, root, self.M, 2 * self.prec)
             self._discs[key] = xs, ys, monomial_series(
                 xs, ys, [(i, 1) for i in range(self.dim)], wdisc)
         return self._discs[key]
@@ -594,6 +594,8 @@ def monomial_series(xs: TruncatedSeries, ys: TruncatedSeries, monomials, ramifie
 
 def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
     """Divide by t^k; the dropped low coefficients must be zero classes."""
+    if k >= f.order:
+        raise PrecisionLoss(f"a series of order {f.order} cannot be divided by t^{k}")
     for c in f.coeffs[:k]:
         if not c.is_zero():
             raise PoleOnDisc("series has a genuine pole: cannot shift down")

@@ -32,7 +32,6 @@ from .hyperelliptic import (
     HyperellipticModel,
     Point,
     _local_parametrization,
-    _shift_down,
     chart_center,
     disc_parameter,
     monomial_series,
@@ -52,10 +51,9 @@ class IntegralValue:
 
 @dataclass
 class DiscExpansion:
-    """omega restricted to a disc:  (pole_coeff / t) dt + series(t) dt,
-    on the disc parametrization (xs, ys) it was built on."""
+    """omega restricted to a non-cuspidal disc:  series(t) dt, on the disc
+    parametrization (xs, ys) it was built on."""
 
-    pole_coeff: PadicNumber
     series: TruncatedSeries
     xs: TruncatedSeries
     ys: TruncatedSeries
@@ -64,13 +62,15 @@ class DiscExpansion:
 class Integrator:
     """Per-problem integration context with cached Frobenius data."""
 
-    def __init__(self, problem: CurveProblem, imported: dict | None = None):
+    def __init__(self, problem: CurveProblem, imported=()):
+        """imported: (P, Q, values) triples of externally computed basis
+        integral vectors; they take precedence over the integrators."""
         self.problem = problem
         self.curve = problem.curve
         self.p = problem.p
         self.prec = problem.prec
         self.work = problem.prec + 4
-        self.imported = imported or {}
+        self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
         self._models: dict = {}
         self._pair_cache: dict = {}
         self._discs: dict = {}
@@ -166,6 +166,10 @@ class Integrator:
                 continue
             acc = acc + self.integral(omega, base, pt).value * mult
         return IntegralValue(value=acc, method="frobenius")
+
+    def cached_vector(self, P, Q):
+        """The basis integral vector from P to Q if it was already obtained, else None."""
+        return self._pair_cache.get(self._pair_key(P, Q))
 
     def _pair_key(self, P, Q):
         def k(pt):
@@ -289,65 +293,32 @@ class Integrator:
         n, g = self._chart()
         return chart_center(g, n, disc.xbar, disc.ybar, self._hi())
 
-    def disc_parametrization(self, disc: ResidueDisc, order: int | None = None):
-        """Series (x(t), y(t)) around the canonical center; t runs over Zp.
-
-        An infinite disc of the even model is parametrized in the chart
-        y'^2 = w^(2g+2) f(1/w) of the main model, w = 1/x = p t."""
-        T = order or 2 * self.prec
-        if disc.kind == "infinite":
-            m = self.main_model()
-            sign = 1 if disc.label == "inf+" else -1
-            root = partial(nth_root_series, n=2,
-                           residue_hint=sign * int(self.curve.sqrt_lead) % self.p)
-            return _local_parametrization(list(reversed(m.f)), 2, PadicNumber.exact_zero(self.p),
-                                          root, m.M, T)
+    def disc_parametrization(self, disc: ResidueDisc):
+        """Series (x(t), y(t)) to order 2 prec around the canonical center;
+        t runs over Zp."""
         cx, _ = self.disc_center(disc)
         n, g = self._chart()
         root = (partial(nth_root_series, n=n, residue_hint=disc.ybar)
                 if disc.kind == "affine" else None)
-        return _local_parametrization(g, n, cx, root, self._hi(), T)
+        return _local_parametrization(g, n, cx, root, self._hi(), 2 * self.prec)
 
     def expand_differential_on_disc(self, omega: LogDifferential,
-                                    disc: ResidueDisc,
-                                    order: int | None = None) -> DiscExpansion:
-        """omega|disc = (pole/t) dt + series dt in the disc parameter.
+                                    disc: ResidueDisc) -> DiscExpansion:
+        """omega|disc = series dt in the disc parameter.
 
-        The disc parametrization and the (pole, series) of each basis
-        element on it are built once per disc and order."""
-        key = (disc.kind, disc.label, disc.xbar, disc.ybar, order)
+        The disc parametrization and the series of each basis element on it
+        are built once per disc."""
+        key = (disc.xbar, disc.ybar, disc.kind)
         if key not in self._discs:
-            xs, ys = self.disc_parametrization(disc, order)
-            if disc.kind == "infinite":
-                terms = self._infinite_terms(xs, ys)
-            else:
-                zero = PadicNumber.exact_zero(self.p)
-                terms = [(zero, m) for m in monomial_series(xs, ys, self.curve.monomials,
-                                                            disc.kind == "weierstrass")]
-            self._discs[key] = xs, ys, terms
+            xs, ys = self.disc_parametrization(disc)
+            self._discs[key] = xs, ys, monomial_series(xs, ys, self.curve.monomials,
+                                                       disc.kind == "weierstrass")
         xs, ys, terms = self._discs[key]
-        pole, series = PadicNumber.exact_zero(self.p), None
-        for (pole_j, comp), a in zip(terms, omega.coeffs):
-            pole = pole + pole_j * a
+        series = None
+        for comp, a in zip(terms, omega.coeffs):
             term = comp.scale(a)
             series = term if series is None else series + term
-        return DiscExpansion(pole, series, xs, ys)
-
-    def _infinite_terms(self, ws, sq):
-        """(pole, series) of each basis element on an infinite disc of the
-        even model: omega_j = -w^(g-1-j) p / sqrt(fw) dt for j < g (see the
-        chart computation), and the log element -(1/sqrt(fw)) dt/t."""
-        g = self.curve.genus
-        inv_sq = sq.inverse()
-        sign = Fraction(-1)
-        terms = []
-        for j in range(g):
-            wpow = inv_sq
-            for _ in range(g - 1 - j):
-                wpow = wpow * ws
-            terms.append((PadicNumber.exact_zero(self.p), wpow.scale(sign * self.p)))
-        h = inv_sq.scale(sign)
-        return terms + [(h[0], _shift_down(h - h[0], 1))]
+        return DiscExpansion(series, xs, ys)
 
     # -- tiny integrals ------------------------------------------------------------
 

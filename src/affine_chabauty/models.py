@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .curves import CurveProblem
@@ -57,6 +58,11 @@ class FibreData:
     matrix: RationalMatrix
     incidences: dict                            # horizontal object id -> vector
     base_component: str = ""
+
+    @cached_property
+    def pseudoinverse(self) -> RationalMatrix:
+        """Moore-Penrose pseudoinverse of the intersection matrix."""
+        return moore_penrose(self.matrix)
 
     def component_index(self, cid: str) -> int:
         for i, c in enumerate(self.components):
@@ -127,7 +133,8 @@ class SelmerTarget:
 
 
 def correction_divisor(model: RegularModelData, q: int, incidence) -> CorrectionDivisor:
-    """Phi_q for a horizontal degree-zero divisor with the given incidence vector.
+    """Phi_q for a divisor with the given incidence vector over q: that of a
+    horizontal degree-zero divisor, or M V for a vertical divisor V.
 
     Phi = -M^+ (incidence), normalized to have coefficient zero on the
     component of the base point.
@@ -139,24 +146,7 @@ def correction_divisor(model: RegularModelData, q: int, incidence) -> Correction
         raise MissingIncidence(f"incidence vector over {q} required")
     if len(incidence) != len(fib.components):
         raise MissingIncidence(f"incidence vector over {q} has wrong length")
-    mp = moore_penrose(fib.matrix)
-    phi = [-x for x in mp.matvec([Fraction(v) for v in incidence])]
-    return _normalize_fibre_multiple(fib, phi)
-
-
-def correction_divisor_vertical(model: RegularModelData, q: int,
-                                coeffs) -> CorrectionDivisor:
-    """Phi_q for a vertical divisor given by component coefficients."""
-    fib = model.fibres.get(q)
-    if fib is None:
-        return CorrectionDivisor(q, {})
-    v = fib.matrix.matvec([Fraction(c) for c in coeffs])
-    mp = moore_penrose(fib.matrix)
-    phi = [-x for x in mp.matvec(v)]
-    return _normalize_fibre_multiple(fib, phi)
-
-
-def _normalize_fibre_multiple(fib: FibreData, phi) -> CorrectionDivisor:
+    phi = [-x for x in fib.pseudoinverse.matvec([Fraction(v) for v in incidence])]
     if fib.base_component:
         i0 = fib.component_index(fib.base_component)
         m0 = fib.components[i0].multiplicity
@@ -302,7 +292,7 @@ def selmer_target(problem: CurveProblem, model: RegularModelData,
                 p0vec = fib.incidences["P0"]
                 i0 = max(range(len(p0vec)), key=lambda i: Fraction(p0vec[i]))
                 vec[i0] -= 1
-                corr = correction_divisor_vertical(model, q, vec)
+                corr = correction_divisor(model, q, fib.matrix.matvec(vec))
                 total += sum(Fraction(corr.coeffs.get(cid, 0)) * Fraction(inc)
                              for cid, inc in lam.component_incidences.items())
         if total != 0:

@@ -87,11 +87,10 @@ def build_engine(data: dict, p_override: int | None = None,
 
     model = _build_model(data.get("model", {}), cusp_fields)
 
-    imported = {}
-    for rec in data.get("imported_integrals", []):
-        key = ((str(_frac(rec["from"][0])), str(_frac(rec["from"][1]))),
-               (str(_frac(rec["to"][0])), str(_frac(rec["to"][1]))))
-        imported[key] = [parse_padic(s, p) for s in rec["values"]]
+    imported = [((_frac(rec["from"][0]), _frac(rec["from"][1])),
+                 (_frac(rec["to"][0]), _frac(rec["to"][1])),
+                 [parse_padic(s, p) for s in rec["values"]])
+                for rec in data.get("imported_integrals", [])]
 
     known = []
     for xy in data.get("known_points", []):
@@ -101,7 +100,7 @@ def build_engine(data: dict, p_override: int | None = None,
         known.append(kp)
 
     return Engine(problem, model, generators, units=units,
-                  imported=imported or None, known_points=known)
+                  imported=imported, known_points=known)
 
 
 def _build_model(block: dict, cusp_fields: dict) -> RegularModelData:

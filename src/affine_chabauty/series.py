@@ -355,7 +355,7 @@ class StrassmannResult:
     bound: int    # certified upper bound on the number of roots in Zp
 
 
-def strassmann_roots(f: TruncatedSeries, max_depth: int | None = None) -> StrassmannResult:
+def strassmann_roots(f: TruncatedSeries) -> StrassmannResult:
     """Roots of f in Zp with a certified Strassmann count bound.
 
     The bound N* is the largest index attaining the minimal coefficient
@@ -378,9 +378,7 @@ def strassmann_roots(f: TruncatedSeries, max_depth: int | None = None) -> Strass
                     f"coefficient t^{n} = O(p^{c.N}) could attain the minimal valuation {m}")
     if not f.exact and (f.bound.slope <= 0 or f.bound.at(f.order) <= m):
         raise PrecisionLoss("certificate cannot exclude roots hidden in the tail")
-    if max_depth is None:
-        max_depth = f.padic_precision() + 2
-    roots = _isolate(f, m, max_depth)
+    roots = _isolate(f, m, f.padic_precision() + 2)
     if len(roots) > star:
         raise PrecisionLoss(f"{len(roots)} roots isolated but the Strassmann bound is {star}")
     return StrassmannResult(roots=roots, bound=star)

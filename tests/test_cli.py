@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from affine_chabauty import errors
 from affine_chabauty.cli import main
 from affine_chabauty.models import enumerate_reduction_types
 from affine_chabauty.problem import load_problem
@@ -42,6 +43,20 @@ def test_solve_superelliptic_partial_exit_two(tmp_path, capsys):
     assert ["216/487", "438/487"] in [
         r["matched"] for e in report["reduction_types"]
         for d in e.get("discs", []) for r in d.get("roots", []) if r["matched"]]
+
+
+@pytest.mark.parametrize("prec", [1, 2])
+@pytest.mark.parametrize("fixture", ["hyperelliptic_6081b.json", "superelliptic_a1.json"])
+def test_tiny_precision_ends_partial_with_typed_reasons(tmp_path, capsys, fixture, prec):
+    path = _stage(tmp_path, fixture)
+    rc = main(["solve", str(path), "--prec", str(prec), "--out", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    assert rc == 2
+    unresolved = json.loads((tmp_path / "r.json").read_text())["points"]["unresolved_discs"]
+    assert unresolved
+    for rec in unresolved:
+        name = rec["reason"].split(":")[0]
+        assert issubclass(getattr(errors, name), errors.ChabautyError), rec
 
 
 @pytest.mark.parametrize("fixture, flags, error, message", [

@@ -215,3 +215,20 @@ def test_more_roots_than_the_strassmann_bound_leave_the_disc_unresolved(monkeypa
     locus = eng.disc_locus(pairs, disc)
     assert locus.status == "unresolved"
     assert locus.reason.startswith("PrecisionLoss") and "Strassmann bound" in locus.reason
+
+
+def test_verify_builds_each_selmer_target_and_pseudoinverse_once(monkeypatch):
+    import affine_chabauty.engine as engine_module
+    import affine_chabauty.models as models_module
+
+    calls = {"selmer_target": 0, "moore_penrose": 0}
+    for module, name in ((engine_module, "selmer_target"), (models_module, "moore_penrose")):
+        def counted(*args, _orig=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    eng = load("hyperelliptic_6081b.json", prec_override=8)
+    assert eng.problem.p == 7
+    assert eng.verify()["pass"]
+    assert calls["selmer_target"] <= len(enumerate_reduction_types(eng.problem, eng.model))
+    assert calls["moore_penrose"] <= len(eng.model.fibres)

@@ -82,8 +82,7 @@ def _disc_layer() -> dict:
                     "center": render(I.disc_center(disc)),
                     "x": render(xs.coeffs),
                     "y": render(ys.coeffs),
-                    "omega": [{"pole": render([e.pole_coeff])[0], "series": render(e.series.coeffs)}
-                              for e in expansions],
+                    "omega": [{"series": render(e.series.coeffs)} for e in expansions],
                 })
             out[f"{fixture}@{p}"] = discs
     return out

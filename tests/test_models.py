@@ -16,7 +16,6 @@ from affine_chabauty.models import (
     LambdaRecord,
     RegularModelData,
     correction_divisor,
-    correction_divisor_vertical,
     enumerate_reduction_types,
     horizontal_intersection,
     psi_intersection_with_components,
@@ -61,10 +60,10 @@ def test_correction_two_component_fibre():
 
 def test_vertical_correction_multiplicity_one():
     model = two_component_model()
-    corr = correction_divisor_vertical(model, 5, [1, -1])
+    fib = model.fibres[5]
+    corr = correction_divisor(model, 5, fib.matrix.matvec([1, -1]))
     # Psi = V + Phi lands in the kernel (a fibre multiple), here zero after
     # normalization on multiplicity-one components
-    fib = model.fibres[5]
     psi = [Fraction(1) + corr.coeffs.get("A", 0), Fraction(-1) + corr.coeffs.get("B", 0)]
     out = fib.matrix.matvec(psi)
     assert out == [0, 0]
