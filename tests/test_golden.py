@@ -18,7 +18,14 @@ models (main, w and X_1): per affine and Weierstrass disc, one point of the
 disc, its center, the disc series at the center and the tiny integrals of the
 basis from the point to the center, at full stored precision.
 
+tests/golden/frobenius.json locks the Frobenius data of the same models as
+ints: every matrix entry and every recorded exact part (pole polynomials and
+y-parts, trailing zero classes dropped) as (v, u, N), the truncation cap, a_p,
+#C(F_p), and the dagger values of the basis at every affine Teichmueller point.
+
 Regenerate both disc files with `PYTHONPATH=src python tests/test_golden.py`.
+The Frobenius lock was written once by `_frobenius_lock()` before the integer
+Frobenius kernel replaced the PadicNumber reduction; it is not regenerated.
 """
 
 import functools
@@ -44,6 +51,8 @@ DISC_LAYER_PREC = 8
 DISC_LAYER_PRIMES = {"hyperelliptic_6081b": (7, 19), "superelliptic_a1": (7, 13)}
 FROBENIUS_MODELS = {"hyperelliptic_6081b": ("main_model",),
                     "superelliptic_a1": ("w_model", "x1_model")}
+FROBENIUS_LOCK = {"hyperelliptic_6081b": ((7, 12), (11, 12), (13, 12), (23, 8)),
+                  "superelliptic_a1": ((7, 12), (13, 12))}
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify"])
@@ -148,6 +157,56 @@ def _model_disc_layer() -> dict:
 def test_model_disc_layer_matches_golden_byte_for_byte():
     fresh = json.dumps(_model_disc_layer(), indent=1)
     assert fresh == (GOLDEN / "model_disc_layer.json").read_text()
+
+
+def _vun(x: PadicNumber) -> list:
+    return [x.v, x.u, x.N]
+
+
+def _trim_zero_classes(values) -> list:
+    values = list(values)
+    while values and values[-1].is_zero():
+        values.pop()
+    return values
+
+
+def _frobenius_lock() -> dict:
+    """Per fixture, (p, prec) and Frobenius model: the FrobeniusData as ints
+    and dagger_eval of every basis element at every affine Teichmueller point."""
+    out = {}
+    for fixture, settings_ in FROBENIUS_LOCK.items():
+        for p, prec in settings_:
+            I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p,
+                             prec_override=prec).integrator
+            for name in FROBENIUS_MODELS[fixture]:
+                m = getattr(I, name)()
+                fd = m.frobenius_data()
+                dagger = []
+                for poles, yparts in fd.dagger:
+                    ys = [PadicNumber.exact_zero(p)] * (1 + max((s for s, _ in yparts), default=-1))
+                    for s, lam in yparts:
+                        ys[s] = lam
+                    dagger.append({
+                        "poles": [[mm, [_vun(c) for c in _trim_zero_classes(poly)]]
+                                  for mm, poly in sorted(poles, key=lambda t: t[0])
+                                  if _trim_zero_classes(poly)],
+                        "y": [_vun(c) for c in _trim_zero_classes(ys)],
+                    })
+                values = [{"disc": [xb, yb],
+                           "dagger": [_vun(m.dagger_eval(i, T)) for i in range(m.dim)]}
+                          for xb, yb, _, T in _model_discs(m) if yb]
+                out[f"{fixture}@{p},{prec}/{name}"] = {
+                    "trunc_prec": fd.trunc_prec, "a_p": fd.a_p, "point_count": fd.point_count,
+                    "matrix": [[_vun(c) for c in row] for row in fd.matrix],
+                    "exact_parts": dagger,
+                    "teichmueller": values,
+                }
+    return out
+
+
+def test_frobenius_data_matches_lock_exactly():
+    lock = json.loads((GOLDEN / "frobenius.json").read_text())
+    assert _frobenius_lock() == lock
 
 
 @functools.lru_cache(maxsize=None)
