@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, nth_root, sqrt, teichmuller
-from .polyutil import padd, pderiv, pdivmod, peval, pmul, pscale, ptrim
+from .polyutil import pderiv, peval
 from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
 
 INFINITY = "infinity"  # endpoint marker for the point at infinity of an odd model
@@ -103,6 +103,7 @@ class HyperellipticModel:
         self._check_good_reduction()
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
+        self._daggers: dict = {}
 
     # -- setup helpers -------------------------------------------------------
 
@@ -168,108 +169,131 @@ class HyperellipticModel:
         return self._frob
 
     def _compute_frobenius(self) -> FrobeniusData:
-        p, M, K = self.p, self.M, self.K
-        mod = p ** M
-        fint = [c.residue(M) for c in self.f]
+        p, K, d = self.p, self.K, self.deg
+        tp = K - 4  # the K-term series truncation caps provable digits
+        top = p * K + (p - 1) // 2
+        # the integer kernel works mod p^N: the reduction divides by every 2m - 1,
+        # m <= top, and by some 2s + deg, s < p dim + deg, so N - E stays >= tp
+        loss = sum(_vp(2 * m - 1, p) for m in range(1, top + 1))
+        loss += sum(_vp(2 * s + d, p) for s in range(p * self.dim + d))
+        N = min(self.M, tp + loss)
+        mod = p ** N
+        fint = [c.residue(N) for c in self.f]
 
-        fxp = [0] * (p * self.deg + 1)
+        fxp = [0] * (p * d + 1)
         for k, c in enumerate(fint):
             fxp[p * k] = c
-        nE = _int_sub(fxp, _int_pow_mod(fint, p, mod), mod)
-        # E = nE / f^p as levels {m: poly} standing for sum poly_m / f^m
-        E_levels = {p - j: poly for j, poly in _f_adic_expand(nE, fint, mod).items()}
-        # S = (1 + E)^(-1/2) via Horner over binomial coefficients
-        S_levels = {0: [_int_from_fraction(_binom_half(K), p, M)]}
+        fp = [1]
+        for _ in range(p):
+            fp = _int_pmul(fp, fint, mod)
+        nE = _int_sub(fxp, fp, mod)  # E = nE / f^p
+        # S = (1 + E)^(-1/2) = num / f^(pK), num = sum_k c_k nE^k f^(p(K-k)) by Horner
+        num = [_int_from_fraction(_binom_half(K), p, N)]
+        fpow = [1]
         for k in range(K - 1, -1, -1):
-            S_levels = _levels_mul(S_levels, E_levels, fint, mod)
-            ck = _int_from_fraction(_binom_half(k), p, M)
-            S_levels[0] = _int_padd(S_levels.get(0, []), [ck], mod)
-
-        half = (p - 1) // 2
-        t_bez = self._bezout()
-        tp = self.K - 4  # the K-term series truncation caps provable digits
+            fpow = _int_pmul(fpow, fp, mod)
+            ck = _int_from_fraction(_binom_half(k), p, N)
+            num = _int_padd(_int_pmul(num, nE, mod), [c * ck % mod for c in fpow], mod)
+        # p num = sum_j r_j f^j, so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j)
+        digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
+        t_bez = [c.residue(N) for c in self._bezout()]
         matrix = []
         dagger = []
         for i in range(self.dim):
-            # phi(x^i dx/y) = p x^(p i + p - 1) S f^(-half) dx/y
-            levels: dict[int, list[int]] = {}
-            shift = p * i + p - 1
-            for j, poly in S_levels.items():
-                shifted = [0] * shift + [c * p % mod for c in poly]
-                for jj, piece in _f_adic_expand(shifted, fint, mod).items():
-                    tgt = j + half - jj
-                    levels[tgt] = _int_padd(levels.get(tgt, []), piece, mod)
-            col, poles, yparts = self._reduce(levels, t_bez)
-            matrix.append([_cap(c, tp) for c in col])
-            dagger.append(([(m, [_cap(c, tp) for c in poly]) for m, poly in poles],
-                           [(s, _cap(lam, tp)) for s, lam in yparts]))
+            # phi(x^i dx/y) = p x^(p i + p - 1) S f^(-(p-1)/2) dx/y
+            col, poles, yparts = self._reduce(digits, p * i + p - 1, top, fint, t_bez, N, tp)
+            matrix.append(col)
+            dagger.append((poles, yparts))
 
         a_p, count = self._verify(matrix)
         return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp,
                              a_p=a_p, point_count=count)
 
-    def _reduce(self, int_levels, t_bez):
-        """Reduce  sum_m P_m(x) dx / y^(2m+1)  to the basis, recording exact parts.
+    def _reduce(self, digits, shift, top, f, t, M, cap):
+        """Reduce  sum_j x^shift digits[j] dx / y^(2(top - j) + 1)  to the basis,
+        recording the exact parts.
 
-        t_bez is the cofactor of f' returned by _bezout.
+        Integer polynomials mod p^M: f is the model's, t the cofactor of f'
+        from _bezout.  A stored value c stands for c / p^E, where p^E collects
+        the p-parts of the divisors 2m - 1 and (2s + deg)/2 met so far, so each
+        output carries absolute precision M - E, capped at cap.
         """
-        p, M = self.p, self.M
-        levels: dict[int, list] = {}
-        poly_part: list = []
-        for m, poly in int_levels.items():
-            cs = ptrim([PadicNumber.from_int(c, p, M) for c in poly])
-            if not cs:
-                continue
-            if m > 0:
-                levels[m] = padd(levels.get(m, []), cs)
-            else:  # y^(2|m|) = f^(|m|)
-                lifted = cs
-                for _ in range(-m):
-                    lifted = pmul(lifted, self.f, p)
-                poly_part = padd(poly_part, lifted)
-        fprime = pderiv(self.f)
-        poles = []   # (m, poly):  exact part  poly(x) / y^(2m-1)
-        yparts = []  # (s, coeff): exact part  coeff * x^s * y
-        top = max(levels, default=0)
+        p, d = self.p, self.deg
+        mod = p ** M
+        fprime = [k * c % mod for k, c in enumerate(f)][1:]
+        f = [c - mod if 2 * c > mod else c for c in f]  # small representatives: cheaper products
+        lead_inv = pow(f[-1], -1, mod)
+        # per x^k, k < deg: B = x^k t mod f and the exact quotient (x^k - B f') / f
+        maps = []
+        for k in range(d):
+            B = _int_divmod_f(_int_pmul([0] * k + [1], t, mod), f, mod)[1]
+            Q, rem = _int_divmod_f(_int_sub([0] * k + [1], _int_pmul(B, fprime, mod), mod), f, mod)
+            if any(rem):
+                raise PrecisionExceeded("f does not divide P - B f' to the working precision")
+            maps.append((B, Q))
+
+        def out(c, E):
+            x = PadicNumber.from_int(c, p, M)
+            N = min(M - E, cap)
+            return PadicNumber.unknown_zero(p, N) if x.v - E >= N else \
+                PadicNumber(p, x.v - E, x.u % p ** (N - x.v + E), N)
+
+        E = 0
+        poles = []   # (m, E, poly):  exact part  poly(x) / (p^E y^(2m-1))
+        yparts = []  # (s, E, coeff): exact part  coeff * x^s * y / p^E
+        P = [0] * (max(shift, d) + d)
         for m in range(top, 0, -1):
-            P = ptrim(levels.pop(m, []))
-            if not P:
+            if top - m < len(digits):
+                scale = p ** E
+                for k, c in enumerate(digits[top - m]):
+                    P[shift + k] += c * scale
+            # P = Q f + R;  P dx/y^(2m+1) = (Q + (R - B f')/f + 2 B'/(2m-1)) dx/y^(2m-1)
+            #                                - d(2 B / ((2m-1) y^(2m-1)))  with B = R t mod f
+            Q, R = _int_divmod_f(P, f, mod)
+            if not any(R) and not any(Q):
                 continue
-            B = pdivmod(pmul(P, t_bez, p), self.f, p)[1]
-            A = pdivmod(padd(P, pscale(pmul(B, fprime, p), -1)), self.f, p)[0]
-            down = padd(A, pscale(pderiv(B), Fraction(2, 2 * m - 1)))
-            if m == 1:
-                poly_part = padd(poly_part, down)
-            else:
-                levels[m - 1] = padd(levels.get(m - 1, []), down)
-            poles.append((m, pscale(B, Fraction(-2, 2 * m - 1))))
+            B = [0] * d
+            for r, (Bk, Qk) in zip(R, maps):
+                for n, c in enumerate(Bk):
+                    B[n] += r * c
+                for n, c in enumerate(Qk):
+                    Q[n] += r * c
+            a = _vp(2 * m - 1, p)
+            E += a
+            scale = p ** a
+            inv = 2 * pow((2 * m - 1) // scale, -1, mod)
+            B = [c * inv % mod for c in B]
+            P = [c * scale for c in Q] + [0] * d
+            for n in range(1, d):
+                P[n - 1] += n * B[n]
+            poles.append((m, E, [-c % mod for c in B]))
+        P = [c % mod for c in P]
+        inv2 = pow(2, -1, mod)
         target = 2 * self.g if self.is_even else 2 * self.g - 1
-        poly_part = ptrim(poly_part)
-        lead_inv = self.f[-1].inverse()
-        while len(poly_part) - 1 > target:
-            if poly_part[-1].is_zero():
-                # zero class: uncertainty was already propagated by eliminations
-                poly_part = ptrim(poly_part[:-1])
+        while len(P) - 1 > target:
+            c = P.pop()
+            if not c:  # zero class
                 continue
-            D = len(poly_part) - 1
-            s = D - (self.deg - 1)
-            lam = poly_part[-1] * lead_inv / Fraction(2 * s + self.deg, 2)
-            piece1 = pscale([PadicNumber.exact_zero(p)] * (s - 1) + list(self.f), s) \
-                if s >= 1 else []
-            piece2 = pscale([PadicNumber.exact_zero(p)] * s + list(fprime), Fraction(1, 2))
-            dxy = padd(piece1, piece2)  # d(x^s y) / (dx/y)
-            res = padd(poly_part, pscale(dxy, -lam))
-            if not res[-1].is_zero():
+            s = len(P) - d + 1
+            a = _vp(2 * s + d, p)
+            E += a
+            scale = p ** a
+            lam = 2 * c * lead_inv * pow((2 * s + d) // scale, -1, mod) % mod
+            # d(x^s y) = (s x^(s-1) f + x^s f'/2) dx/y cancels the top term lam * x^(s+d-1)
+            if (c * scale - lam * (s + d * inv2) * f[-1]) % mod:
                 raise PrecisionExceeded("degree reduction failed to cancel the top term")
-            poly_part = ptrim(res[:-1])
-            yparts.append((s, lam))
-        col = [PadicNumber.unknown_zero(p, M)] * self.dim
-        for n, c in enumerate(poly_part):
-            if n < self.dim:
-                col[n] = c
-            elif not c.is_zero():
-                raise PrecisionExceeded("reduction left an unreduced coefficient")
-        return col, poles, yparts
+            P = [c * scale for c in P]
+            if s:
+                P[s - 1] -= lam * s * f[0]
+            for k in range(d - 1):
+                P[s + k] -= lam * (s * f[k + 1] + inv2 * fprime[k])
+            P = [c % mod for c in P]
+            yparts.append((s, E, lam))
+        if len(P) > self.dim:
+            raise PrecisionExceeded("reduction left an unreduced coefficient")
+        return ([out(c, E) for c in P] + [out(0, E)] * (self.dim - len(P)),
+                [(m, [out(c, e) for c in B]) for m, e, B in poles],
+                [(s, out(lam, e)) for s, e, lam in yparts])
 
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
@@ -288,7 +312,7 @@ class HyperellipticModel:
                 row.append(fprime[r - k] if 0 <= r - k <= self.deg - 1 else zero)
             rows.append(row)
             rhs.append(PadicNumber.from_int(1, p, self.M) if r == 0 else zero)
-        return ptrim(padic_solve(rows, rhs)[ns:])
+        return padic_solve(rows, rhs)[ns:]
 
     def _verify(self, matrix):
         p = self.p
@@ -355,6 +379,13 @@ class HyperellipticModel:
             acc = acc + xpart * pt.y
         return acc
 
+    def _dagger_vector(self, T: Point) -> list[PadicNumber]:
+        """dagger_eval of every basis element at the Teichmueller point T, once per point."""
+        key = (T.x.v, T.x.u, T.x.N, T.y.v, T.y.u, T.y.N)
+        if key not in self._daggers:
+            self._daggers[key] = [self.dagger_eval(i, T) for i in range(self.dim)]
+        return self._daggers[key]
+
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
         """Integrals of x^i dx/y between two points of one residue disc."""
         if P.x.residue(1) != Q.x.residue(1):
@@ -419,7 +450,7 @@ class HyperellipticModel:
         if (TP.x - TQ.x).is_zero() and (TP.y - TQ.y).is_zero():
             return [PadicNumber.exact_zero(p)] * self.dim
         frob = self.frobenius_data()
-        rhs = [self.dagger_eval(i, TQ) - self.dagger_eval(i, TP) for i in range(self.dim)]
+        rhs = [b - a for a, b in zip(self._dagger_vector(TP), self._dagger_vector(TQ))]
         rows = []
         for i in range(self.dim):
             row = []
@@ -432,13 +463,7 @@ class HyperellipticModel:
         return padic_solve(rows, rhs)
 
 
-def _cap(x: PadicNumber, N: int) -> PadicNumber:
-    if x.is_exact_zero():
-        return PadicNumber.unknown_zero(x.p, N)
-    return x.at_precision(min(x.N, N))
-
-
-# -- integer polynomial helpers (assembly phase, mod p^M) ----------------------
+# -- integer polynomial helpers (the Frobenius kernel, mod p^N) ----------------
 
 
 def _int_padd(a, b, mod):
@@ -455,35 +480,24 @@ def _int_sub(a, b, mod):
 
 
 def _int_pmul(a, b, mod):
+    """Product of polynomials with coefficients in [0, mod), reduced mod mod."""
     if not a or not b:
         return []
-    # Kronecker substitution: one native bigint multiply
-    blen = 2 * mod.bit_length() + (min(len(a), len(b))).bit_length() + 1
-    xa = 0
-    for c in reversed(a):
-        xa = (xa << blen) | c
-    xb = 0
-    for c in reversed(b):
-        xb = (xb << blen) | c
-    prod = xa * xb
-    mask = (1 << blen) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % mod)
-        prod >>= blen
-    return out
+    # Kronecker substitution into byte-aligned slots: one native bigint multiply
+    width = (2 * mod.bit_length() + min(len(a), len(b)).bit_length()) // 8 + 1
+    xa = _pack(a, width)
+    xb = xa if b is a else _pack(b, width)
+    raw = (xa * xb).to_bytes((len(a) + len(b) - 1) * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % mod
+            for i in range(0, len(raw), width)]
 
 
-def _int_pow_mod(a, k, mod):
-    out = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            out = _int_pmul(out, base, mod)
-        k >>= 1
-        if k:
-            base = _int_pmul(base, base, mod)
-    return out
+def _pack(cs, width):
+    """The integer whose width-byte slots hold cs; one buffer, no per-slot bytes kept."""
+    buf = bytearray(len(cs) * width)
+    for i, c in enumerate(cs):
+        buf[i * width:(i + 1) * width] = c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
 
 
 def _int_from_fraction(x: Fraction, p: int, M: int) -> int:
@@ -495,47 +509,53 @@ def _int_from_fraction(x: Fraction, p: int, M: int) -> int:
 
 def _int_divmod_f(poly, f, mod):
     """poly = q*f + r with deg r < deg f; f has unit leading coefficient."""
-    degf = len(f) - 1
-    if len(poly) <= degf:
-        return [], list(poly)
+    d = len(f) - 1
     lead_inv = pow(f[-1], -1, mod)
     rem = list(poly)
-    q = [0] * (len(poly) - degf)
+    q = [0] * (len(poly) - d)
     for i in range(len(q) - 1, -1, -1):
-        c = rem[i + degf] * lead_inv % mod
+        c = q[i] = rem[i + d] * lead_inv % mod
         if c:
-            q[i] = c
-            for k, fc in enumerate(f):
-                rem[i + k] = (rem[i + k] - c * fc) % mod
-    return q, rem[:degf]
+            for k in range(d):
+                rem[i + k] -= c * f[k]
+    return q, [c % mod for c in rem[:d]]
 
 
-def _f_adic_expand(poly, f, mod):
-    """Write poly = sum_j r_j(x) f(x)^j with deg r_j < deg f; returns {j: r_j}."""
-    out = {}
-    cur = [c % mod for c in poly]
-    j = 0
-    while cur:
-        q, r = _int_divmod_f(cur, f, mod)
-        if any(r):
-            out[j] = r
-        cur = q if any(q) else []
-        j += 1
-    return out
+def _int_series_inv(a, n, mod):
+    """Power series inverse of a (unit constant term) mod x^n, by Newton iteration."""
+    h = [pow(a[0], -1, mod)]
+    while len(h) < n:
+        k = min(2 * len(h), n)
+        err = _int_pmul(a[:k], h, mod)[len(h):k]  # a h = 1 + x^len(h) err
+        h += _int_pmul([-c % mod for c in err], h, mod)[:k - len(h)]
+    return h
 
 
-def _levels_mul(A, B, f, mod):
-    """Product of level maps standing for sum A[m]/f^m; re-split after multiplying."""
-    out: dict[int, list[int]] = {}
-    for m1, a in A.items():
-        for m2, b in B.items():
-            q, r = _int_divmod_f(_int_pmul(a, b, mod), f, mod)
-            m = m1 + m2
-            if any(r):
-                out[m] = _int_padd(out.get(m, []), r, mod)
-            if any(q):
-                out[m - 1] = _int_padd(out.get(m - 1, []), q, mod)
-    return out
+def _f_adic_digits(poly, f, mod):
+    """Digits r_j, deg r_j < deg f, of poly = sum_j r_j f^j.
+
+    Radix conversion: divide and conquer over f^(2^k), each division one
+    product with the inverse of the reversed divisor (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 9.1-9.2).
+    """
+    tables = [(f, _int_series_inv(f[::-1], len(f) - 1, mod))]
+    while 2 * (len(tables[-1][0]) - 1) < len(poly):
+        g = _int_pmul(tables[-1][0], tables[-1][0], mod)
+        tables.append((g, _int_series_inv(g[::-1], len(g) - 1, mod)))
+
+    def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits
+        if k < 0:
+            return [a]
+        g, ginv = tables[k]
+        n = len(g) - 1
+        lq = max(len(a) - n, 0)
+        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod)[:lq][::-1]
+        return split(_int_sub(a[:n], _int_pmul(q, g, mod)[:n], mod), k - 1) + split(q, k - 1)
+
+    digits = split(poly, len(tables) - 1)
+    while digits and not any(digits[-1]):
+        digits.pop()
+    return digits
 
 
 # -- the residue-disc layer of a chart y^n = g(x), g with PadicNumber coefficients --

@@ -232,3 +232,21 @@ def test_verify_builds_each_selmer_target_and_pseudoinverse_once(monkeypatch):
     assert eng.verify()["pass"]
     assert calls["selmer_target"] <= len(enumerate_reduction_types(eng.problem, eng.model))
     assert calls["moore_penrose"] <= len(eng.model.fibres)
+
+
+def test_solve_evaluates_each_dagger_function_once_per_teichmueller_point(monkeypatch):
+    from affine_chabauty.hyperelliptic import HyperellipticModel
+
+    calls = []
+    orig = HyperellipticModel.dagger_eval
+
+    def counted(self, i, pt):
+        calls.append((id(self), i, (pt.x.v, pt.x.u, pt.x.N, pt.y.v, pt.y.u, pt.y.N)))
+        return orig(self, i, pt)
+    monkeypatch.setattr(HyperellipticModel, "dagger_eval", counted)
+    eng = load("hyperelliptic_6081b.json", prec_override=8)
+    eng.solve()
+    assert calls
+    assert len(calls) == len(set(calls))
+    dim = eng.integrator.main_model().dim
+    assert len(calls) <= dim * len({pt for _, _, pt in calls})

@@ -177,3 +177,76 @@ def test_principal_divisor_holomorphic_vanishes():
         tot = [t + (v if sgn > 0 else -v) for t, v in zip(tot, vals)]
     # omega_0 = dx/y is holomorphic on this odd model
     assert tot[0].is_zero()
+
+
+# -- the integer Frobenius kernel ---------------------------------------------
+
+
+def _schoolbook(a, b, mod):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % mod
+    return out
+
+
+def _random_poly(rng, n, mod, zeros=0.2):
+    return [0 if rng.random() < zeros else rng.randrange(mod) for _ in range(n)]
+
+
+def test_kronecker_product_matches_schoolbook():
+    from affine_chabauty.hyperelliptic import _int_pmul
+
+    rng = random.Random(31)
+    shapes = [(1, 1), (1, 9), (4, 3), (17, 40), (64, 64), (2100, 3), (5, 2050), (300, 290)]
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        mod = p ** rng.randrange(1, 60)
+        for la, lb in shapes:
+            a, b = _random_poly(rng, la, mod), _random_poly(rng, lb, mod)
+            assert _int_pmul(a, b, mod) == _schoolbook(a, b, mod)
+        a = _random_poly(rng, 50, mod)
+        assert _int_pmul(a, a, mod) == _schoolbook(a, a, mod)
+        assert _int_pmul([0] * 30, a, mod) == [0] * 79
+        assert _int_pmul([], a, mod) == []
+
+
+def test_radix_conversion_round_trips():
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _int_padd, _int_pmul
+
+    rng = random.Random(32)
+    for p, d in ((3, 3), (7, 4), (11, 6), (23, 5)):
+        mod = p ** 30
+        f = _random_poly(rng, d, mod, zeros=0) + [rng.randrange(1, p)]
+        g = _random_poly(rng, 37, mod)
+        polys = [[], [5], _random_poly(rng, d - 1, mod), _random_poly(rng, d, mod),
+                 _random_poly(rng, 1000, mod), _int_pmul(f, g, mod), _int_pmul(f, f, mod)]
+        for poly in polys:
+            digits = _f_adic_digits(poly, f, mod)
+            assert all(len(r) <= d for r in digits)
+            acc = []
+            for r in reversed(digits):
+                acc = _int_padd(_int_pmul(acc, f, mod), r, mod)
+            n = max(len(acc), len(poly))
+            assert acc + [0] * (n - len(acc)) == poly + [0] * (n - len(poly))
+        assert not any(_f_adic_digits(_int_pmul(f, g, mod), f, mod)[0])
+
+
+def test_reduction_records_an_exact_form_and_checks_the_division():
+    from affine_chabauty.errors import PrecisionExceeded
+
+    m = model([1, 1, 0, 1])
+    p, M = m.p, m.M
+    mod = p ** M
+    f = [c.residue(M) for c in m.f]
+    t = [c.residue(M) for c in m._bezout()]
+    # d(1/y^3) = -(3/2) f' dx/y^5: nothing left in cohomology, exact part 1/y^3
+    dform = [-3 * k * c * pow(2, -1, mod) % mod for k, c in enumerate(f)][1:]
+    col, poles, yparts = m._reduce([dform], 0, 2, f, t, M, 10)
+    assert all(c.is_zero() for c in col) and yparts == []
+    assert [mm for mm, _ in poles] == [2]
+    assert poles[0][1][0].compare(1) == "equal"
+    assert all(c.is_zero() for c in poles[0][1][1:])
+    with pytest.raises(PrecisionExceeded):
+        m._reduce([dform], 0, 2, f, [(t[0] + 1) % mod] + t[1:], M, 10)
