@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         _emit(report, args)
         _print_verify_summary(report)
         return 0 if report["pass"] else 2
-    except ChabautyError as e:
+    except (ChabautyError, OSError) as e:  # OSError: the report could not be written
         json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

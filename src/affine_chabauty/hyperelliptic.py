@@ -104,6 +104,7 @@ class HyperellipticModel:
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
         self._daggers: dict = {}
+        self._dagger_tables: dict = {}
 
     # -- setup helpers -------------------------------------------------------
 
@@ -353,31 +354,40 @@ class HyperellipticModel:
 
     # -- integration ---------------------------------------------------------------
 
+    def _dagger_table(self, i: int):
+        """(S, Nc, cols): the dagger function of basis element i is y F(x, 1/y^2)
+        with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m] is p^S times the
+        coefficient of x^k z^m as an int, S clears every denominator and Nc is
+        the coefficients' common absolute precision.  Built once per element."""
+        if i not in self._dagger_tables:
+            frob = self.frobenius_data()
+            terms = [(m, k, c) for m, B in frob.dagger[i][0] for k, c in enumerate(B)]
+            terms += [(0, s, lam) for s, lam in frob.dagger[i][1]]
+            S = max([0] + [-c.v for _, _, c in terms if not c.is_zero()])
+            cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
+            for m, k, c in terms:
+                cols[k] += [0] * (m + 1 - len(cols[k]))
+                cols[k][m] = 0 if c.is_zero() else c.u * self.p ** (c.v + S)
+            Nc = min([frob.trunc_prec] + [c.N for _, _, c in terms])
+            self._dagger_tables[i] = S, Nc, cols
+        return self._dagger_tables[i]
+
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
-        """Value at pt of the recorded dagger function for basis element i."""
-        frob = self.frobenius_data()
-        poles, yparts = frob.dagger[i]
-        p = self.p
+        """Value at pt of the recorded dagger function for basis element i:
+        two Horner passes on ints mod p^(N + S), N the provable precision."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
-        acc = PadicNumber.exact_zero(p)
-        inv_y2 = (pt.y * pt.y).inverse()
-        by_m = sorted(poles, key=lambda t: t[0], reverse=True)
-        if by_m:
-            horner = PadicNumber.exact_zero(p)
-            idx = 0
-            for m in range(by_m[0][0], 0, -1):
-                if idx < len(by_m) and by_m[idx][0] == m:
-                    horner = horner + peval(by_m[idx][1], pt.x, p)
-                    idx += 1
-                horner = horner * inv_y2
-            acc = acc + horner * pt.y  # sum B_m / y^(2m-1)
-        if yparts:
-            xpart = PadicNumber.exact_zero(p)
-            for s, lam in sorted(yparts, key=lambda t: t[0], reverse=True):
-                xpart = xpart + lam * (pt.x ** s if s else 1)
-            acc = acc + xpart * pt.y
-        return acc
+        p = self.p
+        S, Nc, cols = self._dagger_table(i)
+        N = min(Nc, pt.x.N - S, pt.y.N - S)
+        R = p ** (N + S)
+        x, y = pt.x.residue(N + S), pt.y.residue(N + S)
+        z = pow(y * y, -1, R)
+        A = y * _horner_mod([_horner_mod(col, z, R) for col in cols], x, R) % R
+        if not A:
+            return PadicNumber.unknown_zero(p, N)
+        v = _vp(A, p)
+        return PadicNumber(p, v - S, A // p ** v, N)
 
     def _dagger_vector(self, T: Point) -> list[PadicNumber]:
         """dagger_eval of every basis element at the Teichmueller point T, once per point."""

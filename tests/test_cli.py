@@ -45,6 +45,17 @@ def test_solve_superelliptic_partial_exit_two(tmp_path, capsys):
         for d in e.get("discs", []) for r in d.get("roots", []) if r["matched"]]
 
 
+def test_unwritable_report_path_exits_one_with_a_record(tmp_path, capsys):
+    path = _stage(tmp_path, "hyperelliptic_6081b.json")
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["verify", str(path), "--prec", "6", "--out", str(out)])
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rc == 1
+    assert record["error"] == "FileNotFoundError"
+    assert str(out) in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("prec", [1, 2])
 @pytest.mark.parametrize("fixture", ["hyperelliptic_6081b.json", "superelliptic_a1.json"])
 def test_tiny_precision_ends_partial_with_typed_reasons(tmp_path, capsys, fixture, prec):

@@ -1,11 +1,19 @@
+import copy
+import dataclasses
+import functools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
-from affine_chabauty.hyperelliptic import INFINITY, HyperellipticModel, Point
-from affine_chabauty.padics import PadicNumber
+from affine_chabauty.hyperelliptic import INFINITY, HyperellipticModel, Point, chart_center
+from affine_chabauty.padics import PadicNumber, _horner_mod
+from affine_chabauty.polyutil import peval
+from affine_chabauty.problem import load_problem
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
 PREC = 8
 
@@ -250,3 +258,104 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
     assert all(c.is_zero() for c in poles[0][1][1:])
     with pytest.raises(PrecisionExceeded):
         m._reduce([dform], 0, 2, f, [(t[0] + 1) % mod] + t[1:], M, 10)
+
+
+# -- integer dagger evaluation ----------------------------------------------
+
+DAGGER_MODELS = [("hyperelliptic_6081b", "main_model", 7),
+                 ("hyperelliptic_6081b", "main_model", 23),
+                 ("superelliptic_a1", "x1_model", 7)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_model(fixture, name, p):
+    engine = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=PREC)
+    return getattr(engine.integrator, name)()
+
+
+def _scaled(m, k):
+    """A copy of m whose dagger coefficients are divided by p^k, so that its
+    int table needs S > 0 digits of headroom."""
+    p = m.p
+
+    def div(c):
+        return PadicNumber.unknown_zero(p, c.N - k) if c.is_zero() else \
+            PadicNumber(p, c.v - k, c.u, c.N - k)
+
+    fd = m.frobenius_data()
+    out = copy.copy(m)
+    out._frob = dataclasses.replace(fd, dagger=[
+        ([(mm, [div(c) for c in B]) for mm, B in poles], [(s, div(lam)) for s, lam in yparts])
+        for poles, yparts in fd.dagger])
+    out._daggers, out._dagger_tables = {}, {}
+    return out
+
+
+def _dagger_reference(m, i, pt):
+    """The dagger function of basis element i at pt by PadicNumber Horner:
+    the reference for the int evaluation."""
+    poles, yparts = m.frobenius_data().dagger[i]
+    p = m.p
+    by_m = dict(poles)
+    inv_y2 = (pt.y * pt.y).inverse()
+    horner = PadicNumber.exact_zero(p)
+    for mm in range(max(by_m), 0, -1):
+        if mm in by_m:
+            horner = horner + peval(by_m[mm], pt.x, p)
+        horner = horner * inv_y2
+    xpart = PadicNumber.exact_zero(p)
+    for s, lam in sorted(yparts, key=lambda t: t[0], reverse=True):
+        xpart = xpart + lam * (pt.x ** s if s else 1)
+    return horner * pt.y + xpart * pt.y
+
+
+def _vun(x):
+    return x.v, x.u, x.N
+
+
+@pytest.mark.parametrize("key", DAGGER_MODELS)
+def test_integer_dagger_matches_padic_horner_at_full_precision(key):
+    base = _fixture_model(*key)
+    pts = points_on(base, 4, random.Random(41))
+    scaled = _scaled(base, 3)
+    for m in (base, scaled):
+        for pt in pts:
+            for i in range(m.dim):
+                assert _vun(m.dagger_eval(i, pt)) == _vun(_dagger_reference(m, i, pt))
+    assert all(scaled._dagger_table(i)[0] > 0 for i in range(base.dim))
+
+
+@pytest.mark.parametrize("key", DAGGER_MODELS)
+def test_integer_dagger_on_truncated_points_never_claims_more_precision(key):
+    base = _fixture_model(*key)
+    pt = points_on(base, 1, random.Random(42))[0]
+    for m in (base, _scaled(base, 3)):
+        for i in range(m.dim):
+            S, Nc, _ = m._dagger_table(i)
+            for cut in (Nc + S - 1, Nc + S - 4, S + 2):
+                for x, y in ((pt.x.at_precision(cut), pt.y), (pt.x, pt.y.at_precision(cut)),
+                             (pt.x.at_precision(cut), pt.y.at_precision(cut + 1))):
+                    got = m.dagger_eval(i, Point(x, y))
+                    ref = _dagger_reference(m, i, Point(x, y))
+                    assert got.N == min(Nc, x.N - S, y.N - S) <= ref.N
+                    assert got.compare(ref) != "distinct"
+
+
+@pytest.mark.parametrize("key", DAGGER_MODELS[:2])
+def test_integer_dagger_at_an_exact_zero_x(key):
+    m = _fixture_model(*key)
+    T = m.teichmueller_point(m.lift_x(0, sign_hint=3))  # f(0) = 9
+    assert T.x.is_exact_zero()
+    for i in range(m.dim):
+        assert _vun(m.dagger_eval(i, T)) == _vun(_dagger_reference(m, i, T))
+
+
+@pytest.mark.parametrize("key", DAGGER_MODELS[1:])
+def test_integer_dagger_rejects_weierstrass_discs(key):
+    m = _fixture_model(*key)
+    fbar = [c.residue(1) for c in m.f]
+    xbar = next(x for x in range(m.p) if _horner_mod(fbar, x, m.p) == 0)
+    W = Point(*chart_center(m.f, 2, xbar, 0, m.M))
+    for pt in (W, Point(W.x, PadicNumber.from_int(m.p, m.p, m.M))):
+        with pytest.raises(EndpointRestriction):
+            m.dagger_eval(0, pt)
