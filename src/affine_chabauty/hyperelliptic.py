@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from .curves import _separable
 from .errors import (
@@ -180,22 +181,9 @@ class HyperellipticModel:
         N = min(self.M, tp + loss)
         mod = p ** N
         fint = [c.residue(N) for c in self.f]
-
-        fxp = [0] * (p * d + 1)
-        for k, c in enumerate(fint):
-            fxp[p * k] = c
-        fp = [1]
-        for _ in range(p):
-            fp = _int_pmul(fp, fint, mod)
-        nE = _int_sub(fxp, fp, mod)  # E = nE / f^p
-        # S = (1 + E)^(-1/2) = num / f^(pK), num = sum_k c_k nE^k f^(p(K-k)) by Horner
-        num = [_int_from_fraction(_binom_half(K), p, N)]
-        fpow = [1]
-        for k in range(K - 1, -1, -1):
-            fpow = _int_pmul(fpow, fp, mod)
-            ck = _int_from_fraction(_binom_half(k), p, N)
-            num = _int_padd(_int_pmul(num, nE, mod), [c * ck % mod for c in fpow], mod)
-        # p num = sum_j r_j f^j, so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j)
+        # S = (1 + (f(x^p) - f^p)/f^p)^(-1/2) = num / f^(pK);  p num = sum_j r_j f^j,
+        # so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j)
+        num = _frobenius_numerator(fint, p, K, N)
         digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
         t_bez = [c.residue(N) for c in self._bezout()]
         matrix = []
@@ -510,11 +498,53 @@ def _pack(cs, width):
     return int.from_bytes(buf, "little")
 
 
+def _int_pmul_stride(a, g, p, mod):
+    """a(x) g(x^p): one product with g per exponent class of a mod p."""
+    if not a or not g:
+        return []
+    out = [0] * (len(a) + (len(g) - 1) * p)
+    for r in range(min(p, len(a))):
+        out[r::p] = _int_pmul(a[r::p], g, mod)
+    return out
+
+
 def _int_from_fraction(x: Fraction, p: int, M: int) -> int:
     mod = p ** M
     if x.denominator % p == 0:
         raise ValueError("denominator divisible by p")
     return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def _frobenius_numerator(f, p, K, N):
+    """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(-1/2, k) and
+    u = f(x^p) - f^p, so that (1 + u/f^p)^(-1/2) = num / f^(pK) to K terms.
+
+    With F = f(x^p) = f^p + u this is sum_j a_j u^j F^(K-j), built by binary
+    splitting, P(lo, hi) = F^(hi-mid) P(lo, mid) + u^(mid-lo) P(mid, hi), bottom
+    up with mid - lo a power of 2.  A product by F^m = f^m(x^p) is p small
+    products (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 10).
+    """
+    mod = p ** N
+    fpow = [[1]]  # f^m for m <= p and every F-exponent, all <= (K + 1) / 2
+    for _ in range(max(p, K // 2 + 1)):
+        fpow.append(_int_pmul(fpow[-1], f, mod))
+    u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
+    c = [_int_from_fraction(_binom_half(k), p, N) for k in range(K + 1)]
+    level = [[sum((-1) ** (j - k) * comb(K - k, j - k) * c[k] for k in range(j + 1)) % mod]
+             for j in range(K + 1)]  # the P(j, j + 1) = a_j
+    width, upow = 1, u  # every node but the last sums width terms; upow = u^width
+    while len(level) > 1:
+        last = K + 1 - width * (len(level) - 1)
+        merged = []
+        for i in range(0, len(level) - 1, 2):
+            m = width if i + 2 < len(level) else last  # terms of the right node
+            merged.append(_int_padd(_int_pmul_stride(level[i], fpow[m], p, mod),
+                                    _int_pmul(upow, level[i + 1], mod), mod))
+        level = merged + level[2 * len(merged):]
+        width *= 2
+        if len(level) > 1:
+            upow = _int_pmul(upow, upow, mod)
+    return level[0]
 
 
 def _int_divmod_f(poly, f, mod):

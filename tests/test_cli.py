@@ -99,6 +99,21 @@ def test_missing_field_exit_one(tmp_path, capsys):
         "message": "problem file lacks the required field 'curve'"}
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: [], "a problem file holds one JSON object"),
+    (lambda data: {**data, "known_points": [[1]]}, "a known point must be a pair [x, y], got [1]"),
+    (lambda data: {**data, "curve": "x"}, "field 'curve' must be an object, got 'x'"),
+    (lambda data: {**data, "model": {**data["model"], "fibres": "x"}},
+     "field 'fibres' must be an array, got 'x'"),
+], ids=["top-level-array", "one-coordinate-point", "string-curve", "string-fibres"])
+def test_malformed_problem_file_exit_one(tmp_path, capsys, edit, message):
+    path = _stage(tmp_path, "hyperelliptic_6081b.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc = main(["verify", str(path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ProblemFileError", "message": message}
+
+
 def test_bad_known_point_rejected(tmp_path, capsys):
     path = _stage(tmp_path, "hyperelliptic_6081b.json")
     data = json.loads(path.read_text())

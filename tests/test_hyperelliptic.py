@@ -241,6 +241,57 @@ def test_radix_conversion_round_trips():
         assert not any(_f_adic_digits(_int_pmul(f, g, mod), f, mod)[0])
 
 
+def test_stride_product_matches_the_dense_product():
+    from affine_chabauty.hyperelliptic import _int_pmul, _int_pmul_stride
+
+    rng = random.Random(33)
+    for p in (3, 5, 7, 23):
+        mod = p ** 20
+        for la, lg in ((1, 1), (1, 6), (p - 1, 4), (p, 1), (p + 2, 7), (5 * p + 3, 13), (300, 40)):
+            a, g = _random_poly(rng, la, mod), _random_poly(rng, lg, mod)
+            spread = [0] * ((lg - 1) * p + 1)
+            spread[::p] = g
+            assert _int_pmul_stride(a, g, p, mod) == _int_pmul(a, spread, mod)
+        assert _int_pmul_stride([], [1], p, mod) == []
+
+
+def _numerator_reference(f, p, K, N):
+    """num = sum_k c_k u^k f^(p(K-k)), u = f(x^p) - f^p, by Horner: the
+    reference for the binary splitting."""
+    from affine_chabauty.hyperelliptic import (
+        _binom_half, _int_from_fraction, _int_padd, _int_pmul, _int_sub)
+
+    mod = p ** N
+    fxp = [0] * (p * (len(f) - 1) + 1)
+    fxp[::p] = f
+    fp = [1]
+    for _ in range(p):
+        fp = _int_pmul(fp, f, mod)
+    u = _int_sub(fxp, fp, mod)
+    num = [_int_from_fraction(_binom_half(K), p, N)]
+    fpow = [1]
+    for k in range(K - 1, -1, -1):
+        fpow = _int_pmul(fpow, fp, mod)
+        ck = _int_from_fraction(_binom_half(k), p, N)
+        num = _int_padd(_int_pmul(num, u, mod), [c * ck % mod for c in fpow], mod)
+    return num
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+def test_binary_splitting_numerator_matches_horner(p):
+    from affine_chabauty.hyperelliptic import _frobenius_numerator
+
+    rng = random.Random(34 + p)
+    N = 15
+    mod = p ** N
+    polys = [[c % mod for c in (9, 20, 2, -18, -7, 2, 1)],   # even degree
+             [c % mod for c in (1, 1, 0, 1)],                # odd degree
+             _random_poly(rng, 5, mod, zeros=0) + [rng.randrange(1, p)]]
+    for f in polys:
+        for K in (0, 1, 2, 7, 22):
+            assert _frobenius_numerator(f, p, K, N) == _numerator_reference(f, p, K, N)
+
+
 def test_reduction_records_an_exact_form_and_checks_the_division():
     from affine_chabauty.errors import PrecisionExceeded
 
