@@ -75,6 +75,8 @@ def _print_solve_summary(report: dict) -> None:
         cond = entry.get("condition", {})
         print(f"  {entry['label']}: condition "
               f"{'holds' if cond.get('holds') else 'FAILS'} (slack {cond.get('slack')})")
+        if "error" in entry:
+            print(f"    error: {entry['error']}")
         if "kernel" in entry:
             for vec in entry["kernel"]:
                 print("    kernel: (" + ", ".join(vec) + ")")
@@ -90,7 +92,8 @@ def _print_solve_summary(report: dict) -> None:
     pts = report.get("points", {})
     print(f"  matched known points: {len(pts.get('matched_known', []))}; "
           f"extra candidates: {len(pts.get('extra_candidates', []))}; "
-          f"unresolved discs: {len(pts.get('unresolved_discs', []))}")
+          f"unresolved discs: {len(pts.get('unresolved_discs', []))}; "
+          f"failed types: {sum('error' in e for e in report['reduction_types'])}")
     print(f"  status: {report['status']}")
 
 
@@ -98,9 +101,9 @@ def _print_verify_summary(report: dict) -> None:
     print(f"problem {report['problem']}: verify {'PASS' if report['pass'] else 'FAIL'}")
     for row in report["points"]:
         mark = "ok " if row.get("pass") else "FAIL"
-        vals = row.get("residual_valuations", [])
-        print(f"  [{mark}] ({row['point'][0]}, {row['point'][1]})"
-              f"  residual valuations {vals}  [{row.get('sigma')}]")
+        detail = row["error"] if "error" in row else \
+            f"residual valuations {row.get('residual_valuations', [])}"
+        print(f"  [{mark}] ({row['point'][0]}, {row['point'][1]})  {detail}  [{row.get('sigma')}]")
     dets = report.get("determinants", [])
     if dets:
         worst = min((d["valuation"] for d in dets),

@@ -444,7 +444,8 @@ class Engine:
         A point passes when its residual vanishes for some reduction type
         compatible with its (possibly partially known) component data; the
         exact type is pinned down only when the point's incidence vectors
-        are ingested.
+        are ingested.  A type whose locus data or integral fails gives the
+        point a failing row that carries the typed error.
         """
         types = enumerate_reduction_types(self.problem, self.model)
         rows = []
@@ -458,9 +459,14 @@ class Engine:
             candidates = self._candidate_types(pt, types)
             best = None
             for sigma in candidates:
-                tr = self.locus_record(sigma)
-                residuals = [self.integrator.integral(om, base, (pt.x, pt.y)).value - c
-                             for om, c in zip(tr.kernel[1], tr.constants)]
+                try:
+                    tr = self.locus_record(sigma)
+                    residuals = [self.integrator.integral(om, base, (pt.x, pt.y)).value - c
+                                 for om, c in zip(tr.kernel[1], tr.constants)]
+                except ChabautyError as e:
+                    best = best or {"point": [str(pt.x), str(pt.y)], "sigma": sigma.label,
+                                    "pass": False, "error": f"{type(e).__name__}: {e}"}
+                    continue
                 ok = all(v.is_zero() for v in residuals)
                 rec = {
                     "point": [str(pt.x), str(pt.y)],

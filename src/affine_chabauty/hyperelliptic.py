@@ -1,11 +1,10 @@
 """Frobenius-lift machinery and Coleman integration on hyperelliptic models.
 
-Works with y^2 = f(x) over Zp, f squarefree with unit leading coefficient
-and unit discriminant (good reduction), of odd degree 2g+1 or even degree
-2g+2.  The Frobenius action is computed on the Monsky-Washnitzer basis
-x^i dx/y (i = 0..2g-1 for odd degree, i = 0..2g for even degree; the last
-even-degree element is the logarithmic differential with simple poles at
-the two points at infinity).
+Works with y^2 = f(x) over Zp, f squarefree of even degree 2g+2 with unit
+leading coefficient and unit discriminant (good reduction).  The Frobenius
+action is computed on the Monsky-Washnitzer basis x^i dx/y, i = 0..2g; the
+last element is the logarithmic differential with simple poles at the two
+points at infinity.
 
 The reduction keeps, per basis element, the exact-form bookkeeping needed
 to evaluate the associated dagger function at integration endpoints, so a
@@ -37,8 +36,6 @@ from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, nth_root, sqrt, teichmuller
 from .polyutil import pderiv, peval
 from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
-
-INFINITY = "infinity"  # endpoint marker for the point at infinity of an odd model
 
 
 def loss_budget(p: int, K: int, deg: int) -> int:
@@ -90,12 +87,11 @@ class HyperellipticModel:
         deg = len(f_coeffs) - 1
         while deg >= 0 and self.f_rational[deg] == 0:
             deg -= 1
-        if deg < 3:
-            raise ValueError("need deg f >= 3")
+        if deg < 4 or deg % 2:
+            raise ValueError(f"need even deg f >= 4, got degree {deg}")
         self.deg = deg
-        self.g = (deg - 1) // 2
-        self.is_even = deg % 2 == 0
-        self.dim = 2 * self.g + (1 if self.is_even else 0)
+        self.g = deg // 2 - 1
+        self.dim = 2 * self.g + 1
         self.K = prec + 6
         self.M = prec + loss_budget(p, self.K, deg) + 8
         self.f = [PadicNumber.from_rational(c, p, self.M) for c in self.f_rational[: deg + 1]]
@@ -258,8 +254,7 @@ class HyperellipticModel:
             poles.append((m, E, [-c % mod for c in B]))
         P = [c % mod for c in P]
         inv2 = pow(2, -1, mod)
-        target = 2 * self.g if self.is_even else 2 * self.g - 1
-        while len(P) - 1 > target:
+        while len(P) > self.dim:
             c = P.pop()
             if not c:  # zero class
                 continue
@@ -278,8 +273,6 @@ class HyperellipticModel:
                 P[s + k] -= lam * (s * f[k + 1] + inv2 * fprime[k])
             P = [c % mod for c in P]
             yparts.append((s, E, lam))
-        if len(P) > self.dim:
-            raise PrecisionExceeded("reduction left an unreduced coefficient")
         return ([out(c, E) for c in P] + [out(0, E)] * (self.dim - len(P)),
                 [(m, [out(c, e) for c in B]) for m, e, B in poles],
                 [(s, out(lam, e)) for s, e, lam in yparts])
@@ -308,8 +301,10 @@ class HyperellipticModel:
         tr = matrix[0][0]
         for i in range(1, self.dim):
             tr = tr + matrix[i][i]
-        count = self._point_count_fp()
-        expected_tr = p + 1 - count + (p if self.is_even else 0)
+        count, chi = self._point_count_fp()
+        # the log class x^(2g) dx/y sees the two points at infinity: eigenvalue
+        # p if Frobenius fixes them (lc(f) a square mod p), -p if it swaps them
+        expected_tr = p + 1 - count + chi * p
         if tr.compare(expected_tr) == "distinct":
             raise PrecisionExceeded(
                 f"Frobenius trace {tr} does not match the point count {count}")
@@ -317,14 +312,15 @@ class HyperellipticModel:
         if a_p * a_p > 4 * self.g * self.g * p:
             raise BadReduction("point count violates the Weil bound")
         det = padic_det([row[:] for row in matrix])
-        expected_v = self.g + (1 if self.is_even else 0)
-        if det.is_zero() or det.v != expected_v:
+        if det.is_zero() or det.v != self.g + 1:
             raise PrecisionExceeded(
                 f"det(Frobenius) valuation {det.v if not det.is_zero() else '?'}"
-                f" != {expected_v}")
+                f" != {self.g + 1}")
         return a_p, count
 
-    def _point_count_fp(self) -> int:
+    def _point_count_fp(self) -> tuple[int, int]:
+        """#C(F_p) of the smooth model and the Legendre symbol chi of lc(f):
+        the curve has 1 + chi points at infinity."""
         p = self.p
         fbar = [c.residue(1) for c in self.f]
         count = 0
@@ -334,11 +330,8 @@ class HyperellipticModel:
                 count += 1
             elif pow(fx, (p - 1) // 2, p) == 1:
                 count += 2
-        if self.is_even:
-            count += 2 if pow(fbar[-1], (p - 1) // 2, p) == 1 else 0
-        else:
-            count += 1
-        return count
+        chi = 1 if pow(fbar[-1], (p - 1) // 2, p) == 1 else -1
+        return count + 1 + chi, chi
 
     # -- integration ---------------------------------------------------------------
 
@@ -403,21 +396,11 @@ class HyperellipticModel:
     def basis_integrals(self, P, Q) -> list[PadicNumber]:
         """Coleman integrals of all basis differentials from P to Q.
 
-        Endpoints are Points, or INFINITY on odd-degree models.  Every basis
-        differential is anti-invariant under the hyperelliptic involution,
-        which reduces Weierstrass-disc and infinite endpoints to integrals
+        Every basis differential is anti-invariant under the hyperelliptic
+        involution, which reduces Weierstrass-disc endpoints to integrals
         between generic points.
         """
         p = self.p
-        if P is INFINITY or Q is INFINITY:
-            if self.is_even:
-                raise EndpointRestriction("infinite-disc endpoints on an even model")
-            if P is INFINITY and Q is INFINITY:
-                return [PadicNumber.exact_zero(p)] * self.dim
-            if P is INFINITY:
-                half = self.basis_integrals(Q.involution(), Q)
-                return [x / 2 for x in half]
-            return [-x for x in self.basis_integrals(Q, P)]
         wP, wQ = self.is_weierstrass_disc(P), self.is_weierstrass_disc(Q)
         if wP and wQ:
             t1 = self.tiny_basis_integrals(P, self.teichmueller_point(P))

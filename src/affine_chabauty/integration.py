@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedFamily,
 )
 from .hyperelliptic import (
-    INFINITY,
     HyperellipticModel,
     Point,
     _local_parametrization,
@@ -84,14 +83,6 @@ class Integrator:
             self._models["main"] = HyperellipticModel(
                 [int(c) for c in self.curve.f], self.p, self.work)
         return self._models["main"]
-
-    def w_model(self) -> HyperellipticModel:
-        """Odd Weierstrass model v'^2 = u'^3 + (a^2/4 - 1) of the elliptic chart."""
-        if "w" not in self._models:
-            a = self.curve.a
-            self._models["w"] = HyperellipticModel(
-                [a * a / 4 - 1, 0, 0, Fraction(1)], self.p, self.work)
-        return self._models["w"]
 
     def cube_roots(self) -> list[PadicNumber]:
         if "zetas" not in self._models:
@@ -188,20 +179,21 @@ class Integrator:
     # -- superelliptic ----------------------------------------------------------------
 
     def _uv_coords(self, pt):
-        """(u', v') on the shifted Weierstrass chart; INFINITY for x = 0."""
+        """(u', v') on the shifted Weierstrass chart v'^2 = u'^3 + a^2/4 - 1;
+        None for x = 0, the point at infinity of that chart."""
         x, y = pt
         a = self.curve.a
         if not isinstance(x, PadicNumber) and Fraction(x) == 0:
-            return INFINITY
+            return None
         xp, yp = self._to_pad(x), self._to_pad(y)
         if xp.is_zero():
-            return INFINITY
+            return None
         u = yp / xp
         v = xp.inverse() + a / 2
         return (u, v)
 
     def _check_endpoint(self, uv):
-        if uv is INFINITY:
+        if uv is None:
             return
         u, v = uv
         if u.v < 0:
@@ -212,21 +204,14 @@ class Integrator:
                 "endpoint lies in a cusp residue disc or its involution image")
 
     def _super_vector(self, P, Q):
+        """omega_1 = -(3/2) du'/v' and omega_2, omega_3, all integrated on X_1.
+
+        tau_zeta pulls du'/v' back to (2/a) ds/t, so omega_1 integrates to -3/a
+        times the ds/t integral of the zeta = 1 pass (Coleman integrals obey
+        change of variables)."""
         uvP, uvQ = self._uv_coords(P), self._uv_coords(Q)
         for uv in (uvP, uvQ):
             self._check_endpoint(uv)
-        w1 = self._super_omega1(uvP, uvQ)
-        w2, w3 = self._super_omega23(uvP, uvQ)
-        return [w1, w2, w3]
-
-    def _super_omega1(self, uvP, uvQ):
-        m = self.w_model()
-        ptP = uvP if uvP is INFINITY else m.point(*uvP)
-        ptQ = uvQ if uvQ is INFINITY else m.point(*uvQ)
-        vals = m.basis_integrals(ptP, ptQ)
-        return vals[0] * Fraction(-3, 2)
-
-    def _super_omega23(self, uvP, uvQ):
         zetas = self.cube_roots()
         # symmetric parts: pullbacks from P^1 in the coordinate w = 1/u'; the
         # residue weights sum to zero, so the value at w = infinity vanishes
@@ -237,18 +222,18 @@ class Integrator:
         # antisymmetric parts on X_zeta, each computed on X_1
         X = self.x1_model()
         for z in zetas:
-            tauP = self._tau(uvP, z, X)
-            tauQ = self._tau(uvQ, z, X)
-            vals = X.basis_integrals(tauP, tauQ)
+            vals = X.basis_integrals(self._tau(uvP, z, X), self._tau(uvQ, z, X))
+            if z is zetas[0]:  # zeta = 1
+                i1 = vals[0] * Fraction(-3, self.curve.a)
             I_z = vals[1] / 2  # s ds/(2t)
             i2 = i2 + (-z) * I_z
             i3 = i3 + (-z.inverse()) * I_z
-        return i2, i3
+        return [i1, i2, i3]
 
     def _plus_part(self, uv, zetas, inverse_weight: bool) -> PadicNumber:
         """sum_zeta -1/2 zeta^(+-1) log(w - zeta) at one endpoint (w = 1/u')."""
         p = self.p
-        if uv is INFINITY:
+        if uv is None:
             w = PadicNumber.exact_zero(p)        # u' = infinity: w = 0
         else:
             u = uv[0]
@@ -269,7 +254,7 @@ class Integrator:
         tau(infinity) = (0, 0) on every X_zeta.
         """
         p = self.p
-        if uv is INFINITY:
+        if uv is None:
             return X.point(PadicNumber.exact_zero(p), PadicNumber.exact_zero(p))
         u, v = uv
         a = self.curve.a

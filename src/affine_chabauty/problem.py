@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .curves import CurveProblem, KnownPoint, make_curve
+from .curves import CurveProblem, KnownPoint, _is_prime, make_curve
 from .engine import Engine, MWGenerator, NamedPoint, UnitGenerator
 from .errors import ProblemFileError
 from .linalg import RationalMatrix
@@ -16,104 +16,189 @@ from .padics import parse_padic
 SCHEMA = "affine-chabauty-problem/1"
 
 
-def _frac(v) -> Fraction:
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+
+
+def _frac(v, where: str) -> Fraction:
+    """A rational given as a JSON integer or a string such as "-3/4"."""
+    if isinstance(v, str) or isinstance(v, int) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ProblemFileError(f"field {where!r} must be a rational, got {v!r}")
+
+
+def _int(v, where: str) -> int:
+    """An integer given as a JSON integer or a string such as "487"."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
     if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    raise ProblemFileError(f"expected a rational, got {v!r}")
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ProblemFileError(f"field {where!r} must be an integer, got {v!r}")
 
 
-def _block(data: dict, key: str, kind: type, default=None):
-    """data[key], which must be a JSON object (kind dict) or array (kind list);
-    a block with no default is required."""
-    value = data[key] if default is None else data.get(key, default)
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise ProblemFileError(f"field {key!r} must be {name}, got {value!r}")
-    return value
+def _padic(v, p: int, where: str):
+    """A p-adic number in the digit-string form that render_padic writes."""
+    if isinstance(v, str):
+        try:
+            return parse_padic(v, p)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ProblemFileError(f"field {where!r} must be a p-adic number, got {v!r}")
 
 
-def _pair(xy, what: str):
-    """The two coordinates of a point [x, y]."""
+def _prime(q: int, where: str) -> int:
+    if not _is_prime(q):
+        raise ProblemFileError(f"field {where!r} must be a prime, got {q}")
+    return q
+
+
+def _fracs(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ProblemFileError(f"field {where!r} must be an array, got {v!r}")
+    return [_frac(c, f"{where}[{i}]") for i, c in enumerate(v)]
+
+
+class _Record:
+    """One JSON object of a problem file and its path, e.g. 'units[0]'.  Each
+    read checks the field's type and names the field's path when it fails."""
+
+    def __init__(self, data, path: str):
+        if not isinstance(data, dict):
+            raise ProblemFileError(f"field {path!r} must be an object, got {data!r}")
+        self.data, self.path = data, path
+
+    def at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def raw(self, key, default=_REQUIRED):
+        if key in self.data:
+            return self.data[key]
+        if default is _REQUIRED:
+            raise ProblemFileError(f"problem file lacks the required field {self.at(key)!r}")
+        return default
+
+    def get(self, key, kind: type, default=_REQUIRED):
+        value = self.raw(key, default)
+        if not isinstance(value, kind) and value is not default:
+            raise ProblemFileError(f"field {self.at(key)!r} must be {_KINDS[kind]}, got {value!r}")
+        return value
+
+    def record(self, key, default=_REQUIRED) -> "_Record":
+        return _Record(self.get(key, dict, default), self.at(key))
+
+    def records(self, key) -> list:
+        """The optional array of objects at key."""
+        return [_Record(r, f"{self.at(key)}[{i}]") for i, r in enumerate(self.get(key, list, []))]
+
+    def frac(self, key, default=_REQUIRED) -> Fraction:
+        value = self.raw(key, default)
+        return value if value is default else _frac(value, self.at(key))
+
+    def int(self, key, default=_REQUIRED) -> int:
+        value = self.raw(key, default)
+        return value if value is default else _int(value, self.at(key))
+
+    def fracs(self, key) -> list:
+        return _fracs(self.raw(key), self.at(key))
+
+    def ints(self, key) -> list:
+        """The optional array of integers at key."""
+        return [_int(q, f"{self.at(key)}[{i}]") for i, q in enumerate(self.get(key, list, []))]
+
+    def prime(self, key) -> int:
+        return _prime(self.int(key), self.at(key))
+
+
+def _pair(xy, what: str, where: str):
+    """The two coordinates of a point [x, y] at path where."""
     if not isinstance(xy, list) or len(xy) != 2:
         raise ProblemFileError(f"{what} must be a pair [x, y], got {xy!r}")
-    return _frac(xy[0]), _frac(xy[1])
+    return _frac(xy[0], f"{where}[0]"), _frac(xy[1], f"{where}[1]")
 
 
 def load_problem(path, p_override: int | None = None,
                  prec_override: int | None = None) -> Engine:
-    data = json.loads(Path(path).read_text())
-    try:
-        return build_engine(data, p_override, prec_override)
-    except KeyError as e:
-        raise ProblemFileError(f"problem file lacks the required field {e.args[0]!r}") from None
+    return build_engine(json.loads(Path(path).read_text()), p_override, prec_override)
 
 
 def build_engine(data: dict, p_override: int | None = None,
                  prec_override: int | None = None) -> Engine:
     if not isinstance(data, dict):
         raise ProblemFileError("a problem file holds one JSON object")
-    if data.get("schema") != SCHEMA:
-        raise ProblemFileError(f"unsupported schema {data.get('schema')!r}")
-    curve_block = _block(data, "curve", dict)
-    family = curve_block["family"]
-    kw = {}
-    if "f" in curve_block:
-        kw["f"] = [_frac(c) for c in curve_block["f"]]
-    if "a" in curve_block:
-        kw["a"] = _frac(curve_block["a"])
-    curve = make_curve(family, **kw)
+    doc = _Record(data, "")
+    if doc.raw("schema", None) != SCHEMA:
+        raise ProblemFileError(f"unsupported schema {doc.raw('schema', None)!r}")
+    curve_block = doc.record("curve")
+    family = curve_block.get("family", str)
+    if family == "even_hyperelliptic":
+        curve = make_curve(family, f=curve_block.fracs("f"))
+    elif family == "superelliptic":
+        curve = make_curve(family, a=curve_block.frac("a"))
+    else:
+        curve = make_curve(family)
 
-    arith = _block(data, "arithmetic", dict)
-    p = int(arith["p"]) if p_override is None else p_override
-    prec = int(arith.get("precision", 12)) if prec_override is None else prec_override
-    S = [int(q) for q in arith.get("S", [])]
+    arith = doc.record("arithmetic")
+    p = arith.int("p") if p_override is None else p_override
+    prec = arith.int("precision", 12) if prec_override is None else prec_override
+    S = [_prime(q, f"arithmetic.S[{i}]") for i, q in enumerate(arith.ints("S"))]
 
-    bp = _block(data, "base_point", dict)
-    base = KnownPoint(_frac(bp["x"]), _frac(bp["y"]))
+    bp = doc.record("base_point")
+    base = KnownPoint(bp.frac("x"), bp.frac("y"))
     problem = CurveProblem(curve=curve, base_point=base, S=S, p=p, prec=prec,
-                           label=data.get("label", "problem"))
+                           label=doc.get("label", str, "problem"))
 
     points = {"P0": NamedPoint("P0", base.x, base.y)}
-    for rec in _block(data, "points", list, []):
-        pt = NamedPoint(rec["id"], _frac(rec["x"]), _frac(rec["y"]))
+    for rec in doc.records("points"):
+        pt = NamedPoint(rec.get("id", str), rec.frac("x"), rec.frac("y"))
         if not curve.contains(pt.x, pt.y):
             raise ProblemFileError(f"point {pt.id} is not on the curve")
         points[pt.id] = pt
 
     generators = []
-    for rec in _block(data, "generators", list, []):
-        divisor = []
-        for pid, mult in rec["divisor"]:
+    for rec in doc.records("generators"):
+        gid, divisor = rec.get("id", str), []
+        for i, term in enumerate(rec.get("divisor", list)):
+            where = f"{rec.at('divisor')}[{i}]"
+            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], str)):
+                raise ProblemFileError(
+                    f"field {where!r} must be a pair [point id, multiplicity], got {term!r}")
+            pid, mult = term[0], _int(term[1], where)
             if pid not in points:
-                raise ProblemFileError(f"generator {rec['id']} references unknown point {pid}")
-            divisor.append((points[pid], int(mult)))
+                raise ProblemFileError(f"generator {gid} references unknown point {pid}")
+            divisor.append((points[pid], mult))
         if sum(m for _, m in divisor) != 0:
-            raise ProblemFileError(f"generator {rec['id']} is not a degree-zero divisor")
-        generators.append(MWGenerator(rec["id"], divisor))
+            raise ProblemFileError(f"generator {gid} is not a degree-zero divisor")
+        generators.append(MWGenerator(gid, divisor))
 
     cusp_fields = {c.id: c.nfield for c in curve.cusps}
 
     units = []
-    for rec in _block(data, "units", list, []):
-        values = {}
-        for cid, coeffs in rec["values"].items():
+    for rec in doc.records("units"):
+        uid, values, by_cusp = rec.get("id", str), {}, rec.record("values")
+        for cid in by_cusp.data:
             if cid not in cusp_fields:
-                raise ProblemFileError(f"unit {rec['id']} references unknown cusp {cid}")
-            values[cid] = cusp_fields[cid]([_frac(c) for c in coeffs])
-        units.append(UnitGenerator(rec["id"], values))
+                raise ProblemFileError(f"unit {uid} references unknown cusp {cid}")
+            values[cid] = cusp_fields[cid](by_cusp.fracs(cid))
+        units.append(UnitGenerator(uid, values))
 
-    model = _build_model(_block(data, "model", dict, {}), cusp_fields)
+    model = _build_model(doc.record("model", {}), cusp_fields)
 
-    imported = [(_pair(rec["from"], "an integral endpoint"),
-                 _pair(rec["to"], "an integral endpoint"),
-                 [parse_padic(s, p) for s in rec["values"]])
-                for rec in _block(data, "imported_integrals", list, [])]
+    imported = []
+    for rec in doc.records("imported_integrals"):
+        values = [_padic(v, p, f"{rec.at('values')}[{i}]")
+                  for i, v in enumerate(rec.get("values", list))]
+        imported.append((_pair(rec.raw("from"), "an integral endpoint", rec.at("from")),
+                         _pair(rec.raw("to"), "an integral endpoint", rec.at("to")), values))
 
     known = []
-    for xy in _block(data, "known_points", list, []):
-        x, y = _pair(xy, "a known point")
+    for i, xy in enumerate(doc.get("known_points", list, [])):
+        x, y = _pair(xy, "a known point", f"known_points[{i}]")
         kp = NamedPoint(f"({xy[0]},{xy[1]})", x, y)
         if not curve.contains(kp.x, kp.y):
             raise ProblemFileError(f"known point {xy} is not on the curve")
@@ -123,43 +208,49 @@ def build_engine(data: dict, p_override: int | None = None,
                   imported=imported, known_points=known)
 
 
-def _build_model(block: dict, cusp_fields: dict) -> RegularModelData:
+def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
     fibres = {}
-    for rec in _block(block, "fibres", list, []):
-        q = int(rec["prime"])
-        comps = [ComponentData(c["id"], int(c["multiplicity"]),
-                               bool(c.get("has_smooth_point", True)))
-                 for c in rec["components"]]
-        mat = RationalMatrix(rec["intersection_matrix"])
-        inc = {k: [_frac(x) for x in v] for k, v in rec.get("incidences", {}).items()}
-        fibres[q] = FibreData(prime=q, components=comps, matrix=mat, incidences=inc,
-                              base_component=rec.get("base_component", ""))
+    for rec in block.records("fibres"):
+        q = rec.prime("prime")
+        comps = [ComponentData(c.get("id", str), c.int("multiplicity"),
+                               c.get("has_smooth_point", bool, True))
+                 for c in rec.records("components")]
+        rows = [_fracs(row, f"{rec.at('intersection_matrix')}[{i}]")
+                for i, row in enumerate(rec.get("intersection_matrix", list))]
+        if any(len(row) != len(comps) for row in rows):
+            raise ProblemFileError(f"fibre over {q}: matrix shape mismatch")
+        mat = RationalMatrix(rows)
+        inc = rec.record("incidences", {})
+        fibres[q] = FibreData(prime=q, components=comps, matrix=mat,
+                              incidences={k: inc.fracs(k) for k in inc.data},
+                              base_component=rec.get("base_component", str, ""))
     lambdas = []
-    for rec in _block(block, "cusp_primes", list, []):
-        cusp = rec["cusp"]
+    for rec in block.records("cusp_primes"):
+        lid, cusp = rec.get("id", str), rec.get("cusp", str)
         if cusp not in cusp_fields:
-            raise ProblemFileError(f"lambda record {rec['id']} references unknown cusp {cusp}")
-        gen = cusp_fields[cusp]([_frac(c) for c in rec["generator"]])
+            raise ProblemFileError(f"lambda record {lid} references unknown cusp {cusp}")
+        gen = cusp_fields[cusp](rec.fracs("generator"))
         if gen.is_zero():
-            raise ProblemFileError(f"lambda record {rec['id']} has a zero generator")
+            raise ProblemFileError(f"lambda record {lid} has a zero generator")
+        incidences = rec.record("component_incidences", {})
         lambdas.append(LambdaRecord(
-            id=rec["id"], cusp=cusp, over_prime=int(rec["over_prime"]),
-            e=int(rec.get("e", 1)), f=int(rec.get("f", 1)),
+            id=lid, cusp=cusp, over_prime=rec.prime("over_prime"),
+            e=rec.int("e", 1), f=rec.int("f", 1),
             generator=gen,
-            gen_exponent=_frac(rec.get("exponent", 1)),
-            split_residue=rec.get("split_residue"),
-            component_incidences={k: _frac(v) for k, v in
-                                  rec.get("component_incidences", {}).items()},
-            cuspidal_point=bool(rec.get("cuspidal_point", False)),
+            gen_exponent=rec.frac("exponent", Fraction(1)),
+            split_residue=rec.int("split_residue", None),
+            component_incidences={k: incidences.frac(k) for k in incidences.data},
+            cuspidal_point=rec.get("cuspidal_point", bool, False),
         ))
     overrides = {}
-    for rec in _block(block, "overrides", list, []):
-        overrides[(rec["object"], rec["lambda"])] = _frac(rec["value"])
+    for rec in block.records("overrides"):
+        overrides[(rec.get("object", str), rec.get("lambda", str))] = rec.frac("value")
+    rho = block.record("rho", {})
     return RegularModelData(
         fibres=fibres,
         lambdas=lambdas,
-        rho={int(k): _frac(v) for k, v in _block(block, "rho", dict, {}).items()},
-        transversal_over=[int(q) for q in block.get("transversal_over", [])],
+        rho={_int(k, rho.at(k)): rho.frac(k) for k in rho.data},
+        transversal_over=block.ints("transversal_over"),
         overrides=overrides,
-        regular_charts=[int(q) for q in block.get("regular_charts", [])],
+        regular_charts=block.ints("regular_charts"),
     )

@@ -1,13 +1,17 @@
+import copy
 import json
 import pathlib
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_chabauty import errors
 from affine_chabauty.cli import main
+from affine_chabauty.engine import Engine
 from affine_chabauty.models import enumerate_reduction_types
-from affine_chabauty.problem import load_problem
+from affine_chabauty.problem import build_engine, load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -43,6 +47,33 @@ def test_solve_superelliptic_partial_exit_two(tmp_path, capsys):
     assert ["216/487", "438/487"] in [
         r["matched"] for e in report["reduction_types"]
         for d in e.get("discs", []) for r in d.get("roots", []) if r["matched"]]
+
+
+def test_solve_summary_names_each_failed_type(tmp_path, capsys):
+    # at p = 19 every reduction type of the superelliptic fixture ends in an error
+    path = _stage(tmp_path, "superelliptic_a1.json")
+    rc = main(["solve", str(path), "--p", "19", "--prec", "8", "--out", str(tmp_path / "r.json")])
+    out = capsys.readouterr().out.splitlines()
+    entries = json.loads((tmp_path / "r.json").read_text())["reduction_types"]
+    assert rc == 2
+    assert len(entries) == 4 and all(e["error"].startswith("EndpointRestriction: ") for e in entries)
+    assert [line.strip() for line in out if "error:" in line] == [
+        f"error: {e['error']}" for e in entries]
+    assert out[-2].endswith("unresolved discs: 0; failed types: 4")
+
+
+def test_verify_records_a_typed_error_in_the_point_row(tmp_path, capsys):
+    # at p = 19 the known point's reduction type has no locus data
+    path = _stage(tmp_path, "superelliptic_a1.json")
+    rc = main(["verify", str(path), "--p", "19", "--prec", "8", "--out", str(tmp_path / "r.json")])
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert rc == 2
+    assert report["pass"] is False
+    (row,) = report["points"]
+    assert row["point"] == ["216/487", "438/487"] and row["pass"] is False
+    assert row["error"].startswith("EndpointRestriction: ")
+    assert row["error"] in out
 
 
 def test_unwritable_report_path_exits_one_with_a_record(tmp_path, capsys):
@@ -99,19 +130,89 @@ def test_missing_field_exit_one(tmp_path, capsys):
         "message": "problem file lacks the required field 'curve'"}
 
 
+def _edited(data, path, value):
+    """A copy of data with the node at path set to value."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda data: [], "a problem file holds one JSON object"),
     (lambda data: {**data, "known_points": [[1]]}, "a known point must be a pair [x, y], got [1]"),
     (lambda data: {**data, "curve": "x"}, "field 'curve' must be an object, got 'x'"),
     (lambda data: {**data, "model": {**data["model"], "fibres": "x"}},
-     "field 'fibres' must be an array, got 'x'"),
-], ids=["top-level-array", "one-coordinate-point", "string-curve", "string-fibres"])
+     "field 'model.fibres' must be an array, got 'x'"),
+    (lambda data: {**data, "points": [1]}, "field 'points[0]' must be an object, got 1"),
+    (lambda data: {**data, "units": [{"id": "u", "values": []}]},
+     "field 'units[0].values' must be an object, got []"),
+    (lambda data: {**data, "arithmetic": {**data["arithmetic"], "p": [7]}},
+     "field 'arithmetic.p' must be an integer, got [7]"),
+    (lambda data: {**data, "generators": [{"id": "G", "divisor": [["P0"]]}]},
+     "field 'generators[0].divisor[0]' must be a pair [point id, multiplicity], got ['P0']"),
+    (lambda data: _edited(data, ("model", "fibres", 0, "intersection_matrix", 1), [1, -2, 1]),
+     "fibre over 3: matrix shape mismatch"),
+    (lambda data: {**data, "imported_integrals": [
+        {"from": ["-1", "1"], "to": ["0", "3"], "values": ["1 + O(7^8)", 7]}]},
+     "field 'imported_integrals[0].values[1]' must be a p-adic number, got 7"),
+    # an over_prime of 1 used to hang the loader in the valuation loop
+    (lambda data: _edited(data, ("model", "cusp_primes", 0, "over_prime"), 1),
+     "field 'model.cusp_primes[0].over_prime' must be a prime, got 1"),
+    (lambda data: _edited(data, ("arithmetic", "S"), [0]),
+     "field 'arithmetic.S[0]' must be a prime, got 0"),
+    (lambda data: _edited(data, ("model", "fibres", 0, "prime"), 4),
+     "field 'model.fibres[0].prime' must be a prime, got 4"),
+], ids=["top-level-array", "one-coordinate-point", "string-curve", "string-fibres",
+        "integer-point-record", "array-unit-values", "array-prime", "one-entry-divisor-term",
+        "ragged-matrix", "integer-imported-value", "over-prime-one", "s-zero", "fibre-prime-four"])
 def test_malformed_problem_file_exit_one(tmp_path, capsys, edit, message):
     path = _stage(tmp_path, "hyperelliptic_6081b.json")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     rc = main(["verify", str(path)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ProblemFileError", "message": message}
+
+
+def _nodes(value, path=()):
+    """The path of every node below value, the root excluded."""
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+FIXTURE_DATA = {name: json.loads((PROBLEMS / name).read_text())
+                for name in ("hyperelliptic_6081b.json", "superelliptic_a1.json")}
+FIXTURE_NODES = [(name, path) for name, data in FIXTURE_DATA.items() for path in _nodes(data)]
+JSON_VALUES = [None, True, 0, 2.5, "x", [], {}]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(node=st.sampled_from(FIXTURE_NODES), op=st.sampled_from(["delete", "swap", "wrap"]),
+       other=st.sampled_from(JSON_VALUES))
+def test_one_malformed_node_loads_or_raises_a_typed_error(node, op, other):
+    """Delete a key, swap a value for one of another JSON type or wrap it in a
+    list: loading either succeeds or raises a ChabautyError."""
+    name, path = node
+    data = copy.deepcopy(FIXTURE_DATA[name])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif op == "wrap":
+        parent[key] = [parent[key]]
+    elif type(other) is not type(parent[key]):
+        parent[key] = other
+    try:
+        assert isinstance(build_engine(data), Engine)
+    except errors.ChabautyError:
+        pass
 
 
 def test_bad_known_point_rejected(tmp_path, capsys):

@@ -14,7 +14,7 @@ the center, x(t), y(t) and every basis expansion of each non-cuspidal disc,
 at primes that reach even and superelliptic Weierstrass discs.
 
 tests/golden/model_disc_layer.json locks the same layer on the Frobenius
-models (main, w and X_1): per affine and Weierstrass disc, one point of the
+models (main and X_1): per affine and Weierstrass disc, one point of the
 disc, its center, the disc series at the center and the tiny integrals of the
 basis from the point to the center, at full stored precision.
 
@@ -50,7 +50,7 @@ LADDER_STEP = 4
 DISC_LAYER_PREC = 8
 DISC_LAYER_PRIMES = {"hyperelliptic_6081b": (7, 19), "superelliptic_a1": (7, 13)}
 FROBENIUS_MODELS = {"hyperelliptic_6081b": ("main_model",),
-                    "superelliptic_a1": ("w_model", "x1_model")}
+                    "superelliptic_a1": ("x1_model",)}
 FROBENIUS_LOCK = {"hyperelliptic_6081b": ((7, 12), (11, 12), (13, 12), (23, 8)),
                   "superelliptic_a1": ((7, 12), (13, 12))}
 

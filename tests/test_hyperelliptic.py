@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
-from affine_chabauty.hyperelliptic import INFINITY, HyperellipticModel, Point, chart_center
+from affine_chabauty.hyperelliptic import HyperellipticModel, Point, chart_center
 from affine_chabauty.padics import PadicNumber, _horner_mod
 from affine_chabauty.polyutil import peval
 from affine_chabauty.problem import load_problem
@@ -41,25 +41,52 @@ def points_on(m, count, rng):
     return out
 
 
+# y^2 = x^4 + x^3 + x + 2: genus 1, good reduction at 5, 7 and 11; over F_7
+# f takes the values 2, 5, 0, 1, 4, 1, 1 at x = 0..6 and lc(f) = 1 is a square
+QUARTIC = [2, 1, 0, 1, 1]
+
+
+def brute_force_count(f, p):
+    """#C(F_p) of the smooth model of y^2 = f(x), deg f even, by enumeration."""
+    count = sum(1 for x in range(p) for y in range(p)
+                if (y * y - sum(c * x ** i for i, c in enumerate(f))) % p == 0)
+    return count + (2 if any((y * y - f[-1]) % p == 0 for y in range(1, p)) else 0)
+
+
 def test_trace_matches_point_count_g1():
     # a_p from the Frobenius trace equals 7 + 1 - #points mod 7
-    m = model([1, 1, 0, 1])
+    m = model(QUARTIC)
     fd = m.frobenius_data()
-    assert fd.a_p == 7 + 1 - fd.point_count
-    assert fd.point_count == 5
+    assert fd.point_count == brute_force_count(QUARTIC, 7) == 13
+    assert fd.a_p == 7 + 1 - 13
+
+
+@pytest.mark.parametrize("f, p", [([1, 0, 0, 0, 3], 7), ([2, 1, 0, 1, 3], 7), ([1, 1, 0, 1, 3], 5)])
+def test_trace_check_with_a_nonsquare_leading_coefficient(f, p):
+    # the two points at infinity are conjugate: the log class has eigenvalue -p
+    assert pow(f[-1], (p - 1) // 2, p) == p - 1
+    fd = model(f, p=p).frobenius_data()
+    assert fd.point_count == brute_force_count(f, p)
+    assert fd.a_p == p + 1 - fd.point_count
 
 
 def test_bad_reduction_rejected():
     with pytest.raises(BadReduction):
-        model([0, 0, 1, 1])  # x^2(x+1): not squarefree
+        model([0, 0, 1, 1, 1])  # x^2(x^2+x+1): not squarefree
     with pytest.raises(BadReduction):
-        model([7, 0, 0, 1])  # disc(x^3 + 7) = -27*49 vanishes mod 7
+        model([7, 0, 0, 0, 1])  # disc(x^4 + 7) vanishes mod 7
+
+
+def test_odd_degree_rejected():
+    for f in ([1, 1, 0, 1], [1, 0, 0, 0, 0, 1], [1, 1, 0, 1, 0]):
+        with pytest.raises(ValueError):
+            model(f)
 
 
 def test_weil_and_det_checks_run():
-    # several small curves, odd and even degree, different primes
-    for f, p in [([1, 1, 0, 1], 5), ([1, 1, 0, 1], 11),
-                 ([2, 1, 3, 1], 7), ([1, 0, 1, 0, 1], 7),
+    # several small curves, quartic and sextic, different primes
+    for f, p in [(QUARTIC, 5), (QUARTIC, 11),
+                 ([4, 0, 1, 1, 1], 7), ([1, 0, 1, 0, 1], 7),
                  ([1, 1, -5, -1, 3, 2, 4], 7)]:
         m = model(f, p=p)
         fd = m.frobenius_data()
@@ -68,7 +95,7 @@ def test_weil_and_det_checks_run():
 
 def test_concatenation_and_antisymmetry():
     rng = random.Random(21)
-    m = model([1, 1, 0, 1])
+    m = model(QUARTIC)
     pts = points_on(m, 3, rng)
     P, Q, R = pts
     a = m.basis_integrals(P, Q)
@@ -81,9 +108,9 @@ def test_concatenation_and_antisymmetry():
 
 
 def test_tiny_equals_global_within_disc():
-    m = model([1, 1, 0, 1])
-    P = m.lift_x(2, sign_hint=2)
-    Q = m.lift_x(2 + 7, sign_hint=2)
+    m = model(QUARTIC)
+    P = m.lift_x(3, sign_hint=1)
+    Q = m.lift_x(3 + 7, sign_hint=1)
     tiny = m.tiny_basis_integrals(P, Q)
     full = m.basis_integrals(P, Q)
     for i in range(m.dim):
@@ -91,16 +118,16 @@ def test_tiny_equals_global_within_disc():
 
 
 def test_tiny_integrals_reject_endpoints_of_two_discs():
-    m = model([1, 1, 0, 1])
-    P = m.lift_x(2, sign_hint=2)
+    m = model(QUARTIC)
+    P = m.lift_x(3, sign_hint=1)
     with pytest.raises(DifferentDiscs):
-        m.tiny_basis_integrals(P, m.lift_x(0, sign_hint=1))   # another x residue
+        m.tiny_basis_integrals(P, m.lift_x(0, sign_hint=3))   # another x residue
     with pytest.raises(DifferentDiscs):
         m.tiny_basis_integrals(P, P.involution())             # the opposite disc
 
 
 def test_center_of_a_point_at_infinity_is_rejected():
-    m = model([1, 1, 0, 1])
+    m = model(QUARTIC)
     P = Point(PadicNumber.from_rational(Fraction(1, 7), 7, m.M), PadicNumber.from_int(1, 7, m.M))
     with pytest.raises(EndpointRestriction):
         m.teichmueller_point(P)
@@ -108,10 +135,10 @@ def test_center_of_a_point_at_infinity_is_rejected():
 
 def test_independent_of_center_choice():
     # integral computed directly vs routed through a third point
-    m = model([1, 1, 0, 1])
-    P = m.lift_x(2, sign_hint=2)
-    Q = m.lift_x(0, sign_hint=1)
-    R = m.lift_x(9, sign_hint=5)
+    m = model(QUARTIC)
+    P = m.lift_x(3, sign_hint=1)
+    Q = m.lift_x(0, sign_hint=3)
+    R = m.lift_x(11, sign_hint=2)
     direct = m.basis_integrals(P, Q)
     routed = [x + y for x, y in zip(m.basis_integrals(P, R), m.basis_integrals(R, Q))]
     for i in range(m.dim):
@@ -119,8 +146,8 @@ def test_independent_of_center_choice():
 
 
 def test_weierstrass_disc_endpoints():
-    # y^2 = x^3 + x: x = 0 is a simple Weierstrass residue mod 7
-    m = model([0, 1, 0, 1])
+    # y^2 = x^4 + x: x = 0 is a simple Weierstrass residue mod 7
+    m = model([0, 1, 0, 0, 1])
     P = m.lift_x(1, sign_hint=3)    # f(1) = 2, sqrt(2) = 3 mod 7
     center = Point(PadicNumber.exact_zero(7), PadicNumber.exact_zero(7))
     xs, ys, _ = m.disc_series(center)
@@ -139,29 +166,16 @@ def test_weierstrass_disc_endpoints():
     for i in range(m.dim):
         assert (out[i] + back[i]).is_zero()
     # concatenate through the Weierstrass disc
-    Q = m.lift_x(5, sign_hint=2)   # f(5) = 130 = 4 mod 7 = 2^2
+    Q = m.lift_x(2, sign_hint=2)   # f(2) = 18 = 4 mod 7 = 2^2
     via = [a + b for a, b in zip(m.basis_integrals(P, A), m.basis_integrals(A, Q))]
     direct = m.basis_integrals(P, Q)
     for i in range(m.dim):
         assert via[i].compare(direct[i]) != "distinct"
 
 
-def test_infinity_endpoint_odd_model():
-    m = model([1, 1, 0, 1])
-    P = m.lift_x(2, sign_hint=2)
-    Q = m.lift_x(0, sign_hint=1)
-    ia = m.basis_integrals(INFINITY, P)
-    ib = m.basis_integrals(P, Q)
-    ic = m.basis_integrals(INFINITY, Q)
-    for i in range(m.dim):
-        assert (ia[i] + ib[i] - ic[i]).is_zero()
-    with pytest.raises(EndpointRestriction):
-        model([1, 1, -5, -1, 3, 2, 4]).basis_integrals(INFINITY, P)
-
-
 def test_disc_series_satisfies_curve_equation():
     rng = random.Random(22)
-    for f in ([1, 1, 0, 1], [2, 1, 3, 1], [1, 1, -5, -1, 3, 2, 4]):
+    for f in (QUARTIC, [0, 1, 0, 0, 1], [1, 1, -5, -1, 3, 2, 4]):
         m = model(f)
         for P in points_on(m, 2, rng):
             xs, ys, _ = m.disc_series(P)
@@ -176,14 +190,14 @@ def _poly_series(coeffs, xs):
 
 
 def test_principal_divisor_holomorphic_vanishes():
-    m = model([1, 1, 0, 1])
-    P1 = m.lift_x(2, sign_hint=2)
-    P2 = m.lift_x(0, sign_hint=1)
+    m = model(QUARTIC)
+    P1 = m.lift_x(3, sign_hint=1)
+    P2 = m.lift_x(0, sign_hint=3)
     tot = [PadicNumber.exact_zero(7)] * m.dim
     for pt, sgn in [(P1, 1), (P1.involution(), 1), (P2, -1), (P2.involution(), -1)]:
         vals = m.basis_integrals(P2, pt)
         tot = [t + (v if sgn > 0 else -v) for t, v in zip(tot, vals)]
-    # omega_0 = dx/y is holomorphic on this odd model
+    # div((x - 3)/x): omega_0 = dx/y is holomorphic on this genus-1 quartic
     assert tot[0].is_zero()
 
 
@@ -295,7 +309,7 @@ def test_binary_splitting_numerator_matches_horner(p):
 def test_reduction_records_an_exact_form_and_checks_the_division():
     from affine_chabauty.errors import PrecisionExceeded
 
-    m = model([1, 1, 0, 1])
+    m = model(QUARTIC)
     p, M = m.p, m.M
     mod = p ** M
     f = [c.residue(M) for c in m.f]

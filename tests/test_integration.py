@@ -12,8 +12,8 @@ from affine_chabauty.curves import (
 from affine_chabauty.errors import DifferentDiscs, EndpointRestriction, PoleOnDisc
 from affine_chabauty.hyperelliptic import HyperellipticModel
 from affine_chabauty.integration import Integrator
-from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic, sqrt as padic_sqrt
-from affine_chabauty.series import Subordination, TruncatedSeries
+from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
+from affine_chabauty.series import polynomial, sqrt_series
 
 F61 = [9, 20, 2, -18, -7, 2, 1]
 
@@ -64,6 +64,27 @@ def test_tiny_integral_api_and_different_discs():
     assert v1.compare(v2) != "distinct"
     with pytest.raises(DifferentDiscs):
         I.tiny_integral(om, P, (Fraction(0), Fraction(3)))
+    # superelliptic: from each affine disc center to the point at t = 1, all
+    # three basis elements; a = 3 tells the omega_1 scale -3/a from -3/2
+    for a, p, expected in ((1, 7, 9), (3, 13, 36)):
+        I = Integrator(CurveProblem(curve=SuperellipticCurve(a),
+                                    base_point=KnownPoint(Fraction(0), Fraction(0)),
+                                    S=[], p=p, prec=8))
+        one = PadicNumber.from_int(1, p, I._hi())
+        checked = 0
+        for disc in I.residue_discs():
+            if disc.kind != "affine":
+                continue
+            xs, ys = I.disc_parametrization(disc)
+            C, R = I.disc_center(disc), (xs.evaluate(one), ys.evaluate(one))
+            for om in I.curve.basis():
+                try:
+                    full = I.integral(om, C, R).value
+                except EndpointRestriction:
+                    continue
+                assert I.tiny_integral(om, C, R).value.compare(full) != "distinct", (a, p, disc)
+                checked += 1
+        assert checked == expected
 
 
 def test_endpoint_restriction_superelliptic():
@@ -96,22 +117,17 @@ def test_cuspidal_discs_have_no_center_parametrization_or_expansion():
 def test_superelliptic_split_decomposition_series():
     """omega_2 = omega_2+ + omega_2- re-expanded on a disc of the chart."""
     p, N = 7, 12
-    prob = super_problem(prec=N)
-    I = Integrator(prob)
-    W = I.w_model()
-    # disc of u' = 0 on v'^2 = u'^3 - 3/4: the non-Weierstrass affine disc
-    v2 = W.curve_rhs(PadicNumber.from_int(0, p, W.M))
-    P = W.point(PadicNumber.from_int(0, p, W.M), padic_sqrt(v2, sign_hint=1))
-    us, vs, _ = W.disc_series(P)
-    T = us.order
+    a, T, hi = Fraction(1), 2 * N, Integrator(super_problem(prec=N))._hi()
+    # disc of u' = 0 on v'^2 = u'^3 - 3/4, u' = 7 t: a non-Weierstrass affine disc
+    us = polynomial([0, p] + [0] * (T - 2), p, hi)
+    vs = sqrt_series(us * us * us + PadicNumber.from_rational(a * a / 4 - 1, p, hi), sign_hint=1)
     du = us.derivative()
-    a = Fraction(1)
     # full omega_2 = -3 du/(v(2v+a)) with v = v' - a/2
-    v_chart = vs + PadicNumber.from_rational(-a / 2, p, W.M)
-    twov_a = v_chart.scale(2) + PadicNumber.from_rational(a, p, W.M)
+    v_chart = vs + PadicNumber.from_rational(-a / 2, p, hi)
+    twov_a = v_chart.scale(2) + PadicNumber.from_rational(a, p, hi)
     full = du.scale(-3) * (v_chart * twov_a).inverse()
     # plus part: -(3/2) du/(u'^3 - 1)
-    u3m1 = (us * us * us) + PadicNumber.from_int(-1, p, W.M)
+    u3m1 = (us * us * us) + PadicNumber.from_int(-1, p, hi)
     plus = du.scale(Fraction(-3, 2)) * u3m1.inverse()
     # minus part: -(3a/(4 v')) du/(u'^3 - 1)
     minus = du.scale(Fraction(-3, 4) * a) * (u3m1 * vs).inverse()
@@ -134,8 +150,8 @@ def test_x1_model_carries_every_x_zeta(a):
             assert (qk * z ** (2 * k)).compare(z * z * fk) == "equal", (z, k)
 
 
-def test_superelliptic_vector_runs_frobenius_on_two_models(monkeypatch):
-    """The w model and X_1; no model per cube root of unity."""
+def test_superelliptic_vector_runs_frobenius_on_one_model(monkeypatch):
+    """X_1 only; no model per cube root of unity."""
     computed = []
     original = HyperellipticModel._compute_frobenius
 
@@ -146,8 +162,7 @@ def test_superelliptic_vector_runs_frobenius_on_two_models(monkeypatch):
     monkeypatch.setattr(HyperellipticModel, "_compute_frobenius", counting)
     I = Integrator(super_problem(prec=8))
     I.basis_integral_vector((Fraction(0), Fraction(0)), (Fraction(1, 18), Fraction(7, 18)))
-    assert len(computed) == 2
-    assert {id(m) for m in computed} == {id(I.w_model()), id(I.x1_model())}
+    assert [id(m) for m in computed] == [id(I.x1_model())]
 
 
 def test_partial_fraction_identity_on_series():
@@ -160,7 +175,6 @@ def test_partial_fraction_identity_on_series():
     prob = super_problem(prec=N)
     I = Integrator(prob)
     zetas = I.cube_roots()
-    from affine_chabauty.series import polynomial
     hi = I._hi()
     us = polynomial([3] + [7] + [0] * (T - 2), p, hi)
     du = us.derivative()
@@ -228,5 +242,7 @@ def test_imported_integrals_take_precedence():
 
 
 def test_frobenius_matrix_entry_point():
-    fd = HyperellipticModel([1, 1, 0, 1], 7, 8).frobenius_data()
-    assert fd.a_p == 3 and fd.point_count == 5
+    # y^2 = x^4 + x^3 + 2x + 1 over F_7: f(0..6) = 1, 5, 1, 3, 0, 5, 6, so 5 affine
+    # points, and the 2 points at infinity are rational
+    fd = HyperellipticModel([1, 2, 0, 1, 1], 7, 8).frobenius_data()
+    assert fd.a_p == 1 and fd.point_count == 7
