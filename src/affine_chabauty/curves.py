@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import BadReduction, NonSeparableReduction, ProblemFileError, UnsupportedFamily
 from .numberfield import FieldEmbedding, NFElement, NumberField, hensel_embed
-from .padics import PadicNumber, _horner_mod
+from .padics import PadicNumber, _horner_mod, horner
 
 QQ = NumberField([-1, 1], name="one")  # the rational field as a degree-1 field
 
@@ -151,10 +151,7 @@ class CurveFamily:
         return out
 
     def rhs(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.g):
-            acc = acc * x + c
-        return acc
+        return horner(self.g, x, Fraction(0))
 
     def contains(self, x, y) -> bool:
         return Fraction(y) ** self.n == self.rhs(Fraction(x))
@@ -320,34 +317,27 @@ class CurveProblem:
             raise ProblemFileError("auxiliary prime must avoid S")
         if not self.curve.contains(self.base_point.x, self.base_point.y):
             raise ProblemFileError("base point is not on the curve")
-        if not self.curve.good_reduction_at(self.p):
-            raise BadReduction(
-                f"p = {self.p} rejected (bad reduction or split condition); "
-                f"admissible small primes: {self.admissible_primes(60)}")
+        why = self._rejection(self.p)
+        if why:
+            raise BadReduction(f"{why}; admissible small primes: {self.admissible_primes(60)}")
+
+    def _rejection(self, q: int) -> str | None:
+        """Why q cannot be the auxiliary prime: bad reduction, or a cusp field
+        that q does not split into distinct roots; None when q is admissible."""
+        if not self.curve.good_reduction_at(q):
+            return f"p = {q} rejected (bad reduction or split condition)"
         for c in self.curve.cusps:
-            if c.nfield.degree > 1 and \
-                    len(hensel_embed(list(c.nfield.minpoly), self.p, 4, c.nfield)) != c.nfield.degree:
-                raise BadReduction(
-                    f"p = {self.p} does not split the cusp field of {c.id}; "
-                    f"admissible small primes: {self.admissible_primes(60)}")
+            try:
+                roots = len(hensel_embed(list(c.nfield.minpoly), q, 4, c.nfield))
+            except NonSeparableReduction:
+                roots = 0
+            if roots != c.nfield.degree:
+                return f"p = {q} does not split the cusp field of {c.id}"
+        return None
 
     def admissible_primes(self, bound: int) -> list:
-        out = []
-        for q in range(3, bound):
-            if not _is_prime(q) or q in self.S or not self.curve.good_reduction_at(q):
-                continue
-            ok = True
-            for c in self.curve.cusps:
-                if c.nfield.degree > 1:
-                    try:
-                        if len(hensel_embed(list(c.nfield.minpoly), q, 4, c.nfield)) \
-                                != c.nfield.degree:
-                            ok = False
-                    except NonSeparableReduction:
-                        ok = False
-            if ok:
-                out.append(q)
-        return out
+        return [q for q in range(3, bound)
+                if _is_prime(q) and q not in self.S and self._rejection(q) is None]
 
     def counts(self) -> dict:
         n1, n2 = self.curve.cusp_signature_counts()

@@ -165,7 +165,7 @@ class Engine:
             vec = []
             divisor = [((pt.x, pt.y), m) for pt, m in gen.divisor]
             for omega in basis:
-                vec.append(self.integrator.divisor_integral(omega, divisor).value)
+                vec.append(self.integrator.divisor_integral(omega, divisor))
             self._gen_int_cache[gen.id] = vec
         return self._gen_int_cache[gen.id]
 
@@ -280,9 +280,9 @@ class Engine:
             bound = None
             for omega, c in pairs:
                 if same_disc:
-                    const = I.tiny_integral(omega, base, (cx, cy)).value - c
+                    const = I.tiny_integral(omega, base, (cx, cy)) - c
                 else:
-                    const = I.integral(omega, base, (cx, cy)).value - c
+                    const = I.integral(omega, base, (cx, cy)) - c
                 exp = I.expand_differential_on_disc(omega, disc)
                 rho = formal_antiderivative(exp.series) + const
                 res = strassmann_roots(rho)
@@ -390,8 +390,7 @@ class Engine:
                                          if not x.is_exact_zero()), default=None),
             }
             entry["b"] = {k: str(v) for k, v in rec.target.b.items()}
-            entry["c"] = [render_padic(c) if isinstance(c, PadicNumber) else str(c)
-                          for c in cs]
+            entry["c"] = [render_padic(c) for c in cs]
             entry["discs"] = []
             for disc in discs:
                 locus = self.disc_locus(list(zip(omegas, cs)), disc)
@@ -427,13 +426,16 @@ class Engine:
         return report
 
     def _pin_integrals(self) -> list:
+        """The basis integral vectors the generator rows used, as
+        imported_integrals records; divisor_integral integrates from each
+        divisor's first point."""
         out = []
-        base = self.base_pair()
         for gen in self.generators:
+            base = gen.divisor[0][0]
             for pt, mult in gen.divisor:
-                vec = self.integrator.cached_vector(base, (pt.x, pt.y))
-                if vec is not None:
-                    out.append({"from": [str(base[0]), str(base[1])],
+                vec = self.integrator.cached_vector((base.x, base.y), (pt.x, pt.y))
+                if mult and vec is not None:
+                    out.append({"from": [str(base.x), str(base.y)],
                                 "to": [str(pt.x), str(pt.y)],
                                 "values": [render_padic(v) for v in vec]})
         return out
@@ -461,7 +463,7 @@ class Engine:
             for sigma in candidates:
                 try:
                     tr = self.locus_record(sigma)
-                    residuals = [self.integrator.integral(om, base, (pt.x, pt.y)).value - c
+                    residuals = [self.integrator.integral(om, base, (pt.x, pt.y)) - c
                                  for om, c in zip(tr.kernel[1], tr.constants)]
                 except ChabautyError as e:
                     best = best or {"point": [str(pt.x), str(pt.y)], "sigma": sigma.label,

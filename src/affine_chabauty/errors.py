@@ -29,10 +29,6 @@ class PrecisionExceeded(ChabautyError):
 
 # power series
 
-class DivergentSubstitution(ChabautyError):
-    """Series substitution with a unit constant term does not converge on Zp."""
-
-
 class IndistinguishableFromZero(ChabautyError):
     """All series coefficients vanish to precision; no root bound possible."""
 

@@ -33,8 +33,7 @@ from .errors import (
     PrecisionLoss,
 )
 from .linalg import padic_det, padic_solve
-from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, nth_root, sqrt, teichmuller
-from .polyutil import pderiv, peval
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
 from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
 
 
@@ -52,6 +51,11 @@ def _binom_half(k: int) -> Fraction:
     for i in range(k):
         out *= (Fraction(-1, 2) - i) / (i + 1)
     return out
+
+
+def _deriv(cs):
+    """Derivative of the polynomial with ascending coefficients cs."""
+    return [c * k for k, c in enumerate(cs)][1:]
 
 
 @dataclass
@@ -113,11 +117,7 @@ class HyperellipticModel:
     # -- point utilities -------------------------------------------------------
 
     def curve_rhs(self, x: PadicNumber) -> PadicNumber:
-        return peval(self.f, x, self.p)
-
-    def lift_x(self, x, sign_hint: int) -> Point:
-        xp = x if isinstance(x, PadicNumber) else PadicNumber.from_rational(x, self.p, self.M)
-        return Point(xp, sqrt(self.curve_rhs(xp), sign_hint=sign_hint))
+        return horner(self.f, x, PadicNumber.exact_zero(self.p))
 
     def point(self, x, y) -> Point:
         xp = x if isinstance(x, PadicNumber) else PadicNumber.from_rational(x, self.p, self.M)
@@ -280,7 +280,7 @@ class HyperellipticModel:
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
         p = self.p
-        fprime = pderiv(self.f)
+        fprime = _deriv(self.f)
         ns, nt = self.deg - 1, self.deg
         size = ns + nt
         rows = []
@@ -591,9 +591,7 @@ def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
     off = min(0, top.v if not top.is_zero() else 0)
     acc = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
                           Subordination(1, off), check=False, exact=True)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * xs + c
-    return acc
+    return horner(coeffs[:-1], xs, acc)
 
 
 def chart_center(g, n: int, xbar: int, ybar: int, N: int):
@@ -608,7 +606,7 @@ def chart_center(g, n: int, xbar: int, ybar: int, N: int):
         x0 = hensel_lift_root([c.residue(N) for c in g], xbar, p, N)
         return PadicNumber.from_int(x0, p, N), PadicNumber.exact_zero(p)
     xt = PadicNumber.exact_zero(p) if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, p, N))
-    return xt, nth_root(peval(g, xt, p), n, ybar)
+    return xt, nth_root(horner(g, xt, PadicNumber.exact_zero(p)), n, ybar)
 
 
 def disc_parameter(x: PadicNumber, y: PadicNumber, cx) -> PadicNumber:
@@ -671,6 +669,6 @@ def _local_parametrization(g, n: int, x0: PadicNumber, root, N: int, T: int):
     xs = TruncatedSeries(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
     for _ in range(T.bit_length() + 2):
         gx = _poly_of_series(g, xs)
-        dgx = _poly_of_series(pderiv(g), xs)
+        dgx = _poly_of_series(_deriv(g), xs)
         xs = xs - (gx - target) * dgx.inverse()
     return TruncatedSeries(p, xs.coeffs, bound, check=False), ys

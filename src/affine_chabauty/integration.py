@@ -41,14 +41,6 @@ from .series import TruncatedSeries, formal_antiderivative, nth_root_series
 
 
 @dataclass
-class IntegralValue:
-    value: PadicNumber
-    method: str                   # 'tiny' | 'frobenius' | 'pullback' | 'imported'
-    loss: int = 0
-    endpoints: tuple | None = None
-
-
-@dataclass
 class DiscExpansion:
     """omega restricted to a non-cuspidal disc:  series(t) dt, on the disc
     parametrization (xs, ys) it was built on."""
@@ -136,16 +128,14 @@ class Integrator:
         self._pair_cache[key] = got
         return got
 
-    def integral(self, omega: LogDifferential, P, Q) -> IntegralValue:
+    def integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
         vec = self.basis_integral_vector(P, Q)
         acc = PadicNumber.exact_zero(self.p)
         for a, v in zip(omega.coeffs, vec):
             acc = acc + v * a
-        loss = max(self.prec - acc.N, 0) if not acc.is_exact_zero() else 0
-        return IntegralValue(value=acc, method="frobenius", loss=loss,
-                             endpoints=(P, Q))
+        return acc
 
-    def divisor_integral(self, omega: LogDifferential, divisor) -> IntegralValue:
+    def divisor_integral(self, omega: LogDifferential, divisor) -> PadicNumber:
         """Integral over a degree-zero divisor given as [(point, multiplicity)]."""
         total = sum(m for _, m in divisor)
         if total != 0:
@@ -155,8 +145,8 @@ class Integrator:
         for pt, mult in divisor:
             if mult == 0:
                 continue
-            acc = acc + self.integral(omega, base, pt).value * mult
-        return IntegralValue(value=acc, method="frobenius")
+            acc = acc + self.integral(omega, base, pt) * mult
+        return acc
 
     def cached_vector(self, P, Q):
         """The basis integral vector from P to Q if it was already obtained, else None."""
@@ -307,7 +297,7 @@ class Integrator:
 
     # -- tiny integrals ------------------------------------------------------------
 
-    def tiny_integral(self, omega: LogDifferential, P, Q) -> IntegralValue:
+    def tiny_integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
         """Integral between two points of one non-cuspidal residue disc."""
         disc = self._disc_of(P)
         discQ = self._disc_of(Q)
@@ -317,7 +307,7 @@ class Integrator:
         F = formal_antiderivative(exp.series)
         cx = None if disc.kind == "weierstrass" else exp.xs[0]
         tP, tQ = (disc_parameter(self._to_pad(x), self._to_pad(y), cx) for x, y in (P, Q))
-        return IntegralValue(value=F.evaluate(tQ) - F.evaluate(tP), method="tiny")
+        return F.evaluate(tQ) - F.evaluate(tP)
 
     def _disc_of(self, pt) -> ResidueDisc:
         x, y = pt
@@ -338,7 +328,7 @@ class Integrator:
         divisor: [(point, multiplicity)] supported in Y;
         cusp_values: cusp id -> f(Q) as an element of k(Q) (nonzero).
         """
-        lhs = self.divisor_integral(omega, divisor).value
+        lhs = self.divisor_integral(omega, divisor)
         terms = []
         for cusp in self.curve.cusps:
             val = cusp_values[cusp.id]

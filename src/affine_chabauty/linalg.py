@@ -141,14 +141,35 @@ def _pick_pivot(a, rows, used_cols, ncols):
     return best
 
 
-def _clear_column(a, i0, j0, rows):
-    """Subtract multiples of row i0 from ``rows`` so that column j0 vanishes there."""
-    inv = a[i0][j0].inverse()
-    for i in rows:
-        if i == i0 or a[i][j0].is_zero():
-            continue
-        f = a[i][j0] * inv
-        a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+def _eliminate(a, ncols, below=False, guard=False):
+    """Elimination over Qp of the rows a, in place, on the columns below ncols,
+    each pivot picked by _pick_pivot.  Returns the pivots [(row, col)] in
+    order and the rows left without a pivot.
+
+    below clears a pivot's column only in the rows not yet pivoted (clearing
+    above a pivot would cost earlier pivots precision); guard raises
+    PrecisionLoss when the picked pivot has PIVOT_GUARD digits or fewer.
+    """
+    pivots, cols, free = [], [], list(range(len(a)))
+    for _ in range(min(len(a), ncols)):
+        best = _pick_pivot(a, free, cols, ncols)
+        if best is None:
+            break
+        i0, j0 = best
+        pivot = a[i0][j0]
+        if guard and pivot.N - pivot.v <= PIVOT_GUARD:
+            raise PrecisionLoss(
+                f"pivot candidate at ({i0},{j0}) has only {pivot.N - pivot.v} digits")
+        pivots.append(best)
+        cols.append(j0)
+        free.remove(i0)
+        inv = pivot.inverse()
+        for i in free if below else range(len(a)):
+            if i == i0 or a[i][j0].is_zero():
+                continue
+            f = a[i][j0] * inv
+            a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
+    return pivots, free
 
 
 def padic_kernel(rows) -> PadicKernel:
@@ -160,49 +181,27 @@ def padic_kernel(rows) -> PadicKernel:
     not certifiable at the working precision.
     """
     a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    n = len(a[0]) if a else 0
     p = next((x.p for r in a for x in r if isinstance(x, PadicNumber)), None)
     if p is None:
         raise ValueError("empty matrix")
-    piv_cols: list[int] = []
-    piv_rows: list[int] = []
-    loss = 0
-    free_rows = list(range(m))
-    for _ in range(min(m, n)):
-        best = _pick_pivot(a, free_rows, piv_cols, n)
-        if best is None:
-            break
-        i0, j0 = best
-        pivot = a[i0][j0]
-        if pivot.N - pivot.v <= PIVOT_GUARD:
-            raise PrecisionLoss(
-                f"pivot candidate at ({i0},{j0}) has only {pivot.N - pivot.v} digits")
-        loss = max(loss, pivot.v)
-        piv_cols.append(j0)
-        piv_rows.append(i0)
-        free_rows.remove(i0)
-        _clear_column(a, i0, j0, range(m))
+    pivots, free = _eliminate(a, n, guard=True)
     # remaining rows must be indistinguishable from zero
-    for i in free_rows:
-        for x in a[i]:
-            if not x.is_zero():
-                raise PrecisionLoss("residual row is nonzero after elimination")
-    rank = len(piv_cols)
+    if any(not x.is_zero() for i in free for x in a[i]):
+        raise PrecisionLoss("residual row is nonzero after elimination")
+    piv_cols = [j for _, j in pivots]
     one_prec = max((x.N for r in a for x in r if x.N < INF), default=12) + 4
     basis = []
     for jf in range(n):
         if jf in piv_cols:
             continue
-        vec = [None] * n
+        vec = [PadicNumber.exact_zero(p)] * n
         vec[jf] = PadicNumber.from_int(1, p, one_prec)  # exact by choice of representative
-        for k, i in enumerate(piv_rows):
-            vec[piv_cols[k]] = -(a[i][jf] / a[i][piv_cols[k]])
-        for j in range(n):
-            if vec[j] is None:
-                vec[j] = PadicNumber.exact_zero(p)
+        for i, j in pivots:
+            vec[j] = -(a[i][jf] / a[i][j])
         basis.append(_normalize_kernel_vector(vec))
-    return PadicKernel(basis=basis, rank=rank, loss=loss)
+    loss = max([0] + [a[i][j].v for i, j in pivots])
+    return PadicKernel(basis=basis, rank=len(pivots), loss=loss)
 
 
 def _normalize_kernel_vector(vec):
@@ -226,21 +225,12 @@ def padic_solve(rows, rhs):
     """Solve A x = b over Qp for square nonsingular A; min-valuation pivots, no PIVOT_GUARD."""
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
     n = len(a)
-    perm_cols: list[int] = []
-    used_rows: list[int] = []
-    free_rows = list(range(n))
-    for _ in range(n):
-        best = _pick_pivot(a, free_rows, perm_cols, n)
-        if best is None:
-            raise PrecisionLoss("matrix is singular to working precision")
-        i0, j0 = best
-        used_rows.append(i0)
-        perm_cols.append(j0)
-        free_rows.remove(i0)
-        _clear_column(a, i0, j0, range(n))
+    pivots, free = _eliminate(a, n)
+    if free:
+        raise PrecisionLoss("matrix is singular to working precision")
     x = [None] * n
-    for i0, j0 in zip(used_rows, perm_cols):
-        x[j0] = a[i0][n] / a[i0][j0]
+    for i, j in pivots:
+        x[j] = a[i][n] / a[i][j]
     return x
 
 
@@ -250,40 +240,15 @@ def padic_det(rows):
     n = len(a)
     p = a[0][0].p
     prec0 = max((x.N for r in a for x in r if x.N < INF), default=12) + 8
-    det = PadicNumber.from_int(1, p, prec0)
-    sign = 1
-    used = []
-    perm = []
-    free_rows = list(range(n))
-    for _ in range(n):
-        best = _pick_pivot(a, free_rows, perm, n)
-        if best is None:
-            # remaining block indistinguishable from zero: det is a zero class
-            prec = min(x.N for i in free_rows for x in a[i])
-            out = PadicNumber.unknown_zero(p, prec)
-            for i0, j0 in zip(used, perm):
-                out = out * a[i0][j0]
-            return out
-        i0, j0 = best
-        used.append(i0)
-        perm.append(j0)
-        free_rows.remove(i0)
-        # only the unpivoted rows: clearing above a pivot would cost earlier
-        # pivots precision
-        _clear_column(a, i0, j0, free_rows)
-    for i0, j0 in zip(used, perm):
-        det = det * a[i0][j0]
-    # parity of the permutation row->col
-    order = [perm[used.index(i)] for i in sorted(used)]
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        ln, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return det * sign
+    pivots, free = _eliminate(a, n, below=True)
+    if free:
+        # remaining block indistinguishable from zero: det is a zero class
+        det = PadicNumber.unknown_zero(p, min(x.N for i in free for x in a[i]))
+    else:
+        # the sign of the permutation row -> column: the parity of its inversions
+        cols = [j for _, j in sorted(pivots)]
+        odd = sum(c > d for k, c in enumerate(cols) for d in cols[k + 1:]) % 2
+        det = PadicNumber.from_int(-1 if odd else 1, p, prec0)
+    for i, j in pivots:
+        det = det * a[i][j]
+    return det

@@ -156,15 +156,6 @@ def correction_divisor(model: RegularModelData, q: int, incidence) -> Correction
                                          if x != 0})
 
 
-def psi_intersection_with_components(model: RegularModelData, q: int,
-                                     incidence, corr: CorrectionDivisor):
-    """i_q(Psi, C_j) for all components; the contract says these vanish."""
-    fib = model.fibres[q]
-    vec = [Fraction(v) for v in incidence]
-    phi_vec = [corr.coeffs.get(c.id, Fraction(0)) for c in fib.components]
-    return [a + b for a, b in zip(vec, fib.matrix.matvec(phi_vec))]
-
-
 def horizontal_intersection(problem: CurveProblem, model: RegularModelData,
                             obj_id: str, point, lam: LambdaRecord) -> Fraction:
     """Contact order i_lambda(closure of point, cusp closure) at lam.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NeedsOverride, NonSeparableReduction
-from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root
+from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner
 
 
 def _poly_trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -155,34 +155,18 @@ class NFElement:
         return self.field(tuple(c * scale for c in s1))
 
     def norm(self) -> Fraction:
-        """Norm to Q: determinant of the multiplication-by-self matrix."""
-        d = self.field.degree
-        cols = []
-        basis = [self.field([0] * k + [1]) for k in range(d)]
-        for b in basis:
-            cols.append((self * b).coeffs)
-        # determinant of the d x d matrix with columns cols (exact fractions)
-        mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-        det = Fraction(1)
-        for i in range(d):
-            piv = None
-            for r in range(i, d):
-                if mat[r][i] != 0:
-                    piv = r
-                    break
-            if piv is None:
+        """Norm to Q: the resultant Res(minpoly, self) by Euclid (Cohen, GTM 138,
+        section 3.3): Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R)
+        with R = A mod B, and Res(A, c) = c^(deg A)."""
+        a, b = self.field.minpoly, _poly_trim(self.coeffs)
+        out = Fraction(1)
+        while len(b) > 1:
+            _, r = _poly_divmod(a, b)
+            if not r:
                 return Fraction(0)
-            if piv != i:
-                mat[i], mat[piv] = mat[piv], mat[i]
-                det = -det
-            det *= mat[i][i]
-            inv = 1 / mat[i][i]
-            for r in range(i + 1, d):
-                f = mat[r][i] * inv
-                if f:
-                    for c in range(i, d):
-                        mat[r][c] -= f * mat[i][c]
-        return det
+            out *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+            a, b = b, r
+        return out * b[0] ** (len(a) - 1) if b else Fraction(0)
 
     def __repr__(self):
         g = self.field.name
@@ -238,11 +222,9 @@ class FieldEmbedding:
     def __call__(self, x) -> PadicNumber:
         if isinstance(x, (int, Fraction)):
             return PadicNumber.from_rational(x, self.root.p, self.root.N)
-        x = self.field(x)
-        acc = PadicNumber.exact_zero(self.root.p)
-        for c in reversed(x.coeffs):
-            acc = acc * self.root + PadicNumber.from_rational(c, self.root.p, self.root.N)
-        return acc
+        p, N = self.root.p, self.root.N
+        return horner([PadicNumber.from_rational(c, p, N) for c in self.field(x).coeffs],
+                      self.root, PadicNumber.exact_zero(p))
 
     def residue(self) -> int:
         return self.root.residue(1)

@@ -37,6 +37,14 @@ def _horner_mod(cs, t: int, m: int) -> int:
     return acc
 
 
+def horner(cs, x, acc):
+    """Value at x of the polynomial with ascending coefficients cs, in any
+    ring: acc is the ring's zero (or a value to continue from)."""
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 class PadicNumber:
     __slots__ = ("p", "v", "u", "N")
 
@@ -105,12 +113,6 @@ class PadicNumber:
         return self.N
 
     # -- representatives ---------------------------------------------------
-
-    def lift(self) -> Fraction:
-        """The representative p^v * u as an exact rational (0 for zeros)."""
-        if self.u == 0:
-            return Fraction(0)
-        return Fraction(self.u) * Fraction(self.p) ** self.v
 
     def residue(self, k: int) -> int:
         """Integer representative modulo p^k; requires v >= 0 and k <= N."""
@@ -346,6 +348,8 @@ def parse_padic(s: str, p: int) -> PadicNumber:
         total += digit * Fraction(p) ** k
     if N is None:
         raise ValueError(f"missing O(p^N) tail in {s!r}")
+    if total == 0:  # "O(p^N)" is the zero class, not an exact zero
+        return PadicNumber.unknown_zero(p, N)
     return PadicNumber.from_rational(total, p, N)
 
 

@@ -172,6 +172,8 @@ def build_engine(data: dict, p_override: int | None = None,
             if pid not in points:
                 raise ProblemFileError(f"generator {gid} references unknown point {pid}")
             divisor.append((points[pid], mult))
+        if not divisor:
+            raise ProblemFileError(f"field {rec.at('divisor')!r} must not be empty")
         if sum(m for _, m in divisor) != 0:
             raise ProblemFileError(f"generator {gid} is not a degree-zero divisor")
         generators.append(MWGenerator(gid, divisor))
@@ -193,6 +195,9 @@ def build_engine(data: dict, p_override: int | None = None,
     for rec in doc.records("imported_integrals"):
         values = [_padic(v, p, f"{rec.at('values')}[{i}]")
                   for i, v in enumerate(rec.get("values", list))]
+        if len(values) != curve.basis_size():
+            raise ProblemFileError(f"field {rec.at('values')!r} must hold {curve.basis_size()} "
+                                   f"values, one per basis differential, got {len(values)}")
         imported.append((_pair(rec.raw("from"), "an integral endpoint", rec.at("from")),
                          _pair(rec.raw("to"), "an integral endpoint", rec.at("to")), values))
 

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import (
-    DivergentSubstitution,
-    IndistinguishableFromZero,
-    PrecisionLoss,
-    ZeroInput,
-)
-from .padics import INF, PadicNumber, _horner_mod, _vp, nth_root
+from .errors import IndistinguishableFromZero, PrecisionLoss, ZeroInput
+from .padics import INF, PadicNumber, _horner_mod, _vp, horner, nth_root
 
 _BIG = INF // 2
 
@@ -213,9 +208,7 @@ class TruncatedSeries:
                 raise PrecisionLoss("series has no subordination certificate")
             if self.bound.slope + vt <= 0:
                 raise PrecisionLoss("certificate too weak to evaluate at a unit")
-        acc = PadicNumber.exact_zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
+        acc = horner(self.coeffs, t, PadicNumber.exact_zero(self.p))
         if self.exact:
             return acc
         err = int(ceil((self.bound.slope + vt) * self.order + self.bound.offset))
@@ -239,54 +232,7 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def derive_bound(coeffs, slope: Fraction) -> Subordination:
-    """Sharpest offset making v(c_n) >= slope*n + offset hold on known coefficients."""
-    offset = Fraction(_BIG)
-    for n, c in enumerate(coeffs):
-        guar = c.v if not c.is_zero() else (INF if c.is_exact_zero() else c.N)
-        offset = min(offset, Fraction(guar) - slope * n)
-    return Subordination(Fraction(slope), offset)
-
-
-def polynomial(vals, p: int, N: int, slope=Fraction(1)) -> TruncatedSeries:
-    """Exact polynomial as a series with a derived subordination certificate."""
-    cs = [v if isinstance(v, PadicNumber) else PadicNumber.from_rational(v, p, N) for v in vals]
-    return TruncatedSeries(p, cs, derive_bound(cs, Fraction(slope)), check=False, exact=True)
-
-
 # -- calculus ----------------------------------------------------------------
-
-
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(t)) for g whose constant term has valuation >= 1.
-
-    When the outer series is truncated (not an exact polynomial) its unknown
-    tail feeds every output coefficient through powers of g(0); the claimed
-    coefficient precision is capped by that contribution.
-    """
-    g0 = g.coeffs[0]
-    ok = g0.is_exact_zero() or (g0.u != 0 and g0.v >= 1) or (g0.u == 0 and g0.N >= 1)
-    if not ok:
-        raise DivergentSubstitution("substitution requires v(g(0)) >= 1")
-    T = min(f.order, g.order)
-    p = f.p
-    top = f.coeffs[f.order - 1]
-    out = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (T - 1),
-                          derive_bound([top], Fraction(0)), check=False,
-                          exact=True)
-    for k in range(f.order - 2, -1, -1):
-        out = (out * g) + f.coeffs[k]
-    out = out.truncate(T)
-    if not f.exact:
-        if f.bound is None:
-            return TruncatedSeries(p, out.coeffs, None, check=False)
-        vg0 = g0.v if not g0.is_exact_zero() else _BIG
-        cap = f.bound.at(f.order) + f.order * min(vg0, _BIG)
-        cap_i = max(int(cap), 1)
-        cs = [c.at_precision(min(c.N, cap_i)) if not c.is_exact_zero()
-              else PadicNumber.unknown_zero(p, cap_i) for c in out.coeffs]
-        out = TruncatedSeries(p, cs, out.bound, check=False)
-    return out
 
 
 def formal_antiderivative(f: TruncatedSeries) -> TruncatedSeries:

@@ -41,6 +41,7 @@ from affine_chabauty.hyperelliptic import Point
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.padics import PadicNumber, _horner_mod, hensel_lift_root, render_padic
 from affine_chabauty.problem import load_problem
+from tests_support import lift_x
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -123,7 +124,7 @@ def _model_discs(m):
             continue
         for yb in range(1, p):
             if yb * yb * den % p == fb:
-                P = m.lift_x(xb + p, sign_hint=yb)
+                P = lift_x(m, xb + p, sign_hint=yb)
                 out.append((xb, yb, P, m.teichmueller_point(P)))
     return out
 

@@ -9,9 +9,9 @@ import pytest
 
 from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point, chart_center
-from affine_chabauty.padics import PadicNumber, _horner_mod
-from affine_chabauty.polyutil import peval
+from affine_chabauty.padics import PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
+from tests_support import lift_x
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -37,7 +37,7 @@ def points_on(m, count, rng):
         hint = next(h for h in range(1, m.p) if h * h % m.p == r)
         if rng.random() < 0.5:
             hint = m.p - hint
-        out.append(m.lift_x(x, sign_hint=hint))
+        out.append(lift_x(m, x, sign_hint=hint))
     return out
 
 
@@ -109,8 +109,8 @@ def test_concatenation_and_antisymmetry():
 
 def test_tiny_equals_global_within_disc():
     m = model(QUARTIC)
-    P = m.lift_x(3, sign_hint=1)
-    Q = m.lift_x(3 + 7, sign_hint=1)
+    P = lift_x(m, 3, sign_hint=1)
+    Q = lift_x(m, 3 + 7, sign_hint=1)
     tiny = m.tiny_basis_integrals(P, Q)
     full = m.basis_integrals(P, Q)
     for i in range(m.dim):
@@ -119,9 +119,9 @@ def test_tiny_equals_global_within_disc():
 
 def test_tiny_integrals_reject_endpoints_of_two_discs():
     m = model(QUARTIC)
-    P = m.lift_x(3, sign_hint=1)
+    P = lift_x(m, 3, sign_hint=1)
     with pytest.raises(DifferentDiscs):
-        m.tiny_basis_integrals(P, m.lift_x(0, sign_hint=3))   # another x residue
+        m.tiny_basis_integrals(P, lift_x(m, 0, sign_hint=3))   # another x residue
     with pytest.raises(DifferentDiscs):
         m.tiny_basis_integrals(P, P.involution())             # the opposite disc
 
@@ -136,9 +136,9 @@ def test_center_of_a_point_at_infinity_is_rejected():
 def test_independent_of_center_choice():
     # integral computed directly vs routed through a third point
     m = model(QUARTIC)
-    P = m.lift_x(3, sign_hint=1)
-    Q = m.lift_x(0, sign_hint=3)
-    R = m.lift_x(11, sign_hint=2)
+    P = lift_x(m, 3, sign_hint=1)
+    Q = lift_x(m, 0, sign_hint=3)
+    R = lift_x(m, 11, sign_hint=2)
     direct = m.basis_integrals(P, Q)
     routed = [x + y for x, y in zip(m.basis_integrals(P, R), m.basis_integrals(R, Q))]
     for i in range(m.dim):
@@ -148,7 +148,7 @@ def test_independent_of_center_choice():
 def test_weierstrass_disc_endpoints():
     # y^2 = x^4 + x: x = 0 is a simple Weierstrass residue mod 7
     m = model([0, 1, 0, 0, 1])
-    P = m.lift_x(1, sign_hint=3)    # f(1) = 2, sqrt(2) = 3 mod 7
+    P = lift_x(m, 1, sign_hint=3)    # f(1) = 2, sqrt(2) = 3 mod 7
     center = Point(PadicNumber.exact_zero(7), PadicNumber.exact_zero(7))
     xs, ys, _ = m.disc_series(center)
     t = PadicNumber.from_int(2, 7, m.M)
@@ -166,7 +166,7 @@ def test_weierstrass_disc_endpoints():
     for i in range(m.dim):
         assert (out[i] + back[i]).is_zero()
     # concatenate through the Weierstrass disc
-    Q = m.lift_x(2, sign_hint=2)   # f(2) = 18 = 4 mod 7 = 2^2
+    Q = lift_x(m, 2, sign_hint=2)   # f(2) = 18 = 4 mod 7 = 2^2
     via = [a + b for a, b in zip(m.basis_integrals(P, A), m.basis_integrals(A, Q))]
     direct = m.basis_integrals(P, Q)
     for i in range(m.dim):
@@ -191,8 +191,8 @@ def _poly_series(coeffs, xs):
 
 def test_principal_divisor_holomorphic_vanishes():
     m = model(QUARTIC)
-    P1 = m.lift_x(3, sign_hint=1)
-    P2 = m.lift_x(0, sign_hint=3)
+    P1 = lift_x(m, 3, sign_hint=1)
+    P2 = lift_x(m, 0, sign_hint=3)
     tot = [PadicNumber.exact_zero(7)] * m.dim
     for pt, sgn in [(P1, 1), (P1.involution(), 1), (P2, -1), (P2.involution(), -1)]:
         vals = m.basis_integrals(P2, pt)
@@ -363,15 +363,15 @@ def _dagger_reference(m, i, pt):
     p = m.p
     by_m = dict(poles)
     inv_y2 = (pt.y * pt.y).inverse()
-    horner = PadicNumber.exact_zero(p)
+    acc = PadicNumber.exact_zero(p)
     for mm in range(max(by_m), 0, -1):
         if mm in by_m:
-            horner = horner + peval(by_m[mm], pt.x, p)
-        horner = horner * inv_y2
+            acc = acc + horner(by_m[mm], pt.x, PadicNumber.exact_zero(p))
+        acc = acc * inv_y2
     xpart = PadicNumber.exact_zero(p)
     for s, lam in sorted(yparts, key=lambda t: t[0], reverse=True):
         xpart = xpart + lam * (pt.x ** s if s else 1)
-    return horner * pt.y + xpart * pt.y
+    return acc * pt.y + xpart * pt.y
 
 
 def _vun(x):
@@ -409,7 +409,7 @@ def test_integer_dagger_on_truncated_points_never_claims_more_precision(key):
 @pytest.mark.parametrize("key", DAGGER_MODELS[:2])
 def test_integer_dagger_at_an_exact_zero_x(key):
     m = _fixture_model(*key)
-    T = m.teichmueller_point(m.lift_x(0, sign_hint=3))  # f(0) = 9
+    T = m.teichmueller_point(lift_x(m, 0, sign_hint=3))  # f(0) = 9
     assert T.x.is_exact_zero()
     for i in range(m.dim):
         assert _vun(m.dagger_eval(i, T)) == _vun(_dagger_reference(m, i, T))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -114,15 +115,31 @@ def test_solve_roundtrip():
             assert got.compare(pad(want)) != "distinct"
 
 
+def leibniz_det(rows):
+    """sum over permutations s of sign(s) prod_i rows[i][s(i)]."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction((-1) ** sum(perm[j] > perm[i] for i in range(n) for j in range(i)))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def test_det_matches_rational():
+    # entries divisible by p move the minimal-valuation pivots off the
+    # diagonal, so the row -> column permutation is often odd
     rng = random.Random(14)
-    for _ in range(30):
-        rows_q = [[Fraction(rng.randint(-9, 9)) for _ in range(3)] for _ in range(3)]
-        det_q = (rows_q[0][0] * (rows_q[1][1] * rows_q[2][2] - rows_q[1][2] * rows_q[2][1])
-                 - rows_q[0][1] * (rows_q[1][0] * rows_q[2][2] - rows_q[1][2] * rows_q[2][0])
-                 + rows_q[0][2] * (rows_q[1][0] * rows_q[2][1] - rows_q[1][1] * rows_q[2][0]))
-        got = padic_det([[pad(v) for v in row] for row in rows_q])
-        assert got.compare(pad(det_q)) != "distinct"
+    nonzero = 0
+    for n in range(1, 6):
+        for _ in range(30):
+            rows_q = [[Fraction(rng.randint(-9, 9) * P ** rng.choice((0, 0, 1, 2)))
+                       for _ in range(n)] for _ in range(n)]
+            got = padic_det([[pad(v) for v in row] for row in rows_q])
+            assert got.compare(pad(leibniz_det(rows_q))) != "distinct", rows_q
+            nonzero += not got.is_zero()
+    assert nonzero >= 100
 
 
 def test_det_duplicate_rows_is_zero():

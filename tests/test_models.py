@@ -18,10 +18,10 @@ from affine_chabauty.models import (
     correction_divisor,
     enumerate_reduction_types,
     horizontal_intersection,
-    psi_intersection_with_components,
     selmer_target,
 )
 from affine_chabauty.problem import build_engine, load_problem
+from tests_support import psi_intersection_with_components
 
 import pathlib
 

@@ -88,6 +88,10 @@ def test_render_and_parse():
     assert parse_padic(render_padic(x), 7).compare(x) == "equal"
     y = num(Fraction(1, 7))
     assert parse_padic(render_padic(y), 7).compare(y) == "equal"
+    # the zero class O(7^5) keeps its precision; "0" is the exact zero
+    z = parse_padic(render_padic(PadicNumber.unknown_zero(7, 5)), 7)
+    assert (z.v, z.u, z.N) == (5, 0, 5)
+    assert parse_padic("0", 7).is_exact_zero()
 
 
 def test_teichmuller_defining_properties():
@@ -188,6 +192,27 @@ def test_log_rational_power():
     assert (got2 - iwasawa_log(PadicNumber.from_int(2, 11, N))).is_zero()
 
 
+def _norm_by_determinant(x):
+    """The norm of x as the determinant of multiplication by x, by Gaussian
+    elimination over Q: the reference for the resultant in NFElement.norm."""
+    d = x.field.degree
+    cols = [(x * x.field([0] * k + [1])).coeffs for k in range(d)]
+    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
+    det = Fraction(1)
+    for i in range(d):
+        piv = next((r for r in range(i, d) if mat[r][i] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            mat[i], mat[piv] = mat[piv], mat[i]
+            det = -det
+        det *= mat[i][i]
+        for r in range(i + 1, d):
+            f = mat[r][i] / mat[i][i]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[i])]
+    return det
+
+
 def test_field_arithmetic_and_norm():
     k = NumberField([1, 1, 1])  # Q(zeta_3)
     z = k.gen()
@@ -196,6 +221,15 @@ def test_field_arithmetic_and_norm():
     assert x.norm() == 487
     assert ((x * x.inv()) - 1).is_zero()
     assert (1 + 2 * z) * (1 + 2 * z) == k(-3)
+    # random fields of degree 1-5 (minpoly need not be irreducible or monic:
+    # the resultant equals the determinant in Q[g]/(minpoly) either way)
+    rng = random.Random(15)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        field = NumberField([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 3)])
+        x = field([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)])
+        assert x.norm() == _norm_by_determinant(x), (field, x)
+    assert field(0).norm() == 0
 
 
 def test_lambda_valuation():

@@ -7,8 +7,63 @@ so both sides of the residue identity are computable independently.
 
 from fractions import Fraction
 
-from affine_chabauty.padics import PadicNumber, iwasawa_log, sqrt as padic_sqrt
-from affine_chabauty.polyutil import padd, pdivmod, peval, pmul, pscale
+from affine_chabauty.padics import PadicNumber, horner, iwasawa_log, sqrt as padic_sqrt
+
+
+# -- polynomials over PadicNumber coefficients (dense lists, ascending) -------
+
+
+def ptrim(a):
+    n = len(a)
+    while n > 0 and a[n - 1].is_exact_zero():
+        n -= 1
+    return a[:n]
+
+
+def padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return out
+
+
+def pscale(a, c):
+    return [x * c for x in a]
+
+
+def pmul(a, b, p):
+    if not a or not b:
+        return []
+    out = [PadicNumber.exact_zero(p)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_exact_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_exact_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def pdivmod(a, b, p):
+    """Division with remainder; the divisor's leading coefficient must be a unit."""
+    b = ptrim(list(b))
+    lead = b[-1]
+    inv = lead.inverse()
+    rem = list(a)
+    if len(rem) < len(b):
+        return [], rem
+    q = [PadicNumber.exact_zero(p)] * (len(rem) - len(b) + 1)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] * inv
+        if c.is_exact_zero() or c.is_zero():
+            q[i] = c if not c.is_exact_zero() else PadicNumber.exact_zero(p)
+            continue
+        q[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = rem[i + j] - c * y
+    return q, rem[: len(b) - 1]
 
 
 def _sqrt_hint(u, p):
@@ -84,7 +139,7 @@ def strong_even_pair(I, rng, omega=None):
         extra = []
         bad = False
         for xv in (x5, x6):
-            yv = peval(h, xv, p)
+            yv = horner(h, xv, PadicNumber.exact_zero(p))
             if yv.is_zero() or yv.v != 0:
                 bad = True
                 break
@@ -102,7 +157,7 @@ def strong_even_pair(I, rng, omega=None):
         omega = omega or curve.differential(
             [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)),
              Fraction(rng.randint(1, 3))])
-        lhs = I.divisor_integral(omega, divisor).value
+        lhs = I.divisor_integral(omega, divisor)
         kappa_p = (1 - c) / (1 + c)
         kappa_m = (-1 - c) / (-1 + c)
         rplus = curve.residue_at_cusp(2, curve.cusps[0]).as_rational() * omega.coeffs[2]
@@ -149,7 +204,7 @@ def strong_super_pair(I, rng, omega=None):
     omega = omega or curve.differential(
         [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3)),
          Fraction(rng.randint(-3, 3))])
-    lhs = I.divisor_integral(omega, divisor).value
+    lhs = I.divisor_integral(omega, divisor)
     q1, q2 = curve.cusps
     f_q1 = q1.nfield(Fraction(1 - a1, 1 - a2))
     zeta = q2.nfield.gen()
