@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import mul
 
 from .curves import _separable
 from .errors import (
@@ -38,19 +39,12 @@ from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_
 
 
 def loss_budget(p: int, K: int, deg: int) -> int:
-    """Upper bound on tracked precision loss across the cohomology reduction."""
+    """Digits of M, the precision of points and disc series, above prec; it sizes
+    M only (the Frobenius kernel runs at tp + 2L, see _compute_frobenius)."""
     j0 = p * K + (p - 1) // 2 + 2
     total = sum(_vp(2 * j - 1, p) for j in range(1, j0 + 1))
     total += 2 * sum(_vp(s, p) for s in range(1, 3 * deg * p))
     return total
-
-
-def _binom_half(k: int) -> Fraction:
-    """binomial(-1/2, k) as an exact rational."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= (Fraction(-1, 2) - i) / (i + 1)
-    return out
 
 
 def _deriv(cs):
@@ -167,46 +161,55 @@ class HyperellipticModel:
         return self._frob
 
     def _compute_frobenius(self) -> FrobeniusData:
+        """Frobenius on the basis and the exact parts of its reduction: Kedlaya's
+        algorithm on ints mod p^N.
+
+        phi(x^i dx/y) = sum_j r_j x^(p i + p - 1) dx / y^(2(top - j) + 1), with
+        top = pK + (p - 1)/2 and r_j integral.  _reduce divides by 2m - 1, m <= top,
+        and by 2s + deg, s < p dim + deg.  An exact part dh that removes a pole of
+        order k of h divides by k, and max v_p(k), k <= n, is floor(log_p n).  So
+        Kedlaya's precision lemmas for A(x) dx/y^(2m+1) and for x^s dx/y ("Counting
+        points on hyperelliptic curves using Monsky-Washnitzer cohomology", 2001,
+        section 4; for even degree Harrison, "An extension of Kedlaya's algorithm
+        for hyperelliptic curves", J. Symb. Comput. 2012) bound the denominators of
+        the whole reduction of an integral form by p^L: L = floor(log_p(2 top + 1))
+        for the pole steps plus floor(log_p(2(p dim + deg) + deg)) for the degree
+        steps.  The digits enter _reduce times p^L, so its divisions are exact on
+        ints.  A reduction mod p^N adds p^(N-L) times an integral form, which the
+        rest multiplies by at most p^-L: N = tp + 2L keeps tp digits (L = 3 and
+        N = 24 at p = 23, prec 16, where summing every v_p gave 46).
+        """
         p, K, d = self.p, self.K, self.deg
         tp = K - 4  # the K-term series truncation caps provable digits
         top = p * K + (p - 1) // 2
-        # the integer kernel works mod p^N: the reduction divides by every 2m - 1,
-        # m <= top, and by some 2s + deg, s < p dim + deg, so N - E stays >= tp
-        loss = sum(_vp(2 * m - 1, p) for m in range(1, top + 1))
-        loss += sum(_vp(2 * s + d, p) for s in range(p * self.dim + d))
-        N = min(self.M, tp + loss)
-        mod = p ** N
-        fint = [c.residue(N) for c in self.f]
+        L = sum(max(_vp(k, p) for k in range(1, n + 1))
+                for n in (2 * top + 1, 2 * p * self.dim + 3 * d))
+        N = tp + 2 * L
         # S = (1 + (f(x^p) - f^p)/f^p)^(-1/2) = num / f^(pK);  p num = sum_j r_j f^j,
-        # so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j)
-        num = _frobenius_numerator(fint, p, K, N)
-        digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
-        t_bez = [c.residue(N) for c in self._bezout()]
-        matrix = []
-        dagger = []
-        for i in range(self.dim):
-            # phi(x^i dx/y) = p x^(p i + p - 1) S f^(-(p-1)/2) dx/y
-            col, poles, yparts = self._reduce(digits, p * i + p - 1, top, fint, t_bez, N, tp)
-            matrix.append(col)
-            dagger.append((poles, yparts))
-
+        # so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j).  _reduce takes p^L r_j mod
+        # p^N, which needs num only mod p^n, n = N - L - 1.
+        n = N - L - 1
+        fn = [c.residue(n) for c in self.f]
+        num = _frobenius_numerator(fn, p, K, n)
+        digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fn, p ** n)]
+        fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
+        # phi(x^i dx/y) = p x^(p i + p - 1) S f^(-(p-1)/2) dx/y
+        runs = [self._reduce(digits, p * i + p - 1, top, fint, t_bez, N, L, tp)
+                for i in range(self.dim)]
+        matrix = [col for col, _, _ in runs]
         a_p, count = self._verify(matrix)
-        return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp,
-                             a_p=a_p, point_count=count)
+        return FrobeniusData(matrix=matrix, dagger=[(poles, ys) for _, poles, ys in runs],
+                             trunc_prec=tp, a_p=a_p, point_count=count)
 
-    def _reduce(self, digits, shift, top, f, t, M, cap):
-        """Reduce  sum_j x^shift digits[j] dx / y^(2(top - j) + 1)  to the basis,
-        recording the exact parts.
-
-        Integer polynomials mod p^M: f is the model's, t the cofactor of f'
-        from _bezout.  A stored value c stands for c / p^E, where p^E collects
-        the p-parts of the divisors 2m - 1 and (2s + deg)/2 met so far, so each
-        output carries absolute precision M - E, capped at cap.
-        """
+    def _reduce(self, digits, shift, top, f, t, M, L, cap):
+        """Reduce  sum_j x^shift digits[j] dx / (p^L y^(2(top - j) + 1))  to the basis,
+        recording the exact parts.  Integer polynomials mod p^M; f is the model's, t
+        the cofactor of f' from _bezout.  A stored int c stands for c / p^L: dividing by
+        2m - 1 or 2s + deg divides by its p-part exactly or raises PrecisionExceeded.
+        Outputs are c / p^L to absolute precision cap, M >= cap + 2L."""
         p, d = self.p, self.deg
         mod = p ** M
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
-        f = [c - mod if 2 * c > mod else c for c in f]  # small representatives: cheaper products
         lead_inv = pow(f[-1], -1, mod)
         # per x^k, k < deg: B = x^k t mod f and the exact quotient (x^k - B f') / f
         maps = []
@@ -215,67 +218,68 @@ class HyperellipticModel:
             Q, rem = _int_divmod_f(_int_sub([0] * k + [1], _int_pmul(B, fprime, mod), mod), f, mod)
             if any(rem):
                 raise PrecisionExceeded("f does not divide P - B f' to the working precision")
-            maps.append((B, Q))
+            maps.append([(B + [0] * d)[:d], (Q + [0] * d)[:d]])
+        Bcols, Qcols = (list(zip(*cols)) for cols in zip(*maps))  # R -> B and R -> Q
+        # D: the f-adic digits of x^shift sum_j digits[j] f^j, from one product of
+        # the digit sequences of x^shift and of the sum and one carry per digit
+        w = 2 * d - 1
+        flat = [[c for r in rs for c in r + [0] * (w - len(r))]
+                for rs in (digits, _f_adic_digits([0] * shift + [1], f, mod))]
+        prod, D, carry = _int_pmul(*flat, mod), [], []
+        for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
+            q, r = _int_divmod_f(prod[j:j + w], f, mod)
+            D.append(_int_padd(r, carry, mod))
+            carry = q
 
-        def out(c, E):
-            x = PadicNumber.from_int(c, p, M)
-            N = min(M - E, cap)
-            return PadicNumber.unknown_zero(p, N) if x.v - E >= N else \
-                PadicNumber(p, x.v - E, x.u % p ** (N - x.v + E), N)
+        def out(c):
+            x = PadicNumber.from_int(c, p, cap + L)
+            return PadicNumber.unknown_zero(p, cap) if x.is_zero() else \
+                PadicNumber(p, x.v - L, x.u, cap)
 
-        E = 0
-        poles = []   # (m, E, poly):  exact part  poly(x) / (p^E y^(2m-1))
-        yparts = []  # (s, E, coeff): exact part  coeff * x^s * y / p^E
-        P = [0] * (max(shift, d) + d)
+        def divide(cs, n):  # 2 cs / n, exactly on the stored ints
+            a = _vp(n, p)
+            cs = [c % mod for c in cs]
+            if any(c % p ** a for c in cs):
+                raise PrecisionExceeded(f"dividing by {n} needs more than p^{L} of headroom")
+            inv = 2 * pow(n // p ** a, -1, mod)
+            return [c // p ** a * inv % mod for c in cs]
+
+        poles = []   # (m, poly): exact part  poly(x) / y^(2m-1)
+        yparts = []  # (s, coeff): exact part  coeff * x^s * y
+        C = []  # what the steps above m left in degree < deg
         for m in range(top, 0, -1):
-            if top - m < len(digits):
-                scale = p ** E
-                for k, c in enumerate(digits[top - m]):
-                    P[shift + k] += c * scale
-            # P = Q f + R;  P dx/y^(2m+1) = (Q + (R - B f')/f + 2 B'/(2m-1)) dx/y^(2m-1)
-            #                                - d(2 B / ((2m-1) y^(2m-1)))  with B = R t mod f
-            Q, R = _int_divmod_f(P, f, mod)
-            if not any(R) and not any(Q):
-                continue
-            B = [0] * d
-            for r, (Bk, Qk) in zip(R, maps):
-                for n, c in enumerate(Bk):
-                    B[n] += r * c
-                for n, c in enumerate(Qk):
-                    Q[n] += r * c
-            a = _vp(2 * m - 1, p)
-            E += a
-            scale = p ** a
-            inv = 2 * pow((2 * m - 1) // scale, -1, mod)
-            B = [c * inv % mod for c in B]
-            P = [c * scale for c in Q] + [0] * d
+            # level m holds (H f + R) dx/y^(2m+1), R = D[top - m] + C, and H f dx/y^(2m+1)
+            # is H dx/y^(2m-1); with R = B f' + Q f, B = R t mod f, R dx/y^(2m+1) =
+            # (Q + 2 B'/(2m-1)) dx/y^(2m-1) - d(2 B / ((2m-1) y^(2m-1)))
+            R = _int_padd(D[top - m] if top - m < len(D) else [], C, mod)
+            B = divide([sum(map(mul, R, col)) for col in Bcols], 2 * m - 1)
+            C = [sum(map(mul, R, col)) for col in Qcols]
             for n in range(1, d):
-                P[n - 1] += n * B[n]
-            poles.append((m, E, [-c % mod for c in B]))
-        P = [c % mod for c in P]
+                C[n - 1] += n * B[n]
+            C = [c % mod for c in C]
+            if any(R):
+                poles.append((m, [-c % mod for c in B]))
+        P = []
+        for r in reversed(D[top:]):
+            P = _int_padd(_int_pmul(P, f, mod), r, mod)
+        P = _int_padd(P, C, mod)
         inv2 = pow(2, -1, mod)
         while len(P) > self.dim:
             c = P.pop()
             if not c:  # zero class
                 continue
             s = len(P) - d + 1
-            a = _vp(2 * s + d, p)
-            E += a
-            scale = p ** a
-            lam = 2 * c * lead_inv * pow((2 * s + d) // scale, -1, mod) % mod
             # d(x^s y) = (s x^(s-1) f + x^s f'/2) dx/y cancels the top term lam * x^(s+d-1)
-            if (c * scale - lam * (s + d * inv2) * f[-1]) % mod:
-                raise PrecisionExceeded("degree reduction failed to cancel the top term")
-            P = [c * scale for c in P]
+            lam = divide([c * lead_inv], 2 * s + d)[0]
             if s:
                 P[s - 1] -= lam * s * f[0]
             for k in range(d - 1):
                 P[s + k] -= lam * (s * f[k + 1] + inv2 * fprime[k])
             P = [c % mod for c in P]
-            yparts.append((s, E, lam))
-        return ([out(c, E) for c in P] + [out(0, E)] * (self.dim - len(P)),
-                [(m, [out(c, e) for c in B]) for m, e, B in poles],
-                [(s, out(lam, e)) for s, e, lam in yparts])
+            yparts.append((s, lam))
+        return ([out(c) for c in P] + [out(0)] * (self.dim - len(P)),
+                [(m, [out(c) for c in B]) for m, B in poles],
+                [(s, out(lam)) for s, lam in yparts])
 
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
@@ -491,13 +495,6 @@ def _int_pmul_stride(a, g, p, mod):
     return out
 
 
-def _int_from_fraction(x: Fraction, p: int, M: int) -> int:
-    mod = p ** M
-    if x.denominator % p == 0:
-        raise ValueError("denominator divisible by p")
-    return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
 def _frobenius_numerator(f, p, K, N):
     """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(-1/2, k) and
     u = f(x^p) - f^p, so that (1 + u/f^p)^(-1/2) = num / f^(pK) to K terms.
@@ -512,7 +509,7 @@ def _frobenius_numerator(f, p, K, N):
     for _ in range(max(p, K // 2 + 1)):
         fpow.append(_int_pmul(fpow[-1], f, mod))
     u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
-    c = [_int_from_fraction(_binom_half(k), p, N) for k in range(K + 1)]
+    c = [comb(2 * k, k) * pow(-4, -k, mod) % mod for k in range(K + 1)]  # binomial(-1/2, k)
     level = [[sum((-1) ** (j - k) * comb(K - k, j - k) * c[k] for k in range(j + 1)) % mod]
              for j in range(K + 1)]  # the P(j, j + 1) = a_j
     width, upow = 1, u  # every node but the last sums width terms; upow = u^width
@@ -559,12 +556,14 @@ def _f_adic_digits(poly, f, mod):
 
     Radix conversion: divide and conquer over f^(2^k), each division one
     product with the inverse of the reversed divisor (von zur Gathen-Gerhard,
-    Modern Computer Algebra, 9.1-9.2).
+    Modern Computer Algebra, 9.1-9.2).  Each inverse runs to the length its
+    quotients use: deg f^(2^k) below the top level, len(poly) - deg at it.
     """
-    tables = [(f, _int_series_inv(f[::-1], len(f) - 1, mod))]
-    while 2 * (len(tables[-1][0]) - 1) < len(poly):
-        g = _int_pmul(tables[-1][0], tables[-1][0], mod)
-        tables.append((g, _int_series_inv(g[::-1], len(g) - 1, mod)))
+    gs = [f]
+    while 2 * (len(gs[-1]) - 1) < len(poly):
+        gs.append(_int_pmul(gs[-1], gs[-1], mod))
+    lengths = [len(g) - 1 for g in gs[:-1]] + [len(poly) - len(gs[-1]) + 1]
+    tables = [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
 
     def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits
         if k < 0:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point, chart_center
@@ -270,10 +272,16 @@ def test_stride_product_matches_the_dense_product():
 
 
 def _numerator_reference(f, p, K, N):
-    """num = sum_k c_k u^k f^(p(K-k)), u = f(x^p) - f^p, by Horner: the
-    reference for the binary splitting."""
-    from affine_chabauty.hyperelliptic import (
-        _binom_half, _int_from_fraction, _int_padd, _int_pmul, _int_sub)
+    """num = sum_k c_k u^k f^(p(K-k)), u = f(x^p) - f^p, by Horner, with c_k =
+    binomial(-1/2, k) from its product formula: the reference for the binary
+    splitting."""
+    from affine_chabauty.hyperelliptic import _int_padd, _int_pmul, _int_sub
+
+    def coeff(k):
+        b = Fraction(1)
+        for i in range(k):
+            b *= (Fraction(-1, 2) - i) / (i + 1)
+        return b.numerator * pow(b.denominator, -1, mod) % mod
 
     mod = p ** N
     fxp = [0] * (p * (len(f) - 1) + 1)
@@ -282,11 +290,11 @@ def _numerator_reference(f, p, K, N):
     for _ in range(p):
         fp = _int_pmul(fp, f, mod)
     u = _int_sub(fxp, fp, mod)
-    num = [_int_from_fraction(_binom_half(K), p, N)]
+    num = [coeff(K)]
     fpow = [1]
     for k in range(K - 1, -1, -1):
         fpow = _int_pmul(fpow, fp, mod)
-        ck = _int_from_fraction(_binom_half(k), p, N)
+        ck = coeff(k)
         num = _int_padd(_int_pmul(num, u, mod), [c * ck % mod for c in fpow], mod)
     return num
 
@@ -316,13 +324,188 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
     t = [c.residue(M) for c in m._bezout()]
     # d(1/y^3) = -(3/2) f' dx/y^5: nothing left in cohomology, exact part 1/y^3
     dform = [-3 * k * c * pow(2, -1, mod) % mod for k, c in enumerate(f)][1:]
-    col, poles, yparts = m._reduce([dform], 0, 2, f, t, M, 10)
+    col, poles, yparts = m._reduce([dform], 0, 2, f, t, M, 0, 10)
     assert all(c.is_zero() for c in col) and yparts == []
     assert [mm for mm, _ in poles] == [2]
     assert poles[0][1][0].compare(1) == "equal"
     assert all(c.is_zero() for c in poles[0][1][1:])
     with pytest.raises(PrecisionExceeded):
-        m._reduce([dform], 0, 2, f, [(t[0] + 1) % mod] + t[1:], M, 10)
+        m._reduce([dform], 0, 2, f, [(t[0] + 1) % mod] + t[1:], M, 0, 10)
+
+
+def test_a_division_beyond_the_headroom_raises():
+    from affine_chabauty.errors import PrecisionExceeded
+
+    m = model(QUARTIC)
+    p, M = m.p, m.M
+    f = [c.residue(M) for c in m.f]
+    t = [c.residue(M) for c in m._bezout()]
+    assert any(c % p for c in t)  # t f' = 1 mod f: t is a unit mod p
+    # dx/y^9 = -d(2 t / (7 y^7)) + (...) dx/y^7: an exact part that needs one
+    # digit more than L = 0 allows
+    with pytest.raises(PrecisionExceeded):
+        m._reduce([[1]], 0, 4, f, t, M, 0, 10)
+    # with L = 1 the same form (input 7 / 7^1) reduces, exact part -2t/7 / y^7
+    col, poles, yparts = m._reduce([[p]], 0, 4, f, t, M, 1, 10)
+    assert poles[0][0] == 4
+    assert min(c.v for c in poles[0][1] if not c.is_zero()) == -1
+    exact = [PadicNumber.from_int(-2 * c, p, M) / p for c in t]
+    assert all(a.compare(b) != "distinct" for a, b in zip(poles[0][1], exact))
+
+
+def _reduce_reference(m, digits, shift, top, f, t, M, cap):
+    """The reduction with its p^E bookkeeping at the loss-sum precision: the
+    reference for the exact divisions under a fixed headroom.  A stored value c
+    stands for c / p^E, p^E the p-parts of the divisors met so far."""
+    from affine_chabauty.errors import PrecisionExceeded
+    from affine_chabauty.hyperelliptic import _int_divmod_f, _int_pmul, _int_sub
+    from affine_chabauty.padics import _vp
+
+    p, d = m.p, m.deg
+    mod = p ** M
+    fprime = [k * c % mod for k, c in enumerate(f)][1:]
+    f = [c - mod if 2 * c > mod else c for c in f]
+    lead_inv = pow(f[-1], -1, mod)
+    maps = []
+    for k in range(d):
+        B = _int_divmod_f(_int_pmul([0] * k + [1], t, mod), f, mod)[1]
+        Q, rem = _int_divmod_f(_int_sub([0] * k + [1], _int_pmul(B, fprime, mod), mod), f, mod)
+        if any(rem):
+            raise PrecisionExceeded("f does not divide P - B f' to the working precision")
+        maps.append((B, Q))
+
+    def out(c, E):
+        x = PadicNumber.from_int(c, p, M)
+        N = min(M - E, cap)
+        return PadicNumber.unknown_zero(p, N) if x.v - E >= N else \
+            PadicNumber(p, x.v - E, x.u % p ** (N - x.v + E), N)
+
+    E = 0
+    poles = []
+    yparts = []
+    P = [0] * (max(shift, d) + d)
+    for mm in range(top, 0, -1):
+        if top - mm < len(digits):
+            scale = p ** E
+            for k, c in enumerate(digits[top - mm]):
+                P[shift + k] += c * scale
+        Q, R = _int_divmod_f(P, f, mod)
+        if not any(R) and not any(Q):
+            continue
+        B = [0] * d
+        for r, (Bk, Qk) in zip(R, maps):
+            for n, c in enumerate(Bk):
+                B[n] += r * c
+            for n, c in enumerate(Qk):
+                Q[n] += r * c
+        a = _vp(2 * mm - 1, p)
+        E += a
+        scale = p ** a
+        inv = 2 * pow((2 * mm - 1) // scale, -1, mod)
+        B = [c * inv % mod for c in B]
+        P = [c * scale for c in Q] + [0] * d
+        for n in range(1, d):
+            P[n - 1] += n * B[n]
+        poles.append((mm, E, [-c % mod for c in B]))
+    P = [c % mod for c in P]
+    inv2 = pow(2, -1, mod)
+    while len(P) > m.dim:
+        c = P.pop()
+        if not c:
+            continue
+        s = len(P) - d + 1
+        a = _vp(2 * s + d, p)
+        E += a
+        scale = p ** a
+        lam = 2 * c * lead_inv * pow((2 * s + d) // scale, -1, mod) % mod
+        P = [c * scale for c in P]
+        if s:
+            P[s - 1] -= lam * s * f[0]
+        for k in range(d - 1):
+            P[s + k] -= lam * (s * f[k + 1] + inv2 * fprime[k])
+        P = [c % mod for c in P]
+        yparts.append((s, E, lam))
+    return ([out(c, E) for c in P] + [out(0, E)] * (m.dim - len(P)),
+            [(mm, [out(c, e) for c in B]) for mm, e, B in poles],
+            [(s, out(lam, e)) for s, e, lam in yparts])
+
+
+def _frobenius_reference(m):
+    """(matrix, dagger) of m by _reduce_reference, mod p^N with N = tp plus the
+    sum of v_p(2m - 1) over every pole step and v_p(2s + deg) over every
+    degree step."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _frobenius_numerator
+    from affine_chabauty.padics import _vp
+
+    p, K, d = m.p, m.K, m.deg
+    tp = K - 4
+    top = p * K + (p - 1) // 2
+    loss = sum(_vp(2 * mm - 1, p) for mm in range(1, top + 1))
+    loss += sum(_vp(2 * s + d, p) for s in range(p * m.dim + d))
+    N = min(m.M, tp + loss)
+    mod = p ** N
+    fint = [c.residue(N) for c in m.f]
+    num = _frobenius_numerator(fint, p, K, N)
+    digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
+    t = [c.residue(N) for c in m._bezout()]
+    runs = [_reduce_reference(m, digits, p * i + p - 1, top, fint, t, N, tp) for i in range(m.dim)]
+    return [col for col, _, _ in runs], [(poles, yparts) for _, poles, yparts in runs]
+
+
+def _nonzero_entries(poles, yparts):
+    out = {("y", s): _vun(lam) for s, lam in yparts if not lam.is_zero()}
+    out.update({(mm, k): _vun(c) for mm, B in poles for k, c in enumerate(B) if not c.is_zero()})
+    return out
+
+
+def _random_good_model(rng, p, deg, prec):
+    while True:
+        f = [rng.randrange(-20, 21) for _ in range(deg)] + [rng.choice([1, -1, 2, 3])]
+        try:
+            return HyperellipticModel(f, p, prec)
+        except BadReduction:
+            continue
+
+
+@pytest.mark.parametrize("p,deg,prec", [(3, 4, 4), (3, 6, 12), (5, 4, 12), (5, 6, 8),
+                                        (7, 4, 8), (7, 6, 12), (11, 4, 4), (11, 6, 8),
+                                        (23, 4, 4), (23, 6, 4)])
+def test_exact_divisions_match_the_p_power_reduction(p, deg, prec):
+    rng = random.Random(100 * p + 10 * deg + prec)
+    for _ in range(2):
+        m = _random_good_model(rng, p, deg, prec)
+        fd = m.frobenius_data()
+        matrix, dagger = _frobenius_reference(m)
+        assert [[_vun(c) for c in row] for row in fd.matrix] == \
+            [[_vun(c) for c in row] for row in matrix]
+        for (poles, yparts), (ref_poles, ref_yparts) in zip(fd.dagger, dagger):
+            assert _nonzero_entries(poles, yparts) == _nonzero_entries(ref_poles, ref_yparts)
+            assert all(c.N == fd.trunc_prec for _, B in poles for c in B)
+
+
+def _affine_teichmueller_points(m):
+    fbar = [c.residue(1) for c in m.f]
+    return [Point(*chart_center(m.f, 2, xb, yb, m.M))
+            for xb in range(m.p) for yb in range(1, m.p)
+            if (yb * yb - _horner_mod(fbar, xb, m.p)) % m.p == 0]
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32), p=st.sampled_from([3, 5, 7, 11]),
+       deg=st.sampled_from([4, 6]), prec=st.integers(4, 10))
+def test_raising_the_frobenius_precision_keeps_every_digit(seed, p, deg, prec):
+    low = _random_good_model(random.Random(seed), p, deg, prec)
+    high = HyperellipticModel(low.f_rational, p, prec + 4)
+    lo, hi = low.frobenius_data(), high.frobenius_data()
+    assert lo.trunc_prec < hi.trunc_prec
+    for row_lo, row_hi in zip(lo.matrix, hi.matrix):
+        for a, b in zip(row_lo, row_hi):
+            assert a.N == lo.trunc_prec and a.compare(b) != "distinct"
+    points = zip(_affine_teichmueller_points(low), _affine_teichmueller_points(high))
+    for T_lo, T_hi in points:
+        for i in range(low.dim):
+            a, b = low.dagger_eval(i, T_lo), high.dagger_eval(i, T_hi)
+            assert a.compare(b) != "distinct"
 
 
 # -- integer dagger evaluation ----------------------------------------------
