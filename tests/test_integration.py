@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from affine_chabauty.series import sqrt_series
 from tests_support import lift_x, polynomial
 
 F61 = [9, 20, 2, -18, -7, 2, 1]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def even_problem(prec=10):
@@ -40,6 +43,30 @@ def test_superelliptic_vector_matches_paper_row():
         - iwasawa_log(PadicNumber.from_int(3, 7, 30)) / 2
     assert (vec[1] - b).compare(parse_padic("6*7 + 7^2 + 3*7^4 + O(7^6)", 7)) == "equal"
     assert (vec[2] - b).compare(parse_padic("2*7 + 6*7^2 + 2*7^3 + O(7^6)", 7)) == "equal"
+
+
+TRANSPORT = json.loads((GOLDEN / "super_transport.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(TRANSPORT))
+def test_superelliptic_vector_agrees_with_the_transport_lock(key):
+    """basis_integral_vector(P0, .) against the values of the X_zeta transport
+    (three passes on the quartic X_1), recorded before it was replaced: the
+    generator point and every disc center the transport reached.  The digits
+    agree at the lower precision and no precision drops."""
+    p, prec = (int(k) for k in key.split("@")[1].split(","))
+    I = Integrator(CurveProblem(curve=SuperellipticCurve(1),
+                                base_point=KnownPoint(Fraction(0), Fraction(0)),
+                                S=[487], p=p, prec=prec))
+    for row in TRANSPORT[key]:
+        if row["to"] == "generator":
+            Q = tuple(Fraction(c) for c in row["point"])
+        else:
+            Q = tuple(parse_padic(c, p) for c in row["point"])
+        got = I.basis_integral_vector((Fraction(0), Fraction(0)), Q)
+        for new, old in zip(got, (parse_padic(v, p) for v in row["values"])):
+            assert new.compare(old) != "distinct", (row["to"], str(new), str(old))
+            assert new.N >= old.N, (row["to"], str(new), str(old))
 
 
 def test_integral_additive_in_divisors_and_antisymmetric():
