@@ -1,15 +1,18 @@
-"""Frobenius-lift machinery and Coleman integration on hyperelliptic models.
+"""Frobenius-lift machinery and Coleman integration on the charts y^n = g(x).
 
-Works with y^2 = f(x) over Zp, f squarefree of even degree 2g+2 with unit
-leading coefficient and unit discriminant (good reduction).  The Frobenius
-action is computed on the Monsky-Washnitzer basis x^i dx/y, i = 0..2g; the
-last element is the logarithmic differential with simple poles at the two
-points at infinity.
+Works with y^n = g(x) over Zp, g squarefree mod p with unit leading
+coefficient, n | deg g and p = 1 mod n (good reduction; n = 2 is the
+hyperelliptic case).  The Frobenius action is computed on the
+Monsky-Washnitzer basis x^i dx/y^b, i = 0..deg g - 2 and b = 1..n-1: the
+lift commutes with y -> zeta y, so each eigenspace b is reduced on its own
+(Gaudry-Gurel, ASIACRYPT 2001; Minzlaff, Math. Comput. Sci. 2010).
 
 The reduction keeps, per basis element, the exact-form bookkeeping needed
 to evaluate the associated dagger function at integration endpoints, so a
-Coleman integral between non-cuspidal points costs only a small linear
-solve once the cohomology computation is cached.
+Coleman integral between non-ramified points costs only a small linear
+solve once the cohomology computation is cached.  Endpoints on a ramified
+(Weierstrass) disc go through the automorphism (x, y) -> (x, zeta y) of
+order n, which fixes the ramification points.
 
 The residue-disc layer of a chart y^n = g(x) (disc centers, disc parameters,
 parametrizations and the series of x^i dx/y^b) lives at the end of this
@@ -35,7 +38,13 @@ from .errors import (
 )
 from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
-from .series import Subordination, TruncatedSeries, formal_antiderivative, sqrt_series
+from .series import (
+    Subordination,
+    TruncatedSeries,
+    formal_antiderivative,
+    nth_root_series,
+    sqrt_series,
+)
 
 
 def loss_budget(p: int, K: int, deg: int) -> int:
@@ -57,9 +66,6 @@ class Point:
     x: PadicNumber
     y: PadicNumber
 
-    def involution(self) -> "Point":
-        return Point(self.x, -self.y)
-
     def __repr__(self):
         return f"({self.x}, {self.y})"
 
@@ -74,28 +80,39 @@ class FrobeniusData:
 
 
 class HyperellipticModel:
-    """y^2 = f(x) over Zp with good reduction; Coleman integration backend."""
+    """y^n = f(x) over Zp with good reduction; Coleman integration backend.
 
-    def __init__(self, f_coeffs, p: int, prec: int):
+    basis lists the Monsky-Washnitzer basis x^i dx/y^b as (i, b), eigenspace
+    by eigenspace; for n = 2 it is x^i dx/y, i = 0..2g."""
+
+    def __init__(self, f_coeffs, p: int, prec: int, n: int = 2):
         self.p = p
         self.prec = prec
+        self.n = n
         if p == 2:
             raise BadReduction("p = 2 not supported")
+        if (p - 1) % n:
+            raise BadReduction(f"need p = 1 mod {n}")
         self.f_rational = [Fraction(c) for c in f_coeffs]
         deg = len(f_coeffs) - 1
         while deg >= 0 and self.f_rational[deg] == 0:
             deg -= 1
-        if deg < 4 or deg % 2:
-            raise ValueError(f"need even deg f >= 4, got degree {deg}")
+        if deg % n or (n - 1) * (deg - 2) < 2:
+            raise ValueError(f"need genus >= 1 and {n} | deg f, got degree {deg}")
         self.deg = deg
-        self.g = deg // 2 - 1
-        self.dim = 2 * self.g + 1
+        self.g = (n - 1) * (deg - 2) // 2
+        self.basis = [(i, b) for b in range(1, n) for i in range(deg - 1)]
+        self.dim = len(self.basis)
         self.K = prec + 6
         self.M = prec + loss_budget(p, self.K, deg) + 8
         self.f = [PadicNumber.from_rational(c, p, self.M) for c in self.f_rational[: deg + 1]]
         if self.f[-1].v != 0:
             raise BadReduction("leading coefficient must be a unit")
         self._check_good_reduction()
+        # zeta, a primitive n-th root of unity: the Teichmueller lift of one mod p
+        order_n = next(r for r in range(2, p) if pow(r, n, p) == 1
+                       and all(pow(r, k, p) != 1 for k in range(1, n)))
+        self.zeta = teichmuller(PadicNumber.from_int(order_n, p, self.M))
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
         self._daggers: dict = {}
@@ -116,7 +133,7 @@ class HyperellipticModel:
     def point(self, x, y) -> Point:
         xp = x if isinstance(x, PadicNumber) else PadicNumber.from_rational(x, self.p, self.M)
         yp = y if isinstance(y, PadicNumber) else PadicNumber.from_rational(y, self.p, self.M)
-        if not (yp * yp - self.curve_rhs(xp)).is_zero():
+        if not (yp ** self.n - self.curve_rhs(xp)).is_zero():
             raise ValueError(f"({x}, {y}) is not on the curve")
         return Point(xp, yp)
 
@@ -129,28 +146,30 @@ class HyperellipticModel:
         if pt.x.v < 0:
             raise EndpointRestriction("point lies in an infinite disc")
         if self.is_weierstrass_disc(pt):
-            return Point(*chart_center(self.f, 2, pt.x.residue(1), 0, self.M))
-        return Point(*chart_center(self.f, 2, pt.x.residue(1), pt.y.residue(1),
+            return Point(*chart_center(self.f, self.n, pt.x.residue(1), 0, self.M))
+        return Point(*chart_center(self.f, self.n, pt.x.residue(1), pt.y.residue(1),
                                   min(pt.x.N, self.M)))
 
     # -- local expansions --------------------------------------------------------
 
     def disc_series(self, pt: Point):
         """(x(t), y(t)) to order 2 prec and the series of each basis monomial
-        x^i dx/y on pt's disc, centered at teichmueller_point(pt).
+        x^i dx/y^b on pt's disc, centered at teichmueller_point(pt).
 
         Non-Weierstrass discs use x = x(center) + p t; Weierstrass discs use
-        y = p t with x(t) solved from f(x) = y^2 by Newton iteration on
+        y = p t with x(t) solved from f(x) = y^n by Newton iteration on
         series.  Built once per disc and center precision.
         """
         x0 = self.teichmueller_point(pt).x
         key = (pt.x.residue(1), pt.y.residue(1), x0.N)
         if key not in self._discs:
-            wdisc = self.is_weierstrass_disc(pt)
-            root = None if wdisc else partial(sqrt_series, sign_hint=pt.y.residue(1))
-            xs, ys = _local_parametrization(self.f, 2, x0, root, self.M, 2 * self.prec)
-            self._discs[key] = xs, ys, monomial_series(
-                xs, ys, [(i, 1) for i in range(self.dim)], wdisc)
+            wdisc, ybar = self.is_weierstrass_disc(pt), pt.y.residue(1)
+            root = None  # y = p t on a Weierstrass disc; a square root keeps its own entry point
+            if not wdisc:
+                root = partial(sqrt_series, sign_hint=ybar) if self.n == 2 else \
+                    partial(nth_root_series, n=self.n, residue_hint=ybar)
+            xs, ys = _local_parametrization(self.f, self.n, x0, root, self.M, 2 * self.prec)
+            self._discs[key] = xs, ys, monomial_series(xs, ys, self.basis, wdisc)
         return self._discs[key]
 
     # -- Frobenius data ------------------------------------------------------------
@@ -162,52 +181,62 @@ class HyperellipticModel:
 
     def _compute_frobenius(self) -> FrobeniusData:
         """Frobenius on the basis and the exact parts of its reduction: Kedlaya's
-        algorithm on ints mod p^N.
+        algorithm on ints mod p^N, one eigenspace b at a time.
 
-        phi(x^i dx/y) = sum_j r_j x^(p i + p - 1) dx / y^(2(top - j) + 1), with
-        top = pK + (p - 1)/2 and r_j integral.  _reduce divides by 2m - 1, m <= top,
-        and by 2s + deg, s < p dim + deg.  An exact part dh that removes a pole of
-        order k of h divides by k, and max v_p(k), k <= n, is floor(log_p n).  So
-        Kedlaya's precision lemmas for A(x) dx/y^(2m+1) and for x^s dx/y ("Counting
-        points on hyperelliptic curves using Monsky-Washnitzer cohomology", 2001,
-        section 4; for even degree Harrison, "An extension of Kedlaya's algorithm
-        for hyperelliptic curves", J. Symb. Comput. 2012) bound the denominators of
-        the whole reduction of an integral form by p^L: L = floor(log_p(2 top + 1))
-        for the pole steps plus floor(log_p(2(p dim + deg) + deg)) for the degree
-        steps.  The digits enter _reduce times p^L, so its divisions are exact on
-        ints.  A reduction mod p^N adds p^(N-L) times an integral form, which the
-        rest multiplies by at most p^-L: N = tp + 2L keeps tp digits (L = 3 and
-        N = 24 at p = 23, prec 16, where summing every v_p gave 46).
+        The lift x -> x^p, y -> y^p (1 + E)^(1/n), E = (f(x^p) - f^p)/f^p, gives
+        phi(x^i dx/y^b) = sum_j r_j x^(p i + p - 1) dx / y^(b + n(top - j)), with
+        top = pK + (p - 1)b/n and r_j integral.  _reduce divides by b + n(m - 1),
+        m <= top, and by n s + (n - b) deg, s < p(deg - 1) + deg.  An exact part dh
+        that removes a pole of order k of h divides by k, and max v_p(k), k <= B, is
+        floor(log_p B).  So Kedlaya's precision lemmas for A(x) dx/y^(2m+1) and for
+        x^s dx/y ("Counting points on hyperelliptic curves using Monsky-Washnitzer
+        cohomology", 2001, section 4; for even degree Harrison, "An extension of
+        Kedlaya's algorithm for hyperelliptic curves", J. Symb. Comput. 2012; for
+        y^n = f Gaudry-Gurel 2001, section 4, and Minzlaff 2010) bound the
+        denominators of the whole reduction of an integral form by p^L:
+        L = floor(log_p(n top + b)) for the pole steps plus
+        floor(log_p(n p (deg - 1) + (2n - 1) deg)) for the degree steps, at b = n - 1.
+        The digits enter _reduce times p^L, so its divisions are exact on ints.  A
+        reduction mod p^N adds p^(N-L) times an integral form, which the rest
+        multiplies by at most p^-L: N = tp + 2L keeps tp digits (L = 3 and N = 24
+        at p = 23, prec 16, where summing every v_p gave 46).
         """
-        p, K, d = self.p, self.K, self.deg
+        p, K, d, n = self.p, self.K, self.deg, self.n
         tp = K - 4  # the K-term series truncation caps provable digits
-        top = p * K + (p - 1) // 2
-        L = sum(max(_vp(k, p) for k in range(1, n + 1))
-                for n in (2 * top + 1, 2 * p * self.dim + 3 * d))
+        top = p * K + (p - 1) * (n - 1) // n
+        L = sum(max(_vp(k, p) for k in range(1, bound + 1))
+                for bound in (n * top + n - 1, n * p * (d - 1) + (2 * n - 1) * d))
         N = tp + 2 * L
-        # S = (1 + (f(x^p) - f^p)/f^p)^(-1/2) = num / f^(pK);  p num = sum_j r_j f^j,
-        # so p S f^(-(p-1)/2) = sum_j r_j / f^(top - j).  _reduce takes p^L r_j mod
-        # p^N, which needs num only mod p^n, n = N - L - 1.
-        n = N - L - 1
-        fn = [c.residue(n) for c in self.f]
-        num = _frobenius_numerator(fn, p, K, n)
-        digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fn, p ** n)]
+        # S = (1 + E)^(-b/n) = num / f^(pK);  p num = sum_j r_j f^j, so
+        # p S / y^(pb) = sum_j r_j / y^(b + n(top - j)).  _reduce takes p^L r_j mod
+        # p^N, which needs num only mod p^m, m = N - L - 1.
+        m = N - L - 1
+        fm = [c.residue(m) for c in self.f]
         fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
-        # phi(x^i dx/y) = p x^(p i + p - 1) S f^(-(p-1)/2) dx/y
-        runs = [self._reduce(digits, p * i + p - 1, top, fint, t_bez, N, L, tp)
-                for i in range(self.dim)]
-        matrix = [col for col, _, _ in runs]
+        zero = PadicNumber.exact_zero(p)
+        matrix, dagger = [], []
+        for b in range(1, n):
+            num = _frobenius_numerator(fm, p, K, m, Fraction(-b, n))
+            digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fm, p ** m)]
+            # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb)
+            for i in range(d - 1):
+                col, poles, ys = self._reduce(digits, p * i + p - 1, p * K + (p - 1) * b // n,
+                                              fint, t_bez, N, L, tp, b)
+                # Frobenius keeps each eigenspace: exact zeros outside block b
+                matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
+                dagger.append((poles, ys))
         a_p, count = self._verify(matrix)
-        return FrobeniusData(matrix=matrix, dagger=[(poles, ys) for _, poles, ys in runs],
-                             trunc_prec=tp, a_p=a_p, point_count=count)
+        return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp, a_p=a_p,
+                             point_count=count)
 
-    def _reduce(self, digits, shift, top, f, t, M, L, cap):
-        """Reduce  sum_j x^shift digits[j] dx / (p^L y^(2(top - j) + 1))  to the basis,
-        recording the exact parts.  Integer polynomials mod p^M; f is the model's, t
-        the cofactor of f' from _bezout.  A stored int c stands for c / p^L: dividing by
-        2m - 1 or 2s + deg divides by its p-part exactly or raises PrecisionExceeded.
-        Outputs are c / p^L to absolute precision cap, M >= cap + 2L."""
-        p, d = self.p, self.deg
+    def _reduce(self, digits, shift, top, f, t, M, L, cap, b=1):
+        """Reduce  sum_j x^shift digits[j] dx / (p^L y^(b + n(top - j)))  to the basis
+        x^i dx/y^b, recording the exact parts.  Integer polynomials mod p^M; f is the
+        model's, t the cofactor of f' from _bezout.  A stored int c stands for c / p^L:
+        dividing by b + n(m - 1) or n s + (n - b) deg divides by its p-part exactly
+        or raises PrecisionExceeded.  Outputs are c / p^L to absolute precision cap,
+        M >= cap + 2L."""
+        p, d, n = self.p, self.deg, self.n
         mod = p ** M
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
         lead_inv = pow(f[-1], -1, mod)
@@ -236,26 +265,26 @@ class HyperellipticModel:
             return PadicNumber.unknown_zero(p, cap) if x.is_zero() else \
                 PadicNumber(p, x.v - L, x.u, cap)
 
-        def divide(cs, n):  # 2 cs / n, exactly on the stored ints
-            a = _vp(n, p)
+        def divide(cs, k):  # n cs / k, exactly on the stored ints
+            a = _vp(k, p)
             cs = [c % mod for c in cs]
             if any(c % p ** a for c in cs):
-                raise PrecisionExceeded(f"dividing by {n} needs more than p^{L} of headroom")
-            inv = 2 * pow(n // p ** a, -1, mod)
+                raise PrecisionExceeded(f"dividing by {k} needs more than p^{L} of headroom")
+            inv = n * pow(k // p ** a, -1, mod)
             return [c // p ** a * inv % mod for c in cs]
 
-        poles = []   # (m, poly): exact part  poly(x) / y^(2m-1)
-        yparts = []  # (s, coeff): exact part  coeff * x^s * y
+        poles = []   # (m, poly): exact part  poly(x) / y^(b + n(m-1))
+        yparts = []  # (s, coeff): exact part  coeff * x^s * y^(n-b)
         C = []  # what the steps above m left in degree < deg
         for m in range(top, 0, -1):
-            # level m holds (H f + R) dx/y^(2m+1), R = D[top - m] + C, and H f dx/y^(2m+1)
-            # is H dx/y^(2m-1); with R = B f' + Q f, B = R t mod f, R dx/y^(2m+1) =
-            # (Q + 2 B'/(2m-1)) dx/y^(2m-1) - d(2 B / ((2m-1) y^(2m-1)))
+            # level m holds (H f + R) dx/y^(b+nm), and H f dx/y^(b+nm) is H dx/y^(b+n(m-1));
+            # with R = B f' + Q f, B = R t mod f, k = b + n(m-1), R dx/y^(b+nm) =
+            # (Q + n B'/k) dx/y^k - d(n B / (k y^k))
             R = _int_padd(D[top - m] if top - m < len(D) else [], C, mod)
-            B = divide([sum(map(mul, R, col)) for col in Bcols], 2 * m - 1)
+            B = divide([sum(map(mul, R, col)) for col in Bcols], b + n * (m - 1))
             C = [sum(map(mul, R, col)) for col in Qcols]
-            for n in range(1, d):
-                C[n - 1] += n * B[n]
+            for k in range(1, d):
+                C[k - 1] += k * B[k]
             C = [c % mod for c in C]
             if any(R):
                 poles.append((m, [-c % mod for c in B]))
@@ -263,21 +292,22 @@ class HyperellipticModel:
         for r in reversed(D[top:]):
             P = _int_padd(_int_pmul(P, f, mod), r, mod)
         P = _int_padd(P, C, mod)
-        inv2 = pow(2, -1, mod)
-        while len(P) > self.dim:
+        frac = (n - b) * pow(n, -1, mod) % mod
+        while len(P) > d - 1:
             c = P.pop()
             if not c:  # zero class
                 continue
             s = len(P) - d + 1
-            # d(x^s y) = (s x^(s-1) f + x^s f'/2) dx/y cancels the top term lam * x^(s+d-1)
-            lam = divide([c * lead_inv], 2 * s + d)[0]
+            # d(x^s y^(n-b)) = (s x^(s-1) f + ((n-b)/n) x^s f') dx/y^b cancels the top
+            # term lam * x^(s+d-1)
+            lam = divide([c * lead_inv], n * s + (n - b) * d)[0]
             if s:
                 P[s - 1] -= lam * s * f[0]
             for k in range(d - 1):
-                P[s + k] -= lam * (s * f[k + 1] + inv2 * fprime[k])
+                P[s + k] -= lam * (s * f[k + 1] + frac * fprime[k])
             P = [c % mod for c in P]
             yparts.append((s, lam))
-        return ([out(c) for c in P] + [out(0)] * (self.dim - len(P)),
+        return ([out(c) for c in P] + [out(0)] * (d - 1 - len(P)),
                 [(m, [out(c) for c in B]) for m, B in poles],
                 [(s, out(lam)) for s, lam in yparts])
 
@@ -305,45 +335,46 @@ class HyperellipticModel:
         tr = matrix[0][0]
         for i in range(1, self.dim):
             tr = tr + matrix[i][i]
-        count, chi = self._point_count_fp()
-        # the log class x^(2g) dx/y sees the two points at infinity: eigenvalue
-        # p if Frobenius fixes them (lc(f) a square mod p), -p if it swaps them
-        expected_tr = p + 1 - count + chi * p
+        count, at_infinity = self._point_count_fp()
+        # the log classes see the n points at infinity: Frobenius acts on their
+        # degree-zero combinations by p times its permutation of the points
+        a_p = p + 1 - count
+        expected_tr = a_p + p * (at_infinity - 1)
         if tr.compare(expected_tr) == "distinct":
             raise PrecisionExceeded(
                 f"Frobenius trace {tr} does not match the point count {count}")
-        a_p = p + 1 - count
         if a_p * a_p > 4 * self.g * self.g * p:
             raise BadReduction("point count violates the Weil bound")
         det = padic_det([row[:] for row in matrix])
-        if det.is_zero() or det.v != self.g + 1:
+        if det.is_zero() or det.v != self.g + self.n - 1:
             raise PrecisionExceeded(
                 f"det(Frobenius) valuation {det.v if not det.is_zero() else '?'}"
-                f" != {self.g + 1}")
+                f" != {self.g + self.n - 1}")
         return a_p, count
 
     def _point_count_fp(self) -> tuple[int, int]:
-        """#C(F_p) of the smooth model and the Legendre symbol chi of lc(f):
-        the curve has 1 + chi points at infinity."""
-        p = self.p
+        """#C(F_p) of the smooth model and how many of its n points at infinity
+        are F_p-rational: all n if lc(f) is an n-th power mod p, else none."""
+        p, n = self.p, self.n
         fbar = [c.residue(1) for c in self.f]
         count = 0
         for x in range(p):
             fx = _horner_mod(fbar, x, p)
             if fx == 0:
                 count += 1
-            elif pow(fx, (p - 1) // 2, p) == 1:
-                count += 2
-        chi = 1 if pow(fbar[-1], (p - 1) // 2, p) == 1 else -1
-        return count + 1 + chi, chi
+            elif pow(fx, (p - 1) // n, p) == 1:
+                count += n
+        at_infinity = n if pow(fbar[-1], (p - 1) // n, p) == 1 else 0
+        return count + at_infinity, at_infinity
 
     # -- integration ---------------------------------------------------------------
 
     def _dagger_table(self, i: int):
-        """(S, Nc, cols): the dagger function of basis element i is y F(x, 1/y^2)
-        with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m] is p^S times the
-        coefficient of x^k z^m as an int, S clears every denominator and Nc is
-        the coefficients' common absolute precision.  Built once per element."""
+        """(S, Nc, cols): the dagger function of basis element i = x^j dx/y^b is
+        y^(n-b) F(x, 1/y^n) with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m]
+        is p^S times the coefficient of x^k z^m as an int, S clears every
+        denominator and Nc is the coefficients' common absolute precision.  Built
+        once per element."""
         if i not in self._dagger_tables:
             frob = self.frobenius_data()
             terms = [(m, k, c) for m, B in frob.dagger[i][0] for k, c in enumerate(B)]
@@ -362,13 +393,14 @@ class HyperellipticModel:
         two Horner passes on ints mod p^(N + S), N the provable precision."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
-        p = self.p
+        p, n = self.p, self.n
         S, Nc, cols = self._dagger_table(i)
         N = min(Nc, pt.x.N - S, pt.y.N - S)
         R = p ** (N + S)
         x, y = pt.x.residue(N + S), pt.y.residue(N + S)
-        z = pow(y * y, -1, R)
-        A = y * _horner_mod([_horner_mod(col, z, R) for col in cols], x, R) % R
+        z = pow(pow(y, n, R), -1, R)
+        A = pow(y, n - self.basis[i][1], R) * \
+            _horner_mod([_horner_mod(col, z, R) for col in cols], x, R) % R
         if not A:
             return PadicNumber.unknown_zero(p, N)
         v = _vp(A, p)
@@ -382,12 +414,12 @@ class HyperellipticModel:
         return self._daggers[key]
 
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
-        """Integrals of x^i dx/y between two points of one residue disc."""
+        """Integrals of the basis between two points of one residue disc."""
         if P.x.residue(1) != Q.x.residue(1):
             raise DifferentDiscs("tiny integral endpoints lie in different discs")
         wdisc = self.is_weierstrass_disc(P)
         if not wdisc and P.y.residue(1) != Q.y.residue(1):
-            raise DifferentDiscs("tiny integral endpoints lie in involution-opposite discs")
+            raise DifferentDiscs("tiny integral endpoints lie in discs over one x but different y")
         xs, _, monomials = self.disc_series(P)
         cx = None if wdisc else xs[0]
         tP, tQ = disc_parameter(P.x, P.y, cx), disc_parameter(Q.x, Q.y, cx)
@@ -400,9 +432,10 @@ class HyperellipticModel:
     def basis_integrals(self, P, Q) -> list[PadicNumber]:
         """Coleman integrals of all basis differentials from P to Q.
 
-        Every basis differential is anti-invariant under the hyperelliptic
-        involution, which reduces Weierstrass-disc endpoints to integrals
-        between generic points.
+        sigma(x, y) = (x, zeta y) fixes every Weierstrass point W and scales
+        x^i dx/y^b by zeta^-b, so the integral from sigma^-1 Q to Q is
+        (1 - zeta^b) times the integral from W to Q, and the integral between
+        two Weierstrass points vanishes.  For n = 2 sigma is the involution.
         """
         p = self.p
         wP, wQ = self.is_weierstrass_disc(P), self.is_weierstrass_disc(Q)
@@ -413,8 +446,9 @@ class HyperellipticModel:
             return [a + b for a, b in zip(t1, t2)]
         if wP:
             t1 = self.tiny_basis_integrals(P, self.teichmueller_point(P))
-            half = self.basis_integrals(Q.involution(), Q)
-            return [t1[i] + half[i] / 2 for i in range(self.dim)]
+            back = self.basis_integrals(Point(Q.x, Q.y * self.zeta ** (self.n - 1)), Q)
+            return [t1[i] + back[i] / (1 - self.zeta ** b)
+                    for i, (_, b) in enumerate(self.basis)]
         if wQ:
             return [-x for x in self.basis_integrals(Q, P)]
         TP = self.teichmueller_point(P)
@@ -495,9 +529,10 @@ def _int_pmul_stride(a, g, p, mod):
     return out
 
 
-def _frobenius_numerator(f, p, K, N):
-    """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(-1/2, k) and
-    u = f(x^p) - f^p, so that (1 + u/f^p)^(-1/2) = num / f^(pK) to K terms.
+def _frobenius_numerator(f, p, K, N, alpha=Fraction(-1, 2)):
+    """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(alpha, k) and
+    u = f(x^p) - f^p, so that (1 + u/f^p)^alpha = num / f^(pK) to K terms;
+    alpha = -b/n is a p-adic integer, and so is each c_k.
 
     With F = f(x^p) = f^p + u this is sum_j a_j u^j F^(K-j), built by binary
     splitting, P(lo, hi) = F^(hi-mid) P(lo, mid) + u^(mid-lo) P(mid, hi), bottom
@@ -509,7 +544,10 @@ def _frobenius_numerator(f, p, K, N):
     for _ in range(max(p, K // 2 + 1)):
         fpow.append(_int_pmul(fpow[-1], f, mod))
     u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
-    c = [comb(2 * k, k) * pow(-4, -k, mod) % mod for k in range(K + 1)]  # binomial(-1/2, k)
+    c, ck = [], Fraction(1)
+    for k in range(K + 1):
+        c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
+        ck = ck * (alpha - k) / (k + 1)
     level = [[sum((-1) ** (j - k) * comb(K - k, j - k) * c[k] for k in range(j + 1)) % mod]
              for j in range(K + 1)]  # the P(j, j + 1) = a_j
     width, upow = 1, u  # every node but the last sums width terms; upow = u^width

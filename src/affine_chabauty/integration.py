@@ -1,9 +1,9 @@
 """Coleman integration of logarithmic differentials on the curve families.
 
-Ties the Frobenius-lift backend to the curve families: tiny integrals on
-residue discs, global integrals between affine points, the splitting and
-auxiliary-curve transport for the superelliptic family, and the two sides
-of the p-adic residue theorem.
+Ties the Frobenius-lift backend to the curve families: every family is a
+chart y^n = g(x), and one model of that chart (hyperelliptic.py) gives the
+global integrals between affine points.  Also here: tiny integrals on
+residue discs and the two sides of the p-adic residue theorem.
 
 All integrals use the Iwasawa branch log(p) = 0.
 """
@@ -14,19 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .curves import (
-    CurveProblem,
-    EvenHyperellipticCurve,
-    LogDifferential,
-    ResidueDisc,
-    SuperellipticCurve,
-)
-from .errors import (
-    DifferentDiscs,
-    EndpointRestriction,
-    PoleOnDisc,
-    UnsupportedFamily,
-)
+from .curves import CurveProblem, LogDifferential, ResidueDisc
+from .errors import DifferentDiscs, EndpointRestriction, PoleOnDisc
 from .hyperelliptic import (
     HyperellipticModel,
     Point,
@@ -35,7 +24,7 @@ from .hyperelliptic import (
     disc_parameter,
     monomial_series,
 )
-from .numberfield import NFElement, hensel_embed
+from .numberfield import NFElement
 from .padics import PadicNumber, iwasawa_log
 from .series import TruncatedSeries, formal_antiderivative, nth_root_series
 
@@ -62,38 +51,17 @@ class Integrator:
         self.prec = problem.prec
         self.work = problem.prec + 4
         self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
-        self._models: dict = {}
+        self._model: HyperellipticModel | None = None
         self._pair_cache: dict = {}
         self._discs: dict = {}
 
     # -- model access --------------------------------------------------------
 
     def main_model(self) -> HyperellipticModel:
-        if "main" not in self._models:
-            if not isinstance(self.curve, EvenHyperellipticCurve):
-                raise UnsupportedFamily("main model exists for the hyperelliptic family")
-            self._models["main"] = HyperellipticModel(
-                [int(c) for c in self.curve.f], self.p, self.work)
-        return self._models["main"]
-
-    def cube_roots(self) -> list[PadicNumber]:
-        if "zetas" not in self._models:
-            hi = self._hi()
-            roots = [PadicNumber.from_int(1, self.p, hi)]
-            roots += [e.root for e in hensel_embed([1, 1, 1], self.p, hi)]
-            self._models["zetas"] = roots
-        return self._models["zetas"]
-
-    def x1_model(self) -> HyperellipticModel:
-        """X_1 of the family X_zeta: t^2 = (4/a^2) [s (1 + zeta s)^3 + (a^2/4 - 1) s^4].
-
-        (s, t) = (zeta^2 s', zeta t') maps X_1 onto X_zeta and pulls s ds/t back to s' ds'/t'.
-        """
-        if "x1" not in self._models:
-            c = Fraction(4) / (self.curve.a * self.curve.a)
-            self._models["x1"] = HyperellipticModel(
-                [0, c, 3 * c, 3 * c, 1], self.p, self.work)
-        return self._models["x1"]
+        """The Frobenius model of the chart y^n = g(x), built once."""
+        if self._model is None:
+            self._model = HyperellipticModel(self.curve.g, self.p, self.work, self.curve.n)
+        return self._model
 
     # -- endpoint conversion ---------------------------------------------------
 
@@ -119,12 +87,9 @@ class Integrator:
             return self._pair_cache[key]
         got = self.imported.get(key)
         if got is None:
-            if isinstance(self.curve, EvenHyperellipticCurve):
-                got = self._even_vector(P, Q)
-            elif isinstance(self.curve, SuperellipticCurve):
-                got = self._super_vector(P, Q)
-            else:
-                raise UnsupportedFamily(self.curve.family)
+            m = self.main_model()
+            vals = m.basis_integrals(self.main_point(P), self.main_point(Q))
+            got = [vals[m.basis.index(mono)] for mono in self.curve.monomials]
         self._pair_cache[key] = got
         return got
 
@@ -158,99 +123,6 @@ class Integrator:
             return (str(Fraction(x)) if not isinstance(x, PadicNumber) else str(x),
                     str(Fraction(y)) if not isinstance(y, PadicNumber) else str(y))
         return (k(P), k(Q))
-
-    # -- even hyperelliptic ---------------------------------------------------------
-
-    def _even_vector(self, P, Q):
-        m = self.main_model()
-        vals = m.basis_integrals(self.main_point(P), self.main_point(Q))
-        return vals[: self.curve.basis_size()]
-
-    # -- superelliptic ----------------------------------------------------------------
-
-    def _uv_coords(self, pt):
-        """(u', v') on the shifted Weierstrass chart v'^2 = u'^3 + a^2/4 - 1;
-        None for x = 0, the point at infinity of that chart."""
-        x, y = pt
-        a = self.curve.a
-        if not isinstance(x, PadicNumber) and Fraction(x) == 0:
-            return None
-        xp, yp = self._to_pad(x), self._to_pad(y)
-        if xp.is_zero():
-            return None
-        u = yp / xp
-        v = xp.inverse() + a / 2
-        return (u, v)
-
-    def _check_endpoint(self, uv):
-        if uv is None:
-            return
-        u, v = uv
-        if u.v < 0:
-            raise EndpointRestriction("endpoint reduces into an infinite disc of the chart")
-        ub = u.residue(1)
-        if pow(ub, 3, self.p) == 1:
-            raise EndpointRestriction(
-                "endpoint lies in a cusp residue disc or its involution image")
-
-    def _super_vector(self, P, Q):
-        """omega_1 = -(3/2) du'/v' and omega_2, omega_3, all integrated on X_1.
-
-        tau_zeta pulls du'/v' back to (2/a) ds/t, so omega_1 integrates to -3/a
-        times the ds/t integral of the zeta = 1 pass (Coleman integrals obey
-        change of variables)."""
-        uvP, uvQ = self._uv_coords(P), self._uv_coords(Q)
-        for uv in (uvP, uvQ):
-            self._check_endpoint(uv)
-        zetas = self.cube_roots()
-        # symmetric parts: pullbacks from P^1 in the coordinate w = 1/u'; the
-        # residue weights sum to zero, so the value at w = infinity vanishes
-        i2 = self._plus_part(uvQ, zetas, inverse_weight=True) \
-            - self._plus_part(uvP, zetas, inverse_weight=True)
-        i3 = self._plus_part(uvQ, zetas, inverse_weight=False) \
-            - self._plus_part(uvP, zetas, inverse_weight=False)
-        # antisymmetric parts on X_zeta, each computed on X_1
-        X = self.x1_model()
-        for z in zetas:
-            vals = X.basis_integrals(self._tau(uvP, z, X), self._tau(uvQ, z, X))
-            if z is zetas[0]:  # zeta = 1
-                i1 = vals[0] * Fraction(-3, self.curve.a)
-            I_z = vals[1] / 2  # s ds/(2t)
-            i2 = i2 + (-z) * I_z
-            i3 = i3 + (-z.inverse()) * I_z
-        return [i1, i2, i3]
-
-    def _plus_part(self, uv, zetas, inverse_weight: bool) -> PadicNumber:
-        """sum_zeta -1/2 zeta^(+-1) log(w - zeta) at one endpoint (w = 1/u')."""
-        p = self.p
-        if uv is None:
-            w = PadicNumber.exact_zero(p)        # u' = infinity: w = 0
-        else:
-            u = uv[0]
-            if u.is_exact_zero():
-                return PadicNumber.exact_zero(p)  # w = infinity: weights sum to zero
-            if u.is_zero():
-                raise EndpointRestriction("u-coordinate indistinguishable from zero")
-            w = u.inverse()
-        acc = PadicNumber.exact_zero(p)
-        for z in zetas:
-            weight = z.inverse() if inverse_weight else z
-            acc = acc + weight * iwasawa_log(w - z) * Fraction(-1, 2)
-        return acc
-
-    def _tau(self, uv, z, X: HyperellipticModel):
-        """tau_zeta(u', v') = (s, t) = (1/(u'-z), -2 v'/(a (u'-z)^2)), sent to X_1 as (z s, z^2 t).
-
-        tau(infinity) = (0, 0) on every X_zeta.
-        """
-        p = self.p
-        if uv is None:
-            return X.point(PadicNumber.exact_zero(p), PadicNumber.exact_zero(p))
-        u, v = uv
-        a = self.curve.a
-        s = (u - z).inverse()
-        t = (-2) * v * ((u - z) ** 2).inverse() / a
-        return X.point(z * s, z * z * t)
 
     # -- residue discs and expansions ------------------------------------------------
 

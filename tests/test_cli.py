@@ -35,22 +35,43 @@ def test_verify_hyperelliptic_exit_zero(tmp_path, capsys):
     assert all(d["pass"] for d in report["determinants"])
 
 
-def test_solve_superelliptic_partial_exit_two(tmp_path, capsys):
+def test_solve_superelliptic_complete_exit_zero(tmp_path, capsys):
     path = _stage(tmp_path, "superelliptic_a1.json")
     rc = main(["solve", str(path), "--prec", "10", "--out", str(tmp_path / "r.json")])
-    out = capsys.readouterr().out
-    assert rc == 2  # cusp-adjacent discs are unresolved for this family
+    capsys.readouterr()
+    assert rc == 0  # every disc of the y^3 chart is resolved
     report = json.loads((tmp_path / "r.json").read_text())
-    assert report["status"] == "partial"
-    assert report["points"]["unresolved_discs"]
-    # the demonstrated reduction type matched the known S-integral point
-    assert ["216/487", "438/487"] in [
-        r["matched"] for e in report["reduction_types"]
-        for d in e.get("discs", []) for r in d.get("roots", []) if r["matched"]]
+    assert report["status"] == "complete"
+    assert report["points"]["unresolved_discs"] == []
+    assert report["points"]["matched_known"] == [["0", "0"], ["216/487", "438/487"]]
 
 
-def test_solve_summary_names_each_failed_type(tmp_path, capsys):
-    # at p = 19 every reduction type of the superelliptic fixture ends in an error
+@pytest.mark.parametrize("p, prec", [(19, 8), (37, 8)])
+def test_solve_superelliptic_matches_both_known_points(tmp_path, capsys, p, prec):
+    # p = 19 once failed every reduction type, and p = 37 lost the known point
+    # on the disc (36, 36); both lie on discs the elliptic-chart transport missed
+    path = _stage(tmp_path, "superelliptic_a1.json")
+    rc = main(["solve", str(path), "--p", str(p), "--prec", str(prec),
+               "--out", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert rc == 0 and report["status"] == "complete"
+    assert not any("error" in e for e in report["reduction_types"])
+    assert report["points"]["matched_known"] == [["0", "0"], ["216/487", "438/487"]]
+
+
+def _fail_every_integral(monkeypatch):
+    """Make each basis integral vector raise, so that every reduction type fails."""
+    from affine_chabauty.integration import Integrator
+
+    def restricted(self, P, Q):
+        raise errors.EndpointRestriction("endpoint lies in an infinite disc")
+
+    monkeypatch.setattr(Integrator, "basis_integral_vector", restricted)
+
+
+def test_solve_summary_names_each_failed_type(tmp_path, capsys, monkeypatch):
+    _fail_every_integral(monkeypatch)
     path = _stage(tmp_path, "superelliptic_a1.json")
     rc = main(["solve", str(path), "--p", "19", "--prec", "8", "--out", str(tmp_path / "r.json")])
     out = capsys.readouterr().out.splitlines()
@@ -62,8 +83,9 @@ def test_solve_summary_names_each_failed_type(tmp_path, capsys):
     assert out[-2].endswith("unresolved discs: 0; failed types: 4")
 
 
-def test_verify_records_a_typed_error_in_the_point_row(tmp_path, capsys):
-    # at p = 19 the known point's reduction type has no locus data
+def test_verify_records_a_typed_error_in_the_point_row(tmp_path, capsys, monkeypatch):
+    # with every integral failing, the known point's reduction type has no locus data
+    _fail_every_integral(monkeypatch)
     path = _stage(tmp_path, "superelliptic_a1.json")
     rc = main(["verify", str(path), "--p", "19", "--prec", "8", "--out", str(tmp_path / "r.json")])
     out = capsys.readouterr().out
@@ -273,7 +295,7 @@ def test_sigma_solves_only_the_chosen_reduction_type(tmp_path, capsys):
     label = enumerate_reduction_types(engine.problem, engine.model)[2].label
     rc = main(["solve", str(path), "--prec", "10", "--sigma", "2",
                "--out", str(tmp_path / "r.json")])
-    assert rc == 2
+    assert rc == 0
     report = json.loads((tmp_path / "r.json").read_text())
     (entry,) = report["reduction_types"]
     assert entry["label"] == label
@@ -286,7 +308,7 @@ def test_sigma_solves_only_the_chosen_reduction_type(tmp_path, capsys):
     assert ["216/487", "438/487"] in points["matched_known"]
     assert [(u["sigma"], u["disc"]) for u in points["unresolved_discs"]] == [
         (label, d["disc"]) for d in entry["discs"] if d["status"] == "unresolved"]
-    assert report["status"] == "partial"
+    assert report["status"] == "complete"
     capsys.readouterr()
 
 

@@ -14,9 +14,10 @@ the center, x(t), y(t) and every basis expansion of each non-cuspidal disc,
 at primes that reach even and superelliptic Weierstrass discs.
 
 tests/golden/model_disc_layer.json locks the same layer on the Frobenius
-models (main and X_1): per affine and Weierstrass disc, one point of the
-disc, its center, the disc series at the center and the tiny integrals of the
-basis from the point to the center, at full stored precision.
+model of each fixture (y^2 = f(x), and y^3 = g(x) for the superelliptic
+one): per affine and Weierstrass disc, one point of the disc, its center,
+the disc series at the center and the tiny integrals of the basis from the
+point to the center, at full stored precision.
 
 tests/golden/frobenius.json locks the Frobenius data of the same models as
 ints: every matrix entry and every recorded exact part (pole polynomials and
@@ -24,8 +25,10 @@ y-parts, trailing zero classes dropped) as (v, u, N), the truncation cap, a_p,
 #C(F_p), and the dagger values of the basis at every affine Teichmueller point.
 
 Regenerate both disc files with `PYTHONPATH=src python tests/test_golden.py`.
-The Frobenius lock was written once by `_frobenius_lock()` before the integer
-Frobenius kernel replaced the PadicNumber reduction; it is not regenerated.
+The Frobenius lock was written by `_frobenius_lock()` before the integer
+Frobenius kernel replaced the PadicNumber reduction, and its superelliptic
+entries once more when the y^3 model replaced the quartic X_1 that carried
+the old transport; the hyperelliptic entries were kept byte for byte.
 """
 
 import functools
@@ -51,7 +54,7 @@ LADDER_STEP = 4
 DISC_LAYER_PREC = 8
 DISC_LAYER_PRIMES = {"hyperelliptic_6081b": (7, 19), "superelliptic_a1": (7, 13)}
 FROBENIUS_MODELS = {"hyperelliptic_6081b": ("main_model",),
-                    "superelliptic_a1": ("x1_model",)}
+                    "superelliptic_a1": ("main_model",)}
 FROBENIUS_LOCK = {"hyperelliptic_6081b": ((7, 12), (11, 12), (13, 12), (23, 8)),
                   "superelliptic_a1": ((7, 12), (13, 12))}
 
@@ -107,7 +110,7 @@ def _model_discs(m):
     """(xbar, ybar, P, center) for every affine and Weierstrass disc of the model.
 
     An affine disc gets P = (xbar + p, y) with y over ybar and its Teichmueller
-    point; a Weierstrass disc gets P = (x, p) with f(x) = p^2 and its
+    point; a Weierstrass disc gets P = (x, p) with f(x) = p^n and its
     Weierstrass point (ybar = 0).
     """
     p, M = m.p, m.M
@@ -118,12 +121,12 @@ def _model_discs(m):
         fb = _horner_mod(ics, xb, p)
         if fb == 0:
             wx = PadicNumber.from_int(hensel_lift_root(ics, xb, p, M), p, M)
-            x = hensel_lift_root([ics[0] - den * p * p] + ics[1:], xb, p, M)
+            x = hensel_lift_root([ics[0] - den * p ** m.n] + ics[1:], xb, p, M)
             P = m.point(PadicNumber.from_int(x, p, M), p)
             out.append((xb, 0, P, Point(wx, PadicNumber.exact_zero(p))))
             continue
         for yb in range(1, p):
-            if yb * yb * den % p == fb:
+            if yb ** m.n * den % p == fb:
                 P = lift_x(m, xb + p, sign_hint=yb)
                 out.append((xb, yb, P, m.teichmueller_point(P)))
     return out

@@ -1,11 +1,11 @@
 """Helpers that only the tests use: exact polynomials as series, series
-composition, lifting an x-coordinate to a point of a hyperelliptic model,
+composition, lifting an x-coordinate to a point of a model y^n = f(x),
 and the intersection of Psi with the fibre components."""
 
 from fractions import Fraction
 
 from affine_chabauty.hyperelliptic import Point
-from affine_chabauty.padics import INF, PadicNumber, sqrt
+from affine_chabauty.padics import INF, PadicNumber, nth_root, sqrt
 from affine_chabauty.series import _BIG, Subordination, TruncatedSeries
 
 
@@ -56,10 +56,16 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return out
 
 
+def involution(pt: Point) -> Point:
+    """(x, -y): the hyperelliptic involution."""
+    return Point(pt.x, -pt.y)
+
+
 def lift_x(m, x, sign_hint: int) -> Point:
     """The point of the model m over x whose y is congruent to sign_hint mod p."""
     xp = x if isinstance(x, PadicNumber) else PadicNumber.from_rational(x, m.p, m.M)
-    return Point(xp, sqrt(m.curve_rhs(xp), sign_hint=sign_hint))
+    rhs = m.curve_rhs(xp)
+    return Point(xp, sqrt(rhs, sign_hint) if m.n == 2 else nth_root(rhs, m.n, sign_hint))
 
 
 def psi_intersection_with_components(model, q: int, incidence, corr):

@@ -7,7 +7,13 @@ so both sides of the residue identity are computable independently.
 
 from fractions import Fraction
 
-from affine_chabauty.padics import PadicNumber, horner, iwasawa_log, sqrt as padic_sqrt
+from affine_chabauty.padics import (
+    PadicNumber,
+    hensel_lift_root,
+    horner,
+    iwasawa_log,
+    sqrt as padic_sqrt,
+)
 
 
 # -- polynomials over PadicNumber coefficients (dense lists, ascending) -------
@@ -217,3 +223,47 @@ def strong_super_pair(I, rng, omega=None):
                 continue
             rhs = rhs + r * iwasawa_log(phi(val))
     return lhs, rhs
+
+
+def line_divisors(I, Q, rng, count=2):
+    """Divisors of f = (y - lam x - b1)/(y - lam x - b2) on y^3 = g(x) through
+    the affine point Q, for count slopes lam with lam^3 != 1 mod p.
+
+    The line y = lam x + b1 passes through Q; b2 is an integer for which
+    y = lam x + b2 meets the curve in three points over Zp.  lam^3 != 1 keeps
+    both lines off the points at infinity, so f = 1 at every cusp.  Returns
+    [(point, multiplicity)] lists of the five points besides Q.
+    """
+    p, hi = I.p, 40
+    g = [PadicNumber.from_int(c, p, hi) for c in I.curve.g]
+    xq, yq = Q
+    out, slopes = [], set()
+    while len(out) < count:
+        lam = rng.randint(-9, 9)
+        if (lam ** 3 - 1) % p == 0 or lam in slopes:
+            continue
+        # (lam x + b)^3 - g(x) for the line through Q, divided by x - x(Q)
+        b1 = yq - xq * lam
+        c = [b1 ** 3 - g[0], b1 * b1 * (3 * lam) - g[1], b1 * (3 * lam * lam) - g[2],
+             PadicNumber.from_int(lam ** 3, p, hi) - g[3]]
+        q2 = c[3]
+        q1 = c[2] + xq * q2
+        q0 = c[1] + xq * q1
+        disc = q1 * q1 - q2 * q0 * 4
+        if disc.is_zero() or disc.v != 0 or pow(disc.u % p, (p - 1) // 2, p) != 1:
+            continue
+        root = padic_sqrt(disc, sign_hint=_sqrt_hint(disc.u, p))
+        xs = [(-q1 + root) / (q2 * 2), (-q1 - root) / (q2 * 2)]
+        if any(x.v < 0 or (x - xq).is_zero() for x in xs):
+            continue
+        b2 = rng.randint(-30, 30)
+        cubic = [b2 ** 3 - I.curve.g[0], 3 * lam * b2 * b2 - I.curve.g[1],
+                 3 * lam * lam * b2 - I.curve.g[2], lam ** 3 - I.curve.g[3]]
+        roots = [r for r in range(p) if sum(a * r ** k for k, a in enumerate(cubic)) % p == 0]
+        if len(roots) != 3:
+            continue
+        lifted = [PadicNumber.from_int(hensel_lift_root(cubic, r, p, hi), p, hi) for r in roots]
+        slopes.add(lam)
+        out.append([((x, x * lam + b1), 1) for x in xs]
+                   + [((x, x * lam + b2), -1) for x in lifted])
+    return out
