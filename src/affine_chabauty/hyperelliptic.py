@@ -14,16 +14,16 @@ solve once the cohomology computation is cached.  Endpoints on a ramified
 (Weierstrass) disc go through the automorphism (x, y) -> (x, zeta y) of
 order n, which fixes the ramification points.
 
-The residue-disc layer of a chart y^n = g(x) (disc centers, disc parameters,
-parametrizations and the series of x^i dx/y^b) lives at the end of this
-module; the models here and the curve charts of integration.py share it.
+The model is also the one residue-disc layer of its chart: teichmueller_point
+centers a disc, disc_series parametrizes it and expands the basis on it, once
+per disc, and tiny_basis_integrals integrates there.  integration.py reads
+every disc center, expansion and tiny integral from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb
 from operator import mul
 
@@ -38,13 +38,8 @@ from .errors import (
 )
 from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
-from .series import (
-    Subordination,
-    TruncatedSeries,
-    formal_antiderivative,
-    nth_root_series,
-    sqrt_series,
-)
+from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
+from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
 def loss_budget(p: int, K: int, deg: int) -> int:
@@ -140,15 +135,24 @@ class HyperellipticModel:
     def is_weierstrass_disc(self, pt: Point) -> bool:
         return pt.y.is_zero() or pt.y.v >= 1
 
-    def teichmueller_point(self, pt: Point) -> Point:
-        """The Frobenius-fixed center of pt's disc: the Weierstrass point of a
-        Weierstrass disc, otherwise the Teichmueller point over pt."""
+    def _disc_key(self, pt: Point) -> tuple[int, int]:
+        """(x mod p, y mod p) of pt: its residue disc, with y mod p = 0 on a
+        Weierstrass disc."""
         if pt.x.v < 0:
             raise EndpointRestriction("point lies in an infinite disc")
+        return pt.x.residue(1), pt.y.residue(1)
+
+    def teichmueller_point(self, pt: Point) -> Point:
+        """The Frobenius-fixed center of pt's disc, at precision M: on a
+        Weierstrass disc the root of f over x mod p with y = 0, otherwise the
+        Teichmueller lift of x mod p and the n-th root of f there over y mod p."""
+        xbar, ybar = self._disc_key(pt)
+        zero = PadicNumber.exact_zero(self.p)
         if self.is_weierstrass_disc(pt):
-            return Point(*chart_center(self.f, self.n, pt.x.residue(1), 0, self.M))
-        return Point(*chart_center(self.f, self.n, pt.x.residue(1), pt.y.residue(1),
-                                  min(pt.x.N, self.M)))
+            x0 = hensel_lift_root([c.residue(self.M) for c in self.f], xbar, self.p, self.M)
+            return Point(PadicNumber.from_int(x0, self.p, self.M), zero)
+        xt = zero if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, self.p, self.M))
+        return Point(xt, nth_root(self.curve_rhs(xt), self.n, ybar))
 
     # -- local expansions --------------------------------------------------------
 
@@ -158,18 +162,14 @@ class HyperellipticModel:
 
         Non-Weierstrass discs use x = x(center) + p t; Weierstrass discs use
         y = p t with x(t) solved from f(x) = y^n by Newton iteration on
-        series.  Built once per disc and center precision.
+        series.  Built once per disc.
         """
-        x0 = self.teichmueller_point(pt).x
-        key = (pt.x.residue(1), pt.y.residue(1), x0.N)
+        key = self._disc_key(pt)
         if key not in self._discs:
-            wdisc, ybar = self.is_weierstrass_disc(pt), pt.y.residue(1)
-            root = None  # y = p t on a Weierstrass disc; a square root keeps its own entry point
-            if not wdisc:
-                root = partial(sqrt_series, sign_hint=ybar) if self.n == 2 else \
-                    partial(nth_root_series, n=self.n, residue_hint=ybar)
-            xs, ys = _local_parametrization(self.f, self.n, x0, root, self.M, 2 * self.prec)
-            self._discs[key] = xs, ys, monomial_series(xs, ys, self.basis, wdisc)
+            ybar = key[1]  # 0 on a Weierstrass disc
+            xs, ys = _local_parametrization(self.f, self.n, self.teichmueller_point(pt).x, ybar,
+                                            self.M, 2 * self.prec)
+            self._discs[key] = xs, ys, _monomial_series(xs, ys, self.basis, ybar == 0)
         return self._discs[key]
 
     # -- Frobenius data ------------------------------------------------------------
@@ -415,14 +415,13 @@ class HyperellipticModel:
 
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
         """Integrals of the basis between two points of one residue disc."""
-        if P.x.residue(1) != Q.x.residue(1):
-            raise DifferentDiscs("tiny integral endpoints lie in different discs")
-        wdisc = self.is_weierstrass_disc(P)
-        if not wdisc and P.y.residue(1) != Q.y.residue(1):
-            raise DifferentDiscs("tiny integral endpoints lie in discs over one x but different y")
+        if self._disc_key(P) != self._disc_key(Q):
+            raise DifferentDiscs("tiny integral endpoints lie in the discs over "
+                                 f"{self._disc_key(P)} and {self._disc_key(Q)}")
         xs, _, monomials = self.disc_series(P)
-        cx = None if wdisc else xs[0]
-        tP, tQ = disc_parameter(P.x, P.y, cx), disc_parameter(Q.x, Q.y, cx)
+        wdisc = self.is_weierstrass_disc(P)
+        # the disc parameter: y = p t on a Weierstrass disc, x = x(center) + p t otherwise
+        tP, tQ = ((pt.y if wdisc else pt.x - xs[0]) / self.p for pt in (P, Q))
         out = []
         for integrand in monomials:
             F = formal_antiderivative(integrand)
@@ -631,27 +630,7 @@ def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
     return horner(coeffs[:-1], xs, acc)
 
 
-def chart_center(g, n: int, xbar: int, ybar: int, N: int):
-    """Center (x, y) at precision N of the residue disc over (xbar, ybar).
-
-    ybar = 0: the ramification point, x the root of g over xbar and y = 0.
-    Otherwise x is the Teichmueller lift of xbar and y the n-th root of g(x)
-    over ybar.
-    """
-    p = g[-1].p
-    if ybar == 0:
-        x0 = hensel_lift_root([c.residue(N) for c in g], xbar, p, N)
-        return PadicNumber.from_int(x0, p, N), PadicNumber.exact_zero(p)
-    xt = PadicNumber.exact_zero(p) if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, p, N))
-    return xt, nth_root(horner(g, xt, PadicNumber.exact_zero(p)), n, ybar)
-
-
-def disc_parameter(x: PadicNumber, y: PadicNumber, cx) -> PadicNumber:
-    """The disc parameter t of (x, y): y = p t on a ramified disc (cx None), else x = cx + p t."""
-    return y / y.p if cx is None else (x - cx) / x.p
-
-
-def monomial_series(xs: TruncatedSeries, ys: TruncatedSeries, monomials, ramified: bool) -> list:
+def _monomial_series(xs: TruncatedSeries, ys: TruncatedSeries, monomials, ramified: bool) -> list:
     """x^i dx/y^b as series in t for each (i, b) in monomials, on a disc
     parametrized by (xs, ys); x^(i-1) dx/y^b must come before x^i dx/y^b."""
     dx = xs.derivative()
@@ -683,21 +662,22 @@ def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
 
 
-def _local_parametrization(g, n: int, x0: PadicNumber, root, N: int, T: int):
-    """Series (x(t), y(t)) to order T on the residue disc of y^n = g(x) at x0.
+def _local_parametrization(g, n: int, x0: PadicNumber, ybar: int, N: int, T: int):
+    """Series (x(t), y(t)) to order T on the residue disc of y^n = g(x) over
+    (x0, ybar).
 
-    With root given, x = x0 + p t and y = root(g(x)), the branch of the n-th
-    root that picks the disc.  With root None, x0 is a root of g (a
-    ramification point), y = p t and x(t) is solved from g(x) = y^n by
-    Newton's method on series.  N is the precision of the coefficient p.
+    ybar != 0: x = x0 + p t and y the n-th root of g(x) over ybar.  ybar = 0:
+    x0 is a root of g (a ramification point), y = p t and x(t) is solved from
+    g(x) = y^n by Newton's method on series.  N is the precision of the
+    coefficient p.
     """
     p = x0.p
     zero = PadicNumber.exact_zero(p)
     bound = Subordination(1, min(0, x0.v))
     p_coeff = PadicNumber.from_int(p, p, N)
-    if root is not None:
+    if ybar:
         xs = TruncatedSeries(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
-        return xs, root(_poly_of_series(g, xs))
+        return xs, nth_root_series(_poly_of_series(g, xs), n, ybar)
     ys = TruncatedSeries(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
                          check=False, exact=True)
     target = ys

@@ -2,8 +2,10 @@
 
 Ties the Frobenius-lift backend to the curve families: every family is a
 chart y^n = g(x), and one model of that chart (hyperelliptic.py) gives the
-global integrals between affine points.  Also here: tiny integrals on
-residue discs and the two sides of the p-adic residue theorem.
+global integrals between affine points and the whole residue-disc layer:
+disc centers, disc expansions and tiny integrals are the model's, read here
+in the family's basis.  Also here: the two sides of the p-adic residue
+theorem.
 
 All integrals use the Iwasawa branch log(p) = 0.
 """
@@ -12,21 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
+from operator import add
 
 from .curves import CurveProblem, LogDifferential, ResidueDisc
-from .errors import DifferentDiscs, EndpointRestriction, PoleOnDisc
-from .hyperelliptic import (
-    HyperellipticModel,
-    Point,
-    _local_parametrization,
-    chart_center,
-    disc_parameter,
-    monomial_series,
-)
+from .errors import EndpointRestriction, PoleOnDisc
+from .hyperelliptic import HyperellipticModel, Point
 from .numberfield import NFElement
 from .padics import PadicNumber, iwasawa_log
-from .series import TruncatedSeries, formal_antiderivative, nth_root_series
+from .series import TruncatedSeries
+from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
 @dataclass
@@ -53,7 +50,6 @@ class Integrator:
         self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
         self._model: HyperellipticModel | None = None
         self._pair_cache: dict = {}
-        self._discs: dict = {}
 
     # -- model access --------------------------------------------------------
 
@@ -87,18 +83,18 @@ class Integrator:
             return self._pair_cache[key]
         got = self.imported.get(key)
         if got is None:
-            m = self.main_model()
-            vals = m.basis_integrals(self.main_point(P), self.main_point(Q))
-            got = [vals[m.basis.index(mono)] for mono in self.curve.monomials]
+            got = self._pick(self.main_model().basis_integrals(self.main_point(P),
+                                                               self.main_point(Q)))
         self._pair_cache[key] = got
         return got
 
+    def _pick(self, values: list) -> list:
+        """The entries of a per-model-basis list for the family's monomials, in their order."""
+        basis = self.main_model().basis
+        return [values[basis.index(mono)] for mono in self.curve.monomials]
+
     def integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
-        vec = self.basis_integral_vector(P, Q)
-        acc = PadicNumber.exact_zero(self.p)
-        for a, v in zip(omega.coeffs, vec):
-            acc = acc + v * a
-        return acc
+        return _dot(omega.coeffs, self.basis_integral_vector(P, Q))
 
     def divisor_integral(self, omega: LogDifferential, divisor) -> PadicNumber:
         """Integral over a degree-zero divisor given as [(point, multiplicity)]."""
@@ -129,57 +125,41 @@ class Integrator:
     def residue_discs(self) -> list[ResidueDisc]:
         return self.curve.residue_discs(self.p)
 
-    def _chart(self):
-        """(n, g) of the chart y^n = g(x), with g's coefficients at _hi()."""
-        return self.curve.n, [PadicNumber.from_int(c, self.p, self._hi()) for c in self.curve.g]
+    def _disc_point(self, disc: ResidueDisc) -> Point:
+        """disc as a point known mod p: all the model reads to find a disc."""
+        if disc.cuspidal:
+            raise PoleOnDisc("cuspidal discs have no integration center")
+        return Point(*(PadicNumber.from_int(c, self.p, 1) for c in (disc.xbar, disc.ybar)))
 
     def disc_center(self, disc: ResidueDisc):
         """Canonical (Teichmueller-type) center of a non-cuspidal disc."""
-        if disc.cuspidal:
-            raise PoleOnDisc("cuspidal discs have no integration center")
-        n, g = self._chart()
-        return chart_center(g, n, disc.xbar, disc.ybar, self._hi())
+        T = self.main_model().teichmueller_point(self._disc_point(disc))
+        return T.x, T.y
+
+    def _disc_series(self, disc: ResidueDisc) -> list:
+        """x(t), y(t) and the family's basis monomials on disc, from the model's
+        disc_series, cut to order 2 prec."""
+        xs, ys, monomials = self.main_model().disc_series(self._disc_point(disc))
+        return [s.truncate(2 * self.prec) for s in (xs, ys, *self._pick(monomials))]
 
     def disc_parametrization(self, disc: ResidueDisc):
         """Series (x(t), y(t)) to order 2 prec around the canonical center;
         t runs over Zp."""
-        cx, _ = self.disc_center(disc)
-        n, g = self._chart()
-        root = (partial(nth_root_series, n=n, residue_hint=disc.ybar)
-                if disc.kind == "affine" else None)
-        return _local_parametrization(g, n, cx, root, self._hi(), 2 * self.prec)
+        xs, ys, *_ = self._disc_series(disc)
+        return xs, ys
 
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc) -> DiscExpansion:
-        """omega|disc = series dt in the disc parameter.
-
-        The disc parametrization and the series of each basis element on it
-        are built once per disc."""
-        key = (disc.xbar, disc.ybar, disc.kind)
-        if key not in self._discs:
-            xs, ys = self.disc_parametrization(disc)
-            self._discs[key] = xs, ys, monomial_series(xs, ys, self.curve.monomials,
-                                                       disc.kind == "weierstrass")
-        xs, ys, terms = self._discs[key]
-        series = None
-        for comp, a in zip(terms, omega.coeffs):
-            term = comp.scale(a)
-            series = term if series is None else series + term
-        return DiscExpansion(series, xs, ys)
+        """omega|disc = series dt in the disc parameter."""
+        xs, ys, *terms = self._disc_series(disc)
+        return DiscExpansion(_dot(omega.coeffs, terms), xs, ys)
 
     # -- tiny integrals ------------------------------------------------------------
 
     def tiny_integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
         """Integral between two points of one non-cuspidal residue disc."""
-        disc = self._disc_of(P)
-        discQ = self._disc_of(Q)
-        if (disc.xbar, disc.ybar, disc.kind) != (discQ.xbar, discQ.ybar, discQ.kind):
-            raise DifferentDiscs(f"{disc} vs {discQ}")
-        exp = self.expand_differential_on_disc(omega, disc)
-        F = formal_antiderivative(exp.series)
-        cx = None if disc.kind == "weierstrass" else exp.xs[0]
-        tP, tQ = (disc_parameter(self._to_pad(x), self._to_pad(y), cx) for x, y in (P, Q))
-        return F.evaluate(tQ) - F.evaluate(tP)
+        vals = self.main_model().tiny_basis_integrals(self.main_point(P), self.main_point(Q))
+        return _dot(omega.coeffs, self._pick(vals))
 
     def _disc_of(self, pt) -> ResidueDisc:
         x, y = pt
@@ -208,6 +188,11 @@ class Integrator:
                 val = cusp.nfield(val)
             terms.append((cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1))
         return lhs, residue_log_sum(self.p, omega, terms, self.problem.embeddings)
+
+
+def _dot(coeffs, values):
+    """sum_j coeffs[j] values[j], for Qp values and series alike."""
+    return reduce(add, (v * a for a, v in zip(coeffs, values)))
 
 
 def residue_log_sum(p: int, omega: LogDifferential, terms, embeddings) -> PadicNumber:

@@ -200,7 +200,9 @@ class TruncatedSeries:
         """Value at t with |t| <= 1; the certificate bounds the cut tail."""
         if not isinstance(t, PadicNumber):
             t = PadicNumber.from_rational(t, self.p, self.padic_precision() + 4)
-        vt = min(t.v, _BIG)
+        if t.is_exact_zero():  # f(0) = c_0: nothing of the tail is cut
+            return self.coeffs[0]
+        vt = t.v
         if vt < 0:
             raise ValueError("evaluation requires |t| <= 1")
         if not self.exact:

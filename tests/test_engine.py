@@ -251,3 +251,28 @@ def test_solve_evaluates_each_dagger_function_once_per_teichmueller_point(monkey
     assert len(calls) == len(set(calls))
     dim = eng.integrator.main_model().dim
     assert len(calls) <= dim * len({pt for _, _, pt in calls})
+
+
+def test_solve_builds_each_disc_once(monkeypatch):
+    """One parametrization per residue disc, whichever layer asks for it: the
+    integrator reads its discs from the model's disc_series."""
+    import importlib
+    import pkgutil
+
+    import affine_chabauty
+    from affine_chabauty import hyperelliptic
+
+    calls = []
+    orig = hyperelliptic._local_parametrization
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    for info in pkgutil.iter_modules(affine_chabauty.__path__):
+        module = importlib.import_module(f"affine_chabauty.{info.name}")
+        if vars(module).get("_local_parametrization") is orig:
+            monkeypatch.setattr(module, "_local_parametrization", counted)
+    eng = load("superelliptic_a1.json", prec_override=12)
+    assert eng.problem.p == 7
+    eng.solve()
+    assert len(calls) == len(eng.integrator.main_model()._discs) == 9

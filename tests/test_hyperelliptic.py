@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
-from affine_chabauty.hyperelliptic import HyperellipticModel, Point, chart_center
-from affine_chabauty.padics import PadicNumber, _horner_mod, horner
+from affine_chabauty.hyperelliptic import HyperellipticModel, Point
+from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import involution, lift_x
 
@@ -123,6 +123,14 @@ def test_tiny_integrals_reject_endpoints_of_two_discs():
         m.tiny_basis_integrals(P, lift_x(m, 0, sign_hint=3))   # another x residue
     with pytest.raises(DifferentDiscs):
         m.tiny_basis_integrals(P, involution(P))             # the opposite disc
+
+
+def test_tiny_integrals_from_a_point_to_itself_are_exact_zeros():
+    # the superelliptic model's Weierstrass disc (0, 0) at p = 7: the disc
+    # parameter of (0, 0) is an exact zero, and so is each integral
+    m = _fixture_model("superelliptic_a1", "main_model", 7)
+    P0 = Point(PadicNumber.exact_zero(7), PadicNumber.exact_zero(7))
+    assert [(v.v, v.u, v.N) for v in m.tiny_basis_integrals(P0, P0)] == [(INF, 0, INF)] * m.dim
 
 
 def test_center_of_a_point_at_infinity_is_rejected():
@@ -480,9 +488,14 @@ def test_exact_divisions_match_the_p_power_reduction(p, deg, prec):
             assert all(c.N == fd.trunc_prec for _, B in poles for c in B)
 
 
+def _mod_p_point(m, xbar, ybar):
+    """A point known mod p: enough for the model to name its disc."""
+    return Point(*(PadicNumber.from_int(c, m.p, 1) for c in (xbar, ybar)))
+
+
 def _affine_teichmueller_points(m):
     fbar = [c.residue(1) for c in m.f]
-    return [Point(*chart_center(m.f, 2, xb, yb, m.M))
+    return [m.teichmueller_point(_mod_p_point(m, xb, yb))
             for xb in range(m.p) for yb in range(1, m.p)
             if (yb * yb - _horner_mod(fbar, xb, m.p)) % m.p == 0]
 
@@ -601,7 +614,7 @@ def test_integer_dagger_rejects_weierstrass_discs(key):
     m = _fixture_model(*key)
     fbar = [c.residue(1) for c in m.f]
     xbar = next(x for x in range(m.p) if _horner_mod(fbar, x, m.p) == 0)
-    W = Point(*chart_center(m.f, m.n, xbar, 0, m.M))
+    W = m.teichmueller_point(_mod_p_point(m, xbar, 0))
     for pt in (W, Point(W.x, PadicNumber.from_int(m.p, m.p, m.M))):
         with pytest.raises(EndpointRestriction):
             m.dagger_eval(0, pt)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from affine_chabauty.errors import IndistinguishableFromZero, PrecisionLoss
-from affine_chabauty.padics import PadicNumber
+from affine_chabauty.padics import INF, PadicNumber
 from affine_chabauty.series import (
     Subordination,
     TruncatedSeries,
@@ -120,6 +120,17 @@ def test_evaluate_with_certificate():
     want = PadicNumber.from_rational(Fraction(1, 1 - 21), P, got.precision())
     assert got.compare(want) != "distinct"
     assert got.precision() >= 8
+
+
+def test_evaluate_at_an_exact_zero_is_the_constant_term():
+    """f(0) = c_0 with no tail error: an exact zero stays exact (v = N = INF)."""
+    cs = [PadicNumber.from_rational(Fraction(7) ** n, P, 20) for n in range(8)]
+    F = formal_antiderivative(TruncatedSeries(P, cs, Subordination(1, 0)))
+    zero = PadicNumber.exact_zero(P)
+    got = F.evaluate(zero)
+    assert (got.v, got.u, got.N) == (INF, 0, INF)
+    shifted = F + PadicNumber.from_int(3, P, 10)
+    assert shifted.evaluate(zero) is shifted.coeffs[0]
 
 
 def test_strassmann_paper_shape():
