@@ -15,7 +15,7 @@ from .errors import (
     PoleOnDisc,
     PrecisionLoss,
 )
-from .integration import Integrator, residue_log_sum
+from .integration import Integrator, _dot, residue_log_sum
 from .linalg import padic_det, padic_kernel
 from .models import (
     LambdaRecord,
@@ -159,23 +159,20 @@ class Engine:
                 total += corr.coeffs.get(cid, Fraction(0)) * Fraction(i_l)
         return total
 
+    @staticmethod
+    def _divisor(gen: MWGenerator) -> list:
+        return [((pt.x, pt.y), m) for pt, m in gen.divisor]
+
     def generator_integrals(self, gen: MWGenerator) -> list:
         if gen.id not in self._gen_int_cache:
-            basis = self.problem.curve.basis()
-            vec = []
-            divisor = [((pt.x, pt.y), m) for pt, m in gen.divisor]
-            for omega in basis:
-                vec.append(self.integrator.divisor_integral(omega, divisor))
-            self._gen_int_cache[gen.id] = vec
+            divisor = self._divisor(gen)
+            self._gen_int_cache[gen.id] = [self.integrator.divisor_integral(omega, divisor)
+                                           for omega in self.problem.curve.basis()]
         return self._gen_int_cache[gen.id]
 
     def pairing_H(self, gen: MWGenerator, omega: LogDifferential) -> PadicNumber:
         """H(G, omega) = int_G omega - sum_(Q,phi,lambda) phi(Res) i_lambda(Psi) log phi(pi)."""
-        vec = self.generator_integrals(gen)
-        acc = PadicNumber.exact_zero(self.problem.p)
-        for a, v in zip(omega.coeffs, vec):
-            acc = acc + v * a
-        return acc - self._H_correction(gen, omega)
+        return _dot(omega.coeffs, self.generator_integrals(gen)) - self._H_correction(gen, omega)
 
     def _H_correction(self, gen: MWGenerator, omega: LogDifferential) -> PadicNumber:
         psi = [(lam, self.psi_lambda(gen, lam)) for lam in self.model.lambdas]
@@ -272,17 +269,11 @@ class Engine:
         I = self.integrator
         base = self.base_pair()
         try:
-            cx, cy = I.disc_center(disc)
-            base_disc = I._disc_of(base)
-            same_disc = (base_disc.xbar, base_disc.ybar, base_disc.kind) == \
-                (disc.xbar, disc.ybar, disc.kind)
+            center = I.disc_center(disc)
             root_sets = []
             bound = None
             for omega, c in pairs:
-                if same_disc:
-                    const = I.tiny_integral(omega, base, (cx, cy)) - c
-                else:
-                    const = I.integral(omega, base, (cx, cy)) - c
+                const = I.integral(omega, base, center) - c
                 exp = I.expand_differential_on_disc(omega, disc)
                 rho = formal_antiderivative(exp.series) + const
                 res = strassmann_roots(rho)
@@ -427,16 +418,14 @@ class Engine:
 
     def _pin_integrals(self) -> list:
         """The basis integral vectors the generator rows used, as
-        imported_integrals records; divisor_integral integrates from each
-        divisor's first point."""
+        imported_integrals records: the pairs of divisor_pairs, which start at
+        each divisor's first point and skip the pair from it to itself."""
         out = []
         for gen in self.generators:
-            base = gen.divisor[0][0]
-            for pt, mult in gen.divisor:
-                vec = self.integrator.cached_vector((base.x, base.y), (pt.x, pt.y))
-                if mult and vec is not None:
-                    out.append({"from": [str(base.x), str(base.y)],
-                                "to": [str(pt.x), str(pt.y)],
+            for base, pt, _ in self.integrator.divisor_pairs(self._divisor(gen)):
+                vec = self.integrator.cached_vector(base, pt)
+                if vec is not None:
+                    out.append({"from": [str(c) for c in base], "to": [str(c) for c in pt],
                                 "values": [render_padic(v) for v in vec]})
         return out
 

@@ -65,11 +65,17 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
+def _point_key(pt: Point) -> tuple:
+    """(v, u, N) of x and of y: equal keys are identical points."""
+    return pt.x.v, pt.x.u, pt.x.N, pt.y.v, pt.y.u, pt.y.N
+
+
 @dataclass
 class FrobeniusData:
     matrix: list          # rows: image of omega_i in the basis
-    dagger: list          # per i: (pole_parts [(m, poly)], y_parts [(s, coeff)])
+    dagger: list          # per i: (pole_parts [(m, poly)], y_parts [(s, coeff)]) as ints
     trunc_prec: int       # precision cap coming from the series truncation
+    headroom: int         # L: a dagger int c is c / p^L to absolute precision trunc_prec
     a_p: int
     point_count: int
 
@@ -226,8 +232,8 @@ class HyperellipticModel:
                 matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
                 dagger.append((poles, ys))
         a_p, count = self._verify(matrix)
-        return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp, a_p=a_p,
-                             point_count=count)
+        return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp, headroom=L,
+                             a_p=a_p, point_count=count)
 
     def _reduce(self, digits, shift, top, f, t, M, L, cap, b=1):
         """Reduce  sum_j x^shift digits[j] dx / (p^L y^(b + n(top - j)))  to the basis
@@ -235,9 +241,10 @@ class HyperellipticModel:
         model's, t the cofactor of f' from _bezout.  A stored int c stands for c / p^L:
         dividing by b + n(m - 1) or n s + (n - b) deg divides by its p-part exactly
         or raises PrecisionExceeded.  Outputs are c / p^L to absolute precision cap,
-        M >= cap + 2L."""
+        M >= cap + 2L: the column as PadicNumbers, the exact parts as the ints c
+        mod p^(cap + L)."""
         p, d, n = self.p, self.deg, self.n
-        mod = p ** M
+        mod, keep = p ** M, p ** (cap + L)
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
         lead_inv = pow(f[-1], -1, mod)
         # per x^k, k < deg: B = x^k t mod f and the exact quotient (x^k - B f') / f
@@ -287,7 +294,7 @@ class HyperellipticModel:
                 C[k - 1] += k * B[k]
             C = [c % mod for c in C]
             if any(R):
-                poles.append((m, [-c % mod for c in B]))
+                poles.append((m, [-c % keep for c in B]))
         P = []
         for r in reversed(D[top:]):
             P = _int_padd(_int_pmul(P, f, mod), r, mod)
@@ -306,10 +313,8 @@ class HyperellipticModel:
             for k in range(d - 1):
                 P[s + k] -= lam * (s * f[k + 1] + frac * fprime[k])
             P = [c % mod for c in P]
-            yparts.append((s, lam))
-        return ([out(c) for c in P] + [out(0)] * (d - 1 - len(P)),
-                [(m, [out(c) for c in B]) for m, B in poles],
-                [(s, out(lam)) for s, lam in yparts])
+            yparts.append((s, lam % keep))
+        return [out(c) for c in P] + [out(0)] * (d - 1 - len(P)), poles, yparts
 
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
@@ -374,18 +379,18 @@ class HyperellipticModel:
         y^(n-b) F(x, 1/y^n) with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m]
         is p^S times the coefficient of x^k z^m as an int, S clears every
         denominator and Nc is the coefficients' common absolute precision.  Built
-        once per element."""
+        once per element, straight from the ints c / p^L of the reduction."""
         if i not in self._dagger_tables:
             frob = self.frobenius_data()
+            p, L = self.p, frob.headroom
             terms = [(m, k, c) for m, B in frob.dagger[i][0] for k, c in enumerate(B)]
             terms += [(0, s, lam) for s, lam in frob.dagger[i][1]]
-            S = max([0] + [-c.v for _, _, c in terms if not c.is_zero()])
+            S = max([0] + [L - _vp(c, p) for _, _, c in terms if c])
             cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
             for m, k, c in terms:
                 cols[k] += [0] * (m + 1 - len(cols[k]))
-                cols[k][m] = 0 if c.is_zero() else c.u * self.p ** (c.v + S)
-            Nc = min([frob.trunc_prec] + [c.N for _, _, c in terms])
-            self._dagger_tables[i] = S, Nc, cols
+                cols[k][m] = c * p ** S // p ** L  # exact: v_p(c) >= L - S
+            self._dagger_tables[i] = S, frob.trunc_prec, cols
         return self._dagger_tables[i]
 
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
@@ -408,16 +413,28 @@ class HyperellipticModel:
 
     def _dagger_vector(self, T: Point) -> list[PadicNumber]:
         """dagger_eval of every basis element at the Teichmueller point T, once per point."""
-        key = (T.x.v, T.x.u, T.x.N, T.y.v, T.y.u, T.y.N)
+        key = _point_key(T)
         if key not in self._daggers:
             self._daggers[key] = [self.dagger_eval(i, T) for i in range(self.dim)]
         return self._daggers[key]
 
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
-        """Integrals of the basis between two points of one residue disc."""
+        """Integrals of the basis between two points of one residue disc.
+
+        Between identical endpoints (equal (v, u, N) in x and y) each integral is
+        exactly 0, and no series is integrated.  That exact zero is sound: the
+        integral from a point to itself is 0.  It is also the common case: the
+        callers integrate only from a point to its own Teichmueller point, and
+        teichmueller_point is idempotent, so a disc center is its own, and so is
+        a point at precision M whose x is 0 or a root of unity (the fixtures'
+        points have x in {0, +-1}).  basis_integrals caps every sum at
+        trunc_prec anyway.
+        """
         if self._disc_key(P) != self._disc_key(Q):
             raise DifferentDiscs("tiny integral endpoints lie in the discs over "
                                  f"{self._disc_key(P)} and {self._disc_key(Q)}")
+        if _point_key(P) == _point_key(Q):
+            return [PadicNumber.exact_zero(self.p)] * self.dim
         xs, _, monomials = self.disc_series(P)
         wdisc = self.is_weierstrass_disc(P)
         # the disc parameter: y = p t on a Weierstrass disc, x = x(center) + p t otherwise

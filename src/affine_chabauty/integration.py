@@ -4,8 +4,8 @@ Ties the Frobenius-lift backend to the curve families: every family is a
 chart y^n = g(x), and one model of that chart (hyperelliptic.py) gives the
 global integrals between affine points and the whole residue-disc layer:
 disc centers, disc expansions and tiny integrals are the model's, read here
-in the family's basis.  Also here: the two sides of the p-adic residue
-theorem.
+in the family's basis.  Also here: the residue x log sum of the p-adic
+residue theorem (residue_log_sum), shared with the engine.
 
 All integrals use the Iwasawa branch log(p) = 0.
 """
@@ -18,10 +18,9 @@ from functools import reduce
 from operator import add
 
 from .curves import CurveProblem, LogDifferential, ResidueDisc
-from .errors import EndpointRestriction, PoleOnDisc
+from .errors import PoleOnDisc
 from .hyperelliptic import HyperellipticModel, Point
-from .numberfield import NFElement
-from .padics import PadicNumber, iwasawa_log
+from .padics import PadicNumber
 from .series import TruncatedSeries
 from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
@@ -96,16 +95,20 @@ class Integrator:
     def integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
         return _dot(omega.coeffs, self.basis_integral_vector(P, Q))
 
-    def divisor_integral(self, omega: LogDifferential, divisor) -> PadicNumber:
-        """Integral over a degree-zero divisor given as [(point, multiplicity)]."""
-        total = sum(m for _, m in divisor)
-        if total != 0:
+    def divisor_pairs(self, divisor) -> list:
+        """(base, point, multiplicity) for each integral that a degree-zero divisor
+        [(point, multiplicity)] needs: from its first point, base, to each point of
+        nonzero multiplicity other than base itself (that integral is exactly 0)."""
+        if sum(m for _, m in divisor) != 0:
             raise ValueError("divisor must have degree zero")
         base = divisor[0][0]
+        return [(base, pt, mult) for pt, mult in divisor
+                if mult and _point_key(pt) != _point_key(base)]
+
+    def divisor_integral(self, omega: LogDifferential, divisor) -> PadicNumber:
+        """Integral over a degree-zero divisor given as [(point, multiplicity)]."""
         acc = PadicNumber.exact_zero(self.p)
-        for pt, mult in divisor:
-            if mult == 0:
-                continue
+        for base, pt, mult in self.divisor_pairs(divisor):
             acc = acc + self.integral(omega, base, pt) * mult
         return acc
 
@@ -114,11 +117,7 @@ class Integrator:
         return self._pair_cache.get(self._pair_key(P, Q))
 
     def _pair_key(self, P, Q):
-        def k(pt):
-            x, y = pt
-            return (str(Fraction(x)) if not isinstance(x, PadicNumber) else str(x),
-                    str(Fraction(y)) if not isinstance(y, PadicNumber) else str(y))
-        return (k(P), k(Q))
+        return _point_key(P), _point_key(Q)
 
     # -- residue discs and expansions ------------------------------------------------
 
@@ -161,33 +160,11 @@ class Integrator:
         vals = self.main_model().tiny_basis_integrals(self.main_point(P), self.main_point(Q))
         return _dot(omega.coeffs, self._pick(vals))
 
-    def _disc_of(self, pt) -> ResidueDisc:
-        x, y = pt
-        xp, yp = self._to_pad(x), self._to_pad(y)
-        if xp.v < 0 or yp.v < 0:
-            raise EndpointRestriction("point is not p-integral")
-        xb = xp.residue(1)
-        yb = yp.residue(1)
-        kind = "affine" if yb != 0 else "weierstrass"
-        return ResidueDisc(self.curve, self.p, xb, yb, kind)
 
-    # -- residue theorem -------------------------------------------------------------
-
-    def residue_theorem_check(self, divisor, cusp_values: dict,
-                              omega: LogDifferential):
-        """(lhs, rhs) of the residue identity for div(f) and omega.
-
-        divisor: [(point, multiplicity)] supported in Y;
-        cusp_values: cusp id -> f(Q) as an element of k(Q) (nonzero).
-        """
-        lhs = self.divisor_integral(omega, divisor)
-        terms = []
-        for cusp in self.curve.cusps:
-            val = cusp_values[cusp.id]
-            if not isinstance(val, NFElement):
-                val = cusp.nfield(val)
-            terms.append((cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1))
-        return lhs, residue_log_sum(self.p, omega, terms, self.problem.embeddings)
+def _point_key(pt) -> tuple:
+    """An endpoint (x, y) of rationals or PadicNumbers as strings: equal keys
+    are identical endpoints."""
+    return tuple(str(c) if isinstance(c, PadicNumber) else str(Fraction(c)) for c in pt)
 
 
 def _dot(coeffs, values):

@@ -283,8 +283,9 @@ def test_roundtrip_pinned_integrals_reproduce_kernel(tmp_path, capsys):
     rc2 = main(["solve", str(path2), "--prec", "10", "--out", str(tmp_path / "b.json")])
     assert rc2 == 0
     report2 = json.loads((tmp_path / "b.json").read_text())
-    # the generator rows' pairs: (P1, P1), (P1, P0), (P2, P2), (P2, P0)
-    assert len(pinned) == 4
+    # the generator rows' pairs: (P1, P0), (P2, P0); the self-pairs (P1, P1) and
+    # (P2, P2) are exact zeros, never integrated and so never pinned
+    assert len(pinned) == 2
     assert report2 == report
     capsys.readouterr()
 

@@ -276,3 +276,22 @@ def test_solve_builds_each_disc_once(monkeypatch):
     assert eng.problem.p == 7
     eng.solve()
     assert len(calls) == len(eng.integrator.main_model()._discs) == 9
+
+
+def test_hyperelliptic_p23_solve_integrates_no_series_between_identical_points(monkeypatch):
+    """Every tiny integral of the hyperelliptic solve at p = 23 runs from a point
+    to itself (its own Teichmueller point, or a disc center to itself), and
+    each is an exact zero: the model antidifferentiates no series."""
+    from affine_chabauty import hyperelliptic
+
+    calls = []
+    orig = hyperelliptic.formal_antiderivative
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(hyperelliptic, "formal_antiderivative", counted)
+    eng = load("hyperelliptic_6081b.json", p_override=23, prec_override=12)
+    report = eng.solve()
+    assert report["status"] == "complete" and len(report["points"]["matched_known"]) == 10
+    assert calls == []

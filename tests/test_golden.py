@@ -44,7 +44,7 @@ from affine_chabauty.hyperelliptic import Point
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.padics import PadicNumber, _horner_mod, hensel_lift_root, render_padic
 from affine_chabauty.problem import load_problem
-from tests_support import lift_x
+from tests_support import lift_x, padic_dagger
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -186,7 +186,7 @@ def _frobenius_lock() -> dict:
                 m = getattr(I, name)()
                 fd = m.frobenius_data()
                 dagger = []
-                for poles, yparts in fd.dagger:
+                for poles, yparts in padic_dagger(m):
                     ys = [PadicNumber.exact_zero(p)] * (1 + max((s for s, _ in yparts), default=-1))
                     for s, lam in yparts:
                         ys[s] = lam
@@ -206,6 +206,13 @@ def _frobenius_lock() -> dict:
                     "teichmueller": values,
                 }
     return out
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_no_pinned_integral_runs_from_a_point_to_itself(fixture):
+    report = json.loads((GOLDEN / f"{fixture}.solve.json").read_text())
+    assert report["pinned_integrals"]
+    assert all(rec["from"] != rec["to"] for rec in report["pinned_integrals"])
 
 
 def test_frobenius_data_matches_lock_exactly():

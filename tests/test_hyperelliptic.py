@@ -13,7 +13,7 @@ from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestric
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
-from tests_support import involution, lift_x
+from tests_support import exact_parts, involution, lift_x, padic_dagger
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -131,6 +131,17 @@ def test_tiny_integrals_from_a_point_to_itself_are_exact_zeros():
     m = _fixture_model("superelliptic_a1", "main_model", 7)
     P0 = Point(PadicNumber.exact_zero(7), PadicNumber.exact_zero(7))
     assert [(v.v, v.u, v.N) for v in m.tiny_basis_integrals(P0, P0)] == [(INF, 0, INF)] * m.dim
+
+
+def test_tiny_integrals_to_the_own_teichmueller_point_are_exact_zeros():
+    # the hyperelliptic base point (0, 3) at p = 23 is its own Teichmueller point
+    engine = load_problem(PROBLEMS / "hyperelliptic_6081b.json", p_override=23,
+                          prec_override=PREC)
+    I = engine.integrator
+    m = I.main_model()
+    P = I.main_point(engine.base_pair())
+    T = m.teichmueller_point(P)
+    assert [(v.v, v.u, v.N) for v in m.tiny_basis_integrals(P, T)] == [(INF, 0, INF)] * m.dim
 
 
 def test_center_of_a_point_at_infinity_is_rejected():
@@ -330,6 +341,7 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
     # d(1/y^3) = -(3/2) f' dx/y^5: nothing left in cohomology, exact part 1/y^3
     dform = [-3 * k * c * pow(2, -1, mod) % mod for k, c in enumerate(f)][1:]
     col, poles, yparts = m._reduce([dform], 0, 2, f, t, M, 0, 10)
+    poles, yparts = exact_parts(p, poles, yparts, 0, 10)
     assert all(c.is_zero() for c in col) and yparts == []
     assert [mm for mm, _ in poles] == [2]
     assert poles[0][1][0].compare(1) == "equal"
@@ -352,6 +364,7 @@ def test_a_division_beyond_the_headroom_raises():
         m._reduce([[1]], 0, 4, f, t, M, 0, 10)
     # with L = 1 the same form (input 7 / 7^1) reduces, exact part -2t/7 / y^7
     col, poles, yparts = m._reduce([[p]], 0, 4, f, t, M, 1, 10)
+    poles, yparts = exact_parts(p, poles, yparts, 1, 10)
     assert poles[0][0] == 4
     assert min(c.v for c in poles[0][1] if not c.is_zero()) == -1
     exact = [PadicNumber.from_int(-2 * c, p, M) / p for c in t]
@@ -483,7 +496,7 @@ def test_exact_divisions_match_the_p_power_reduction(p, deg, prec):
         matrix, dagger = _frobenius_reference(m)
         assert [[_vun(c) for c in row] for row in fd.matrix] == \
             [[_vun(c) for c in row] for row in matrix]
-        for (poles, yparts), (ref_poles, ref_yparts) in zip(fd.dagger, dagger):
+        for (poles, yparts), (ref_poles, ref_yparts) in zip(padic_dagger(m), dagger):
             assert _nonzero_entries(poles, yparts) == _nonzero_entries(ref_poles, ref_yparts)
             assert all(c.N == fd.trunc_prec for _, B in poles for c in B)
 
@@ -533,18 +546,11 @@ def _fixture_model(fixture, name, p):
 
 def _scaled(m, k):
     """A copy of m whose dagger coefficients are divided by p^k, so that its
-    int table needs S > 0 digits of headroom."""
-    p = m.p
-
-    def div(c):
-        return PadicNumber.unknown_zero(p, c.N - k) if c.is_zero() else \
-            PadicNumber(p, c.v - k, c.u, c.N - k)
-
+    int table needs S > 0 digits of headroom: the ints c / p^L become
+    c / p^(L + k), known to k digits less."""
     fd = m.frobenius_data()
     out = copy.copy(m)
-    out._frob = dataclasses.replace(fd, dagger=[
-        ([(mm, [div(c) for c in B]) for mm, B in poles], [(s, div(lam)) for s, lam in yparts])
-        for poles, yparts in fd.dagger])
+    out._frob = dataclasses.replace(fd, headroom=fd.headroom + k, trunc_prec=fd.trunc_prec - k)
     out._daggers, out._dagger_tables = {}, {}
     return out
 
@@ -552,7 +558,7 @@ def _scaled(m, k):
 def _dagger_reference(m, i, pt):
     """The dagger function of basis element i = x^j dx/y^b at pt by PadicNumber
     Horner: the reference for the int evaluation."""
-    poles, yparts = m.frobenius_data().dagger[i]
+    poles, yparts = padic_dagger(m)[i]
     p = m.p
     by_m = dict(poles)
     inv_yn = (pt.y ** m.n).inverse()

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: exact polynomials as series, series
 composition, lifting an x-coordinate to a point of a model y^n = f(x),
-and the intersection of Psi with the fibre components."""
+the Frobenius exact parts as PadicNumbers, and the intersection of Psi
+with the fibre components."""
 
 from fractions import Fraction
 
@@ -66,6 +67,24 @@ def lift_x(m, x, sign_hint: int) -> Point:
     xp = x if isinstance(x, PadicNumber) else PadicNumber.from_rational(x, m.p, m.M)
     rhs = m.curve_rhs(xp)
     return Point(xp, sqrt(rhs, sign_hint) if m.n == 2 else nth_root(rhs, m.n, sign_hint))
+
+
+def exact_parts(p, poles, yparts, L, cap):
+    """The exact parts of a reduction, [(m, [c])] and [(s, c)] with each int c
+    standing for c / p^L, as PadicNumbers at absolute precision cap."""
+    def padic(c):
+        x = PadicNumber.from_int(c, p, cap + L)
+        return PadicNumber.unknown_zero(p, cap) if x.is_zero() else \
+            PadicNumber(p, x.v - L, x.u, cap)
+
+    return [(m, [padic(c) for c in B]) for m, B in poles], [(s, padic(c)) for s, c in yparts]
+
+
+def padic_dagger(m):
+    """FrobeniusData.dagger of the model m with its ints as PadicNumbers."""
+    fd = m.frobenius_data()
+    return [exact_parts(m.p, poles, yparts, fd.headroom, fd.trunc_prec)
+            for poles, yparts in fd.dagger]
 
 
 def psi_intersection_with_components(model, q: int, incidence, corr):

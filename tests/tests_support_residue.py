@@ -1,4 +1,5 @@
-"""Constructors of randomized (f, omega) pairs for the residue-theorem suite.
+"""Constructors of randomized (f, omega) pairs for the residue-theorem suite,
+and the two sides of the residue identity.
 
 Both families produce a rational function with divisor supported at
 explicitly computed Qp-points together with its exact values at the cusps,
@@ -7,6 +8,8 @@ so both sides of the residue identity are computable independently.
 
 from fractions import Fraction
 
+from affine_chabauty.integration import residue_log_sum
+from affine_chabauty.numberfield import NFElement
 from affine_chabauty.padics import (
     PadicNumber,
     hensel_lift_root,
@@ -14,6 +17,23 @@ from affine_chabauty.padics import (
     iwasawa_log,
     sqrt as padic_sqrt,
 )
+
+
+def residue_theorem_check(I, divisor, cusp_values: dict, omega):
+    """(lhs, rhs) of the residue identity for div(f) and omega on the
+    integrator I.
+
+    divisor: [(point, multiplicity)] supported in Y;
+    cusp_values: cusp id -> f(Q) as an element of k(Q) (nonzero).
+    """
+    lhs = I.divisor_integral(omega, divisor)
+    terms = []
+    for cusp in I.curve.cusps:
+        val = cusp_values[cusp.id]
+        if not isinstance(val, NFElement):
+            val = cusp.nfield(val)
+        terms.append((cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1))
+    return lhs, residue_log_sum(I.p, omega, terms, I.problem.embeddings)
 
 
 # -- polynomials over PadicNumber coefficients (dense lists, ascending) -------
