@@ -15,7 +15,7 @@ elements of the cusp residue fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadReduction, NonSeparableReduction, ProblemFileError, UnsupportedFamily
@@ -59,6 +59,22 @@ def _separable(fbar, p) -> bool:
     while a and a[-1] % p == 0:
         a.pop()
     return len(a) == 1
+
+
+def reduction_defect(g, n: int, p: int) -> str | None:
+    """Why y^n = g(x) (g with ascending p-integral coefficients, leading one
+    nonzero) has no good reduction at the prime p, or None when it has: p odd,
+    p = 1 mod n, p not dividing lc(g), and g squarefree mod p."""
+    if p == 2:
+        return "p = 2 not supported"
+    if (p - 1) % n:
+        return f"need p = 1 mod {n}"
+    gbar = [c.numerator * pow(c.denominator, -1, p) % p for c in map(Fraction, g)]
+    if not gbar[-1]:
+        return "leading coefficient must be a unit"
+    if not _separable(gbar, p):
+        return f"discriminant of f vanishes mod {p}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -156,8 +172,14 @@ class CurveFamily:
     def contains(self, x, y) -> bool:
         return Fraction(y) ** self.n == self.rhs(Fraction(x))
 
+    def good_reduction_at(self, p: int) -> bool:
+        return reduction_defect(self.g, self.n, p) is None
+
     def residue_discs(self, p: int) -> list[ResidueDisc]:
         """The Weierstrass and affine discs over xbar = 0..p-1, then the boundary discs."""
+        why = reduction_defect(self.g, self.n, p)
+        if why:
+            raise BadReduction(why)
         boundary = self.boundary_discs(p)
         gbar = [c % p for c in self.g]
         out = []
@@ -207,14 +229,6 @@ class EvenHyperellipticCurve(CurveFamily):
         sign = -1 if cusp.id == "inf+" else 1
         return QQ(sign / self.sqrt_lead)
 
-    def good_reduction_at(self, p: int) -> bool:
-        from .hyperelliptic import HyperellipticModel
-        try:
-            HyperellipticModel([int(c) for c in self.f], p, 2)
-        except BadReduction:
-            return False
-        return True
-
     def cusp_chart_coords(self, x, y):
         """(w, z) = (1/x, y/x^(g+1)) for cusp contact orders; None if x = 0."""
         x, y = Fraction(x), Fraction(y)
@@ -223,8 +237,6 @@ class EvenHyperellipticCurve(CurveFamily):
         return (QQ(1 / x), QQ(y / x ** (self.genus + 1)))
 
     def boundary_discs(self, p: int) -> list[ResidueDisc]:
-        if not _separable(self.g, p):
-            raise BadReduction(f"f is not squarefree mod {p}")
         return [ResidueDisc(self, p, None, None, "infinite", label=c.id, cuspidal=True)
                 for c in self.cusps]
 
@@ -265,16 +277,8 @@ class SuperellipticCurve(CurveFamily):
             return None
         return (QQ(y / x), QQ(1 / x))
 
-    def good_reduction_at(self, p: int) -> bool:
-        if p == 3 or p % 3 != 1:
-            return False
-        # smooth iff x^3+ax^2+x squarefree mod p (and p != 3)
-        return _separable(self.g, p)
-
     def boundary_discs(self, p: int) -> list[ResidueDisc]:
         """Cusp discs of the elliptic chart: u = 1 for Q1, the cube roots of unity for Q2."""
-        if p % 3 != 1:
-            raise BadReduction("need p = 1 mod 3")
         ubars = [("Q1", 1)] + [("Q2", r) for r in range(p) if (r * r + r + 1) % p == 0]
         return [ResidueDisc(self, p, None, None, "cuspidal", label=f"{c}@u={ub}", cuspidal=True)
                 for c, ub in ubars]
@@ -307,6 +311,7 @@ class CurveProblem:
     p: int
     prec: int
     label: str = "problem"
+    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -350,4 +355,8 @@ class CurveProblem:
         }
 
     def embeddings(self, cusp: Cusp) -> list[FieldEmbedding]:
-        return hensel_embed(list(cusp.nfield.minpoly), self.p, self.prec + 40, cusp.nfield)
+        """The embeddings of the cusp field into Qp, lifted once per cusp."""
+        if cusp.id not in self._embeddings:
+            self._embeddings[cusp.id] = hensel_embed(list(cusp.nfield.minpoly), self.p,
+                                                     self.prec + 40, cusp.nfield)
+        return self._embeddings[cusp.id]

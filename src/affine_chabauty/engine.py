@@ -102,7 +102,6 @@ class Engine:
         self.units = units or []
         self.known_points = known_points or []
         self.integrator = Integrator(problem, imported)
-        self._emb = {}
         self._gen_int_cache = {}
         self._types = {}      # type label -> TypeRecord
         self._kernels = {}    # cuspidal part -> annihilator()
@@ -111,16 +110,11 @@ class Engine:
 
     # -- small helpers ---------------------------------------------------------
 
-    def embeddings(self, cusp):
-        if cusp.id not in self._emb:
-            self._emb[cusp.id] = self.problem.embeddings(cusp)
-        return self._emb[cusp.id]
-
     def _lam_log(self, phi, lam: LambdaRecord) -> PadicNumber:
         return iwasawa_log(phi(lam.generator)) * lam.gen_exponent
 
     def _residue_log_sum(self, omega: LogDifferential, terms) -> PadicNumber:
-        return residue_log_sum(self.problem.p, omega, terms, self.embeddings)
+        return residue_log_sum(self.problem.p, omega, terms, self.problem.embeddings)
 
     def _lambda_terms(self, pairs) -> list:
         """Terms of sum_lambda coeff * log phi(pi_lambda) for (lambda, coeff) pairs."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .curves import _separable
+from .curves import reduction_defect
 from .errors import (
     BadReduction,
     DifferentDiscs,
@@ -40,15 +40,6 @@ from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
 from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
-
-
-def loss_budget(p: int, K: int, deg: int) -> int:
-    """Digits of M, the precision of points and disc series, above prec; it sizes
-    M only (the Frobenius kernel runs at tp + 2L, see _compute_frobenius)."""
-    j0 = p * K + (p - 1) // 2 + 2
-    total = sum(_vp(2 * j - 1, p) for j in range(1, j0 + 1))
-    total += 2 * sum(_vp(s, p) for s in range(1, 3 * deg * p))
-    return total
 
 
 def _deriv(cs):
@@ -87,29 +78,42 @@ class HyperellipticModel:
     by eigenspace; for n = 2 it is x^i dx/y, i = 0..2g."""
 
     def __init__(self, f_coeffs, p: int, prec: int, n: int = 2):
+        """The chart at working precision prec: K = prec + 6 terms of the Frobenius
+        series, tp = K - 4 provable digits, Kedlaya's headroom L and one
+        precision M = tp + 2L for f, zeta, points, disc centers and disc series
+        (see _compute_frobenius for L).  M is what each consumer needs:
+
+        * dagger_eval reads points at tp + S digits, and S <= L;
+        * the reduction needs f and the Bezout cofactor of f' mod p^(tp + 2L);
+        * a tiny integral loses at most floor(log_p(2 prec)) <= L digits to the
+          divisions of the antiderivative and b <= n - 1 <= L digits to the p^-b
+          scale of a Weierstrass disc (n <= 3, L >= 2), so of M it keeps tp
+          (the series order 2 prec bounds it on its own).
+        """
         self.p = p
         self.prec = prec
         self.n = n
-        if p == 2:
-            raise BadReduction("p = 2 not supported")
-        if (p - 1) % n:
-            raise BadReduction(f"need p = 1 mod {n}")
         self.f_rational = [Fraction(c) for c in f_coeffs]
         deg = len(f_coeffs) - 1
         while deg >= 0 and self.f_rational[deg] == 0:
             deg -= 1
         if deg % n or (n - 1) * (deg - 2) < 2:
             raise ValueError(f"need genus >= 1 and {n} | deg f, got degree {deg}")
+        why = reduction_defect(self.f_rational[: deg + 1], n, p)
+        if why:
+            raise BadReduction(why)
         self.deg = deg
         self.g = (n - 1) * (deg - 2) // 2
         self.basis = [(i, b) for b in range(1, n) for i in range(deg - 1)]
         self.dim = len(self.basis)
         self.K = prec + 6
-        self.M = prec + loss_budget(p, self.K, deg) + 8
+        self.tp = self.K - 4  # the K-term series truncation caps provable digits
+        # the pole orders of the reduction run to top = pK + (p - 1)b/n, b <= n - 1
+        top = p * self.K + (p - 1) * (n - 1) // n
+        self.L = sum(max(_vp(k, p) for k in range(1, bound + 1))
+                     for bound in (n * top + n - 1, n * p * (deg - 1) + (2 * n - 1) * deg))
+        self.M = self.tp + 2 * self.L
         self.f = [PadicNumber.from_rational(c, p, self.M) for c in self.f_rational[: deg + 1]]
-        if self.f[-1].v != 0:
-            raise BadReduction("leading coefficient must be a unit")
-        self._check_good_reduction()
         # zeta, a primitive n-th root of unity: the Teichmueller lift of one mod p
         order_n = next(r for r in range(2, p) if pow(r, n, p) == 1
                        and all(pow(r, k, p) != 1 for k in range(1, n)))
@@ -118,13 +122,6 @@ class HyperellipticModel:
         self._discs: dict = {}
         self._daggers: dict = {}
         self._dagger_tables: dict = {}
-
-    # -- setup helpers -------------------------------------------------------
-
-    def _check_good_reduction(self):
-        # the leading coefficient is a unit, so squarefree mod p is good reduction
-        if not _separable([c.residue(1) for c in self.f], self.p):
-            raise BadReduction(f"discriminant of f vanishes mod {self.p}")
 
     # -- point utilities -------------------------------------------------------
 
@@ -204,15 +201,11 @@ class HyperellipticModel:
         floor(log_p(n p (deg - 1) + (2n - 1) deg)) for the degree steps, at b = n - 1.
         The digits enter _reduce times p^L, so its divisions are exact on ints.  A
         reduction mod p^N adds p^(N-L) times an integral form, which the rest
-        multiplies by at most p^-L: N = tp + 2L keeps tp digits (L = 3 and N = 24
-        at p = 23, prec 16, where summing every v_p gave 46).
+        multiplies by at most p^-L: N = tp + 2L, the model's M, keeps tp digits
+        (L = 3 and N = 24 at p = 23, prec 16, where summing every v_p gave 46).
         """
         p, K, d, n = self.p, self.K, self.deg, self.n
-        tp = K - 4  # the K-term series truncation caps provable digits
-        top = p * K + (p - 1) * (n - 1) // n
-        L = sum(max(_vp(k, p) for k in range(1, bound + 1))
-                for bound in (n * top + n - 1, n * p * (d - 1) + (2 * n - 1) * d))
-        N = tp + 2 * L
+        tp, L, N = self.tp, self.L, self.M
         # S = (1 + E)^(-b/n) = num / f^(pK);  p num = sum_j r_j f^j, so
         # p S / y^(pb) = sum_j r_j / y^(b + n(top - j)).  _reduce takes p^L r_j mod
         # p^N, which needs num only mod p^m, m = N - L - 1.

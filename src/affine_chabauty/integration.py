@@ -45,7 +45,6 @@ class Integrator:
         self.curve = problem.curve
         self.p = problem.p
         self.prec = problem.prec
-        self.work = problem.prec + 4
         self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
         self._model: HyperellipticModel | None = None
         self._pair_cache: dict = {}
@@ -53,25 +52,11 @@ class Integrator:
     # -- model access --------------------------------------------------------
 
     def main_model(self) -> HyperellipticModel:
-        """The Frobenius model of the chart y^n = g(x), built once."""
+        """The Frobenius model of the chart y^n = g(x), built once, at working
+        precision prec + 4 (a margin set by hand, not derived)."""
         if self._model is None:
-            self._model = HyperellipticModel(self.curve.g, self.p, self.work, self.curve.n)
+            self._model = HyperellipticModel(self.curve.g, self.p, self.prec + 4, self.curve.n)
         return self._model
-
-    # -- endpoint conversion ---------------------------------------------------
-
-    def _to_pad(self, v, N=None) -> PadicNumber:
-        if isinstance(v, PadicNumber):
-            return v
-        return PadicNumber.from_rational(Fraction(v), self.p, N or self._hi())
-
-    def _hi(self) -> int:
-        return self.work + 40
-
-    def main_point(self, pt) -> Point:
-        m = self.main_model()
-        x, y = pt
-        return m.point(self._to_pad(x, m.M), self._to_pad(y, m.M))
 
     # -- public: family basis integrals ------------------------------------------
 
@@ -82,8 +67,8 @@ class Integrator:
             return self._pair_cache[key]
         got = self.imported.get(key)
         if got is None:
-            got = self._pick(self.main_model().basis_integrals(self.main_point(P),
-                                                               self.main_point(Q)))
+            m = self.main_model()
+            got = self._pick(m.basis_integrals(m.point(*P), m.point(*Q)))
         self._pair_cache[key] = got
         return got
 
@@ -157,8 +142,8 @@ class Integrator:
 
     def tiny_integral(self, omega: LogDifferential, P, Q) -> PadicNumber:
         """Integral between two points of one non-cuspidal residue disc."""
-        vals = self.main_model().tiny_basis_integrals(self.main_point(P), self.main_point(Q))
-        return _dot(omega.coeffs, self._pick(vals))
+        m = self.main_model()
+        return _dot(omega.coeffs, self._pick(m.tiny_basis_integrals(m.point(*P), m.point(*Q))))
 
 
 def _point_key(pt) -> tuple:

@@ -57,6 +57,23 @@ def test_residue_sum_zero_under_embeddings():
         assert acc.is_zero() or acc.is_exact_zero()
 
 
+@pytest.mark.parametrize("curve", [EvenHyperellipticCurve(F61), SuperellipticCurve(1)],
+                         ids=["hyperelliptic", "superelliptic"])
+def test_good_reduction_is_exactly_what_the_frobenius_model_accepts(curve):
+    from affine_chabauty.hyperelliptic import HyperellipticModel
+
+    for p in (q for q in range(2, 60) if all(q % d for d in range(2, q))):
+        try:
+            HyperellipticModel(curve.g, p, 2, curve.n)
+            accepted = True
+        except BadReduction:
+            accepted = False
+        assert curve.good_reduction_at(p) == accepted, p
+        if not accepted:
+            with pytest.raises(BadReduction):
+                curve.residue_discs(p)
+
+
 def test_disc_enumeration_even():
     c = EvenHyperellipticCurve(F61)
     discs = c.residue_discs(7)

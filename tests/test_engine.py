@@ -295,3 +295,21 @@ def test_hyperelliptic_p23_solve_integrates_no_series_between_identical_points(m
     report = eng.solve()
     assert report["status"] == "complete" and len(report["points"]["matched_known"]) == 10
     assert calls == []
+
+
+def test_solve_lifts_each_cusp_embedding_once(monkeypatch):
+    """The pi-compatibility check and the residue sums share one Hensel lift
+    per cusp at prec + 40 digits (52 here), cached on the problem."""
+    from affine_chabauty import curves
+
+    lifts = []
+    orig = curves.hensel_embed
+
+    def counted(minpoly, p, N, field=None):
+        lifts.append((tuple(minpoly), N))
+        return orig(minpoly, p, N, field)
+    monkeypatch.setattr(curves, "hensel_embed", counted)
+    eng = load("superelliptic_a1.json", prec_override=12)
+    eng.solve()
+    full = [minpoly for minpoly, N in lifts if N == 52]
+    assert sorted(full) == sorted(tuple(c.nfield.minpoly) for c in eng.problem.curve.cusps)

@@ -69,19 +69,20 @@ def test_report_matches_golden_byte_for_byte(fixture, mode):
 
 def _disc_layer() -> dict:
     """Per fixture and prime: every non-cuspidal disc's center, x(t), y(t) and
-    basis expansions, rendered at work + 20 digits (exact zeros as "0").
+    basis expansions, rendered at the model's precision M (exact zeros as "0").
     Also asserts that each value that is not an exact zero carries at least
-    _hi() digits."""
+    M digits."""
     out = {}
     for fixture, primes in DISC_LAYER_PRIMES.items():
         for p in primes:
             I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p,
                              prec_override=DISC_LAYER_PREC).integrator
+            M = I.main_model().M
 
             def render(values):
                 values = list(values)
-                assert all(v.is_exact_zero() or v.N >= I._hi() for v in values)
-                return [render_padic(v if v.is_exact_zero() else v.at_precision(I.work + 20))
+                assert all(v.is_exact_zero() or v.N >= M for v in values)
+                return [render_padic(v if v.is_exact_zero() else v.at_precision(M))
                         for v in values]
 
             discs = []

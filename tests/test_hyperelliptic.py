@@ -139,7 +139,7 @@ def test_tiny_integrals_to_the_own_teichmueller_point_are_exact_zeros():
                           prec_override=PREC)
     I = engine.integrator
     m = I.main_model()
-    P = I.main_point(engine.base_pair())
+    P = m.point(*engine.base_pair())
     T = m.teichmueller_point(P)
     assert [(v.v, v.u, v.N) for v in m.tiny_basis_integrals(P, T)] == [(INF, 0, INF)] * m.dim
 
@@ -451,7 +451,8 @@ def _reduce_reference(m, digits, shift, top, f, t, M, cap):
 def _frobenius_reference(m):
     """(matrix, dagger) of m by _reduce_reference, mod p^N with N = tp plus the
     sum of v_p(2m - 1) over every pole step and v_p(2s + deg) over every
-    degree step."""
+    degree step; f and the Bezout cofactor are taken at that N, not at the
+    model's M."""
     from affine_chabauty.hyperelliptic import _f_adic_digits, _frobenius_numerator
     from affine_chabauty.padics import _vp
 
@@ -460,12 +461,14 @@ def _frobenius_reference(m):
     top = p * K + (p - 1) // 2
     loss = sum(_vp(2 * mm - 1, p) for mm in range(1, top + 1))
     loss += sum(_vp(2 * s + d, p) for s in range(p * m.dim + d))
-    N = min(m.M, tp + loss)
+    N = tp + loss
     mod = p ** N
-    fint = [c.residue(N) for c in m.f]
+    at_N = copy.copy(m)  # m with f, and so the Bezout cofactor, at precision N
+    at_N.M, at_N.f = N, [PadicNumber.from_rational(c, p, N) for c in m.f_rational[: d + 1]]
+    fint = [c.residue(N) for c in at_N.f]
     num = _frobenius_numerator(fint, p, K, N)
     digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
-    t = [c.residue(N) for c in m._bezout()]
+    t = [c.residue(N) for c in at_N._bezout()]
     runs = [_reduce_reference(m, digits, p * i + p - 1, top, fint, t, N, tp) for i in range(m.dim)]
     return [col for col, _, _ in runs], [(poles, yparts) for _, poles, yparts in runs]
 
@@ -507,10 +510,14 @@ def _mod_p_point(m, xbar, ybar):
 
 
 def _affine_teichmueller_points(m):
+    return [m.teichmueller_point(_mod_p_point(m, xb, yb)) for xb, yb in _discs_mod_p(m) if yb]
+
+
+def _discs_mod_p(m):
+    """(xbar, ybar) of every affine and Weierstrass (ybar = 0) disc of m."""
     fbar = [c.residue(1) for c in m.f]
-    return [m.teichmueller_point(_mod_p_point(m, xb, yb))
-            for xb in range(m.p) for yb in range(1, m.p)
-            if (yb * yb - _horner_mod(fbar, xb, m.p)) % m.p == 0]
+    return [(xb, yb) for xb in range(m.p) for yb in range(m.p)
+            if (pow(yb, m.n, m.p) - _horner_mod(fbar, xb, m.p)) % m.p == 0]
 
 
 @settings(max_examples=6, deadline=None, database=None)
@@ -529,6 +536,41 @@ def test_raising_the_frobenius_precision_keeps_every_digit(seed, p, deg, prec):
         for i in range(low.dim):
             a, b = low.dagger_eval(i, T_lo), high.dagger_eval(i, T_hi)
             assert a.compare(b) != "distinct"
+
+
+def _claims_of_the_disc_layer(m, base):
+    """Per non-cuspidal disc of m: (xbar, ybar, groups) with the groups its
+    center, the coefficients of each disc series, the tiny basis integrals from
+    the point over x = xbar + p of an affine disc to the center, and last the
+    basis integrals from base to the center."""
+    out = []
+    for xb, yb in _discs_mod_p(m):
+        T = m.teichmueller_point(_mod_p_point(m, xb, yb))
+        xs, ys, monomials = m.disc_series(T)
+        groups = [[T.x, T.y]] + [s.coeffs for s in (xs, ys, *monomials)]
+        if yb:
+            groups.append(m.tiny_basis_integrals(lift_x(m, xb + m.p, sign_hint=yb), T))
+        out.append((xb, yb, groups + [m.basis_integrals(m.point(*base), T)]))
+    return out
+
+
+@pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 5), ("hyperelliptic_6081b", 23),
+                                       ("superelliptic_a1", 7), ("superelliptic_a1", 37)])
+def test_the_model_at_M_agrees_with_a_model_twelve_digits_higher(fixture, p):
+    """M = tp + 2L carries every digit the disc layer claims: centers, disc
+    series, tiny integrals off the center and integrals from the base point to
+    each center agree on their own digits with the model at prec + 12, and
+    every integral from the base point reaches the truncation cap tp."""
+    engine = load_problem(PROBLEMS / f"{fixture}.json", p_override=p)
+    curve, base = engine.problem.curve, engine.base_pair()
+    low, high = (HyperellipticModel(curve.g, p, prec, curve.n) for prec in (4, 16))
+    assert low.M == low.tp + 2 * low.L
+    discs = list(zip(_claims_of_the_disc_layer(low, base), _claims_of_the_disc_layer(high, base)))
+    assert len(discs) == len(_discs_mod_p(low)) > 0
+    for (xb, yb, lo_groups), (_, _, hi_groups) in discs:
+        for lo, hi in zip(lo_groups, hi_groups, strict=True):
+            assert all(a.compare(b) != "distinct" for a, b in zip(lo, hi)), (xb, yb)
+        assert all(v.is_exact_zero() or v.N == low.tp for v in lo_groups[-1]), (xb, yb)
 
 
 # -- integer dagger evaluation ----------------------------------------------

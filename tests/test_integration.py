@@ -103,7 +103,7 @@ def test_tiny_integral_api_and_different_discs():
         I = Integrator(CurveProblem(curve=SuperellipticCurve(a),
                                     base_point=KnownPoint(Fraction(0), Fraction(0)),
                                     S=[], p=p, prec=8))
-        one = PadicNumber.from_int(1, p, I._hi())
+        one = PadicNumber.from_int(1, p, I.main_model().M)
         checked = 0
         for disc in I.residue_discs():
             if disc.kind != "affine":
@@ -150,7 +150,7 @@ def test_cuspidal_discs_have_no_center_parametrization_or_expansion():
 def test_superelliptic_split_decomposition_series():
     """omega_2 = omega_2+ + omega_2- re-expanded on a disc of the chart."""
     p, N = 7, 12
-    a, T, hi = Fraction(1), 2 * N, Integrator(super_problem(prec=N))._hi()
+    a, T, hi = Fraction(1), 2 * N, Integrator(super_problem(prec=N)).main_model().M
     # disc of u' = 0 on v'^2 = u'^3 - 3/4, u' = 7 t: a non-Weierstrass affine disc
     us = polynomial([0, p] + [0] * (T - 2), p, hi)
     vs = sqrt_series(us * us * us + PadicNumber.from_rational(a * a / 4 - 1, p, hi), sign_hint=1)
