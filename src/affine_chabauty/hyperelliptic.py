@@ -203,6 +203,14 @@ class HyperellipticModel:
         reduction mod p^N adds p^(N-L) times an integral form, which the rest
         multiplies by at most p^-L: N = tp + 2L, the model's M, keeps tp digits
         (L = 3 and N = 24 at p = 23, prec 16, where summing every v_p gave 46).
+
+        The numerator num = sum_k c_k u^k f^(p(K-k)), u = f(x^p) - f^p, is needed
+        only mod p^m, m = N - L - 1.  u is 0 mod p and each c_k = binomial(-b/n, k)
+        is a p-adic integer independent of K, so u^k vanishes mod p^m for k >= m:
+        with K' = min(K, m - 1), num = f^(p(K - K')) num' mod p^m, num' the
+        numerator at K' terms.  Its f-adic digits are p(K - K') zeros, then those
+        of num', so the reduction starts at pole level pK' + (p - 1)b/n and the
+        levels above it, all zero, are skipped (K - K' = 3 at p = 23, prec 12).
         """
         p, K, d, n = self.p, self.K, self.deg, self.n
         tp, L, N = self.tp, self.L, self.M
@@ -210,17 +218,19 @@ class HyperellipticModel:
         # p S / y^(pb) = sum_j r_j / y^(b + n(top - j)).  _reduce takes p^L r_j mod
         # p^N, which needs num only mod p^m, m = N - L - 1.
         m = N - L - 1
+        Kp = min(K, m - 1)  # K': the terms k >= m vanish mod p^m
         fm = [c.residue(m) for c in self.f]
         fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
         zero = PadicNumber.exact_zero(p)
+        shifts = [p * i + p - 1 for i in range(d - 1)]
         matrix, dagger = [], []
         for b in range(1, n):
-            num = _frobenius_numerator(fm, p, K, m, Fraction(-b, n))
+            num = _frobenius_numerator(fm, p, Kp, m, Fraction(-b, n))
             digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fm, p ** m)]
-            # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb)
-            for i in range(d - 1):
-                col, poles, ys = self._reduce(digits, p * i + p - 1, p * K + (p - 1) * b // n,
-                                              fint, t_bez, N, L, tp, b)
+            # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of num'
+            # start at level pK' + (p - 1)b/n
+            for col, poles, ys in self._reduce(digits, shifts, p * Kp + (p - 1) * b // n,
+                                               fint, t_bez, N, L, tp, b):
                 # Frobenius keeps each eigenspace: exact zeros outside block b
                 matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
                 dagger.append((poles, ys))
@@ -228,14 +238,14 @@ class HyperellipticModel:
         return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp, headroom=L,
                              a_p=a_p, point_count=count)
 
-    def _reduce(self, digits, shift, top, f, t, M, L, cap, b=1):
+    def _reduce(self, digits, shifts, top, f, t, M, L, cap, b=1):
         """Reduce  sum_j x^shift digits[j] dx / (p^L y^(b + n(top - j)))  to the basis
-        x^i dx/y^b, recording the exact parts.  Integer polynomials mod p^M; f is the
-        model's, t the cofactor of f' from _bezout.  A stored int c stands for c / p^L:
-        dividing by b + n(m - 1) or n s + (n - b) deg divides by its p-part exactly
-        or raises PrecisionExceeded.  Outputs are c / p^L to absolute precision cap,
-        M >= cap + 2L: the column as PadicNumbers, the exact parts as the ints c
-        mod p^(cap + L)."""
+        x^i dx/y^b for each shift in shifts, recording the exact parts.  Integer
+        polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.  A
+        stored int c stands for c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg
+        divides by its p-part exactly or raises PrecisionExceeded.  Per shift the
+        outputs are c / p^L to absolute precision cap, M >= cap + 2L: the column as
+        PadicNumbers, the exact parts as the ints c mod p^(cap + L)."""
         p, d, n = self.p, self.deg, self.n
         mod, keep = p ** M, p ** (cap + L)
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
@@ -250,15 +260,14 @@ class HyperellipticModel:
             maps.append([(B + [0] * d)[:d], (Q + [0] * d)[:d]])
         Bcols, Qcols = (list(zip(*cols)) for cols in zip(*maps))  # R -> B and R -> Q
         # D: the f-adic digits of x^shift sum_j digits[j] f^j, from one product of
-        # the digit sequences of x^shift and of the sum and one carry per digit
+        # the digit sequences of x^shift and of the sum and one carry per digit;
+        # the sum's sequence is packed once for every shift
         w = 2 * d - 1
-        flat = [[c for r in rs for c in r + [0] * (w - len(r))]
-                for rs in (digits, _f_adic_digits([0] * shift + [1], f, mod))]
-        prod, D, carry = _int_pmul(*flat, mod), [], []
-        for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
-            q, r = _int_divmod_f(prod[j:j + w], f, mod)
-            D.append(_int_padd(r, carry, mod))
-            carry = q
+        xdigits = [_f_adic_digits([0] * s + [1], f, mod) for s in shifts]
+        flat, *xflats = ([c for r in rs for c in r + [0] * (w - len(r))]
+                         for rs in [digits] + xdigits)
+        width = _slot_width(mod, min(len(flat), max(map(len, xflats))))
+        packed = _pack(flat, width)
 
         def out(c):
             x = PadicNumber.from_int(c, p, cap + L)
@@ -273,41 +282,50 @@ class HyperellipticModel:
             inv = n * pow(k // p ** a, -1, mod)
             return [c // p ** a * inv % mod for c in cs]
 
-        poles = []   # (m, poly): exact part  poly(x) / y^(b + n(m-1))
-        yparts = []  # (s, coeff): exact part  coeff * x^s * y^(n-b)
-        C = []  # what the steps above m left in degree < deg
-        for m in range(top, 0, -1):
-            # level m holds (H f + R) dx/y^(b+nm), and H f dx/y^(b+nm) is H dx/y^(b+n(m-1));
-            # with R = B f' + Q f, B = R t mod f, k = b + n(m-1), R dx/y^(b+nm) =
-            # (Q + n B'/k) dx/y^k - d(n B / (k y^k))
-            R = _int_padd(D[top - m] if top - m < len(D) else [], C, mod)
-            B = divide([sum(map(mul, R, col)) for col in Bcols], b + n * (m - 1))
-            C = [sum(map(mul, R, col)) for col in Qcols]
-            for k in range(1, d):
-                C[k - 1] += k * B[k]
-            C = [c % mod for c in C]
-            if any(R):
-                poles.append((m, [-c % keep for c in B]))
-        P = []
-        for r in reversed(D[top:]):
-            P = _int_padd(_int_pmul(P, f, mod), r, mod)
-        P = _int_padd(P, C, mod)
         frac = (n - b) * pow(n, -1, mod) % mod
-        while len(P) > d - 1:
-            c = P.pop()
-            if not c:  # zero class
-                continue
-            s = len(P) - d + 1
-            # d(x^s y^(n-b)) = (s x^(s-1) f + ((n-b)/n) x^s f') dx/y^b cancels the top
-            # term lam * x^(s+d-1)
-            lam = divide([c * lead_inv], n * s + (n - b) * d)[0]
-            if s:
-                P[s - 1] -= lam * s * f[0]
-            for k in range(d - 1):
-                P[s + k] -= lam * (s * f[k + 1] + frac * fprime[k])
-            P = [c % mod for c in P]
-            yparts.append((s, lam % keep))
-        return [out(c) for c in P] + [out(0)] * (d - 1 - len(P)), poles, yparts
+        results = []
+        for xflat in xflats:
+            prod = _unpack(packed * _pack(xflat, width), len(flat) + len(xflat) - 1, width, mod)
+            D, carry = [], []
+            for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
+                q, r = _int_divmod_f(prod[j:j + w], f, mod)
+                D.append(_int_padd(r, carry, mod))
+                carry = q
+            poles = []   # (m, poly): exact part  poly(x) / y^(b + n(m-1))
+            yparts = []  # (s, coeff): exact part  coeff * x^s * y^(n-b)
+            C = []  # what the steps above m left in degree < deg
+            for m in range(top, 0, -1):
+                # level m holds (H f + R) dx/y^(b+nm), and H f dx/y^(b+nm) is H dx/y^(b+n(m-1));
+                # with R = B f' + Q f, B = R t mod f, k = b + n(m-1), R dx/y^(b+nm) =
+                # (Q + n B'/k) dx/y^k - d(n B / (k y^k))
+                R = _int_padd(D[top - m] if top - m < len(D) else [], C, mod)
+                B = divide([sum(map(mul, R, col)) for col in Bcols], b + n * (m - 1))
+                C = [sum(map(mul, R, col)) for col in Qcols]
+                for k in range(1, d):
+                    C[k - 1] += k * B[k]
+                C = [c % mod for c in C]
+                if any(R):
+                    poles.append((m, [-c % keep for c in B]))
+            P = []
+            for r in reversed(D[top:]):
+                P = _int_padd(_int_pmul(P, f, mod), r, mod)
+            P = _int_padd(P, C, mod)
+            while len(P) > d - 1:
+                c = P.pop()
+                if not c:  # zero class
+                    continue
+                s = len(P) - d + 1
+                # d(x^s y^(n-b)) = (s x^(s-1) f + ((n-b)/n) x^s f') dx/y^b cancels the top
+                # term lam * x^(s+d-1)
+                lam = divide([c * lead_inv], n * s + (n - b) * d)[0]
+                if s:
+                    P[s - 1] -= lam * s * f[0]
+                for k in range(d - 1):
+                    P[s + k] -= lam * (s * f[k + 1] + frac * fprime[k])
+                P = [c % mod for c in P]
+                yparts.append((s, lam % keep))
+            results.append(([out(c) for c in P] + [out(0)] * (d - 1 - len(P)), poles, yparts))
+        return results
 
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
@@ -387,8 +405,9 @@ class HyperellipticModel:
         return self._dagger_tables[i]
 
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
-        """Value at pt of the recorded dagger function for basis element i:
-        two Horner passes on ints mod p^(N + S), N the provable precision."""
+        """Value at pt of the recorded dagger function for basis element i, on ints
+        mod p^(N + S), N the provable precision: each x-degree column is one dot
+        product with the powers of z = 1/y^n, then one Horner pass in x."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
         p, n = self.p, self.n
@@ -397,8 +416,11 @@ class HyperellipticModel:
         R = p ** (N + S)
         x, y = pt.x.residue(N + S), pt.y.residue(N + S)
         z = pow(pow(y, n, R), -1, R)
+        zs = [1]
+        for _ in range(max(map(len, cols)) - 1):
+            zs.append(zs[-1] * z % R)
         A = pow(y, n - self.basis[i][1], R) * \
-            _horner_mod([_horner_mod(col, z, R) for col in cols], x, R) % R
+            _horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R) % R
         if not A:
             return PadicNumber.unknown_zero(p, N)
         v = _vp(A, p)
@@ -507,25 +529,36 @@ def _int_sub(a, b, mod):
     return _int_padd(a, [(-c) % mod for c in b], mod)
 
 
-def _int_pmul(a, b, mod):
-    """Product of polynomials with coefficients in [0, mod), reduced mod mod."""
+def _int_pmul(a, b, mod, lo=0, hi=None):
+    """Slots lo..hi - 1 of the product of polynomials with coefficients in [0, mod),
+    reduced mod mod; hi defaults to, and is capped at, the product's length."""
     if not a or not b:
         return []
     # Kronecker substitution into byte-aligned slots: one native bigint multiply
-    width = (2 * mod.bit_length() + min(len(a), len(b)).bit_length()) // 8 + 1
+    size = len(a) + len(b) - 1
+    width = _slot_width(mod, min(len(a), len(b)))
     xa = _pack(a, width)
     xb = xa if b is a else _pack(b, width)
-    raw = (xa * xb).to_bytes((len(a) + len(b) - 1) * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") % mod
-            for i in range(0, len(raw), width)]
+    return _unpack(xa * xb, size, width, mod, lo, hi)
+
+
+def _slot_width(mod, terms):
+    """Bytes per Kronecker slot: room for a sum of terms products below mod^2."""
+    return (2 * mod.bit_length() + terms.bit_length()) // 8 + 1
 
 
 def _pack(cs, width):
-    """The integer whose width-byte slots hold cs; one buffer, no per-slot bytes kept."""
-    buf = bytearray(len(cs) * width)
-    for i, c in enumerate(cs):
-        buf[i * width:(i + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
+    """The integer whose width-byte slots hold cs."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+
+
+def _unpack(x, size, width, mod, lo=0, hi=None):
+    """Slots lo..hi - 1 of the size width-byte slots of x, each reduced mod mod;
+    hi defaults to, and is capped at, size."""
+    raw = x.to_bytes(size * width, "little")
+    hi = size if hi is None else min(hi, size)
+    return [int.from_bytes(raw[i:i + width], "little") % mod
+            for i in range(lo * width, hi * width, width)]
 
 
 def _int_pmul_stride(a, g, p, mod):
@@ -593,8 +626,8 @@ def _int_series_inv(a, n, mod):
     h = [pow(a[0], -1, mod)]
     while len(h) < n:
         k = min(2 * len(h), n)
-        err = _int_pmul(a[:k], h, mod)[len(h):k]  # a h = 1 + x^len(h) err
-        h += _int_pmul([-c % mod for c in err], h, mod)[:k - len(h)]
+        err = _int_pmul(a[:k], h, mod, len(h), k)  # a h = 1 + x^len(h) err
+        h += _int_pmul([-c % mod for c in err], h, mod, 0, k - len(h))
     return h
 
 
@@ -618,8 +651,8 @@ def _f_adic_digits(poly, f, mod):
         g, ginv = tables[k]
         n = len(g) - 1
         lq = max(len(a) - n, 0)
-        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod)[:lq][::-1]
-        return split(_int_sub(a[:n], _int_pmul(q, g, mod)[:n], mod), k - 1) + split(q, k - 1)
+        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
+        return split(_int_sub(a[:n], _int_pmul(q, g, mod, 0, n), mod), k - 1) + split(q, k - 1)
 
     digits = split(poly, len(tables) - 1)
     while digits and not any(digits[-1]):

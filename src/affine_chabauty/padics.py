@@ -148,18 +148,21 @@ class PadicNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other, add=True)
+        o = other if type(other) is PadicNumber and other.p == self.p \
+            else self._coerce(other, add=True)
         if o is None:
             return NotImplemented
-        if self.is_exact_zero():
+        if self.v >= INF:
             return o
-        if o.is_exact_zero():
+        if o.v >= INF:
             return self
         p = self.p
         N = min(self.N, o.N)
-        w = min(self.v, o.v)
-        m = p ** (N - w)
-        s = (self.u * p ** (self.v - w) + o.u * p ** (o.v - w)) % m
+        if self.v <= o.v:  # only the operand of larger valuation is shifted
+            w, s = self.v, self.u + o.u * p ** (o.v - self.v)
+        else:
+            w, s = o.v, self.u * p ** (self.v - o.v) + o.u
+        s %= p ** (N - w)
         if s == 0:
             return PadicNumber.unknown_zero(p, N)
         dv = _vp(s, p)

@@ -237,6 +237,8 @@ def _random_poly(rng, n, mod, zeros=0.2):
 
 
 def test_kronecker_product_matches_schoolbook():
+    """_int_pmul(a, b, mod, lo, hi) is the slice [lo:hi] of the product: empty
+    ranges, hi past the end and lopsided shapes included."""
     from affine_chabauty.hyperelliptic import _int_pmul
 
     rng = random.Random(31)
@@ -245,11 +247,21 @@ def test_kronecker_product_matches_schoolbook():
         mod = p ** rng.randrange(1, 60)
         for la, lb in shapes:
             a, b = _random_poly(rng, la, mod), _random_poly(rng, lb, mod)
-            assert _int_pmul(a, b, mod) == _schoolbook(a, b, mod)
+            full = _schoolbook(a, b, mod)
+            assert _int_pmul(a, b, mod) == full
+            n = len(full)
+            cuts = [(0, 0), (0, 1), (n, n), (n - 1, n + 40), (0, n + 1), (3, 2), (n + 2, n + 9),
+                    (n // 2, n // 2), (n // 3, 2 * n // 3)]
+            cuts += [tuple(sorted(rng.randrange(n + 3) for _ in range(2))) for _ in range(2)]
+            for lo, hi in cuts:
+                assert _int_pmul(a, b, mod, lo, hi) == full[lo:hi], (la, lb, lo, hi)
+            assert _int_pmul(a, b, mod, lo=n // 2) == full[n // 2:]
         a = _random_poly(rng, 50, mod)
         assert _int_pmul(a, a, mod) == _schoolbook(a, a, mod)
+        assert _int_pmul(a, a, mod, 10, 60) == _schoolbook(a, a, mod)[10:60]
         assert _int_pmul([0] * 30, a, mod) == [0] * 79
         assert _int_pmul([], a, mod) == []
+        assert _int_pmul([], a, mod, 3, 9) == []
 
 
 def test_radix_conversion_round_trips():
@@ -330,6 +342,31 @@ def test_binary_splitting_numerator_matches_horner(p):
             assert _frobenius_numerator(f, p, K, N) == _numerator_reference(f, p, K, N)
 
 
+@pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
+                                            ("hyperelliptic_6081b", 7, 12),
+                                            ("hyperelliptic_6081b", 23, 12),
+                                            ("hyperelliptic_6081b", 47, 12),
+                                            ("hyperelliptic_6081b", 23, 20),
+                                            ("superelliptic_a1", 7, 12),
+                                            ("superelliptic_a1", 37, 8)])
+def test_the_numerator_past_K_prime_terms_only_shifts_its_digits(fixture, p, prec):
+    """u = f(x^p) - f^p is 0 mod p, so mod p^m, m = M - L - 1, the numerator at
+    K terms is f^(p(K - K')) times the one at K' = min(K, m - 1): its f-adic
+    digits are p(K - K') zero digits, then the digits at K'."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _frobenius_numerator
+
+    curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
+    m = HyperellipticModel(curve.g, p, prec, curve.n)
+    mm = m.M - m.L - 1
+    Kp = min(m.K, mm - 1)
+    assert Kp < m.K
+    fm = [c.residue(mm) for c in m.f]
+    for b in range(1, m.n):
+        full, short = (_f_adic_digits(_frobenius_numerator(fm, p, K, mm, Fraction(-b, m.n)),
+                                      fm, p ** mm) for K in (m.K, Kp))
+        assert full == [[0] * m.deg] * (p * (m.K - Kp)) + short
+
+
 def test_reduction_records_an_exact_form_and_checks_the_division():
     from affine_chabauty.errors import PrecisionExceeded
 
@@ -340,14 +377,14 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
     t = [c.residue(M) for c in m._bezout()]
     # d(1/y^3) = -(3/2) f' dx/y^5: nothing left in cohomology, exact part 1/y^3
     dform = [-3 * k * c * pow(2, -1, mod) % mod for k, c in enumerate(f)][1:]
-    col, poles, yparts = m._reduce([dform], 0, 2, f, t, M, 0, 10)
+    col, poles, yparts = m._reduce([dform], [0], 2, f, t, M, 0, 10)[0]
     poles, yparts = exact_parts(p, poles, yparts, 0, 10)
     assert all(c.is_zero() for c in col) and yparts == []
     assert [mm for mm, _ in poles] == [2]
     assert poles[0][1][0].compare(1) == "equal"
     assert all(c.is_zero() for c in poles[0][1][1:])
     with pytest.raises(PrecisionExceeded):
-        m._reduce([dform], 0, 2, f, [(t[0] + 1) % mod] + t[1:], M, 0, 10)
+        m._reduce([dform], [0], 2, f, [(t[0] + 1) % mod] + t[1:], M, 0, 10)
 
 
 def test_a_division_beyond_the_headroom_raises():
@@ -361,9 +398,9 @@ def test_a_division_beyond_the_headroom_raises():
     # dx/y^9 = -d(2 t / (7 y^7)) + (...) dx/y^7: an exact part that needs one
     # digit more than L = 0 allows
     with pytest.raises(PrecisionExceeded):
-        m._reduce([[1]], 0, 4, f, t, M, 0, 10)
+        m._reduce([[1]], [0], 4, f, t, M, 0, 10)
     # with L = 1 the same form (input 7 / 7^1) reduces, exact part -2t/7 / y^7
-    col, poles, yparts = m._reduce([[p]], 0, 4, f, t, M, 1, 10)
+    col, poles, yparts = m._reduce([[p]], [0], 4, f, t, M, 1, 10)[0]
     poles, yparts = exact_parts(p, poles, yparts, 1, 10)
     assert poles[0][0] == 4
     assert min(c.v for c in poles[0][1] if not c.is_zero()) == -1

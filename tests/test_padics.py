@@ -42,6 +42,60 @@ def test_add_precision_is_min():
     assert (x + y).precision() == 6
 
 
+class _ViaCoerce(PadicNumber):
+    """A PadicNumber that PadicNumber.__add__ takes through _coerce."""
+    __slots__ = ()
+
+
+def _add_reference(a, b):
+    """a + b from the exact rationals u p^v, to precision min(N)."""
+    if a.is_exact_zero():
+        return b
+    if b.is_exact_zero():
+        return a
+    N_ = min(a.N, b.N)
+    x = Fraction(a.u) * Fraction(a.p) ** a.v + Fraction(b.u) * Fraction(b.p) ** b.v
+    return PadicNumber.unknown_zero(a.p, N_) if x == 0 else PadicNumber.from_rational(x, a.p, N_)
+
+
+def _vun(x):
+    return x.v, x.u, x.N
+
+
+def test_add_fast_path_matches_the_coerce_path():
+    rng = random.Random(3)
+    for p in (3, 7, 23):
+        def operand():
+            kind = rng.random()
+            v = rng.randrange(-3, 6)
+            N_ = v + rng.randrange(1, 12)
+            if kind < 0.1:
+                return PadicNumber.exact_zero(p)
+            if kind < 0.2:
+                return PadicNumber.unknown_zero(p, N_)
+            u = rng.randrange(1, p ** (N_ - v))
+            return PadicNumber(p, v, u if u % p else u + 1, N_)
+
+        for _ in range(400):
+            a, b = operand(), operand()
+            if rng.random() < 0.2:  # the cancelling case
+                b = PadicNumber(p, a.v, -a.u % p ** (a.N - a.v), a.N + rng.randrange(3)) \
+                    if a.u else b
+            for x, y in ((a, b), (b, a)):
+                slow = x + _ViaCoerce(y.p, y.v, y.u, y.N)
+                assert _vun(x + y) == _vun(slow) == _vun(_add_reference(x, y)), (x, y)
+    with pytest.raises(ValueError):
+        num(3) + PadicNumber.from_int(3, 5, 6)
+    with pytest.raises(ValueError):
+        num(3) + _ViaCoerce(5, 0, 3, 6)
+    zero = PadicNumber.exact_zero(P)
+    for rational in (Fraction(1, 3), 2):
+        with pytest.raises(ValueError):
+            zero + rational
+        with pytest.raises(ValueError):
+            rational + zero
+
+
 def test_mul_precision_rule():
     # N(xy) = min(v_x + N_y, v_y + N_x)
     x = PadicNumber.from_int(7, P, 10)      # v=1, N=10
