@@ -28,23 +28,11 @@ from math import comb
 from operator import mul
 
 from .curves import reduction_defect
-from .errors import (
-    BadReduction,
-    DifferentDiscs,
-    EndpointRestriction,
-    PoleOnDisc,
-    PrecisionExceeded,
-    PrecisionLoss,
-)
+from .errors import BadReduction, DifferentDiscs, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
 from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
-from .series import Subordination, TruncatedSeries, formal_antiderivative, nth_root_series
+from .series import Subordination, TruncatedSeries, formal_antiderivative
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
-
-
-def _deriv(cs):
-    """Derivative of the polynomial with ascending coefficients cs."""
-    return [c * k for k, c in enumerate(cs)][1:]
 
 
 @dataclass
@@ -161,18 +149,26 @@ class HyperellipticModel:
 
     def disc_series(self, pt: Point):
         """(x(t), y(t)) to order 2 prec and the series of each basis monomial
-        x^i dx/y^b on pt's disc, centered at teichmueller_point(pt).
+        x^i dx/y^b on pt's disc, centered at teichmueller_point(pt), built once per
+        disc by one int kernel mod p^M in the scaled parameter s = p t.
 
-        Non-Weierstrass discs use x = x(center) + p t; Weierstrass discs use
-        y = p t with x(t) solved from f(x) = y^n by Newton iteration on
-        series.  Built once per disc.
+        Affine discs: x = x0 + s, G = f(x0 + s), z = G^(-1/n) by Newton (dividing
+        only by the unit n), y = G z^(n-1), x^i dx/y^b = p (x0 + s)^i z^b.
+        Weierstrass discs: y = s and x = x0 + E(w) solves f(x) = w = s^n by Newton;
+        x^i dx/y^b = p x'(s) x^i / s^b.  An s-coefficient C_k exact mod p^M makes
+        the t-coefficient p^k C_k exact mod p^(M + k); each keeps the smaller N that
+        PadicNumber arithmetic on x = x0 + p t, p known mod p^M, gives it: N_0 = M
+        and N_k = M + k - 1 in x(t) and y(t), N_k = M + k in x^i dx/y^b, plus
+        v_p(k + b + 1) (the index of x') in x^0 dx/y^b on a Weierstrass disc.  With
+        x0 = 0 and p | f_1, y_1 = p f_1 / (n y0^(n-1)) has M + 1 and coefficient
+        i + 1 of x^i dx/y^b M + i + 2.  Exact zeros lie off the n-periodic support of
+        a Weierstrass series and below t^i in x^i dx/y^b when x0 = 0; a computed
+        zero elsewhere is O(p^N).
         """
         key = self._disc_key(pt)
         if key not in self._discs:
-            ybar = key[1]  # 0 on a Weierstrass disc
-            xs, ys = _local_parametrization(self.f, self.n, self.teichmueller_point(pt).x, ybar,
-                                            self.M, 2 * self.prec)
-            self._discs[key] = xs, ys, _monomial_series(xs, ys, self.basis, ybar == 0)
+            self._discs[key] = _local_parametrization(self.f, self.n, self.teichmueller_point(pt),
+                                                      self.M, 2 * self.prec, self.basis)
         return self._discs[key]
 
     # -- Frobenius data ------------------------------------------------------------
@@ -223,14 +219,16 @@ class HyperellipticModel:
         fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
         zero = PadicNumber.exact_zero(p)
         shifts = [p * i + p - 1 for i in range(d - 1)]
+        nums = [_frobenius_numerator(fm, p, Kp, m, Fraction(-b, n)) for b in range(1, n)]
+        # one tower of f^(2^k) mod p^m for every numerator and every x^shift
+        tower = p ** m, _f_adic_tower(fm, max(map(len, nums)), p ** m)
         matrix, dagger = [], []
-        for b in range(1, n):
-            num = _frobenius_numerator(fm, p, Kp, m, Fraction(-b, n))
-            digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fm, p ** m)]
+        for b, num in enumerate(nums, 1):
+            digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fm, *tower)]
             # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of num'
             # start at level pK' + (p - 1)b/n
             for col, poles, ys in self._reduce(digits, shifts, p * Kp + (p - 1) * b // n,
-                                               fint, t_bez, N, L, tp, b):
+                                               fint, t_bez, N, L, tp, b, tower):
                 # Frobenius keeps each eigenspace: exact zeros outside block b
                 matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
                 dagger.append((poles, ys))
@@ -238,10 +236,12 @@ class HyperellipticModel:
         return FrobeniusData(matrix=matrix, dagger=dagger, trunc_prec=tp, headroom=L,
                              a_p=a_p, point_count=count)
 
-    def _reduce(self, digits, shifts, top, f, t, M, L, cap, b=1):
+    def _reduce(self, digits, shifts, top, f, t, M, L, cap, b=1, tower=None):
         """Reduce  sum_j x^shift digits[j] dx / (p^L y^(b + n(top - j)))  to the basis
         x^i dx/y^b for each shift in shifts, recording the exact parts.  Integer
-        polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.  A
+        polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.
+        tower, (p^m, _f_adic_tower of f mod p^m), gives the x^shift digits mod p^m:
+        enough when every digits[j] is 0 mod p^(M - m) (by default m = M).  A
         stored int c stands for c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg
         divides by its p-part exactly or raises PrecisionExceeded.  Per shift the
         outputs are c / p^L to absolute precision cap, M >= cap + 2L: the column as
@@ -263,7 +263,7 @@ class HyperellipticModel:
         # the digit sequences of x^shift and of the sum and one carry per digit;
         # the sum's sequence is packed once for every shift
         w = 2 * d - 1
-        xdigits = [_f_adic_digits([0] * s + [1], f, mod) for s in shifts]
+        xdigits = [_f_adic_digits([0] * s + [1], f, *(tower or (mod,))) for s in shifts]
         flat, *xflats = ([c for r in rs for c in r + [0] * (w - len(r))]
                          for rs in [digits] + xdigits)
         width = _slot_width(mod, min(len(flat), max(map(len, xflats))))
@@ -330,7 +330,7 @@ class HyperellipticModel:
     def _bezout(self):
         """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
         p = self.p
-        fprime = _deriv(self.f)
+        fprime = [c * k for k, c in enumerate(self.f)][1:]
         ns, nt = self.deg - 1, self.deg
         size = ns + nt
         rows = []
@@ -631,19 +631,27 @@ def _int_series_inv(a, n, mod):
     return h
 
 
-def _f_adic_digits(poly, f, mod):
-    """Digits r_j, deg r_j < deg f, of poly = sum_j r_j f^j.
+def _f_adic_tower(f, size, mod):
+    """(f^(2^k), inverse of its reversal) up to the first 2 deg f^(2^k) >= size, each
+    inverse as long as the quotients of a poly of length size use: deg f^(2^k) below
+    the top level, size - deg at it; a shorter poly reads a prefix of each."""
+    gs = [f]
+    while 2 * (len(gs[-1]) - 1) < size:
+        gs.append(_int_pmul(gs[-1], gs[-1], mod))
+    lengths = [len(g) - 1 for g in gs[:-1]] + [size - len(gs[-1]) + 1]
+    return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
+
+
+def _f_adic_digits(poly, f, mod, tables=None):
+    """Digits r_j, deg r_j < deg f, of poly = sum_j r_j f^j, on the tower tables
+    of f (by default built for poly).
 
     Radix conversion: divide and conquer over f^(2^k), each division one
     product with the inverse of the reversed divisor (von zur Gathen-Gerhard,
-    Modern Computer Algebra, 9.1-9.2).  Each inverse runs to the length its
-    quotients use: deg f^(2^k) below the top level, len(poly) - deg at it.
+    Modern Computer Algebra, 9.1-9.2).
     """
-    gs = [f]
-    while 2 * (len(gs[-1]) - 1) < len(poly):
-        gs.append(_int_pmul(gs[-1], gs[-1], mod))
-    lengths = [len(g) - 1 for g in gs[:-1]] + [len(poly) - len(gs[-1]) + 1]
-    tables = [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
+    tables = tables or _f_adic_tower(f, len(poly), mod)
+    top = next(k for k, (g, _) in enumerate(tables) if 2 * (len(g) - 1) >= len(poly))
 
     def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits
         if k < 0:
@@ -654,81 +662,81 @@ def _f_adic_digits(poly, f, mod):
         q = _int_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
         return split(_int_sub(a[:n], _int_pmul(q, g, mod, 0, n), mod), k - 1) + split(q, k - 1)
 
-    digits = split(poly, len(tables) - 1)
+    digits = split(poly, top)
     while digits and not any(digits[-1]):
         digits.pop()
     return digits
 
 
-# -- the residue-disc layer of a chart y^n = g(x), g with PadicNumber coefficients --
+# -- the residue-disc kernel: ints mod p^M in the scaled parameter s = p t --
 
 
-def _poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
-    """Evaluate a polynomial with PadicNumber coefficients on a series."""
-    p = xs.p
-    top = coeffs[-1]
-    off = min(0, top.v if not top.is_zero() else 0)
-    acc = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
-                          Subordination(1, off), check=False, exact=True)
-    return horner(coeffs[:-1], xs, acc)
+def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> tuple:
+    """x(t), y(t) and the series of x^i dx/y^b, (i, b) in basis, to order T on the
+    disc of y^n = g(x) at center, built on ints mod p^M in s = p t and converted
+    to PadicNumbers once, at the precisions disc_series states."""
+    p = center.x.p
+    mod, x0 = p ** M, center.x.residue(M)
+    G = [c.residue(M) for c in g]  # G(s) = g(x0 + s), by repeated synthetic division
+    for i in range(len(G) - 1):
+        for k in range(len(G) - 2, i - 1, -1):
+            G[k] = (G[k] + x0 * G[k + 1]) % mod
+    zero, pc = PadicNumber.exact_zero(p), PadicNumber.from_int(p, p, M)
 
+    def coeff(C, e, N):  # p^e C to absolute precision N; C is exact mod p^(N - e)
+        v = _vp(C, p) if C else N
+        return PadicNumber(p, v + e, C // p ** v % p ** (N - v - e), N) if v + e < N \
+            else PadicNumber.unknown_zero(p, N)
 
-def _monomial_series(xs: TruncatedSeries, ys: TruncatedSeries, monomials, ramified: bool) -> list:
-    """x^i dx/y^b as series in t for each (i, b) in monomials, on a disc
-    parametrized by (xs, ys); x^(i-1) dx/y^b must come before x^i dx/y^b."""
-    dx = xs.derivative()
-    inv_y = None if ramified else ys.inverse()
-    comps = {}  # x^i dx/y^b = x * x^(i-1) dx/y^b
-    for i, b in monomials:
-        if i:
-            comps[i, b] = comps[i - 1, b] * xs
-        elif inv_y is None:  # y = p t; x' is divisible by t^b
-            comps[i, b] = _shift_down(dx, b).scale(Fraction(1, xs.p ** b))
-        else:
-            inv_yb = inv_y
-            for _ in range(b - 1):
-                inv_yb = inv_yb * inv_y
-            comps[i, b] = dx * inv_yb
-    return [comps[m] for m in monomials]
+    def series(cs, offset, exact=False):
+        return TruncatedSeries(p, cs, Subordination(1, offset), check=False, exact=exact)
 
-
-def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide by t^k; the dropped low coefficients must be zero classes."""
-    if k >= f.order:
-        raise PrecisionLoss(f"a series of order {f.order} cannot be divided by t^{k}")
-    for c in f.coeffs[:k]:
-        if not c.is_zero():
-            raise PoleOnDisc("series has a genuine pole: cannot shift down")
-    bound = f.bound
-    if bound is not None:
-        bound = Subordination(bound.slope, bound.offset + k * bound.slope)
-    return TruncatedSeries(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
-
-
-def _local_parametrization(g, n: int, x0: PadicNumber, ybar: int, N: int, T: int):
-    """Series (x(t), y(t)) to order T on the residue disc of y^n = g(x) over
-    (x0, ybar).
-
-    ybar != 0: x = x0 + p t and y the n-th root of g(x) over ybar.  ybar = 0:
-    x0 is a root of g (a ramification point), y = p t and x(t) is solved from
-    g(x) = y^n by Newton's method on series.  N is the precision of the
-    coefficient p.
-    """
-    p = x0.p
-    zero = PadicNumber.exact_zero(p)
-    bound = Subordination(1, min(0, x0.v))
-    p_coeff = PadicNumber.from_int(p, p, N)
-    if ybar:
-        xs = TruncatedSeries(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
-        return xs, nth_root_series(_poly_of_series(g, xs), n, ybar)
-    ys = TruncatedSeries(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
-                         check=False, exact=True)
-    target = ys
-    for _ in range(n - 1):
-        target = target * ys
-    xs = TruncatedSeries(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
-    for _ in range(T.bit_length() + 2):
-        gx = _poly_of_series(g, xs)
-        dgx = _poly_of_series(_deriv(g), xs)
-        xs = xs - (gx - target) * dgx.inverse()
-    return TruncatedSeries(p, xs.coeffs, bound, check=False), ys
+    ints = {}  # (i, b) -> the s-coefficients of x^i dx/y^b, mod p^M
+    monos = []
+    if center.y.is_zero():  # Weierstrass: y = s and x = x0 + E(w), g(x) = w = s^n
+        E, R = [0], (T - 1) // n + 1  # x(s) to s^(T-1)
+        while len(E) < R:  # Newton: E -= (G(E) - w) / G'(E)
+            k = min(2 * len(E), R)
+            F, D = [G[-1]], []
+            for c in reversed(G[:-1]):
+                D = _int_padd(_int_pmul(D, E, mod, 0, k), F, mod)
+                F = _int_padd(_int_pmul(F, E, mod, 0, k), [c], mod)
+            F = (_int_sub(F, [0, 1], mod) + [0] * k)[len(E):k]  # G(E) - w = 0 mod w^len(E)
+            E += [-c % mod for c in _int_pmul(F, _int_series_inv(D, k - len(E), mod), mod,
+                                              0, k - len(E))]
+        X, xs = [x0] + E[1:], [center.x] + [zero] * (T - 1)
+        for q in range(1, R):
+            xs[n * q] = coeff(X[q], n * q, M + n * q - 1)
+        for i, b in basis:  # X' X^i / s^b = s^(n-1-b) sum_q m_q w^q
+            m = _int_pmul(ints[i - 1, b], X, mod, 0, len(X) - 1) if i else \
+                [n * q * C for q, C in enumerate(X) if q]  # exact mod p^(M + v_p(q))
+            cs = [zero] * (T - 1 - b)
+            for q, C in enumerate(m):
+                j = n - 1 - b + n * q
+                if j < len(cs) and (x0 or q >= i):
+                    cs[j] = coeff(C, j + 1, M + j + (0 if i else _vp(q + 1, p)))
+            ints[i, b] = [c % mod for c in m]
+            monos.append(series(cs, 1))
+        return series(xs, 0), series([zero, pc] + [zero] * (T - 2), 0, True), monos
+    # affine: x = x0 + s, z = G^(-1/n) by Newton (dividing by the unit n), y = G z^(n-1)
+    z, ninv = [pow(center.y.residue(M), -1, mod)], pow(n, -1, mod)
+    while len(z) < T:
+        k = min(2 * len(z), T)
+        zn = z
+        for _ in range(n - 1):
+            zn = _int_pmul(zn, z, mod, 0, k)
+        err = _int_pmul(G, zn, mod, len(z), k)  # G z^n = 1 + s^len(z) err
+        z += _int_pmul([-c * ninv % mod for c in err], z, mod, 0, k - len(z))
+    zs = [z]
+    for _ in range(n - 2):
+        zs.append(_int_pmul(zs[-1], z, mod, 0, T))
+    Y = _int_pmul(G, zs[-1], mod, 0, T)
+    lift = not x0 and G[1] % p == 0  # y_1 = p g_1 / (n y0^(n-1)) carried at M + 1
+    ys = [coeff(C, k, M + max(k - 1, 0) + (lift and k == 1)) for k, C in enumerate(Y)]
+    for i, b in basis:  # x^i dx/y^b = p (x0 + s)^i z^b dt
+        prev = ints.get((i - 1, b))
+        m = ints[i, b] = [(x0 * c + d) % mod for c, d in zip(prev, [0] + prev)] if i else \
+            zs[b - 1][:T - 1]
+        monos.append(series([coeff(C, k + 1, M + k + (lift and k == i + 1)) if x0 or k >= i
+                             else zero for k, C in enumerate(m)], 1))
+    return series([center.x, pc] + [zero] * (T - 2), 0, True), series(ys, 0), monos

@@ -13,7 +13,8 @@ from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestric
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
-from tests_support import exact_parts, involution, lift_x, padic_dagger
+from tests_support import (exact_parts, involution, lift_x, padic_dagger, padic_disc_series,
+                           poly_of_series)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -203,8 +204,7 @@ def test_disc_series_satisfies_curve_equation():
 
 
 def _poly_series(coeffs, xs):
-    from affine_chabauty.hyperelliptic import _poly_of_series
-    return _poly_of_series(coeffs, xs)
+    return poly_of_series(coeffs, xs)
 
 
 def test_principal_divisor_holomorphic_vanishes():
@@ -608,6 +608,37 @@ def test_the_model_at_M_agrees_with_a_model_twelve_digits_higher(fixture, p):
         for lo, hi in zip(lo_groups, hi_groups, strict=True):
             assert all(a.compare(b) != "distinct" for a, b in zip(lo, hi)), (xb, yb)
         assert all(v.is_exact_zero() or v.N == low.tp for v in lo_groups[-1]), (xb, yb)
+
+
+def _series_claims(s):
+    """Everything a consumer reads of a series: order, exact flag, bound and the
+    (v, u, N) of each coefficient, exact zeros included."""
+    return s.order, s.exact, s.bound, [(c.v, c.u, c.N) for c in s.coeffs]
+
+
+DISC_KERNEL_GRID = [(fixture, p) for fixture in ("hyperelliptic_6081b", "superelliptic_a1")
+                    for p in (5, 7, 13, 19, 23, 37)
+                    if load_problem(PROBLEMS / f"{fixture}.json").problem.curve
+                    .good_reduction_at(p)]
+
+
+@pytest.mark.parametrize("fixture,p", DISC_KERNEL_GRID)
+def test_disc_kernel_matches_the_padic_series_build(fixture, p):
+    """The int disc kernel and the PadicNumber series build agree on every
+    non-cuspidal disc: x(t), y(t) and each basis monomial have the same order,
+    exact flag, bound and (v, u, N) of every coefficient, so the same exact
+    zeros, at model prec 5, 8, 12, 16 and 24."""
+    curve = load_problem(PROBLEMS / f"{fixture}.json").problem.curve
+    for prec in (5, 8, 12, 16, 24):
+        m = HyperellipticModel(curve.g, p, prec, curve.n)
+        discs = _discs_mod_p(m)
+        assert discs
+        for xb, yb in discs:
+            pt = _mod_p_point(m, xb, yb)
+            got, want = m.disc_series(pt), padic_disc_series(m, pt)
+            assert len(got[2]) == len(want[2]) == m.dim
+            for a, b in zip([got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
+                assert _series_claims(a) == _series_claims(b), (prec, xb, yb)
 
 
 # -- integer dagger evaluation ----------------------------------------------

@@ -1,13 +1,15 @@
 """Helpers that only the tests use: exact polynomials as series, series
 composition, lifting an x-coordinate to a point of a model y^n = f(x),
-the Frobenius exact parts as PadicNumbers, and the intersection of Psi
-with the fibre components."""
+the Frobenius exact parts as PadicNumbers, the residue-disc series built on
+PadicNumbers (the reference for the model's int kernel), and the
+intersection of Psi with the fibre components."""
 
 from fractions import Fraction
 
+from affine_chabauty.errors import PoleOnDisc, PrecisionLoss
 from affine_chabauty.hyperelliptic import Point
-from affine_chabauty.padics import INF, PadicNumber, nth_root, sqrt
-from affine_chabauty.series import _BIG, Subordination, TruncatedSeries
+from affine_chabauty.padics import INF, PadicNumber, horner, nth_root, sqrt
+from affine_chabauty.series import _BIG, Subordination, TruncatedSeries, nth_root_series
 
 
 def derive_bound(coeffs, slope: Fraction) -> Subordination:
@@ -85,6 +87,69 @@ def padic_dagger(m):
     fd = m.frobenius_data()
     return [exact_parts(m.p, poles, yparts, fd.headroom, fd.trunc_prec)
             for poles, yparts in fd.dagger]
+
+
+def poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
+    """Evaluate a polynomial with PadicNumber coefficients on a series."""
+    p = xs.p
+    top = coeffs[-1]
+    off = min(0, top.v if not top.is_zero() else 0)
+    acc = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
+                          Subordination(1, off), check=False, exact=True)
+    return horner(coeffs[:-1], xs, acc)
+
+
+def padic_disc_series(m, pt: Point) -> tuple:
+    """What m.disc_series(pt) returns, built on PadicNumber series: x(t) and y(t)
+    by nth_root_series or by Newton's method on series, and each basis monomial
+    x^i dx/y^b from series products and inverses."""
+    center = m.teichmueller_point(pt)
+    p, g, x0, T = m.p, m.f, center.x, 2 * m.prec
+    zero = PadicNumber.exact_zero(p)
+    bound = Subordination(1, min(0, x0.v))
+    p_coeff = PadicNumber.from_int(p, p, m.M)
+    ramified = m.is_weierstrass_disc(center)
+    if not ramified:  # x = x0 + p t and y the n-th root of g(x) over y mod p
+        xs = TruncatedSeries(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
+        ys = nth_root_series(poly_of_series(g, xs), m.n, center.y.residue(1))
+    else:  # y = p t and x(t) solved from g(x) = y^n by Newton's method on series
+        ys = TruncatedSeries(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
+                             check=False, exact=True)
+        target = ys
+        for _ in range(m.n - 1):
+            target = target * ys
+        xs = TruncatedSeries(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
+        dg = [c * k for k, c in enumerate(g)][1:]
+        for _ in range(T.bit_length() + 2):
+            xs = xs - (poly_of_series(g, xs) - target) * poly_of_series(dg, xs).inverse()
+        xs = TruncatedSeries(p, xs.coeffs, bound, check=False)
+    dx = xs.derivative()
+    inv_y = None if ramified else ys.inverse()
+    comps = {}  # x^i dx/y^b = x * x^(i-1) dx/y^b
+    for i, b in m.basis:
+        if i:
+            comps[i, b] = comps[i - 1, b] * xs
+        elif inv_y is None:  # y = p t; x' is divisible by t^b
+            comps[i, b] = _shift_down(dx, b).scale(Fraction(1, p ** b))
+        else:
+            inv_yb = inv_y
+            for _ in range(b - 1):
+                inv_yb = inv_yb * inv_y
+            comps[i, b] = dx * inv_yb
+    return xs, ys, [comps[mono] for mono in m.basis]
+
+
+def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Divide by t^k; the dropped low coefficients must be zero classes."""
+    if k >= f.order:
+        raise PrecisionLoss(f"a series of order {f.order} cannot be divided by t^{k}")
+    for c in f.coeffs[:k]:
+        if not c.is_zero():
+            raise PoleOnDisc("series has a genuine pole: cannot shift down")
+    bound = f.bound
+    if bound is not None:
+        bound = Subordination(bound.slope, bound.offset + k * bound.slope)
+    return TruncatedSeries(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
 
 
 def psi_intersection_with_components(model, q: int, incidence, corr):
