@@ -63,8 +63,8 @@ def main(argv=None) -> int:
 
 def _emit(report: dict, args) -> None:
     out = args.out
-    if out is None:
-        out = args.problem.with_suffix(".report.json")
+    if out is None:  # <problem>.report.json in the current directory
+        out = Path(args.problem.with_suffix(".report.json").name)
     out.write_text(json.dumps(report, indent=2))
     print(f"report written to {out}")
 

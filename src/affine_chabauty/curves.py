@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import BadReduction, NonSeparableReduction, ProblemFileError, UnsupportedFamily
 from .numberfield import FieldEmbedding, NFElement, NumberField, hensel_embed
-from .padics import PadicNumber, _horner_mod, horner
+from .padics import PadicNumber, _horner_mod, horner, iwasawa_log
 
 QQ = NumberField([-1, 1], name="one")  # the rational field as a degree-1 field
 
@@ -312,6 +312,7 @@ class CurveProblem:
     prec: int
     label: str = "problem"
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _logs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -360,3 +361,10 @@ class CurveProblem:
             self._embeddings[cusp.id] = hensel_embed(list(cusp.nfield.minpoly), self.p,
                                                      self.prec + 40, cusp.nfield)
         return self._embeddings[cusp.id]
+
+    def logs(self, cusp: Cusp, value: NFElement) -> list[PadicNumber]:
+        """log phi(value) for each phi in embeddings(cusp), computed once per (cusp, value)."""
+        key = (cusp.id, value)
+        if key not in self._logs:
+            self._logs[key] = [iwasawa_log(phi(value)) for phi in self.embeddings(cusp)]
+        return self._logs[key]

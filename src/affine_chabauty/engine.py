@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from itertools import combinations, islice
 
 from .curves import CurveProblem, LogDifferential, ResidueDisc
 from .errors import (
@@ -29,7 +29,7 @@ from .models import (
     horizontal_intersection,
     selmer_target,
 )
-from .padics import PadicNumber, _vp, iwasawa_log, render_padic
+from .padics import PadicNumber, _vp, render_padic
 from .series import formal_antiderivative, strassmann_roots
 
 DETERMINANT_SUBSETS = 200  # point subsets per cuspidal part checked by verify()
@@ -110,19 +110,27 @@ class Engine:
 
     # -- small helpers ---------------------------------------------------------
 
-    def _lam_log(self, phi, lam: LambdaRecord) -> PadicNumber:
-        return iwasawa_log(phi(lam.generator)) * lam.gen_exponent
-
     def _residue_log_sum(self, omega: LogDifferential, terms) -> PadicNumber:
         return residue_log_sum(self.problem.p, omega, terms, self.problem.embeddings)
 
     def _lambda_terms(self, pairs) -> list:
-        """Terms of sum_lambda coeff * log phi(pi_lambda) for (lambda, coeff) pairs."""
-        return [(self._cusps[lam.cusp], partial(self._lam_log, lam=lam), coeff)
-                for lam, coeff in pairs]
+        """Terms of sum_lambda coeff * log phi(pi_lambda) for (lambda, coeff) pairs,
+        with log phi(pi_lambda) = log phi(generator) * gen_exponent."""
+        terms = []
+        for lam, coeff in pairs:
+            cusp = self._cusps[lam.cusp]
+            logs = self.problem.logs(cusp, lam.generator)
+            terms.append((cusp, [log * lam.gen_exponent for log in logs], coeff))
+        return terms
 
     def _lambda_terms_by_id(self, coeffs: dict) -> list:
         return self._lambda_terms((self.model.lambda_by_id(lid), c) for lid, c in coeffs.items())
+
+    def _unit_terms(self, ug: UnitGenerator) -> list:
+        """Terms of sum_Q log phi(u_Q) over the cusps where the unit has a value."""
+        # PadicNumber * 1 keeps v, u and N, so the unit coefficient moves no digit
+        return [(cusp, self.problem.logs(cusp, val), 1) for cusp in self.problem.curve.cusps
+                if (val := ug.values.get(cusp.id)) is not None and not val.is_zero()]
 
     def base_pair(self):
         return (self.problem.base_point.x, self.problem.base_point.y)
@@ -191,19 +199,13 @@ class Engine:
                 row.append(self.pairing_H(gen, basis[j]))
             rows.append(row)
             labels.append(f"A|B {gen.id}")
-        for ug in self.units:
-            # PadicNumber * 1 keeps v, u and N, so the unit coefficient moves no digit
-            terms = [(cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1)
-                     for cusp in self.problem.curve.cusps
-                     if (val := ug.values.get(cusp.id)) is not None and not val.is_zero()]
+        log_rows = [(f"C {ug.id}", self._unit_terms(ug)) for ug in self.units]
+        log_rows += [(f"D(U) u{i + 1}", self._lambda_terms_by_id(u))
+                     for i, u in enumerate(st.u_basis)]
+        for label, terms in log_rows:
             rows.append([PadicNumber.exact_zero(p)] * g
                         + [self._residue_log_sum(basis[j], terms) for j in range(g, g + n - 1)])
-            labels.append(f"C {ug.id}")
-        for i, u in enumerate(st.u_basis):
-            terms = self._lambda_terms_by_id(u)
-            rows.append([PadicNumber.exact_zero(p)] * g
-                        + [self._residue_log_sum(basis[j], terms) for j in range(g, g + n - 1)])
-            labels.append(f"D(U) u{i + 1}")
+            labels.append(label)
         mat = ChabautyMatrix(rows=rows, row_labels=labels,
                              shape=(len(rows), g + n - 1),
                              blocks={"r": len(self.generators), "k": len(self.units),
@@ -429,19 +431,28 @@ class Engine:
         A point passes when its residual vanishes for some reduction type
         compatible with its (possibly partially known) component data; the
         exact type is pinned down only when the point's incidence vectors
-        are ingested.  A type whose locus data or integral fails gives the
-        point a failing row that carries the typed error.
+        are ingested.  A point that matches no reduction type, or a type whose
+        locus data or integral fails, gives the point a failing row that
+        carries the typed error.  The determinant groups take each point's
+        first compatible type.
         """
         types = enumerate_reduction_types(self.problem, self.model)
         rows = []
+        groups: dict = {}      # cuspidal part -> [(point, its first compatible type)]
         base = self.base_pair()
         for pt in self.known_points:
+            point = [str(pt.x), str(pt.y)]
             if not self.problem.curve.contains(pt.x, pt.y):
-                rows.append({"point": [str(pt.x), str(pt.y)],
-                             "sigma": None, "pass": False,
+                rows.append({"point": point, "sigma": None, "pass": False,
                              "error": "point is not on the curve"})
                 continue
-            candidates = self._candidate_types(pt, types)
+            try:
+                candidates = self._candidate_types(pt, types)
+            except ChabautyError as e:
+                rows.append({"point": point, "sigma": None, "pass": False,
+                             "error": f"{type(e).__name__}: {e}"})
+                continue
+            groups.setdefault(candidates[0].cuspidal_part(), []).append((pt, candidates[0]))
             best = None
             for sigma in candidates:
                 try:
@@ -449,12 +460,12 @@ class Engine:
                     residuals = [self.integrator.integral(om, base, (pt.x, pt.y)) - c
                                  for om, c in zip(tr.kernel[1], tr.constants)]
                 except ChabautyError as e:
-                    best = best or {"point": [str(pt.x), str(pt.y)], "sigma": sigma.label,
+                    best = best or {"point": point, "sigma": sigma.label,
                                     "pass": False, "error": f"{type(e).__name__}: {e}"}
                     continue
                 ok = all(v.is_zero() for v in residuals)
                 rec = {
-                    "point": [str(pt.x), str(pt.y)],
+                    "point": point,
                     "sigma": sigma.label,
                     "residual_valuations": [
                         ("inf" if v.is_zero() else v.v) if not v.is_exact_zero() else "inf"
@@ -468,40 +479,22 @@ class Engine:
                 if best is None:
                     best = rec
             rows.append(best)
-        dets = self._verify_determinants(types)
-        return {"problem": self.problem.label, "points": rows,
-                "determinants": dets,
-                "pass": all(r["pass"] for r in rows) and all(d["pass"] for d in dets)}
-
-    def _verify_determinants(self, types) -> list:
-        """Determinant criterion over subsets of known points sharing a
-        cuspidal part; skipped (empty) when fewer than g+n-1 points qualify."""
-        import itertools as _it
-
+        # the determinant criterion over subsets of g+n-1 points of one group
         size = len(self.problem.curve.basis())
-        groups: dict = {}
-        for pt in self.known_points:
-            if not self.problem.curve.contains(pt.x, pt.y):
-                continue
-            try:
-                sigma = self._candidate_types(pt, types)[0]
-            except ChabautyError:
-                continue
-            groups.setdefault(sigma.cuspidal_part(), []).append((pt, sigma))
-        out = []
-        for csp, members in groups.items():
-            if len(members) < size:
-                continue
-            for subset in _it.islice(_it.combinations(members, size), DETERMINANT_SUBSETS):
+        dets = []
+        for members in groups.values():
+            for subset in islice(combinations(members, size), DETERMINANT_SUBSETS):
                 det = self.determinant_criterion(
                     [((pt.x, pt.y), sigma) for pt, sigma in subset])
-                out.append({
+                dets.append({
                     "points": [[str(pt.x), str(pt.y)] for pt, _ in subset],
                     "valuation": "inf" if det.is_zero() else det.v,
                     "precision": det.N,
                     "pass": det.is_zero(),
                 })
-        return out
+        return {"problem": self.problem.label, "points": rows,
+                "determinants": dets,
+                "pass": all(r["pass"] for r in rows) and all(d["pass"] for d in dets)}
 
     def _candidate_types(self, pt, types) -> list:
         """Reduction types compatible with the point's known reduction data."""

@@ -158,14 +158,14 @@ def _dot(coeffs, values):
 
 
 def residue_log_sum(p: int, omega: LogDifferential, terms, embeddings) -> PadicNumber:
-    """The sum over (cusp, log, coeff) in terms and over the embeddings phi
-    in embeddings(cusp) of phi(Res_cusp omega) * log(phi) * coeff."""
+    """The sum over (cusp, logs, coeff) in terms and over the embeddings phi in
+    embeddings(cusp), zipped with logs, of phi(Res_cusp omega) * log * coeff."""
     acc = PadicNumber.exact_zero(p)
-    for cusp, log, coeff in terms:
-        for phi in embeddings(cusp):
+    for cusp, logs, coeff in terms:
+        for phi, log in zip(embeddings(cusp), logs):
             r = omega.embedded_residue(cusp, phi)
             if r.is_zero():
                 continue
-            acc = acc + r * log(phi) * coeff
+            acc = acc + r * log * coeff
     return acc
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import add
 
 from .curves import CurveProblem
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .linalg import RationalMatrix, moore_penrose
 from .numberfield import NFElement, lambda_valuation
-from .padics import _vp, iwasawa_log
+from .padics import _vp
 
 
 @dataclass
@@ -305,7 +306,6 @@ def check_pi_compatibility(problem: CurveProblem, model: RegularModelData) -> No
         by_q: dict = {}
         for lam in lams:
             by_q.setdefault(lam.over_prime, []).append(lam)
-        embs = problem.embeddings(cusp)
         for q, group in by_q.items():
             rho = Fraction(model.rho.get(q, q))
             efsum = sum(lam.e * lam.f for lam in group)
@@ -318,13 +318,10 @@ def check_pi_compatibility(problem: CurveProblem, model: RegularModelData) -> No
                     raise ProblemFileError(
                         f"generator of {lam.id} has q-norm valuation {v}, "
                         f"expected f/exponent = {lam.f}/{lam.gen_exponent}")
-            for phi in embs:
-                acc = None
-                for lam in group:
-                    contrib = iwasawa_log(phi(lam.generator)) * lam.gen_exponent * lam.e
-                    acc = contrib if acc is None else acc + contrib
-                target = iwasawa_log(phi(rho))
-                diff = acc - target
+            gen_logs = [problem.logs(cusp, lam.generator) for lam in group]
+            for k, target in enumerate(problem.logs(cusp, cusp.nfield(rho))):
+                diff = reduce(add, (logs[k] * lam.gen_exponent * lam.e
+                                    for lam, logs in zip(group, gen_logs))) - target
                 if not diff.is_zero():
                     raise ProblemFileError(
                         f"pi-compatibility fails over {q} at cusp {cusp.id}: {diff}")

@@ -22,7 +22,8 @@ def _stage(tmp_path, name):
     return dst
 
 
-def test_verify_hyperelliptic_exit_zero(tmp_path, capsys):
+def test_verify_hyperelliptic_exit_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default report path is in the current directory
     path = _stage(tmp_path, "hyperelliptic_6081b.json")
     rc = main(["verify", str(path), "--prec", "10"])
     out = capsys.readouterr().out
@@ -33,6 +34,20 @@ def test_verify_hyperelliptic_exit_zero(tmp_path, capsys):
     assert len(report["points"]) == 10
     assert len(report["determinants"]) == 120  # all 3-subsets of the 10 points
     assert all(d["pass"] for d in report["determinants"])
+
+
+def test_default_report_path_leaves_the_problem_directory_unchanged(tmp_path, capsys,
+                                                                   monkeypatch):
+    problems, run = tmp_path / "problems", tmp_path / "run"
+    problems.mkdir()
+    run.mkdir()
+    path = _stage(problems, "hyperelliptic_6081b.json")
+    monkeypatch.chdir(run)
+    rc = main(["verify", str(path), "--prec", "6"])
+    assert rc == 0
+    assert "report written to hyperelliptic_6081b.report.json" in capsys.readouterr().out
+    assert [f.name for f in problems.iterdir()] == ["hyperelliptic_6081b.json"]
+    assert json.loads((run / "hyperelliptic_6081b.report.json").read_text())["pass"] is True
 
 
 def test_solve_superelliptic_complete_exit_zero(tmp_path, capsys):

@@ -313,3 +313,75 @@ def test_solve_lifts_each_cusp_embedding_once(monkeypatch):
     eng.solve()
     full = [minpoly for minpoly, N in lifts if N == 52]
     assert sorted(full) == sorted(tuple(c.nfield.minpoly) for c in eng.problem.curve.cusps)
+
+
+def test_verify_keeps_a_point_without_a_reduction_type_in_the_report():
+    """A known point that reduces onto a cusp point no lambda record lists
+    gets a failing row with the error, and no determinant."""
+    import json
+
+    from affine_chabauty.problem import build_engine
+
+    data = json.loads((PROBLEMS / "superelliptic_a1.json").read_text())
+    data["model"]["cusp_primes"] = [rec for rec in data["model"]["cusp_primes"]
+                                    if rec["id"] != "Q2|487a"]
+    data["arithmetic"]["precision"] = 8
+    report = build_engine(data).verify()
+    assert report == {
+        "problem": data["label"],
+        "points": [{"point": ["216/487", "438/487"], "sigma": None, "pass": False,
+                    "error": "ChabautyError: point reduces to an unlisted cusp point "
+                             "modulo 487"}],
+        "determinants": [],
+        "pass": False,
+    }
+
+
+def _count_logs(monkeypatch) -> list:
+    """The argument of every iwasawa_log call through any module of the package."""
+    import importlib
+    import pkgutil
+
+    import affine_chabauty
+    from affine_chabauty import padics
+
+    calls = []
+    orig = padics.iwasawa_log
+
+    def counted(x):
+        calls.append(x)
+        return orig(x)
+    for info in pkgutil.iter_modules(affine_chabauty.__path__):
+        module = importlib.import_module(f"affine_chabauty.{info.name}")
+        if vars(module).get("iwasawa_log") is orig:
+            monkeypatch.setattr(module, "iwasawa_log", counted)
+    return calls
+
+
+def test_solve_takes_each_cusp_log_once_at_load(monkeypatch):
+    """One log per (cusp, value, embedding): the pi-compatibility check at load
+    takes the logs of every generator and of every rho_q, and solve() reads them."""
+    calls = _count_logs(monkeypatch)
+    eng = load("superelliptic_a1.json", prec_override=12)
+    assert eng.problem.p == 7
+    at_load = len(calls)
+    eng.solve()
+    assert len(calls) == at_load
+    cusps = {c.id: c for c in eng.problem.curve.cusps}
+    values = {(lam.cusp, lam.generator) for lam in eng.model.lambdas}
+    values |= {(lam.cusp, cusps[lam.cusp].nfield(eng.model.rho.get(lam.over_prime,
+                                                                    lam.over_prime)))
+               for lam in eng.model.lambdas}
+    distinct = sum(len(eng.problem.embeddings(cusps[cid])) for cid, _ in values)
+    assert distinct == 15
+    assert at_load <= distinct
+
+
+def test_hyperelliptic_solve_and_verify_take_no_log(monkeypatch):
+    calls = _count_logs(monkeypatch)
+    eng = load("hyperelliptic_6081b.json", prec_override=8)
+    assert len(calls) <= 4  # log 3 and log 2027 at each of the two rational cusps
+    at_load = len(calls)
+    assert eng.verify()["pass"]
+    assert eng.solve()["status"] == "complete"
+    assert len(calls) == at_load

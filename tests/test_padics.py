@@ -226,15 +226,19 @@ def test_hensel_embed_nonseparable():
 
 
 def test_log_rational_power():
-    """Engine._lam_log extends the log to generator^gen_exponent: log(a^e) = e log(a)."""
+    """The lambda terms extend the cusp logs (CurveProblem.logs) to
+    generator^gen_exponent: log(a^e) = e log(a)."""
     embs = hensel_embed([-3, 0, 1], 11, N)  # Q(sqrt 3); p = 11 splits it (5^2 = 3 mod 11)
     assert len(embs) == 2
     engine = load_problem(PROBLEMS / "hyperelliptic_6081b.json", p_override=11)
     q = NumberField([-1, 1])
-    emb_q = hensel_embed([-1, 1], 11, N)[0]
 
     def lam_log(a, e):
-        return engine._lam_log(emb_q, LambdaRecord("l", "inf+", 3, 1, 1, q(a), e))
+        ((cusp, (log,), coeff),) = engine._lambda_terms(
+            [(LambdaRecord("l", "inf+", 3, 1, 1, q(a), e), 1)])
+        assert cusp.id == "inf+" and coeff == 1
+        assert (log - engine.problem.logs(cusp, q(a))[0] * e).is_zero()
+        return log
 
     got = lam_log(3, Fraction(1, 2))
     ref = iwasawa_log(PadicNumber.from_int(3, 11, N))

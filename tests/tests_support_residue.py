@@ -32,7 +32,7 @@ def residue_theorem_check(I, divisor, cusp_values: dict, omega):
         val = cusp_values[cusp.id]
         if not isinstance(val, NFElement):
             val = cusp.nfield(val)
-        terms.append((cusp, lambda phi, val=val: iwasawa_log(phi(val)), 1))
+        terms.append((cusp, I.problem.logs(cusp, val), 1))
     return lhs, residue_log_sum(I.p, omega, terms, I.problem.embeddings)
 
 
