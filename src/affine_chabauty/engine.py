@@ -467,9 +467,7 @@ class Engine:
                 rec = {
                     "point": point,
                     "sigma": sigma.label,
-                    "residual_valuations": [
-                        ("inf" if v.is_zero() else v.v) if not v.is_exact_zero() else "inf"
-                        for v in residuals],
+                    "residual_valuations": ["inf" if v.is_zero() else v.v for v in residuals],
                     "residuals": [render_padic(v) for v in residuals],
                     "pass": ok,
                 }

@@ -30,7 +30,8 @@ from operator import mul
 from .curves import reduction_defect
 from .errors import BadReduction, DifferentDiscs, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
-from .padics import PadicNumber, _horner_mod, _vp, hensel_lift_root, horner, nth_root, teichmuller
+from .padics import (PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
+                     nth_root, teichmuller)
 from .series import Subordination, TruncatedSeries, formal_antiderivative
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
@@ -677,10 +678,7 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
     to PadicNumbers once, at the precisions disc_series states."""
     p = center.x.p
     mod, x0 = p ** M, center.x.residue(M)
-    G = [c.residue(M) for c in g]  # G(s) = g(x0 + s), by repeated synthetic division
-    for i in range(len(G) - 1):
-        for k in range(len(G) - 2, i - 1, -1):
-            G[k] = (G[k] + x0 * G[k + 1]) % mod
+    G = _taylor_shift([c.residue(M) for c in g], x0, mod)  # G(s) = g(x0 + s)
     zero, pc = PadicNumber.exact_zero(p), PadicNumber.from_int(p, p, M)
 
     def coeff(C, e, N):  # p^e C to absolute precision N; C is exact mod p^(N - e)

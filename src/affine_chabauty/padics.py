@@ -37,6 +37,15 @@ def _horner_mod(cs, t: int, m: int) -> int:
     return acc
 
 
+def _taylor_shift(cs, a: int, m: int) -> list[int]:
+    """Coefficients of cs(a + x) modulo m, by repeated synthetic division."""
+    out = [c % m for c in cs]
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] = (out[k] + a * out[k + 1]) % m
+    return out
+
+
 def horner(cs, x, acc):
     """Value at x of the polynomial with ascending coefficients cs, in any
     ring: acc is the ring's zero (or a value to continue from)."""

@@ -6,16 +6,23 @@ for every index n (known and truncated alike).  Disc parametrizations of the
 form x = x0 + p*t produce slope-1 certificates, and the certificate is what
 makes evaluation on |t| <= 1 and Strassmann counting rigorous.  A series
 without a certificate can still be manipulated but not evaluated or counted.
+
+`strassmann_roots` isolates the roots on ints: g = f / p^m with one precision
+per coefficient, residues mod p by `_horner_mod`, simple roots lifted by
+`hensel_lift_root`, repeated residues moved into their sub-disc by one
+`_taylor_shift`.  A root carries only the digits that the coefficients'
+precisions, the certificate and the tail prove.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 from .errors import IndistinguishableFromZero, PrecisionLoss, ZeroInput
-from .padics import INF, PadicNumber, _horner_mod, _vp, horner, nth_root
+from .padics import (INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
+                     nth_root)
 
 _BIG = INF // 2
 
@@ -187,15 +194,6 @@ class TruncatedSeries:
                 bound = Subordination(s, Fraction(0))
         return TruncatedSeries(p, out, bound, check=False)
 
-    def derivative(self) -> "TruncatedSeries":
-        cs = [self.coeffs[n] * n for n in range(1, self.order)]
-        if not cs:
-            cs = [PadicNumber.exact_zero(self.p)]
-        bound = self.bound
-        if bound is not None:
-            bound = Subordination(bound.slope, bound.offset + bound.slope)
-        return TruncatedSeries(self.p, cs, bound, check=False, exact=self.exact)
-
     def evaluate(self, t) -> PadicNumber:
         """Value at t with |t| <= 1; the certificate bounds the cut tail."""
         if not isinstance(t, PadicNumber):
@@ -307,106 +305,92 @@ def strassmann_roots(f: TruncatedSeries) -> StrassmannResult:
     """Roots of f in Zp with a certified Strassmann count bound.
 
     The bound N* is the largest index attaining the minimal coefficient
-    valuation.  Roots are isolated by residue enumeration mod p: residues
-    that are simple roots of the reduction are refined by Newton iteration;
-    repeated residues are shifted into their sub-disc and recursed.
+    valuation m.  The roots are isolated on the integer polynomial g = f / p^m
+    (`_isolate`); a root is a zero class, not an exact zero, unless c_0 is.
     """
     if f.bound is None:
         raise PrecisionLoss("series has no subordination certificate")
     if all(c.is_zero() for c in f.coeffs):
         raise IndistinguishableFromZero("no coefficient is nonzero to precision")
     m = min(c.v for c in f.coeffs if not c.is_zero())
-    star_candidates = [n for n, c in enumerate(f.coeffs) if not c.is_zero() and c.v == m]
-    star = max(star_candidates)
+    star = max(n for n, c in enumerate(f.coeffs) if not c.is_zero() and c.v == m)
     for n, c in enumerate(f.coeffs):
-        if c.is_zero() and not c.is_exact_zero():
-            guar = max(c.N, ceil(f.bound.at(n)))
-            if guar <= m:
-                raise PrecisionLoss(
-                    f"coefficient t^{n} = O(p^{c.N}) could attain the minimal valuation {m}")
+        if c.is_zero() and not c.is_exact_zero() and max(c.N, ceil(f.bound.at(n))) <= m:
+            raise PrecisionLoss(
+                f"coefficient t^{n} = O(p^{c.N}) could attain the minimal valuation {m}")
     if not f.exact and (f.bound.slope <= 0 or f.bound.at(f.order) <= m):
         raise PrecisionLoss("certificate cannot exclude roots hidden in the tail")
-    roots = _isolate(f, m, f.padic_precision() + 2)
+    p = f.p
+    cs = f.coeffs[:f.degree() + 1] if f.exact else f.coeffs
+    g = [0 if c.is_zero() else c.u * p ** (c.v - m) for c in cs]
+    Ns = [INF if c.is_exact_zero() else (c.N if c.u else max(c.N, ceil(f.bound.at(n)))) - m
+          for n, c in enumerate(cs)]
+    roots = [(PadicNumber.exact_zero(p) if n >= INF else PadicNumber.from_int(r, p, n) if r
+              else PadicNumber.unknown_zero(p, n), 1)
+             for r, n in _isolate(p, (g, Ns, f.bound.slope, f.bound.offset - m, f.exact),
+                                  f.padic_precision() + 2)]
     if len(roots) > star:
         raise PrecisionLoss(f"{len(roots)} roots isolated but the Strassmann bound is {star}")
     return StrassmannResult(roots=roots, bound=star)
 
 
-def _isolate(f: TruncatedSeries, m: int, depth: int):
-    p = f.p
-    red = [0 if (c.is_zero() or c.v > m) else c.u % p for c in f.coeffs]
-    while red and red[-1] == 0:
-        red.pop()
-    dred = [(k * c) % p for k, c in enumerate(red)][1:]
-    fprime = f.derivative()
+def _digits(level: tuple, w: int) -> int:
+    """Digits of a simple root r, v(r) >= w, of the level that its data prove:
+    the least valuation of the error of g(r), as v(g'(r)) = 0."""
+    g, Ns, s, o, exact = level
+    ds = [N + n * w if c else max(N, ceil((s + w) * n + o))
+          for n, (c, N) in enumerate(zip(g, Ns)) if N < INF]
+    if not exact:
+        ds.append(ceil((s + w) * len(g) + o))
+    return min(ds)
+
+
+def _isolate(p: int, level: tuple, depth: int) -> list:
+    """The roots in Zp of a level (g, Ns, s, o, exact) as pairs (r, n): r mod p^n,
+    n = INF for the exact root 0.
+
+    g is an integer polynomial of minimal valuation 0, its coefficient g_n is
+    known mod p^Ns[n] (INF: an exact zero), and v(g_n) >= s n + o for every n,
+    the tail beyond len(g) included unless exact.  A simple root of g mod p is
+    lifted by `hensel_lift_root` to the digits `_digits` proves; a repeated
+    residue a recurses, at most depth times, on g(a + p u) / p^m', whose t^j
+    coefficient sum_n C(n, j) a^(n-j) g_n p^j is known to the least of
+    Ns[n] + v(C(n, j)) + j and, for a != 0, the tail's bound + j.
+    """
+    g, Ns, s, o, exact = level
+    red = [c % p for c in g]
+    dred = [k * c % p for k, c in enumerate(red)][1:]
     out = []
     for a in range(p):
-        if _horner_mod(red, a, p) != 0:
+        if _horner_mod(red, a, p):
             continue
-        if _horner_mod(dred, a, p) != 0:
-            out.append((_newton_refine(f, fprime, a), 1))
-        else:
-            if depth <= 0:
-                raise PrecisionLoss("cannot certify a simple root (possible multiple root)")
-            sub = _shift_scale(f, a)
-            if all(c.is_zero() for c in sub.coeffs):
-                raise PrecisionLoss("shifted series vanishes to precision")
-            sub_m = min(c.v for c in sub.coeffs if not c.is_zero())
-            for n, c in enumerate(sub.coeffs):
-                if c.is_zero() and not c.is_exact_zero():
-                    guar = max(c.N, ceil(sub.bound.at(n)))
-                    if guar <= sub_m:
-                        raise PrecisionLoss("insufficient precision in shifted series")
-            for r, mult in _isolate(sub, sub_m, depth - 1):
-                carrier = f.padic_precision() + 2 if r.is_exact_zero() else r.N + 1
-                out.append((r * p + PadicNumber.from_int(a, p, carrier), mult))
+        if _horner_mod(dred, a, p):
+            if a == 0 and Ns[0] >= INF:  # g(0) = 0 exactly
+                out.append((0, INF))
+                continue
+            n = _digits(level, 0)
+            r = hensel_lift_root(g, a, p, n)
+            while not a:  # r in pZp: v(r) >= w bounds the error of g(r) more tightly
+                grown = _digits(level, min(_vp(r, p), n) if r else n)
+                if grown <= n:
+                    break
+                n, r = grown, hensel_lift_root(g, a, p, grown)
+            out.append((r, n))
+            continue
+        if depth <= 0:
+            raise PrecisionLoss("cannot certify a simple root (possible multiple root)")
+        tail = [ceil(s * len(g) + o)] if a and not exact else []
+        lo = [min([N + _vp(comb(n, j), p) for n, N in enumerate(Ns[j:] if a else Ns[j:j + 1], j)]
+                  + tail) for j in range(len(g))]
+        shifted = _taylor_shift(g, a, p ** max(N for N in lo if N < INF))
+        h = [c * p ** j % p ** (j + N) if N < INF else 0
+             for j, (c, N) in enumerate(zip(shifted, lo))]
+        if not any(h):
+            raise PrecisionLoss("shifted series vanishes to precision")
+        mh = min(_vp(c, p) for c in h if c)
+        sub = ([c // p ** mh for c in h],
+               [j + N - mh if N < INF else INF for j, N in enumerate(lo)], 1, -mh, exact)
+        if _digits(sub, 0) < 1:
+            raise PrecisionLoss("insufficient precision in shifted series")
+        out += [(a + p * r, n + 1) for r, n in _isolate(p, sub, depth - 1)]
     return out
-
-
-def _newton_refine(f: TruncatedSeries, fprime: TruncatedSeries, a: int) -> PadicNumber:
-    p = f.p
-    N = f.padic_precision()
-    t = PadicNumber.from_int(a, p, max(N, 2))
-    for _ in range(N + 4):
-        ft = f.evaluate(t)
-        if ft.is_zero():
-            break
-        dft = fprime.evaluate(t)
-        t = t - ft / dft
-    if not f.evaluate(t).is_zero():
-        raise PrecisionLoss("Newton refinement failed to certify the root")
-    return t
-
-
-def _shift_scale(f: TruncatedSeries, a: int) -> TruncatedSeries:
-    """The series f(a + p*u) in u, with derived certificate."""
-    p = f.p
-    T = f.order
-    if f.exact:
-        tail_floor = _BIG
-    else:
-        tail_floor = int(f.bound.at(T)) if f.bound.slope >= 0 else -10 ** 6
-    global_min = min([tail_floor] + [c.v if not c.is_zero() else min(c.N, _BIG)
-                                     for c in f.coeffs])
-    binom = [[0] * (T + 1) for _ in range(T + 1)]
-    for n in range(T + 1):
-        binom[n][0] = 1
-        for k in range(1, n + 1):
-            binom[n][k] = binom[n - 1][k - 1] + (binom[n - 1][k] if k <= n - 1 else 0)
-    cs = []
-    for j in range(T):
-        acc = PadicNumber.exact_zero(p)
-        for n in range(j, T):
-            c = f.coeffs[n]
-            if not c.is_exact_zero():
-                acc = acc + c * (binom[n][j] * a ** (n - j))
-        acc = acc * Fraction(p) ** j
-        if not f.exact:
-            cut = max(min(j + tail_floor, f.padic_precision() + j + 4), 1)
-            if acc.is_exact_zero():
-                acc = PadicNumber.unknown_zero(p, cut)
-            else:
-                acc = acc.at_precision(min(acc.N, cut))
-        cs.append(acc)
-    return TruncatedSeries(p, cs, Subordination(Fraction(1), Fraction(global_min)),
-                           check=False, exact=f.exact)

@@ -11,10 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from affine_chabauty.engine import Engine
 from affine_chabauty.errors import PrecisionLoss
 from affine_chabauty.hyperelliptic import HyperellipticModel
-from affine_chabauty.integration import Integrator
 from affine_chabauty.linalg import RationalMatrix, moore_penrose, padic_det
 from affine_chabauty.models import correction_divisor, enumerate_reduction_types
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic

@@ -1,17 +1,7 @@
 import pathlib
 from fractions import Fraction
 
-import pytest
-
-from affine_chabauty.engine import Engine, MWGenerator, NamedPoint, UnitGenerator
-from affine_chabauty.errors import NotSymmetric
-from affine_chabauty.linalg import RationalMatrix
-from affine_chabauty.models import (
-    ComponentData,
-    FibreData,
-    enumerate_reduction_types,
-    selmer_target,
-)
+from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.numberfield import NumberField, hensel_embed
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
 from tests_support import lift_x
@@ -211,8 +201,7 @@ def test_more_roots_than_the_strassmann_bound_leave_the_disc_unresolved(monkeypa
     pairs = [(om, eng.constant_c(st, om)) for om in omegas]
     disc = next(d for d in eng.integrator.residue_discs() if not d.cuspidal)
     assert eng.disc_locus(pairs, disc).status == "ok"
-    root = (PadicNumber.from_int(1, 7, 8), 1)
-    monkeypatch.setattr(series, "_isolate", lambda f, m, depth: [root] * f.order)
+    monkeypatch.setattr(series, "_isolate", lambda p, level, depth: [(1, 8)] * len(level[0]))
     locus = eng.disc_locus(pairs, disc)
     assert locus.status == "unresolved"
     assert locus.reason.startswith("PrecisionLoss") and "Strassmann bound" in locus.reason

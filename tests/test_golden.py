@@ -45,7 +45,8 @@ from hypothesis import strategies as st
 
 from affine_chabauty.hyperelliptic import Point
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
-from affine_chabauty.padics import PadicNumber, _horner_mod, hensel_lift_root, render_padic
+from affine_chabauty.padics import (PadicNumber, _horner_mod, hensel_lift_root, parse_padic,
+                                    render_padic)
 from affine_chabauty.problem import load_problem
 from tests_support import lift_x, padic_dagger
 
@@ -256,6 +257,23 @@ def test_raising_the_precision_keeps_every_printed_digit(fixture, N):
     clashes = [(lo[:3], str(lo[3]), str(hi[3])) for lo, hi in zip(low, high)
                if lo[3].compare(hi[3]) == "distinct"]
     assert not clashes
+
+
+def test_precision_ladder_flags_a_contradicted_digit_and_a_lost_root():
+    """tests/precision_ladder.py, which CI runs on the prec 6 and 10 grid reports."""
+    from precision_ladder import contradictions
+
+    report = json.loads((GOLDEN / "hyperelliptic_6081b.solve.json").read_text())
+    assert contradictions(report, report) == []
+    for change in ("digit", "root"):
+        high = json.loads(json.dumps(report))
+        disc = next(d for d in high["reduction_types"][0]["discs"] if d.get("roots"))
+        root = disc["roots"][0]
+        if change == "digit":
+            root["t"] = render_padic(parse_padic(root["t"], report["p"]) + 1)
+        else:
+            disc["roots"].pop()
+        assert len(contradictions(report, high)) == 1
 
 
 if __name__ == "__main__":

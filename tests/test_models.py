@@ -13,7 +13,6 @@ from affine_chabauty.linalg import RationalMatrix
 from affine_chabauty.models import (
     ComponentData,
     FibreData,
-    LambdaRecord,
     RegularModelData,
     correction_divisor,
     enumerate_reduction_types,

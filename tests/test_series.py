@@ -13,7 +13,7 @@ from affine_chabauty.series import (
     nth_root_series,
     strassmann_roots,
 )
-from tests_support import compose, polynomial
+from tests_support import compose, derivative, polynomial
 
 P = 7
 N = 12
@@ -74,7 +74,7 @@ def test_derivative_inverts_antiderivative():
     rng = random.Random(6)
     vals = [rng.randint(-50, 50) for _ in range(10)]
     f = poly(vals)
-    back = formal_antiderivative(f).derivative()
+    back = derivative(formal_antiderivative(f))
     for n in range(9):
         assert back[n].compare(f[n]) != "distinct"
 
@@ -156,7 +156,6 @@ def test_strassmann_congruent_roots_split():
     # roots 3 and 3+7 are congruent mod 7; the shift recursion separates them
     f = polynomial([30, -13, 1, 0, 0, 0, 0], P, N, slope=0)
     res = strassmann_roots(f)
-    vals = sorted((r - 3).valuation() == 0 or True for r, _ in res.roots)
     assert len(res.roots) == 2
     lifts = sorted(r.residue(3) for r, _ in res.roots)
     assert lifts == [3, 10]
@@ -173,6 +172,28 @@ def test_strassmann_double_root_raises():
     f = polynomial([0, 0, 1, 0, 0], P, 8, slope=0)  # t^2
     with pytest.raises(PrecisionLoss):
         strassmann_roots(f)
+
+
+def _linear(c0, c1=PadicNumber.from_int(P, P, 11)):
+    return polynomial([c0, c1], P, 11, slope=0)
+
+
+def test_strassmann_root_drops_the_digits_that_f_prime_costs():
+    """-7 + O(7^6) + 7t: f'(1) = 7, so the root is 1 + O(7^5), not 1 + O(7^6);
+    the same series known to 7^11, c_0 = -7 + 7^6, has the root 1 + 6*7^5 + ..."""
+    (root, _), = strassmann_roots(_linear(PadicNumber.from_int(-7, P, 6))).roots
+    assert str(root) == "1 + O(7^5)"
+    (finer, _), = strassmann_roots(_linear(PadicNumber.from_int(-7 + 7 ** 6, P, 11))).roots
+    assert finer.digits(0, 6) == [1, 0, 0, 0, 0, 6]
+    assert finer.compare(root) == "equal"
+
+
+def test_strassmann_root_at_zero_of_a_zero_class_is_no_exact_zero():
+    """O(7^6) + 7t has the root O(7^5): c_0 = 7^6 would put it at -7^5."""
+    (root, _), = strassmann_roots(_linear(PadicNumber.unknown_zero(P, 6))).roots
+    assert (root.is_zero(), root.is_exact_zero(), root.precision()) == (True, False, 5)
+    (finer, _), = strassmann_roots(_linear(PadicNumber.from_int(7 ** 6, P, 11))).roots
+    assert finer.valuation() == 5 and finer.compare(root) == "equal"
 
 
 def _brute_roots(coeffs, p, k):
@@ -222,6 +243,35 @@ def test_strassmann_vs_bruteforce_random_cubics():
         deep = _brute_roots(cs, 7, 8)
         want = sorted(set(r % 7 ** 6 for r in deep))
         assert got == want
+    # certified series that are not exact: (t - 7a)(t - b)(t - b - c), each
+    # coefficient known to 7^8, 7^10 or 7^12, zero classes O(7^9) up to t^9 and
+    # a slope-1 certificate for the tail.  Each root must agree, to the digits
+    # it claims, with the roots of the cubic and of a second series that the
+    # same data describe.
+    for _ in range(25):
+        a, b, c = rng.choice([-3, -1, 1, 2, 4]), rng.randrange(-40, 40), rng.choice([7, 14, 49, 3])
+        roots = {7 * a, b, b + c}
+        if len(roots) < 3:
+            continue
+        cs = [1]
+        for r in roots:
+            cs = [x - r * y for x, y in zip([0] + cs, cs + [0])]
+        precs = [rng.choice([8, 10, 12]) for _ in cs]
+        data = ([PadicNumber.from_int(x, P, n) if x else PadicNumber.unknown_zero(P, n)
+                 for x, n in zip(cs, precs)] + [PadicNumber.unknown_zero(P, 9)] * 6)
+        offset = min((x.v if x.u else x.N) - n for n, x in enumerate(data))
+        f = TruncatedSeries(P, data, Subordination(1, offset))
+        res = strassmann_roots(f)
+        assert len(res.roots) == 3
+        k = max(r.precision() for r, _ in res.roots) + 4
+        other = ([x + rng.randrange(1, 7) * 7 ** n for x, n in zip(cs, precs)] +
+                 [rng.randrange(7) * 7 ** max(9, n + offset) for n in range(4, 10)] +
+                 [rng.randrange(1, 7) * 7 ** (n + offset) for n in range(10, 13)])
+        for poly in (cs, other):
+            deep = _brute_roots(poly, 7, k)
+            for r, _ in res.roots:
+                n = r.precision()
+                assert any((d - r.residue(n)) % 7 ** n == 0 for d in deep)
 
 
 def test_binomial_compose_matches_sqrt_series():

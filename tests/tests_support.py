@@ -1,8 +1,8 @@
-"""Helpers that only the tests use: exact polynomials as series, series
-composition, lifting an x-coordinate to a point of a model y^n = f(x),
-the Frobenius exact parts as PadicNumbers, the residue-disc series built on
-PadicNumbers (the reference for the model's int kernel), and the
-intersection of Psi with the fibre components."""
+"""Helpers that only the tests use: exact polynomials as series, their
+derivative, series composition, lifting an x-coordinate to a point of a
+model y^n = f(x), the Frobenius exact parts as PadicNumbers, the
+residue-disc series built on PadicNumbers (the reference for the model's
+int kernel), and the intersection of Psi with the fibre components."""
 
 from fractions import Fraction
 
@@ -19,6 +19,13 @@ def derive_bound(coeffs, slope: Fraction) -> Subordination:
         guar = c.v if not c.is_zero() else (INF if c.is_exact_zero() else c.N)
         offset = min(offset, Fraction(guar) - slope * n)
     return Subordination(Fraction(slope), offset)
+
+
+def derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """Termwise derivative, with the certificate shifted by one index."""
+    cs = [f.coeffs[n] * n for n in range(1, f.order)] or [PadicNumber.exact_zero(f.p)]
+    bound = f.bound and Subordination(f.bound.slope, f.bound.offset + f.bound.slope)
+    return TruncatedSeries(f.p, cs, bound, check=False, exact=f.exact)
 
 
 def polynomial(vals, p: int, N: int, slope=Fraction(1)) -> TruncatedSeries:
@@ -123,7 +130,7 @@ def padic_disc_series(m, pt: Point) -> tuple:
         for _ in range(T.bit_length() + 2):
             xs = xs - (poly_of_series(g, xs) - target) * poly_of_series(dg, xs).inverse()
         xs = TruncatedSeries(p, xs.coeffs, bound, check=False)
-    dx = xs.derivative()
+    dx = derivative(xs)
     inv_y = None if ramified else ys.inverse()
     comps = {}  # x^i dx/y^b = x * x^(i-1) dx/y^b
     for i, b in m.basis:
