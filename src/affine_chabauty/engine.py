@@ -30,7 +30,7 @@ from .models import (
     selmer_target,
 )
 from .padics import PadicNumber, _vp, render_padic
-from .series import formal_antiderivative, strassmann_roots
+from .series import antiderivative, strassmann_roots
 
 DETERMINANT_SUBSETS = 200  # point subsets per cuspidal part checked by verify()
 
@@ -271,8 +271,7 @@ class Engine:
             for omega, c in pairs:
                 const = I.integral(omega, base, center) - c
                 exp = I.expand_differential_on_disc(omega, disc)
-                rho = formal_antiderivative(exp.series) + const
-                res = strassmann_roots(rho)
+                res = strassmann_roots(antiderivative(exp.series, const))
                 root_sets.append(res.roots)
                 bound = res.bound if bound is None else min(bound, res.bound)
         except (EndpointRestriction, PrecisionLoss, PoleOnDisc, IndistinguishableFromZero) as e:

@@ -30,9 +30,9 @@ from operator import mul
 from .curves import reduction_defect
 from .errors import BadReduction, DifferentDiscs, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
-from .padics import (PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
+from .padics import (INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
                      nth_root, teichmuller)
-from .series import Subordination, TruncatedSeries, formal_antiderivative
+from .series import IntSeries, Subordination, antiderivative
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
@@ -111,6 +111,7 @@ class HyperellipticModel:
         self._discs: dict = {}
         self._daggers: dict = {}
         self._dagger_tables: dict = {}
+        self._z_chains: dict = {}
 
     # -- point utilities -------------------------------------------------------
 
@@ -150,8 +151,8 @@ class HyperellipticModel:
 
     def disc_series(self, pt: Point):
         """(x(t), y(t)) to order 2 prec and the series of each basis monomial
-        x^i dx/y^b on pt's disc, centered at teichmueller_point(pt), built once per
-        disc by one int kernel mod p^M in the scaled parameter s = p t.
+        x^i dx/y^b on pt's disc, centered at teichmueller_point(pt), as IntSeries,
+        built once per disc by one int kernel mod p^M in the scaled parameter s = p t.
 
         Affine discs: x = x0 + s, G = f(x0 + s), z = G^(-1/n) by Newton (dividing
         only by the unit n), y = G z^(n-1), x^i dx/y^b = p (x0 + s)^i z^b.
@@ -408,24 +409,35 @@ class HyperellipticModel:
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
         """Value at pt of the recorded dagger function for basis element i, on ints
         mod p^(N + S), N the provable precision: each x-degree column is one dot
-        product with the powers of z = 1/y^n, then one Horner pass in x."""
+        product with the powers of z = 1/y^n (`_z_powers`), then one Horner pass in x."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
         p, n = self.p, self.n
         S, Nc, cols = self._dagger_table(i)
         N = min(Nc, pt.x.N - S, pt.y.N - S)
         R = p ** (N + S)
-        x, y = pt.x.residue(N + S), pt.y.residue(N + S)
-        z = pow(pow(y, n, R), -1, R)
-        zs = [1]
-        for _ in range(max(map(len, cols)) - 1):
-            zs.append(zs[-1] * z % R)
+        x, y, zs = pt.x.residue(N + S), pt.y.residue(N + S), self._z_powers(pt)
         A = pow(y, n - self.basis[i][1], R) * \
             _horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R) % R
         if not A:
             return PadicNumber.unknown_zero(p, N)
         v = _vp(A, p)
         return PadicNumber(p, v - S, A // p ** v, N)
+
+    def _z_powers(self, pt: Point) -> list:
+        """The powers z^k of z = 1/y^n at pt, for every k a dagger column reads, once
+        per point: mod p^e with e the largest N + S of the basis at pt, so that each
+        dagger_eval reads them mod its own p^(N + S)."""
+        key = _point_key(pt)
+        if key not in self._z_chains:
+            tables = [self._dagger_table(i) for i in range(self.dim)]
+            e = min(max(Nc + S for S, Nc, _ in tables), pt.x.N, pt.y.N)
+            R = self.p ** e
+            zs = [1, pow(pt.y.residue(e), -self.n, R)]
+            for _ in range(max(len(col) for _, _, cols in tables for col in cols) - 2):
+                zs.append(zs[-1] * zs[1] % R)
+            self._z_chains[key] = zs
+        return self._z_chains[key]
 
     def _dagger_vector(self, T: Point) -> list[PadicNumber]:
         """dagger_eval of every basis element at the Teichmueller point T, once per point."""
@@ -454,10 +466,10 @@ class HyperellipticModel:
         xs, _, monomials = self.disc_series(P)
         wdisc = self.is_weierstrass_disc(P)
         # the disc parameter: y = p t on a Weierstrass disc, x = x(center) + p t otherwise
-        tP, tQ = ((pt.y if wdisc else pt.x - xs[0]) / self.p for pt in (P, Q))
+        tP, tQ = ((pt.y if wdisc else pt.x - xs.padic(0)) / self.p for pt in (P, Q))
         out = []
         for integrand in monomials:
-            F = formal_antiderivative(integrand)
+            F = antiderivative(integrand)
             out.append(F.evaluate(tQ) - F.evaluate(tP))
         return out
 
@@ -674,20 +686,19 @@ def _f_adic_digits(poly, f, mod, tables=None):
 
 def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> tuple:
     """x(t), y(t) and the series of x^i dx/y^b, (i, b) in basis, to order T on the
-    disc of y^n = g(x) at center, built on ints mod p^M in s = p t and converted
-    to PadicNumbers once, at the precisions disc_series states."""
+    disc of y^n = g(x) at center, built on ints mod p^M in s = p t, as IntSeries
+    at the precisions disc_series states."""
     p = center.x.p
     mod, x0 = p ** M, center.x.residue(M)
     G = _taylor_shift([c.residue(M) for c in g], x0, mod)  # G(s) = g(x0 + s)
-    zero, pc = PadicNumber.exact_zero(p), PadicNumber.from_int(p, p, M)
+    zero, pc, cx = (INF, 0, INF), (1, 1, M), (center.x.v, center.x.u, center.x.N)
 
-    def coeff(C, e, N):  # p^e C to absolute precision N; C is exact mod p^(N - e)
+    def coeff(C, e, N):  # (v, u, N) of p^e C to absolute precision N; C is exact mod p^(N - e)
         v = _vp(C, p) if C else N
-        return PadicNumber(p, v + e, C // p ** v % p ** (N - v - e), N) if v + e < N \
-            else PadicNumber.unknown_zero(p, N)
+        return (v + e, C // p ** v % p ** (N - v - e), N) if v + e < N else (N, 0, N)
 
     def series(cs, offset, exact=False):
-        return TruncatedSeries(p, cs, Subordination(1, offset), check=False, exact=exact)
+        return IntSeries(p, cs, Subordination(1, offset), exact)
 
     ints = {}  # (i, b) -> the s-coefficients of x^i dx/y^b, mod p^M
     monos = []
@@ -702,7 +713,7 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
             F = (_int_sub(F, [0, 1], mod) + [0] * k)[len(E):k]  # G(E) - w = 0 mod w^len(E)
             E += [-c % mod for c in _int_pmul(F, _int_series_inv(D, k - len(E), mod), mod,
                                               0, k - len(E))]
-        X, xs = [x0] + E[1:], [center.x] + [zero] * (T - 1)
+        X, xs = [x0] + E[1:], [cx] + [zero] * (T - 1)
         for q in range(1, R):
             xs[n * q] = coeff(X[q], n * q, M + n * q - 1)
         for i, b in basis:  # X' X^i / s^b = s^(n-1-b) sum_q m_q w^q
@@ -737,4 +748,4 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
             zs[b - 1][:T - 1]
         monos.append(series([coeff(C, k + 1, M + k + (lift and k == i + 1)) if x0 or k >= i
                              else zero for k, C in enumerate(m)], 1))
-    return series([center.x, pc] + [zero] * (T - 2), 0, True), series(ys, 0), monos
+    return series([cx, pc] + [zero] * (T - 2), 0, True), series(ys, 0), monos

@@ -21,7 +21,7 @@ from .curves import CurveProblem, LogDifferential, ResidueDisc
 from .errors import PoleOnDisc
 from .hyperelliptic import HyperellipticModel, Point
 from .padics import PadicNumber
-from .series import TruncatedSeries
+from .series import IntSeries, dot
 from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
@@ -30,9 +30,9 @@ class DiscExpansion:
     """omega restricted to a non-cuspidal disc:  series(t) dt, on the disc
     parametrization (xs, ys) it was built on."""
 
-    series: TruncatedSeries
-    xs: TruncatedSeries
-    ys: TruncatedSeries
+    series: IntSeries
+    xs: IntSeries
+    ys: IntSeries
 
 
 class Integrator:
@@ -134,9 +134,10 @@ class Integrator:
 
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc) -> DiscExpansion:
-        """omega|disc = series dt in the disc parameter."""
+        """omega|disc = series dt in the disc parameter: one int dot product of
+        omega's coefficients with the basis series per coefficient (series.dot)."""
         xs, ys, *terms = self._disc_series(disc)
-        return DiscExpansion(_dot(omega.coeffs, terms), xs, ys)
+        return DiscExpansion(dot(omega.coeffs, terms), xs, ys)
 
     # -- tiny integrals ------------------------------------------------------------
 
@@ -153,7 +154,7 @@ def _point_key(pt) -> tuple:
 
 
 def _dot(coeffs, values):
-    """sum_j coeffs[j] values[j], for Qp values and series alike."""
+    """sum_j coeffs[j] values[j] in Qp."""
     return reduce(add, (v * a for a, v in zip(coeffs, values)))
 
 

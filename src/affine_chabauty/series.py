@@ -1,11 +1,19 @@
-"""Truncated power series over Qp and Strassmann root isolation on Zp.
+"""Power series over Qp: the disc loci on ints, and Strassmann root isolation on Zp.
 
-A TruncatedSeries stores coefficients c_0 .. c_{T-1} together with a
-subordination certificate: a linear bound v(c_n) >= slope*n + offset valid
-for every index n (known and truncated alike).  Disc parametrizations of the
-form x = x0 + p*t produce slope-1 certificates, and the certificate is what
-makes evaluation on |t| <= 1 and Strassmann counting rigorous.  A series
-without a certificate can still be manipulated but not evaluated or counted.
+A series carries a subordination certificate: a linear bound
+v(c_n) >= slope*n + offset valid for every index n (known and truncated
+alike).  Disc parametrizations of the form x = x0 + p*t produce slope-1
+certificates, and the certificate is what makes evaluation on |t| <= 1 and
+Strassmann counting rigorous.
+
+An IntSeries holds each coefficient as the ints (v, u, N) of p^v u + O(p^N),
+as a PadicNumber stores them, and a disc locus runs on it from the disc
+kernel to the roots: omega's series (`dot`), its antiderivative plus the
+constant (`antiderivative`), `strassmann_roots` and the roots' x(t), y(t)
+(`IntSeries.evaluate`).  Each step gives every coefficient and value the
+(v, u, N) that PadicNumber arithmetic would.  TruncatedSeries, the same
+series on PadicNumbers, keeps only products, the inverse and n-th roots; no
+locus reads it.
 
 `strassmann_roots` isolates the roots on ints: g = f / p^m with one precision
 per coefficient, residues mod p by `_horner_mod`, simple roots lifted by
@@ -21,8 +29,7 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .errors import IndistinguishableFromZero, PrecisionLoss, ZeroInput
-from .padics import (INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
-                     nth_root)
+from .padics import INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, nth_root
 
 _BIG = INF // 2
 
@@ -42,17 +49,129 @@ class Subordination:
         object.__setattr__(self, "offset", Fraction(self.offset))
 
 
-def _scalar_val(a, p: int):
-    """Valuation of a scalar operand; INF for zero."""
-    if isinstance(a, PadicNumber):
-        return a.v
-    fa = Fraction(a)
-    if fa == 0:
-        return INF
-    return _vp(fa, p)
+_ZERO = (INF, 0, INF)  # an exact zero as (v, u, N)
+
+
+@dataclass
+class IntSeries:
+    """c_0 + c_1 t + ... + c_(T-1) t^(T-1) with each c_n the ints (v, u, N) of
+    p^v u + O(p^N): (N, 0, N) for a zero class, (INF, 0, INF) for an exact zero.
+    exact: the coefficients beyond the truncation are exactly zero."""
+
+    p: int
+    cs: list
+    bound: Subordination
+    exact: bool = False
+
+    @property
+    def order(self) -> int:
+        return len(self.cs)
+
+    def padic(self, n: int) -> PadicNumber:
+        return PadicNumber(self.p, *self.cs[n])
+
+    def degree(self) -> int:
+        """Last index with a not-exactly-zero coefficient (-1 if none)."""
+        return max((n for n, c in enumerate(self.cs) if c[0] < INF), default=-1)
+
+    def truncate(self, T: int) -> "IntSeries":
+        if T >= self.order:
+            return self
+        return IntSeries(self.p, self.cs[:T], self.bound, self.exact and self.degree() < T)
+
+    def evaluate(self, t: PadicNumber) -> PadicNumber:
+        """Value at t with |t| <= 1, by Horner on the ints with the (v, u, N) of each
+        PadicNumber product and sum; the certificate bounds the cut tail."""
+        if t.is_exact_zero():  # f(0) = c_0: nothing of the tail is cut
+            return self.padic(0)
+        if t.v < 0:
+            raise ValueError("evaluation requires |t| <= 1")
+        if not self.exact and self.bound.slope + t.v <= 0:
+            raise PrecisionLoss("certificate too weak to evaluate at a unit")
+        p, vt, ut, Nt = self.p, t.v, t.u, t.N
+        v, u, N = _ZERO
+        for vc, uc, Nc in reversed(self.cs):
+            if v < INF:  # acc * t
+                N, v, u = min(v + Nt, vt + N), v + vt, u * ut
+                if v >= N:
+                    v, u = N, 0
+            if vc < INF:  # + c
+                if v >= INF:
+                    v, u, N = vc, uc, Nc
+                    continue
+                N, w = min(N, Nc), min(v, vc)
+                acc = (u * p ** (v - w) + uc * p ** (vc - w)) % p ** (N - w)
+                d = _vp(acc, p) if acc else N - w
+                v, u = w + d, acc // p ** d
+            elif v < INF:
+                u %= p ** (N - v)
+        err = max(int(ceil((vt + self.bound.slope) * self.order + self.bound.offset)), 1)
+        if not self.exact and N > err:
+            v, u, N = (v, u % p ** (err - v), err) if u and v < err else (err, 0, err)
+        return PadicNumber(p, v, u, N)
+
+
+def dot(coeffs, series) -> IntSeries:
+    """sum_j coeffs[j] series[j] for PadicNumber or rational coeffs, one int dot
+    product per coefficient: a product c a has valuation v_c + v_a and N =
+    min(v_c + N_a, v_a + N_c), a sum the least N of its terms and its value mod
+    p^N, and an exact zero is no term.  A rational c enters at N_c = v_c + K,
+    K the largest N_a - v_a, where v_c + N_a is the least.  The certificate and
+    the exact flag are those of the sum of the scaled series: c = 0 scales a
+    series to an exact zero."""
+    pairs = list(zip(coeffs, series))
+    p = series[0].p
+    if not all(isinstance(c, PadicNumber) for c, _ in pairs):
+        K = max((N - v for _, s in pairs for v, _, N in s.cs if N < INF), default=1)
+        pairs = [(c if isinstance(c, PadicNumber) else
+                  PadicNumber.from_rational(c, p, (_vp(Fraction(c), p) if c else 0) + K), s)
+                 for c, s in pairs]
+    terms = [(c.v, c.u, c.N, s.cs) for c, s in pairs if c.v < INF]
+    cs = []
+    for k in range(min(s.order for _, s in pairs)):
+        N, parts = INF, []
+        for vc, uc, Nc, scs in terms:
+            va, ua, Na = scs[k]
+            if va < INF:
+                n, m = vc + Na, va + Nc
+                N = min(N, n if n < m else m)
+                if uc and ua:
+                    parts.append((vc + va, uc * ua))
+        w = min((v for v, _ in parts), default=N)
+        acc = sum(x * p ** (v - w) for v, x in parts) % p ** (N - w) if w < N else 0
+        d = _vp(acc, p) if acc else 0
+        cs.append((w + d, acc // p ** d, N) if acc else (N, 0, N))
+    bounds = [(s.bound.slope, s.bound.offset + c.v) if c.v < INF else (1, _BIG)
+              for c, s in pairs]
+    return IntSeries(p, cs, Subordination(min(b for b, _ in bounds), min(o for _, o in bounds)),
+                     not terms)
+
+
+def antiderivative(f: IntSeries, const: PadicNumber | None = None) -> IntSeries:
+    """The termwise antiderivative with constant term const (an exact zero if
+    None), cut to f's order.  c_k / (k + 1), k + 1 = p^e w, is
+    (v - e, u w^-1 mod p^(N - v), N - e), as PadicNumber division gives it."""
+    p = f.p
+    cs = [_ZERO if const is None else (const.v, const.u, const.N)]
+    for k, (v, u, N) in enumerate(f.cs[:-1], 1):
+        e = _vp(k, p)
+        if v >= INF:
+            cs.append(_ZERO)
+        elif u:
+            m = p ** (N - v)
+            cs.append((v - e, u * pow(k // p ** e, -1, m) % m, N - e))
+        else:
+            cs.append((N - e, 0, N - e))
+    # v(c_(n-1) / n) >= slope (n - 1) + offset - v_p(n) and v_p(n) <= n/4 + 2 for p >= 3
+    slope, offset = f.bound.slope - Fraction(1, 4), f.bound.offset - f.bound.slope - 2
+    return IntSeries(p, cs, Subordination(slope, min(offset, cs[0][0])),
+                     f.exact and f.cs[-1][0] >= INF)
 
 
 class TruncatedSeries:
+    """A series on PadicNumbers: series products, the inverse and n-th roots
+    (nth_root_series), each returning the class of its operand."""
+
     __slots__ = ("p", "coeffs", "bound", "exact")
 
     def __init__(self, p: int, coeffs, bound: Subordination | None, check: bool = True,
@@ -74,15 +193,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> PadicNumber:
-        if not 0 <= n < self.order:
-            raise IndexError(f"coefficient {n} outside known range [0, {self.order})")
-        return self.coeffs[n]
-
-    def padic_precision(self) -> int:
-        """Modulus exponent: the series is known modulo (p^N, t^T)."""
-        return min((c.N for c in self.coeffs), default=INF)
-
     def degree(self) -> int:
         """Last index with a not-exactly-zero stored coefficient (-1 if none)."""
         for n in range(self.order - 1, -1, -1):
@@ -90,64 +200,7 @@ class TruncatedSeries:
                 return n
         return -1
 
-    def truncate(self, T: int) -> "TruncatedSeries":
-        if T >= self.order:
-            return self
-        exact = self.exact and self.degree() < T
-        return TruncatedSeries(self.p, self.coeffs[:T], self.bound, check=False, exact=exact)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _combine_bound_add(self, other) -> Subordination | None:
-        if self.bound is None or other.bound is None:
-            return None
-        return Subordination(min(self.bound.slope, other.bound.slope),
-                             min(self.bound.offset, other.bound.offset))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            c0 = self.coeffs[0] + other
-            bound = self.bound
-            if bound is not None:
-                guar = c0.v if not c0.is_zero() else (INF if c0.is_exact_zero() else c0.N)
-                if guar < bound.offset:
-                    bound = Subordination(bound.slope, Fraction(guar))
-            return TruncatedSeries(self.p, (c0,) + self.coeffs[1:], bound, check=False,
-                                   exact=self.exact)
-        T = min(self.order, other.order)
-        cs = [x + y for x, y in zip(self.coeffs[:T], other.coeffs[:T])]
-        exact = (self.exact and other.exact and self.degree() < T and other.degree() < T)
-        return TruncatedSeries(self.p, cs, self._combine_bound_add(other), check=False,
-                               exact=exact)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.p, [-c for c in self.coeffs], self.bound, check=False,
-                               exact=self.exact)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, a) -> "TruncatedSeries":
-        va = _scalar_val(a, self.p)
-        cs = [c * a for c in self.coeffs]
-        bound = self.bound
-        if bound is not None:
-            if va >= INF:
-                bound = Subordination(Fraction(1), Fraction(_BIG))
-            else:
-                bound = Subordination(bound.slope, bound.offset + va)
-        return TruncatedSeries(self.p, cs, bound, check=False, exact=self.exact or va >= INF)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            return self.scale(other)
         T = min(self.order, other.order)
         p = self.p
         cs = [PadicNumber.exact_zero(p) for _ in range(T)]
@@ -165,7 +218,7 @@ class TruncatedSeries:
         exact = (self.exact and other.exact and
                  (self.degree() < 0 or other.degree() < 0 or
                   self.degree() + other.degree() < T))
-        return TruncatedSeries(p, cs, bound, check=False, exact=exact)
+        return type(self)(p, cs, bound, check=False, exact=exact)
 
     __rmul__ = __mul__
 
@@ -192,62 +245,7 @@ class TruncatedSeries:
                 bound = None
             else:
                 bound = Subordination(s, Fraction(0))
-        return TruncatedSeries(p, out, bound, check=False)
-
-    def evaluate(self, t) -> PadicNumber:
-        """Value at t with |t| <= 1; the certificate bounds the cut tail."""
-        if not isinstance(t, PadicNumber):
-            t = PadicNumber.from_rational(t, self.p, self.padic_precision() + 4)
-        if t.is_exact_zero():  # f(0) = c_0: nothing of the tail is cut
-            return self.coeffs[0]
-        vt = t.v
-        if vt < 0:
-            raise ValueError("evaluation requires |t| <= 1")
-        if not self.exact:
-            if self.bound is None:
-                raise PrecisionLoss("series has no subordination certificate")
-            if self.bound.slope + vt <= 0:
-                raise PrecisionLoss("certificate too weak to evaluate at a unit")
-        acc = horner(self.coeffs, t, PadicNumber.exact_zero(self.p))
-        if self.exact:
-            return acc
-        err = int(ceil((self.bound.slope + vt) * self.order + self.bound.offset))
-        if acc.is_exact_zero():
-            return PadicNumber.unknown_zero(self.p, max(err, 1))
-        return acc.at_precision(min(acc.N, max(err, 1)))
-
-    # -- rendering -----------------------------------------------------------
-
-    def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_exact_zero() or c.is_zero():
-                continue
-            body = str(c).rsplit(" + O(", 1)[0]
-            mono = "" if n == 0 else ("t" if n == 1 else f"t^{n}")
-            parts.append(f"({body}){mono}" if mono else f"({body})")
-        parts.append(f"O({self.p}^{self.padic_precision()}, t^{self.order})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-# -- calculus ----------------------------------------------------------------
-
-
-def formal_antiderivative(f: TruncatedSeries) -> TruncatedSeries:
-    """Termwise antiderivative with zero constant term; divides by n+1."""
-    p = f.p
-    cs = [PadicNumber.exact_zero(p)]
-    for n, c in enumerate(f.coeffs):
-        cs.append(c / (n + 1))
-    bound = f.bound
-    if bound is not None:
-        # v(c_{n-1}/n) >= slope(n-1)+offset-v_p(n) and v_p(n) <= n/4 + 2 for p >= 3
-        bound = Subordination(bound.slope - Fraction(1, 4), bound.offset - bound.slope - 2)
-    out = TruncatedSeries(p, cs, bound, check=False, exact=f.exact)
-    return out.truncate(f.order)
-
+        return type(self)(p, out, bound, check=False)
 
 def sqrt_series(f: TruncatedSeries, sign_hint: int) -> TruncatedSeries:
     """Square root with unit constant term; branch fixed by sign_hint mod p."""
@@ -289,7 +287,7 @@ def nth_root_series(f: TruncatedSeries, n: int, residue_hint: int) -> TruncatedS
     if bound is not None:
         s = bound.slope + min(bound.offset, 0)
         bound = Subordination(s, Fraction(0)) if s > 0 else None
-    return TruncatedSeries(p, powers[0], bound, check=False)
+    return type(f)(p, powers[0], bound, check=False)
 
 
 # -- Strassmann --------------------------------------------------------------
@@ -301,7 +299,7 @@ class StrassmannResult:
     bound: int    # certified upper bound on the number of roots in Zp
 
 
-def strassmann_roots(f: TruncatedSeries) -> StrassmannResult:
+def strassmann_roots(f: IntSeries) -> StrassmannResult:
     """Roots of f in Zp with a certified Strassmann count bound.
 
     The bound N* is the largest index attaining the minimal coefficient
@@ -310,25 +308,25 @@ def strassmann_roots(f: TruncatedSeries) -> StrassmannResult:
     """
     if f.bound is None:
         raise PrecisionLoss("series has no subordination certificate")
-    if all(c.is_zero() for c in f.coeffs):
+    if not any(u for _, u, _ in f.cs):
         raise IndistinguishableFromZero("no coefficient is nonzero to precision")
-    m = min(c.v for c in f.coeffs if not c.is_zero())
-    star = max(n for n, c in enumerate(f.coeffs) if not c.is_zero() and c.v == m)
-    for n, c in enumerate(f.coeffs):
-        if c.is_zero() and not c.is_exact_zero() and max(c.N, ceil(f.bound.at(n))) <= m:
+    m = min(v for v, u, _ in f.cs if u)
+    star = max(n for n, (v, u, _) in enumerate(f.cs) if u and v == m)
+    for n, (v, u, N) in enumerate(f.cs):
+        if not u and N < INF and max(N, ceil(f.bound.at(n))) <= m:
             raise PrecisionLoss(
-                f"coefficient t^{n} = O(p^{c.N}) could attain the minimal valuation {m}")
+                f"coefficient t^{n} = O(p^{N}) could attain the minimal valuation {m}")
     if not f.exact and (f.bound.slope <= 0 or f.bound.at(f.order) <= m):
         raise PrecisionLoss("certificate cannot exclude roots hidden in the tail")
     p = f.p
-    cs = f.coeffs[:f.degree() + 1] if f.exact else f.coeffs
-    g = [0 if c.is_zero() else c.u * p ** (c.v - m) for c in cs]
-    Ns = [INF if c.is_exact_zero() else (c.N if c.u else max(c.N, ceil(f.bound.at(n)))) - m
-          for n, c in enumerate(cs)]
+    cs = f.cs[:f.degree() + 1] if f.exact else f.cs
+    g = [u * p ** (v - m) if u else 0 for v, u, _ in cs]
+    Ns = [INF if N >= INF else (N if u else max(N, ceil(f.bound.at(n)))) - m
+          for n, (_, u, N) in enumerate(cs)]
     roots = [(PadicNumber.exact_zero(p) if n >= INF else PadicNumber.from_int(r, p, n) if r
               else PadicNumber.unknown_zero(p, n), 1)
              for r, n in _isolate(p, (g, Ns, f.bound.slope, f.bound.offset - m, f.exact),
-                                  f.padic_precision() + 2)]
+                                  min(N for _, _, N in f.cs) + 2)]
     if len(roots) > star:
         raise PrecisionLoss(f"{len(roots)} roots isolated but the Strassmann bound is {star}")
     return StrassmannResult(roots=roots, bound=star)

@@ -17,8 +17,8 @@ from affine_chabauty.linalg import RationalMatrix, moore_penrose, padic_det
 from affine_chabauty.models import correction_divisor, enumerate_reduction_types
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
 from affine_chabauty.problem import load_problem
-from affine_chabauty.series import strassmann_roots
-from tests_support import polynomial, psi_intersection_with_components
+from affine_chabauty.series import antiderivative, strassmann_roots
+from tests_support import int_series, polynomial, psi_intersection_with_components
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 N = 12
@@ -67,11 +67,10 @@ def test_criterion_2_locus(eng51):
     I = eng51.integrator
     disc = next(d for d in I.residue_discs() if (d.xbar, d.ybar) == (6, 1))
     exp = I.expand_differential_on_disc(omegas[0], disc)
-    from affine_chabauty.series import formal_antiderivative
-    rho = formal_antiderivative(exp.series)
-    c1_ok = rho[1].compare(parse_padic("7 + 3*7^2 + O(7^3)", 7)) != "distinct"
-    c2_ok = rho[2].compare(parse_padic("6*7^2 + O(7^3)", 7)) != "distinct"
-    vals = [c.v if not c.is_zero() else "inf" for c in rho.coeffs[:7]]
+    rho = antiderivative(exp.series)
+    c1_ok = rho.padic(1).compare(parse_padic("7 + 3*7^2 + O(7^3)", 7)) != "distinct"
+    c2_ok = rho.padic(2).compare(parse_padic("6*7^2 + O(7^3)", 7)) != "distinct"
+    vals = [v if u else "inf" for v, u, _ in rho.cs[:7]]
     prefix_ok = vals == ["inf", 1, 2, 3, 4, 6, 7]
     res = strassmann_roots(rho)
     one_root = len(res.roots) == 1 and res.bound == 1
@@ -154,14 +153,14 @@ def test_criterion_5_strassmann_bruteforce():
             continue
         f = polynomial(cs + [0, 0], p, prec, slope=0)
         try:
-            res = strassmann_roots(f)
+            res = strassmann_roots(int_series(f))
             if any(r.precision() < 6 for r, _ in res.roots):
                 raise PrecisionLoss("root digits below the comparison precision")
         except PrecisionLoss:
             # the engine's contract: raise the working precision once and retry
             f = polynomial(cs + [0, 0], p, 2 * prec, slope=0)
             try:
-                res = strassmann_roots(f)
+                res = strassmann_roots(int_series(f))
             except PrecisionLoss:
                 continue
         got = sorted(r.residue(6) for r, _ in res.roots)

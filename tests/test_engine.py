@@ -1,10 +1,12 @@
 import pathlib
 from fractions import Fraction
 
+import pytest
+
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.numberfield import NumberField, hensel_embed
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
-from tests_support import lift_x
+from tests_support import disc_locus_differences, lift_x
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -274,12 +276,12 @@ def test_hyperelliptic_p23_solve_integrates_no_series_between_identical_points(m
     from affine_chabauty import hyperelliptic
 
     calls = []
-    orig = hyperelliptic.formal_antiderivative
+    orig = hyperelliptic.antiderivative
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
-    monkeypatch.setattr(hyperelliptic, "formal_antiderivative", counted)
+    monkeypatch.setattr(hyperelliptic, "antiderivative", counted)
     eng = load("hyperelliptic_6081b.json", p_override=23, prec_override=12)
     report = eng.solve()
     assert report["status"] == "complete" and len(report["points"]["matched_known"]) == 10
@@ -374,3 +376,24 @@ def test_hyperelliptic_solve_and_verify_take_no_log(monkeypatch):
     assert eng.verify()["pass"]
     assert eng.solve()["status"] == "complete"
     assert len(calls) == at_load
+
+
+LOCUS_GRID = ([("hyperelliptic_6081b", p) for p in (5, 7, 11, 13, 19, 23)]
+              + [("superelliptic_a1", p) for p in (7, 13, 19)])
+
+
+@pytest.mark.parametrize("prec", [8, 12])
+@pytest.mark.parametrize("fixture,p", LOCUS_GRID)
+def test_int_disc_locus_matches_the_padic_reference(fixture, p, prec):
+    """On every non-cuspidal disc, for each basis differential and each kernel
+    omega of every reduction type with its c, the int locus equals the
+    PadicNumber one as (v, u, N): the antiderivative plus c, every level
+    _isolate sees, the StrassmannResult and each root's t, x and y."""
+    diffs, counts = disc_locus_differences(load(f"{fixture}.json", p_override=p,
+                                                prec_override=prec))
+    assert diffs == []
+    assert counts["loci"] > 0
+    # the series have T = 2 prec terms, so p | k + 1 for some k + 1 <= T once p <= T
+    assert counts["p_divides_k_plus_1"] == (counts["loci"] if p <= 2 * prec else 0)
+    # the superelliptic fibre types' kernels hold exact-zero entries
+    assert (counts["exact_zero_entry"] > 0) == (fixture == "superelliptic_a1")

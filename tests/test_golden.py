@@ -48,7 +48,7 @@ from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.padics import (PadicNumber, _horner_mod, hensel_lift_root, parse_padic,
                                     render_padic)
 from affine_chabauty.problem import load_problem
-from tests_support import lift_x, padic_dagger
+from tests_support import lift_x, padic_dagger, padic_series
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -98,9 +98,10 @@ def _disc_layer() -> dict:
                 discs.append({
                     "disc": [disc.xbar, disc.ybar, disc.kind],
                     "center": render(I.disc_center(disc)),
-                    "x": render(xs.coeffs),
-                    "y": render(ys.coeffs),
-                    "omega": [{"series": render(e.series.coeffs)} for e in expansions],
+                    "x": render(padic_series(xs).coeffs),
+                    "y": render(padic_series(ys).coeffs),
+                    "omega": [{"series": render(padic_series(e.series).coeffs)}
+                              for e in expansions],
                 })
             out[f"{fixture}@{p}"] = discs
     return out
@@ -155,8 +156,8 @@ def _model_disc_layer() -> dict:
                         "disc": [xb, yb],
                         "point": [render_padic(P.x), render_padic(P.y)],
                         "center": [render_padic(center.x), render_padic(center.y)],
-                        "x": [render_padic(c) for c in xs.coeffs],
-                        "y": [render_padic(c) for c in ys.coeffs],
+                        "x": [render_padic(c) for c in padic_series(xs).coeffs],
+                        "y": [render_padic(c) for c in padic_series(ys).coeffs],
                         "tiny": [render_padic(v) for v in m.tiny_basis_integrals(P, center)],
                     })
                 out[f"{fixture}@{p}/{name}"] = discs

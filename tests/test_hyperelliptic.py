@@ -14,7 +14,7 @@ from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import (exact_parts, involution, lift_x, padic_dagger, padic_disc_series,
-                           poly_of_series)
+                           padic_series, poly_of_series, series_claims)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -197,7 +197,7 @@ def test_disc_series_satisfies_curve_equation():
     for f in (QUARTIC, [0, 1, 0, 0, 1], [1, 1, -5, -1, 3, 2, 4]):
         m = model(f)
         for P in points_on(m, 2, rng):
-            xs, ys, _ = m.disc_series(P)
+            xs, ys = (padic_series(s) for s in m.disc_series(P)[:2])
             diff = ys * ys - _poly_series(m.f, xs)
             for c in diff.coeffs:
                 assert c.is_zero() or c.is_exact_zero()
@@ -584,7 +584,7 @@ def _claims_of_the_disc_layer(m, base):
     for xb, yb in _discs_mod_p(m):
         T = m.teichmueller_point(_mod_p_point(m, xb, yb))
         xs, ys, monomials = m.disc_series(T)
-        groups = [[T.x, T.y]] + [s.coeffs for s in (xs, ys, *monomials)]
+        groups = [[T.x, T.y]] + [padic_series(s).coeffs for s in (xs, ys, *monomials)]
         if yb:
             groups.append(m.tiny_basis_integrals(lift_x(m, xb + m.p, sign_hint=yb), T))
         out.append((xb, yb, groups + [m.basis_integrals(m.point(*base), T)]))
@@ -610,12 +610,6 @@ def test_the_model_at_M_agrees_with_a_model_twelve_digits_higher(fixture, p):
         assert all(v.is_exact_zero() or v.N == low.tp for v in lo_groups[-1]), (xb, yb)
 
 
-def _series_claims(s):
-    """Everything a consumer reads of a series: order, exact flag, bound and the
-    (v, u, N) of each coefficient, exact zeros included."""
-    return s.order, s.exact, s.bound, [(c.v, c.u, c.N) for c in s.coeffs]
-
-
 DISC_KERNEL_GRID = [(fixture, p) for fixture in ("hyperelliptic_6081b", "superelliptic_a1")
                     for p in (5, 7, 13, 19, 23, 37)
                     if load_problem(PROBLEMS / f"{fixture}.json").problem.curve
@@ -638,7 +632,7 @@ def test_disc_kernel_matches_the_padic_series_build(fixture, p):
             got, want = m.disc_series(pt), padic_disc_series(m, pt)
             assert len(got[2]) == len(want[2]) == m.dim
             for a, b in zip([got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
-                assert _series_claims(a) == _series_claims(b), (prec, xb, yb)
+                assert series_claims(a) == series_claims(b), (prec, xb, yb)
 
 
 # -- integer dagger evaluation ----------------------------------------------

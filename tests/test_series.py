@@ -5,15 +5,19 @@ import pytest
 
 from affine_chabauty.errors import IndistinguishableFromZero, PrecisionLoss
 from affine_chabauty.padics import INF, PadicNumber
+from affine_chabauty.errors import ChabautyError
+from affine_chabauty.integration import _dot
 from affine_chabauty.series import (
     Subordination,
-    TruncatedSeries,
-    formal_antiderivative,
+    antiderivative,
+    dot,
     sqrt_series,
     nth_root_series,
     strassmann_roots,
 )
-from tests_support import compose, derivative, polynomial
+from tests_support import (Series, compose, derivative, evaluate, formal_antiderivative,
+                           int_series, padic_strassmann_roots, polynomial, series_claims,
+                           strassmann_claims)
 
 P = 7
 N = 12
@@ -62,7 +66,7 @@ def test_antiderivative_basics():
     F = formal_antiderivative(f)
     assert F[0].is_zero() or F[0].is_exact_zero()
     # t^(p-1) integrates to t^p/p with one digit of precision lost
-    g = TruncatedSeries(P, [PadicNumber.exact_zero(P)] * 6 +
+    g = Series(P, [PadicNumber.exact_zero(P)] * 6 +
                         [PadicNumber.from_int(1, P, 10)] + [PadicNumber.exact_zero(P)],
                         Subordination(0, 0), check=False)
     G = formal_antiderivative(g)
@@ -113,9 +117,9 @@ def test_series_inverse():
 def test_evaluate_with_certificate():
     # truncated geometric series with a slope-1 certificate, evaluated at a unit
     cs = [PadicNumber.from_rational(Fraction(7) ** n, P, 20) for n in range(8)]
-    f = TruncatedSeries(P, cs, Subordination(1, 0))
+    f = Series(P, cs, Subordination(1, 0))
     t = PadicNumber.from_int(3, P, 20)
-    got = f.evaluate(t)
+    got = evaluate(f, t)
     exact = sum(Fraction(7) ** n * 3 ** n for n in range(30))  # geometric tail negligible
     want = PadicNumber.from_rational(Fraction(1, 1 - 21), P, got.precision())
     assert got.compare(want) != "distinct"
@@ -125,19 +129,93 @@ def test_evaluate_with_certificate():
 def test_evaluate_at_an_exact_zero_is_the_constant_term():
     """f(0) = c_0 with no tail error: an exact zero stays exact (v = N = INF)."""
     cs = [PadicNumber.from_rational(Fraction(7) ** n, P, 20) for n in range(8)]
-    F = formal_antiderivative(TruncatedSeries(P, cs, Subordination(1, 0)))
+    F = formal_antiderivative(Series(P, cs, Subordination(1, 0)))
     zero = PadicNumber.exact_zero(P)
-    got = F.evaluate(zero)
+    got = evaluate(F, zero)
     assert (got.v, got.u, got.N) == (INF, 0, INF)
     shifted = F + PadicNumber.from_int(3, P, 10)
-    assert shifted.evaluate(zero) is shifted.coeffs[0]
+    assert evaluate(shifted, zero) is shifted.coeffs[0]
+
+
+def _mixed(vals, p=P):
+    """PadicNumbers from (value, N): None for an exact zero, value 0 for O(p^N)."""
+    return [PadicNumber.exact_zero(p) if x is None else
+            PadicNumber.from_int(x, p, n) if x else PadicNumber.unknown_zero(p, n)
+            for x, n in vals]
+
+
+def _outcome(f):
+    try:
+        v = f()
+        return v.v, v.u, v.N
+    except ChabautyError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# coefficients (value, N) for _mixed: c_6 / 7 loses a digit, the zero class
+# O(7^8) at t^13 becomes O(7^7) at t^14, exact zeros stay exact; the first ends
+# in an exact zero, so an exact series stays exact, the second does not
+ANTIDERIVATIVE_INPUTS = [
+    ([(5, 20), (0, 12), (49, 20), (None, 0), (3 * 7 ** 4, 14), (2, 11), (1, 10), (0, 9),
+      (None, 0), (4, 12), (7, 13), (0, 8), (None, 0), (0, 8), (7, 12), (2, 9), (None, 0)],
+     Subordination(1, -6)),
+    ([(7, 12), (3 * 49, 13), (0, 4), (None, 0), (7 ** 5, 16), (0, 9), (7 ** 7, 20),
+      (7 ** 8 * 2, 20)], Subordination(1, 1)),
+]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("vals,bound", ANTIDERIVATIVE_INPUTS)
+def test_int_antiderivative_evaluate_and_strassmann_match_the_padic_series(vals, bound, exact):
+    """antiderivative(f, c), IntSeries.evaluate and strassmann_roots give the
+    (v, u, N), certificate, exact flag, Strassmann inputs and roots of
+    formal_antiderivative(f) + c, evaluate and the PadicNumber Strassmann; c =
+    7^-3 lowers the certificate of the second input."""
+    f = Series(P, _mixed(vals), bound, check=False, exact=exact)
+    ts = [PadicNumber.exact_zero(P), PadicNumber.from_int(3, P, 12), PadicNumber.from_int(14, P, 9)]
+    for c in (None, PadicNumber.from_int(3, P, 10), PadicNumber.unknown_zero(P, 2),
+              PadicNumber.from_rational(Fraction(1, 7 ** 3), P, 8)):
+        want = formal_antiderivative(f) if c is None else formal_antiderivative(f) + c
+        got = antiderivative(int_series(f), c)
+        assert series_claims(got) == series_claims(want)
+        for t in ts:
+            assert _outcome(lambda: got.evaluate(t)) == _outcome(lambda: evaluate(want, t))
+        assert strassmann_claims(got, strassmann_roots) == \
+            strassmann_claims(want, padic_strassmann_roots)
+
+
+def test_int_strassmann_reads_zero_classes_below_the_certificate():
+    """A zero class O(7^2) under a certificate of 4 at t^4 enters the level at
+    precision 4, as the PadicNumber Strassmann reads it."""
+    f = Series(P, _mixed([(-7, 12), (1, 12), (7, 11), (0, 3), (0, 2), (7 ** 6, 12)]),
+               Subordination(1, 0), check=False)
+    got = strassmann_claims(int_series(f), strassmann_roots)
+    assert got == strassmann_claims(f, padic_strassmann_roots)
+    levels, (bound, roots) = got
+    assert levels[0][1][1][3:5] == [3, 4]  # Ns of t^3 and t^4: max(N, certificate)
+    assert bound == 1 and len(roots) == 1
+
+
+def test_dot_matches_the_padic_series_sum():
+    """dot gives each coefficient the (v, u, N) of the PadicNumber sum of scaled
+    series, with its certificate and exact flag: PadicNumber coefficients
+    (a unit, 7^-1, an exact zero, a zero class) and rationals (3/7, 0, 5)."""
+    series = [Series(P, _mixed(vals), Subordination(1, o), check=False) for vals, o in (
+        ([(7, 12), (0, 13), (49 * 3, 14), (None, 0), (7 ** 4, 16)], 1),
+        ([(14, 12), (7 ** 2 * 6, 13), (None, 0), (0, 15), (7 ** 5, 16)], 1),
+        ([(None, 0), (7, 10), (7 ** 3, 14), (7 ** 3 * 2, 15), (0, 11)], 0))]
+    for coeffs in (_mixed([(3, 10), (None, 0), (0, 4)]),
+                   [PadicNumber.from_rational(Fraction(2, 7), P, 9)] + _mixed([(1, 12), (5, 6)]),
+                   _mixed([(None, 0)] * 3), [Fraction(3, 7), 0, 5], [0, 0, 0]):
+        got = dot(coeffs, [int_series(s) for s in series])
+        assert series_claims(got) == series_claims(_dot(coeffs, series)), coeffs
 
 
 def test_strassmann_paper_shape():
     # valuation pattern (inf, 1, 2, 3, 4, 6, 7): unique root t = 0
     vals = [0, 7, 7 ** 2, 7 ** 3, 7 ** 4, 7 ** 6, 7 ** 7]
     f = polynomial(vals, P, 14, slope=1)
-    res = strassmann_roots(f)
+    res = strassmann_roots(int_series(f))
     assert res.bound == 1
     assert len(res.roots) == 1
     root, mult = res.roots[0]
@@ -146,7 +224,7 @@ def test_strassmann_paper_shape():
 
 def test_strassmann_t_times_t_minus_1():
     f = polynomial([0, -1, 1, 0, 0, 0, 0, 0], P, N, slope=0)
-    res = strassmann_roots(f)
+    res = strassmann_roots(int_series(f))
     assert res.bound == 2
     got = sorted(r.residue(1) for r, _ in res.roots)
     assert got == [0, 1]
@@ -155,27 +233,27 @@ def test_strassmann_t_times_t_minus_1():
 def test_strassmann_congruent_roots_split():
     # roots 3 and 3+7 are congruent mod 7; the shift recursion separates them
     f = polynomial([30, -13, 1, 0, 0, 0, 0], P, N, slope=0)
-    res = strassmann_roots(f)
+    res = strassmann_roots(int_series(f))
     assert len(res.roots) == 2
     lifts = sorted(r.residue(3) for r, _ in res.roots)
     assert lifts == [3, 10]
 
 
 def test_strassmann_all_zero_raises():
-    f = TruncatedSeries(P, [PadicNumber.unknown_zero(P, 3)] * 4,
+    f = Series(P, [PadicNumber.unknown_zero(P, 3)] * 4,
                         Subordination(1, 0), check=False)
     with pytest.raises(IndistinguishableFromZero):
-        strassmann_roots(f)
+        strassmann_roots(int_series(f))
 
 
 def test_strassmann_double_root_raises():
     f = polynomial([0, 0, 1, 0, 0], P, 8, slope=0)  # t^2
     with pytest.raises(PrecisionLoss):
-        strassmann_roots(f)
+        strassmann_roots(int_series(f))
 
 
 def _linear(c0, c1=PadicNumber.from_int(P, P, 11)):
-    return polynomial([c0, c1], P, 11, slope=0)
+    return int_series(polynomial([c0, c1], P, 11, slope=0))
 
 
 def test_strassmann_root_drops_the_digits_that_f_prime_costs():
@@ -238,7 +316,7 @@ def test_strassmann_vs_bruteforce_random_cubics():
             continue
         trials += 1
         f = polynomial(cs + [0, 0], P, 10, slope=0)
-        got = sorted(r.residue(6) for r, _ in strassmann_roots(f).roots)
+        got = sorted(r.residue(6) for r, _ in strassmann_roots(int_series(f)).roots)
         # brute force over residue towers, refined to mod 7^8 then reduced
         deep = _brute_roots(cs, 7, 8)
         want = sorted(set(r % 7 ** 6 for r in deep))
@@ -260,8 +338,8 @@ def test_strassmann_vs_bruteforce_random_cubics():
         data = ([PadicNumber.from_int(x, P, n) if x else PadicNumber.unknown_zero(P, n)
                  for x, n in zip(cs, precs)] + [PadicNumber.unknown_zero(P, 9)] * 6)
         offset = min((x.v if x.u else x.N) - n for n, x in enumerate(data))
-        f = TruncatedSeries(P, data, Subordination(1, offset))
-        res = strassmann_roots(f)
+        f = Series(P, data, Subordination(1, offset))
+        res = strassmann_roots(int_series(f))
         assert len(res.roots) == 3
         k = max(r.precision() for r, _ in res.roots) + 4
         other = ([x + rng.randrange(1, 7) * 7 ** n for x, n in zip(cs, precs)] +

@@ -1,15 +1,124 @@
 """Helpers that only the tests use: exact polynomials as series, their
-derivative, series composition, lifting an x-coordinate to a point of a
-model y^n = f(x), the Frobenius exact parts as PadicNumbers, the
-residue-disc series built on PadicNumbers (the reference for the model's
-int kernel), and the intersection of Psi with the fibre components."""
+derivative and antiderivative, series composition, lifting an x-coordinate
+to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
+the residue-disc series and the disc locus built on PadicNumbers (the
+references for the model's int kernel and the engine's int locus), and the
+intersection of Psi with the fibre components."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import ceil
 
-from affine_chabauty.errors import PoleOnDisc, PrecisionLoss
+from affine_chabauty import series as series_module
+from affine_chabauty.errors import (ChabautyError, IndistinguishableFromZero, PoleOnDisc,
+                                    PrecisionLoss)
 from affine_chabauty.hyperelliptic import Point
-from affine_chabauty.padics import INF, PadicNumber, horner, nth_root, sqrt
-from affine_chabauty.series import _BIG, Subordination, TruncatedSeries, nth_root_series
+from affine_chabauty.integration import _dot
+from affine_chabauty.models import enumerate_reduction_types
+from affine_chabauty.padics import INF, PadicNumber, _vp, horner, nth_root, sqrt
+from affine_chabauty.series import (_BIG, IntSeries, StrassmannResult, Subordination,
+                                    TruncatedSeries, antiderivative, nth_root_series,
+                                    strassmann_roots)
+
+
+def _scalar_val(a, p: int):
+    """Valuation of a scalar operand; INF for zero."""
+    if isinstance(a, PadicNumber):
+        return a.v
+    fa = Fraction(a)
+    if fa == 0:
+        return INF
+    return _vp(fa, p)
+
+
+class Series(TruncatedSeries):
+    """A TruncatedSeries with what only the tests use of it: indexing, the
+    precision, truncation, sums and differences, products with a scalar
+    (scale), and rendering."""
+
+    __slots__ = ()
+
+    def __getitem__(self, n: int) -> PadicNumber:
+        if not 0 <= n < self.order:
+            raise IndexError(f"coefficient {n} outside known range [0, {self.order})")
+        return self.coeffs[n]
+
+    def padic_precision(self) -> int:
+        """Modulus exponent: the series is known modulo (p^N, t^T)."""
+        return min((c.N for c in self.coeffs), default=INF)
+
+    def truncate(self, T: int) -> "Series":
+        if T >= self.order:
+            return self
+        exact = self.exact and self.degree() < T
+        return Series(self.p, self.coeffs[:T], self.bound, check=False, exact=exact)
+
+    def _combine_bound_add(self, other) -> Subordination | None:
+        if self.bound is None or other.bound is None:
+            return None
+        return Subordination(min(self.bound.slope, other.bound.slope),
+                             min(self.bound.offset, other.bound.offset))
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, PadicNumber)):
+            c0 = self.coeffs[0] + other
+            bound = self.bound
+            if bound is not None:
+                guar = c0.v if not c0.is_zero() else (INF if c0.is_exact_zero() else c0.N)
+                if guar < bound.offset:
+                    bound = Subordination(bound.slope, Fraction(guar))
+            return Series(self.p, (c0,) + self.coeffs[1:], bound, check=False,
+                                   exact=self.exact)
+        T = min(self.order, other.order)
+        cs = [x + y for x, y in zip(self.coeffs[:T], other.coeffs[:T])]
+        exact = (self.exact and other.exact and self.degree() < T and other.degree() < T)
+        return Series(self.p, cs, self._combine_bound_add(other), check=False,
+                               exact=exact)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, PadicNumber)):
+            return self.scale(other)
+        return TruncatedSeries.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def scale(self, a) -> "Series":
+        va = _scalar_val(a, self.p)
+        cs = [c * a for c in self.coeffs]
+        bound = self.bound
+        if bound is not None:
+            if va >= INF:
+                bound = Subordination(Fraction(1), Fraction(_BIG))
+            else:
+                bound = Subordination(bound.slope, bound.offset + va)
+        return Series(self.p, cs, bound, check=False, exact=self.exact or va >= INF)
+
+    def __neg__(self):
+        return Series(self.p, [-c for c in self.coeffs], self.bound, check=False,
+                               exact=self.exact)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self + (-Fraction(other))
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __str__(self):
+        parts = []
+        for n, c in enumerate(self.coeffs):
+            if c.is_exact_zero() or c.is_zero():
+                continue
+            body = str(c).rsplit(" + O(", 1)[0]
+            mono = "" if n == 0 else ("t" if n == 1 else f"t^{n}")
+            parts.append(f"({body}){mono}" if mono else f"({body})")
+        parts.append(f"O({self.p}^{self.padic_precision()}, t^{self.order})")
+        return " + ".join(parts)
+
+    __repr__ = __str__
 
 
 def derive_bound(coeffs, slope: Fraction) -> Subordination:
@@ -21,20 +130,75 @@ def derive_bound(coeffs, slope: Fraction) -> Subordination:
     return Subordination(Fraction(slope), offset)
 
 
-def derivative(f: TruncatedSeries) -> TruncatedSeries:
+def derivative(f: Series) -> Series:
     """Termwise derivative, with the certificate shifted by one index."""
     cs = [f.coeffs[n] * n for n in range(1, f.order)] or [PadicNumber.exact_zero(f.p)]
     bound = f.bound and Subordination(f.bound.slope, f.bound.offset + f.bound.slope)
-    return TruncatedSeries(f.p, cs, bound, check=False, exact=f.exact)
+    return Series(f.p, cs, bound, check=False, exact=f.exact)
 
 
-def polynomial(vals, p: int, N: int, slope=Fraction(1)) -> TruncatedSeries:
+def formal_antiderivative(f: Series) -> Series:
+    """Termwise antiderivative with zero constant term; divides by n+1."""
+    p = f.p
+    cs = [PadicNumber.exact_zero(p)]
+    for n, c in enumerate(f.coeffs):
+        cs.append(c / (n + 1))
+    bound = f.bound
+    if bound is not None:
+        # v(c_{n-1}/n) >= slope(n-1)+offset-v_p(n) and v_p(n) <= n/4 + 2 for p >= 3
+        bound = Subordination(bound.slope - Fraction(1, 4), bound.offset - bound.slope - 2)
+    out = Series(p, cs, bound, check=False, exact=f.exact)
+    return out.truncate(f.order)
+
+
+def evaluate(f: Series, t) -> PadicNumber:
+    """Value at t with |t| <= 1; the certificate bounds the cut tail."""
+    if not isinstance(t, PadicNumber):
+        t = PadicNumber.from_rational(t, f.p, f.padic_precision() + 4)
+    if t.is_exact_zero():  # f(0) = c_0: nothing of the tail is cut
+        return f.coeffs[0]
+    vt = t.v
+    if vt < 0:
+        raise ValueError("evaluation requires |t| <= 1")
+    if not f.exact:
+        if f.bound is None:
+            raise PrecisionLoss("series has no subordination certificate")
+        if f.bound.slope + vt <= 0:
+            raise PrecisionLoss("certificate too weak to evaluate at a unit")
+    acc = horner(f.coeffs, t, PadicNumber.exact_zero(f.p))
+    if f.exact:
+        return acc
+    err = int(ceil((f.bound.slope + vt) * f.order + f.bound.offset))
+    if acc.is_exact_zero():
+        return PadicNumber.unknown_zero(f.p, max(err, 1))
+    return acc.at_precision(min(acc.N, max(err, 1)))
+
+
+def padic_series(s: IntSeries) -> Series:
+    """An IntSeries as the Series of the same coefficients."""
+    return Series(s.p, [s.padic(n) for n in range(s.order)], s.bound, check=False,
+                           exact=s.exact)
+
+
+def int_series(f: Series) -> IntSeries:
+    """A Series as the IntSeries of the same coefficients."""
+    return IntSeries(f.p, [(c.v, c.u, c.N) for c in f.coeffs], f.bound, f.exact)
+
+
+def series_claims(s) -> tuple:
+    """Everything a consumer reads of a series: order, exact flag, bound and the
+    (v, u, N) of each coefficient, exact zeros included."""
+    f = padic_series(s) if isinstance(s, IntSeries) else s
+    return f.order, f.exact, f.bound, [(c.v, c.u, c.N) for c in f.coeffs]
+
+
+def polynomial(vals, p: int, N: int, slope=Fraction(1)) -> Series:
     """Exact polynomial as a series with a derived subordination certificate."""
     cs = [v if isinstance(v, PadicNumber) else PadicNumber.from_rational(v, p, N) for v in vals]
-    return TruncatedSeries(p, cs, derive_bound(cs, Fraction(slope)), check=False, exact=True)
+    return Series(p, cs, derive_bound(cs, Fraction(slope)), check=False, exact=True)
 
 
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+def compose(f: Series, g: Series) -> Series:
     """f(g(t)) for g whose constant term has valuation >= 1; ValueError otherwise.
 
     When the outer series is truncated (not an exact polynomial) its unknown
@@ -48,7 +212,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     T = min(f.order, g.order)
     p = f.p
     top = f.coeffs[f.order - 1]
-    out = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (T - 1),
+    out = Series(p, [top] + [PadicNumber.exact_zero(p)] * (T - 1),
                           derive_bound([top], Fraction(0)), check=False,
                           exact=True)
     for k in range(f.order - 2, -1, -1):
@@ -56,13 +220,13 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     out = out.truncate(T)
     if not f.exact:
         if f.bound is None:
-            return TruncatedSeries(p, out.coeffs, None, check=False)
+            return Series(p, out.coeffs, None, check=False)
         vg0 = g0.v if not g0.is_exact_zero() else _BIG
         cap = f.bound.at(f.order) + f.order * min(vg0, _BIG)
         cap_i = max(int(cap), 1)
         cs = [c.at_precision(min(c.N, cap_i)) if not c.is_exact_zero()
               else PadicNumber.unknown_zero(p, cap_i) for c in out.coeffs]
-        out = TruncatedSeries(p, cs, out.bound, check=False)
+        out = Series(p, cs, out.bound, check=False)
     return out
 
 
@@ -96,12 +260,12 @@ def padic_dagger(m):
             for poles, yparts in fd.dagger]
 
 
-def poly_of_series(coeffs, xs: TruncatedSeries) -> TruncatedSeries:
+def poly_of_series(coeffs, xs: Series) -> Series:
     """Evaluate a polynomial with PadicNumber coefficients on a series."""
     p = xs.p
     top = coeffs[-1]
     off = min(0, top.v if not top.is_zero() else 0)
-    acc = TruncatedSeries(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
+    acc = Series(p, [top] + [PadicNumber.exact_zero(p)] * (xs.order - 1),
                           Subordination(1, off), check=False, exact=True)
     return horner(coeffs[:-1], xs, acc)
 
@@ -117,19 +281,19 @@ def padic_disc_series(m, pt: Point) -> tuple:
     p_coeff = PadicNumber.from_int(p, p, m.M)
     ramified = m.is_weierstrass_disc(center)
     if not ramified:  # x = x0 + p t and y the n-th root of g(x) over y mod p
-        xs = TruncatedSeries(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
+        xs = Series(p, [x0, p_coeff] + [zero] * (T - 2), bound, check=False, exact=True)
         ys = nth_root_series(poly_of_series(g, xs), m.n, center.y.residue(1))
     else:  # y = p t and x(t) solved from g(x) = y^n by Newton's method on series
-        ys = TruncatedSeries(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
+        ys = Series(p, [zero, p_coeff] + [zero] * (T - 2), Subordination(1, 0),
                              check=False, exact=True)
         target = ys
         for _ in range(m.n - 1):
             target = target * ys
-        xs = TruncatedSeries(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
+        xs = Series(p, [x0] + [zero] * (T - 1), bound, check=False, exact=True)
         dg = [c * k for k, c in enumerate(g)][1:]
         for _ in range(T.bit_length() + 2):
             xs = xs - (poly_of_series(g, xs) - target) * poly_of_series(dg, xs).inverse()
-        xs = TruncatedSeries(p, xs.coeffs, bound, check=False)
+        xs = Series(p, xs.coeffs, bound, check=False)
     dx = derivative(xs)
     inv_y = None if ramified else ys.inverse()
     comps = {}  # x^i dx/y^b = x * x^(i-1) dx/y^b
@@ -146,7 +310,7 @@ def padic_disc_series(m, pt: Point) -> tuple:
     return xs, ys, [comps[mono] for mono in m.basis]
 
 
-def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
+def _shift_down(f: Series, k: int) -> Series:
     """Divide by t^k; the dropped low coefficients must be zero classes."""
     if k >= f.order:
         raise PrecisionLoss(f"a series of order {f.order} cannot be divided by t^{k}")
@@ -156,7 +320,7 @@ def _shift_down(f: TruncatedSeries, k: int) -> TruncatedSeries:
     bound = f.bound
     if bound is not None:
         bound = Subordination(bound.slope, bound.offset + k * bound.slope)
-    return TruncatedSeries(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
+    return Series(f.p, f.coeffs[k:], bound, check=False, exact=f.exact)
 
 
 def psi_intersection_with_components(model, q: int, incidence, corr):
@@ -165,3 +329,123 @@ def psi_intersection_with_components(model, q: int, incidence, corr):
     vec = [Fraction(v) for v in incidence]
     phi_vec = [corr.coeffs.get(c.id, Fraction(0)) for c in fib.components]
     return [a + b for a, b in zip(vec, fib.matrix.matvec(phi_vec))]
+
+
+# -- the disc locus on PadicNumber series: the reference for the int locus --
+
+
+def padic_strassmann_roots(f: Series) -> StrassmannResult:
+    """strassmann_roots read from a Series: the level g = f / p^m, its
+    precisions and certificate taken from the PadicNumber coefficients."""
+    if f.bound is None:
+        raise PrecisionLoss("series has no subordination certificate")
+    if all(c.is_zero() for c in f.coeffs):
+        raise IndistinguishableFromZero("no coefficient is nonzero to precision")
+    m = min(c.v for c in f.coeffs if not c.is_zero())
+    star = max(n for n, c in enumerate(f.coeffs) if not c.is_zero() and c.v == m)
+    for n, c in enumerate(f.coeffs):
+        if c.is_zero() and not c.is_exact_zero() and max(c.N, ceil(f.bound.at(n))) <= m:
+            raise PrecisionLoss(
+                f"coefficient t^{n} = O(p^{c.N}) could attain the minimal valuation {m}")
+    if not f.exact and (f.bound.slope <= 0 or f.bound.at(f.order) <= m):
+        raise PrecisionLoss("certificate cannot exclude roots hidden in the tail")
+    p = f.p
+    cs = f.coeffs[:f.degree() + 1] if f.exact else f.coeffs
+    g = [0 if c.is_zero() else c.u * p ** (c.v - m) for c in cs]
+    Ns = [INF if c.is_exact_zero() else (c.N if c.u else max(c.N, ceil(f.bound.at(n)))) - m
+          for n, c in enumerate(cs)]
+    level = (g, Ns, f.bound.slope, f.bound.offset - m, f.exact)
+    roots = [(PadicNumber.exact_zero(p) if n >= INF else PadicNumber.from_int(r, p, n) if r
+              else PadicNumber.unknown_zero(p, n), 1)
+             for r, n in series_module._isolate(p, level, f.padic_precision() + 2)]
+    if len(roots) > star:
+        raise PrecisionLoss(f"{len(roots)} roots isolated but the Strassmann bound is {star}")
+    return StrassmannResult(roots=roots, bound=star)
+
+
+@contextmanager
+def isolate_levels(log: list):
+    """Record each (p, level, depth) that series._isolate is called with,
+    its recursive calls included."""
+    orig = series_module._isolate
+
+    def recorded(p, level, depth):
+        log.append((p, level, depth))
+        return orig(p, level, depth)
+    series_module._isolate = recorded
+    try:
+        yield log
+    finally:
+        series_module._isolate = orig
+
+
+def _vun(x: PadicNumber) -> tuple:
+    return x.v, x.u, x.N
+
+
+def strassmann_claims(rho, strassmann, at_roots=lambda t: ()) -> tuple:
+    """The Strassmann inputs (every level _isolate sees), the StrassmannResult and
+    each root's t and at_roots(t) as (v, u, N); a ChabautyError as its text."""
+    levels = []
+    with isolate_levels(levels):
+        try:
+            res = strassmann(rho)
+            out = (res.bound, [(_vun(t), mult, [_vun(v) for v in at_roots(t)])
+                               for t, mult in res.roots])
+        except ChabautyError as e:
+            out = f"{type(e).__name__}: {e}"
+    return levels, out
+
+
+def disc_locus_differences(engine) -> tuple:
+    """Compare the engine's int disc locus with the PadicNumber reference on every
+    non-cuspidal disc, for each basis differential (c = 0) and each kernel omega
+    of every reduction type with its c: omega's antiderivative plus the constant
+    (order, exact flag, certificate and every coefficient), the Strassmann
+    inputs, the StrassmannResult and each root's t, x and y, all as (v, u, N).
+
+    Returns (differences, counts): one line per difference, and the number of
+    loci compared, of those whose omega has an exact-zero coefficient, and of
+    those whose series order T reaches p (so some k + 1 = p^e w with e > 0)."""
+    I, p = engine.integrator, engine.problem.p
+    base = engine.base_pair()
+    pairs = [(om, PadicNumber.exact_zero(p), f"basis[{j}]")
+             for j, om in enumerate(engine.problem.curve.basis())]
+    for sigma in enumerate_reduction_types(engine.problem, engine.model):
+        try:
+            rec = engine.locus_record(sigma)
+        except ChabautyError:
+            continue
+        pairs += [(om, c, f"{sigma.label}[{j}]")
+                  for j, (om, c) in enumerate(zip(rec.kernel[1], rec.constants))]
+    diffs, counts = [], {"loci": 0, "exact_zero_entry": 0, "p_divides_k_plus_1": 0}
+    for disc in I.residue_discs():
+        if disc.cuspidal:
+            continue
+        try:
+            center = I.disc_center(disc)
+        except ChabautyError:
+            continue
+        xs, ys, *terms = I._disc_series(disc)
+        padic_terms = [padic_series(s) for s in terms]
+        for omega, c, label in pairs:
+            const = I.integral(omega, base, center) - c
+            exp = I.expand_differential_on_disc(omega, disc)
+            rho = antiderivative(exp.series, const)
+            want = formal_antiderivative(_dot(omega.coeffs, padic_terms)) + const
+            where = f"p = {p}, prec {engine.problem.prec}, {disc!r}, {label}"
+            if series_claims(rho) != series_claims(want):
+                diffs.append(f"{where}: the antiderivative plus c differs")
+            got = strassmann_claims(rho, strassmann_roots,
+                                    lambda t: (exp.xs.evaluate(t), exp.ys.evaluate(t)))
+            xs_ref, ys_ref = padic_series(exp.xs), padic_series(exp.ys)
+            ref = strassmann_claims(want, padic_strassmann_roots,
+                                    lambda t: (evaluate(xs_ref, t), evaluate(ys_ref, t)))
+            if got != ref:
+                diffs.append(f"{where}: Strassmann inputs, roots or x, y differ")
+            counts["loci"] += 1
+            counts["exact_zero_entry"] += any(isinstance(a, PadicNumber) and a.is_exact_zero()
+                                              for a in omega.coeffs)
+            counts["p_divides_k_plus_1"] += rho.order >= p
+    return diffs, counts
+
