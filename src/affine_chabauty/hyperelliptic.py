@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from .curves import reduction_defect
@@ -209,6 +209,16 @@ class HyperellipticModel:
         numerator at K' terms.  Its f-adic digits are p(K - K') zeros, then those
         of num', so the reduction starts at pole level pK' + (p - 1)b/n and the
         levels above it, all zero, are skipped (K - K' = 3 at p = 23, prec 12).
+
+        The digits of num' form a valuation triangle: term k is 0 mod p^k and fills
+        digits p(K' - k) .. pK', so digit block i (digits p i .. p i + p - 1) is 0 mod
+        p^(K' - i) (20 - i at p = 23, prec 12, for i <= 7, where p | c_k).  So
+        _numerator_digits splits the terms at h = ceil((K' + 1)/2): the first h are
+        f^(p(K'-h+1)) A_0, A_0 = sum_(k<h) c_k u^k f^(p(h-1-k)) mod p^m, of half the
+        degree; the rest are p^h A_1, A_1 = U^h sum_(k>=h) c_k u^(k-h) f^(p(K'-k)),
+        U = u/p, needed only mod p^(m-h).  Radix conversion is linear, and exact over
+        Z/p^j as f has a unit leading coefficient: the digits of num' mod p^m are
+        those of A_0 moved up p(K' - h + 1) places plus p^h times those of A_1.
         """
         p, K, d, n = self.p, self.K, self.deg, self.n
         tp, L, N = self.tp, self.L, self.M
@@ -221,16 +231,16 @@ class HyperellipticModel:
         fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
         zero = PadicNumber.exact_zero(p)
         shifts = [p * i + p - 1 for i in range(d - 1)]
-        nums = [_frobenius_numerator(fm, p, Kp, m, Fraction(-b, n)) for b in range(1, n)]
         # one tower of f^(2^k) mod p^m for every numerator and every x^shift
-        tower = p ** m, _f_adic_tower(fm, max(map(len, nums)), p ** m)
+        nums, tower = _numerator_digits(fm, p, Kp, m, [Fraction(-b, n) for b in range(1, n)],
+                                        shifts[-1] + 1)
         matrix, dagger = [], []
         for b, num in enumerate(nums, 1):
-            digits = [[c * p ** (L + 1) for c in r] for r in _f_adic_digits(num, fm, *tower)]
+            digits = [[c * p ** (L + 1) for c in r] for r in num]
             # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of num'
             # start at level pK' + (p - 1)b/n
             for col, poles, ys in self._reduce(digits, shifts, p * Kp + (p - 1) * b // n,
-                                               fint, t_bez, N, L, tp, b, tower):
+                                               fint, t_bez, N, L, tp, b, (p ** m, tower)):
                 # Frobenius keeps each eigenspace: exact zeros outside block b
                 matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
                 dagger.append((poles, ys))
@@ -398,11 +408,13 @@ class HyperellipticModel:
             p, L = self.p, frob.headroom
             terms = [(m, k, c) for m, B in frob.dagger[i][0] for k, c in enumerate(B)]
             terms += [(0, s, lam) for s, lam in frob.dagger[i][1]]
-            S = max([0] + [L - _vp(c, p) for _, _, c in terms if c])
+            g = gcd(*(c for _, _, c in terms))
+            S = max(0, L - _vp(g, p)) if g else 0
+            q = p ** (L - S)  # divides every c
             cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
             for m, k, c in terms:
                 cols[k] += [0] * (m + 1 - len(cols[k]))
-                cols[k][m] = c * p ** S // p ** L  # exact: v_p(c) >= L - S
+                cols[k][m] = c // q
             self._dagger_tables[i] = S, frob.trunc_prec, cols
         return self._dagger_tables[i]
 
@@ -584,25 +596,54 @@ def _int_pmul_stride(a, g, p, mod):
     return out
 
 
-def _frobenius_numerator(f, p, K, N, alpha=Fraction(-1, 2)):
-    """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(alpha, k) and
-    u = f(x^p) - f^p, so that (1 + u/f^p)^alpha = num / f^(pK) to K terms;
-    alpha = -b/n is a p-adic integer, and so is each c_k.
+def _numerator_digits(f, p, K, N, alphas, size):
+    """The f-adic digits mod p^N of num = sum_k c_k u^k f^(p(K-k)), c_k = binomial(alpha,
+    k) and u = f(x^p) - f^p, so that (1 + u/f^p)^alpha = num / f^(pK) to K terms, per
+    p-adic integer alpha in alphas, in the two layers of
+    HyperellipticModel._compute_frobenius, and the tower of f mod p^N they share,
+    which covers polys of length size too."""
+    h = (K + 2) // 2
+    mod, mod1 = p ** N, p ** (N - h)
+    fpow = [[1]]  # f^m for m <= p and every F-exponent of either layer, all <= h / 2
+    for _ in range(max(p, h // 2)):
+        fpow.append(_int_pmul(fpow[-1], f, mod))
+    u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
+    fpow1, u1 = [[c % mod1 for c in g] for g in fpow[:h // 2 + 1]], [c % mod1 for c in u]
+    U = Uh = [c // p % mod1 for c in u]
+    for bit in bin(h)[3:]:  # U^h mod p^(N-h), left to right by squaring
+        Uh = _int_pmul(Uh, Uh, mod1)
+        if bit == "1":
+            Uh = _int_pmul(Uh, U, mod1)
+    d = len(f) - 1  # A_0 and A_1 have lengths p d (h - 1) + 1 and p d K + 1
+    tower = _f_adic_tower(f, max(size, p * d * (h - 1) + 1), mod)
+    upper = _f_adic_tower(f, p * d * K + 1, mod1, tower)
+    out = []
+    for alpha in alphas:
+        c, ck = [], Fraction(1)
+        for k in range(K + 1):
+            c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
+            ck = ck * (alpha - k) / (k + 1)
+        A1 = _int_pmul(Uh, _frobenius_numerator([a % mod1 for a in c[h:]], fpow1, u1, p, mod1),
+                       mod1)
+        digits = [[a * p ** h for a in r] for r in _f_adic_digits(A1, f, mod1, upper)]
+        A0 = _frobenius_numerator(c[:h], fpow, u, p, mod)
+        for j, r in enumerate(_f_adic_digits(A0, f, mod, tower), p * (K - h + 1)):
+            digits += [[]] * (j + 1 - len(digits))
+            digits[j] = _int_padd(digits[j], r, mod)
+        out.append(digits)
+    return out, tower
+
+
+def _frobenius_numerator(c, fpow, u, p, mod):
+    """sum_k c_k u^k f^(p(K-k)) mod mod, K = len(c) - 1, given u = f(x^p) - f^p and
+    fpow[m] = f^m for m = p and every F-exponent, all <= (K + 1) / 2.
 
     With F = f(x^p) = f^p + u this is sum_j a_j u^j F^(K-j), built by binary
     splitting, P(lo, hi) = F^(hi-mid) P(lo, mid) + u^(mid-lo) P(mid, hi), bottom
     up with mid - lo a power of 2.  A product by F^m = f^m(x^p) is p small
     products (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 10).
     """
-    mod = p ** N
-    fpow = [[1]]  # f^m for m <= p and every F-exponent, all <= (K + 1) / 2
-    for _ in range(max(p, K // 2 + 1)):
-        fpow.append(_int_pmul(fpow[-1], f, mod))
-    u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
-    c, ck = [], Fraction(1)
-    for k in range(K + 1):
-        c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
-        ck = ck * (alpha - k) / (k + 1)
+    K = len(c) - 1
     level = [[sum((-1) ** (j - k) * comb(K - k, j - k) * c[k] for k in range(j + 1)) % mod]
              for j in range(K + 1)]  # the P(j, j + 1) = a_j
     width, upow = 1, u  # every node but the last sums width terms; upow = u^width
@@ -617,7 +658,7 @@ def _frobenius_numerator(f, p, K, N, alpha=Fraction(-1, 2)):
         width *= 2
         if len(level) > 1:
             upow = _int_pmul(upow, upow, mod)
-    return level[0]
+    return level[0] if level else []
 
 
 def _int_divmod_f(poly, f, mod):
@@ -634,9 +675,9 @@ def _int_divmod_f(poly, f, mod):
     return q, [c % mod for c in rem[:d]]
 
 
-def _int_series_inv(a, n, mod):
-    """Power series inverse of a (unit constant term) mod x^n, by Newton iteration."""
-    h = [pow(a[0], -1, mod)]
+def _int_series_inv(a, n, mod, h=()):
+    """1/a mod x^n, a(0) a unit, by Newton iteration from h = 1/a mod x^len(h)."""
+    h = list(h) or [pow(a[0], -1, mod)]
     while len(h) < n:
         k = min(2 * len(h), n)
         err = _int_pmul(a[:k], h, mod, len(h), k)  # a h = 1 + x^len(h) err
@@ -644,15 +685,22 @@ def _int_series_inv(a, n, mod):
     return h
 
 
-def _f_adic_tower(f, size, mod):
-    """(f^(2^k), inverse of its reversal) up to the first 2 deg f^(2^k) >= size, each
-    inverse as long as the quotients of a poly of length size use: deg f^(2^k) below
-    the top level, size - deg at it; a shorter poly reads a prefix of each."""
-    gs = [f]
-    while 2 * (len(gs[-1]) - 1) < size:
-        gs.append(_int_pmul(gs[-1], gs[-1], mod))
-    lengths = [len(g) - 1 for g in gs[:-1]] + [size - len(gs[-1]) + 1]
-    return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
+def _f_adic_tower(f, size, mod, tables=()):
+    """(f^(2^k), inverse of its reversal) mod mod up to the first 2 deg f^(2^k) >= size,
+    each inverse as long as the quotients of a poly of length size use: deg f^(2^k)
+    below the top level, size - deg at it; a shorter poly reads a prefix of each.
+    It extends tables, a tower of f mod a multiple of mod, and starts each new
+    inverse from the square of the one below: 1/rev(g^2) = (1/rev g)^2."""
+    out = []
+    while not out or 2 * (len(out[-1][0]) - 1) < size:
+        if len(out) < len(tables):
+            g, h = ([c % mod for c in cs] for cs in tables[len(out)])
+        else:
+            g, h = (_int_pmul(g, g, mod), _int_pmul(h, h, mod, 0, len(h))) if out else (f, [])
+        n = len(g) - 1
+        h = _int_series_inv(g[::-1], n if 2 * n < size else size - n, mod, h)
+        out.append((g, h))
+    return out
 
 
 def _f_adic_digits(poly, f, mod, tables=None):

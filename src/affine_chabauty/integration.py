@@ -48,6 +48,7 @@ class Integrator:
         self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
         self._model: HyperellipticModel | None = None
         self._pair_cache: dict = {}
+        self._disc_cache: dict = {}
 
     # -- model access --------------------------------------------------------
 
@@ -122,9 +123,12 @@ class Integrator:
 
     def _disc_series(self, disc: ResidueDisc) -> list:
         """x(t), y(t) and the family's basis monomials on disc, from the model's
-        disc_series, cut to order 2 prec."""
-        xs, ys, monomials = self.main_model().disc_series(self._disc_point(disc))
-        return [s.truncate(2 * self.prec) for s in (xs, ys, *self._pick(monomials))]
+        disc_series, cut to order 2 prec once per disc."""
+        pt, key = self._disc_point(disc), (disc.xbar, disc.ybar)
+        if key not in self._disc_cache:
+            xs, ys, ms = self.main_model().disc_series(pt)
+            self._disc_cache[key] = [s.truncate(2 * self.prec) for s in (xs, ys, *self._pick(ms))]
+        return self._disc_cache[key]
 
     def disc_parametrization(self, disc: ResidueDisc):
         """Series (x(t), y(t)) to order 2 prec around the canonical center;

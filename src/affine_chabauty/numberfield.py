@@ -57,6 +57,7 @@ class NumberField:
         self.minpoly = tuple(c / lead for c in cs)
         self.degree = len(self.minpoly) - 1
         self.name = name
+        self._roots_mod: dict = {}  # p -> (minpoly over Z, its roots mod p, why none embed)
 
     def __call__(self, coeffs) -> "NFElement":
         if isinstance(coeffs, NFElement):
@@ -230,29 +231,31 @@ class FieldEmbedding:
         return self.root.residue(1)
 
 
-def hensel_embed(minpoly, p: int, N: int, field: NumberField | None = None) -> list[FieldEmbedding]:
-    """All embeddings of Q[g]/(minpoly) into Qp, one per simple root mod p.
+def hensel_embed(minpoly, p: int, N: int, field: NumberField | None = None,
+                 residues=None) -> list[FieldEmbedding]:
+    """All embeddings of Q[g]/(minpoly) into Qp, one per simple root mod p (only
+    those with a residue in residues, if given); the roots mod p and the
+    separability verdict are found once per field and p.
 
     Raises NonSeparableReduction when the reduction has repeated roots, in
     which case the caller should pick a different auxiliary prime.
     """
     field = field or NumberField(minpoly)
-    cs = field.minpoly
-    den = math.lcm(*(c.denominator for c in cs))
-    ics = [int(c * den) for c in cs]
-    if ics[-1] % p == 0:
-        raise NonSeparableReduction("leading coefficient vanishes mod p")
-    red = [c % p for c in ics]
-    dred = [k * c % p for k, c in enumerate(red)][1:]
-    roots = [r for r in range(p) if _horner_mod(red, r, p) == 0]
-    for r in roots:
-        if _horner_mod(dred, r, p) == 0:
-            raise NonSeparableReduction(f"repeated root {r} of minpoly mod {p}")
-    out = []
-    for r in roots:
-        lifted = hensel_lift_root(ics, r, p, N)
-        out.append(FieldEmbedding(field, PadicNumber.from_int(lifted, p, N)))
-    return out
+    if p not in field._roots_mod:
+        den = math.lcm(*(c.denominator for c in field.minpoly))
+        ics = [int(c * den) for c in field.minpoly]
+        red = [c % p for c in ics]
+        dred = [k * c % p for k, c in enumerate(red)][1:]
+        roots = [r for r in range(p) if red[-1] and _horner_mod(red, r, p) == 0]
+        repeated = [r for r in roots if _horner_mod(dred, r, p) == 0]
+        why = ("leading coefficient vanishes mod p" if not red[-1] else
+               repeated and f"repeated root {repeated[0]} of minpoly mod {p}")
+        field._roots_mod[p] = ics, roots, why
+    ics, roots, why = field._roots_mod[p]
+    if why:
+        raise NonSeparableReduction(why)
+    return [FieldEmbedding(field, PadicNumber.from_int(hensel_lift_root(ics, r, p, N), p, N))
+            for r in roots if residues is None or r in residues]
 
 
 # -- valuations at primes of the cusp ring ----------------------------------
@@ -275,12 +278,11 @@ def lambda_valuation(x: NFElement, q: int, e: int, f: int, split_residue: int | 
     if f == 1 and e == 1 and split_residue is not None:
         nrm = x.norm()
         bound = abs(_vp(nrm.numerator, q)) + abs(_vp(nrm.denominator, q)) + 2
-        embs = hensel_embed(list(x.field.minpoly), q, bound, x.field)
-        for emb in embs:
-            if emb.residue() == split_residue % q:
-                val = emb(x)
-                if val.is_zero():
-                    raise NeedsOverride("valuation exceeds certified bound")
-                return Fraction(val.valuation())
-        raise NeedsOverride(f"no embedding with residue {split_residue} mod {q}")
+        embs = hensel_embed(list(x.field.minpoly), q, bound, x.field, {split_residue % q})
+        if not embs:
+            raise NeedsOverride(f"no embedding with residue {split_residue} mod {q}")
+        val = embs[0](x)
+        if val.is_zero():
+            raise NeedsOverride("valuation exceeds certified bound")
+        return Fraction(val.valuation())
     raise NeedsOverride(f"cannot compute valuation at a degree-{f} prime of a degree-{deg} field")

@@ -13,8 +13,9 @@ from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestric
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
-from tests_support import (exact_parts, involution, lift_x, padic_dagger, padic_disc_series,
-                           padic_series, poly_of_series, series_claims)
+from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
+                           padic_disc_series, padic_series, poly_of_series, series_claims,
+                           single_layer_digits, single_layer_numerator, single_layer_tower)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -299,16 +300,16 @@ def test_stride_product_matches_the_dense_product():
         assert _int_pmul_stride([], [1], p, mod) == []
 
 
-def _numerator_reference(f, p, K, N):
+def _numerator_reference(f, p, K, N, alpha=Fraction(-1, 2)):
     """num = sum_k c_k u^k f^(p(K-k)), u = f(x^p) - f^p, by Horner, with c_k =
-    binomial(-1/2, k) from its product formula: the reference for the binary
+    binomial(alpha, k) from its product formula: the reference for the binary
     splitting."""
     from affine_chabauty.hyperelliptic import _int_padd, _int_pmul, _int_sub
 
     def coeff(k):
         b = Fraction(1)
         for i in range(k):
-            b *= (Fraction(-1, 2) - i) / (i + 1)
+            b *= (alpha - i) / (i + 1)
         return b.numerator * pow(b.denominator, -1, mod) % mod
 
     mod = p ** N
@@ -329,8 +330,6 @@ def _numerator_reference(f, p, K, N):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 23])
 def test_binary_splitting_numerator_matches_horner(p):
-    from affine_chabauty.hyperelliptic import _frobenius_numerator
-
     rng = random.Random(34 + p)
     N = 15
     mod = p ** N
@@ -339,7 +338,68 @@ def test_binary_splitting_numerator_matches_horner(p):
              _random_poly(rng, 5, mod, zeros=0) + [rng.randrange(1, p)]]
     for f in polys:
         for K in (0, 1, 2, 7, 22):
-            assert _frobenius_numerator(f, p, K, N) == _numerator_reference(f, p, K, N)
+            assert single_layer_numerator(f, p, K, N) == _numerator_reference(f, p, K, N)
+    alpha = Fraction(-2, 3) if p != 3 else Fraction(-1, 4)  # any p-adic integer
+    assert single_layer_numerator(polys[2], p, 5, N, alpha) == \
+        _numerator_reference(polys[2], p, 5, N, alpha)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23, 47])
+def test_graded_numerator_digits_match_the_single_layer_reference(p):
+    """The two layers, A_0 mod p^N and A_1 mod p^(N-h), give the digits of the
+    numerator at one precision exactly, for n = 2 and 3, K = 0, 1, 2, an odd and an
+    even K, N = K + 1 and N = K + 4 (c_k = binomial(-b/n, k) is a p-adic integer for
+    p != n); at p = 23 and K >= 12, p divides c_k."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _numerator_digits
+
+    rng = random.Random(35 + p)
+    Ks = [0, 1, 2, 5, 8] + ([12, 19] if p == 23 else [])
+    for n, deg in [(2, 4), (2, 6)] + [(3, 3), (3, 6)] * (p != 3):
+        alphas = [Fraction(-b, n) for b in range(1, n)]
+        for K in Ks:
+            for N in (K + 1, K + 4):
+                mod = p ** N
+                f = _random_poly(rng, deg, mod, zeros=0) + [rng.randrange(1, p)]
+                size = p * (deg - 1)
+                got, tower = _numerator_digits(f, p, K, N, alphas, size)
+                want, _ = single_layer_digits(f, p, K, N, alphas, size)
+                # digit by digit as polynomials: the same count, each padded to deg f
+                assert [[(r + [0] * deg)[:deg] for r in ds] for ds in got] == \
+                    [[(r + [0] * deg)[:deg] for r in ds] for ds in want], (n, deg, K, N)
+                # the shared tower also converts the x^shift that _reduce reads
+                for s in (0, size - 1):
+                    assert _f_adic_digits([0] * s + [1], f, mod, tower) == \
+                        _f_adic_digits([0] * s + [1], f, mod)
+
+
+def test_an_extended_tower_converts_like_a_fresh_one():
+    """A tower mod p^20 reduced mod p^12 and extended, each new inverse seeded with
+    the square of the one below, agrees with a tower built from scratch mod p^12."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _f_adic_tower, _int_series_inv
+
+    rng = random.Random(36)
+    for p, d in ((3, 3), (7, 4), (23, 6)):
+        f = _random_poly(rng, d, p ** 20, zeros=0) + [rng.randrange(1, p)]
+        low = _f_adic_tower(f, 5 * d, p ** 20)
+        f12 = [c % p ** 12 for c in f]
+        for size in (1, 3 * d, 40 * d + 3):
+            got = _f_adic_tower(f12, size, p ** 12, low)
+            want = single_layer_tower(f12, size, p ** 12)
+            assert [g for g, _ in got] == [g for g, _ in want]
+            for (g, h), (_, h_ref) in zip(got, want):
+                assert h[:len(h_ref)] == h_ref and len(h) >= len(h_ref)
+                assert _int_series_inv(g[::-1], len(h), p ** 12) == h
+            poly = _random_poly(rng, size, p ** 12)
+            assert _f_adic_digits(poly, f12, p ** 12, got) == _f_adic_digits(poly, f12, p ** 12)
+
+
+@pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
+                                            ("hyperelliptic_6081b", 23, 12),
+                                            ("superelliptic_a1", 7, 12),
+                                            ("superelliptic_a1", 13, 6)])
+def test_graded_frobenius_data_equals_the_single_layer_data(fixture, p, prec):
+    I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=prec).integrator
+    assert frobenius_differences(I.main_model()) == []
 
 
 @pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
@@ -353,7 +413,7 @@ def test_the_numerator_past_K_prime_terms_only_shifts_its_digits(fixture, p, pre
     """u = f(x^p) - f^p is 0 mod p, so mod p^m, m = M - L - 1, the numerator at
     K terms is f^(p(K - K')) times the one at K' = min(K, m - 1): its f-adic
     digits are p(K - K') zero digits, then the digits at K'."""
-    from affine_chabauty.hyperelliptic import _f_adic_digits, _frobenius_numerator
+    from affine_chabauty.hyperelliptic import _numerator_digits
 
     curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
     m = HyperellipticModel(curve.g, p, prec, curve.n)
@@ -362,9 +422,12 @@ def test_the_numerator_past_K_prime_terms_only_shifts_its_digits(fixture, p, pre
     assert Kp < m.K
     fm = [c.residue(mm) for c in m.f]
     for b in range(1, m.n):
-        full, short = (_f_adic_digits(_frobenius_numerator(fm, p, K, mm, Fraction(-b, m.n)),
-                                      fm, p ** mm) for K in (m.K, Kp))
+        full, short = (single_layer_digits(fm, p, K, mm, [Fraction(-b, m.n)], 1)[0][0]
+                       for K in (m.K, Kp))
         assert full == [[0] * m.deg] * (p * (m.K - Kp)) + short
+        graded = _numerator_digits(fm, p, Kp, mm, [Fraction(-b, m.n)], 1)[0][0]
+        assert [(r + [0] * m.deg)[:m.deg] for r in graded] == \
+            [(r + [0] * m.deg)[:m.deg] for r in short]
 
 
 def test_reduction_records_an_exact_form_and_checks_the_division():
@@ -490,7 +553,7 @@ def _frobenius_reference(m):
     sum of v_p(2m - 1) over every pole step and v_p(2s + deg) over every
     degree step; f and the Bezout cofactor are taken at that N, not at the
     model's M."""
-    from affine_chabauty.hyperelliptic import _f_adic_digits, _frobenius_numerator
+    from affine_chabauty.hyperelliptic import _f_adic_digits
     from affine_chabauty.padics import _vp
 
     p, K, d = m.p, m.K, m.deg
@@ -503,7 +566,7 @@ def _frobenius_reference(m):
     at_N = copy.copy(m)  # m with f, and so the Bezout cofactor, at precision N
     at_N.M, at_N.f = N, [PadicNumber.from_rational(c, p, N) for c in m.f_rational[: d + 1]]
     fint = [c.residue(N) for c in at_N.f]
-    num = _frobenius_numerator(fint, p, K, N)
+    num = single_layer_numerator(fint, p, K, N)
     digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
     t = [c.residue(N) for c in at_N._bezout()]
     runs = [_reduce_reference(m, digits, p * i + p - 1, top, fint, t, N, tp) for i in range(m.dim)]

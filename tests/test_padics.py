@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from affine_chabauty.errors import NonSeparableReduction, NotAUnit, ZeroInput
+from affine_chabauty.errors import NeedsOverride, NonSeparableReduction, NotAUnit, ZeroInput
 from affine_chabauty.models import LambdaRecord
 from affine_chabauty.numberfield import NumberField, hensel_embed, lambda_valuation
 from affine_chabauty.padics import (
     PadicNumber,
+    _horner_mod,
     _vp,
     iwasawa_log,
     parse_padic,
@@ -223,6 +224,38 @@ def test_hensel_embed_nonseparable():
     # x^2 - 7 mod 7 has the double root 0
     with pytest.raises(NonSeparableReduction):
         hensel_embed([-7, 0, 1], 7, N)
+
+
+def test_hensel_embed_scans_each_prime_once_and_keeps_its_verdict(monkeypatch):
+    """One field at several primes: the roots mod each p are scanned once, later
+    calls lift (only the asked residues) from the stored scan and raise the same
+    errors, and lambda_valuation reads the same scan."""
+    from affine_chabauty import numberfield
+
+    calls = []
+
+    def counting(cs, x, p):
+        calls.append(p)
+        return _horner_mod(cs, x, p)
+
+    monkeypatch.setattr(numberfield, "_horner_mod", counting)
+    k = NumberField([-7, 0, 1])  # x^2 - 7: split at 3, inert at 5, a double root at 7
+    for _ in range(3):
+        assert sorted(e.residue() for e in hensel_embed(list(k.minpoly), 3, N, k)) == [1, 2]
+        assert [e.residue() for e in hensel_embed(list(k.minpoly), 3, N, k, {2})] == [2]
+        assert hensel_embed(list(k.minpoly), 5, N, k) == []
+        with pytest.raises(NonSeparableReduction, match="repeated root 0"):
+            hensel_embed(list(k.minpoly), 7, N, k)
+    assert sorted(calls) == [3] * 5 + [5] * 5 + [7] * 8  # 2 + 3 roots, 5, 7 + 1 root
+    g = NumberField([3, 0, 2])  # 2x^2 + 3: its leading coefficient is 0 mod 2
+    for _ in range(2):
+        with pytest.raises(NonSeparableReduction, match="leading coefficient"):
+            hensel_embed(list(g.minpoly), 2, N, g)
+    lam = k.gen() - 1  # residue 1 at 3: v = v(sqrt 7 - 1) = v(6) = 1 at the embedding with g = 1
+    assert lambda_valuation(lam, 3, 1, 1, 1) == 1
+    assert lambda_valuation(lam, 3, 1, 1, 2) == 0
+    with pytest.raises(NeedsOverride, match="no embedding with residue 0"):
+        lambda_valuation(lam, 3, 1, 1, 0)
 
 
 def test_log_rational_power():

@@ -2,8 +2,9 @@
 derivative and antiderivative, series composition, lifting an x-coordinate
 to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
 the residue-disc series and the disc locus built on PadicNumbers (the
-references for the model's int kernel and the engine's int locus), and the
-intersection of Psi with the fibre components."""
+references for the model's int kernel and the engine's int locus), the
+single-layer Frobenius numerator and its digits (the reference for the graded
+ones), and the intersection of Psi with the fibre components."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -12,7 +13,10 @@ from math import ceil
 from affine_chabauty import series as series_module
 from affine_chabauty.errors import (ChabautyError, IndistinguishableFromZero, PoleOnDisc,
                                     PrecisionLoss)
-from affine_chabauty.hyperelliptic import Point
+from affine_chabauty import hyperelliptic
+from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _f_adic_digits,
+                                           _frobenius_numerator, _int_pmul, _int_pmul_stride,
+                                           _int_series_inv, _int_sub)
 from affine_chabauty.integration import _dot
 from affine_chabauty.models import enumerate_reduction_types
 from affine_chabauty.padics import INF, PadicNumber, _vp, horner, nth_root, sqrt
@@ -449,3 +453,66 @@ def disc_locus_differences(engine) -> tuple:
             counts["p_divides_k_plus_1"] += rho.order >= p
     return diffs, counts
 
+
+
+# -- the single-layer Frobenius numerator --------------------------------------
+
+
+def single_layer_numerator(f, p, K, N, alpha=Fraction(-1, 2)):
+    """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(alpha, k) and u = f(x^p) -
+    f^p: every term at the one precision p^N, by the kernel's binary splitting."""
+    mod = p ** N
+    fpow = [[1]]  # f^m for m <= p and every F-exponent, all <= (K + 1) / 2
+    for _ in range(max(p, K // 2 + 1)):
+        fpow.append(_int_pmul(fpow[-1], f, mod))
+    u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
+    c, ck = [], Fraction(1)
+    for k in range(K + 1):
+        c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
+        ck = ck * (alpha - k) / (k + 1)
+    return _frobenius_numerator(c, fpow, u, p, mod)
+
+
+def single_layer_tower(f, size, mod):
+    """(f^(2^k), inverse of its reversal) mod mod, each inverse by Newton from one
+    term, as long as a poly of length size needs."""
+    gs = [f]
+    while 2 * (len(gs[-1]) - 1) < size:
+        gs.append(_int_pmul(gs[-1], gs[-1], mod))
+    lengths = [len(g) - 1 for g in gs[:-1]] + [size - len(gs[-1]) + 1]
+    return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
+
+
+def single_layer_digits(f, p, K, N, alphas, size):
+    """The reference for hyperelliptic._numerator_digits, same arguments and result:
+    each numerator at one precision p^N, converted on one tower of f mod p^N."""
+    nums = [single_layer_numerator(f, p, K, N, alpha) for alpha in alphas]
+    tower = single_layer_tower(f, max([size] + [len(num) for num in nums]), p ** N)
+    return [_f_adic_digits(num, f, p ** N, tower) for num in nums], tower
+
+
+def single_layer_frobenius(m):
+    """The FrobeniusData of a fresh copy of the model m, its numerator digits taken
+    by single_layer_digits."""
+    fresh = HyperellipticModel(m.f_rational, m.p, m.prec, m.n)
+    kernel = hyperelliptic._numerator_digits
+    hyperelliptic._numerator_digits = single_layer_digits
+    try:
+        return fresh.frobenius_data()
+    finally:
+        hyperelliptic._numerator_digits = kernel
+
+
+def frobenius_differences(m) -> list:
+    """Where the FrobeniusData of m differs from single_layer_frobenius(m): matrix
+    entries as (v, u, N), the dagger ints, trunc_prec, headroom, a_p, #C(F_p), or
+    the error that m alone raised."""
+    want = single_layer_frobenius(m)
+    try:
+        got = m.frobenius_data()
+    except ChabautyError as e:
+        return [f"raised {type(e).__name__}: {e}"]
+    out = [name for name in ("dagger", "trunc_prec", "headroom", "a_p", "point_count")
+           if getattr(got, name) != getattr(want, name)]
+    return out + [f"matrix[{i}][{j}]" for i, (row, ref) in enumerate(zip(got.matrix, want.matrix))
+                  for j, (a, b) in enumerate(zip(row, ref)) if _vun(a) != _vun(b)]
