@@ -161,25 +161,24 @@ class Engine:
                 total += corr.coeffs.get(cid, Fraction(0)) * Fraction(i_l)
         return total
 
-    @staticmethod
-    def _divisor(gen: MWGenerator) -> list:
-        return [((pt.x, pt.y), m) for pt, m in gen.divisor]
-
     def generator_integrals(self, gen: MWGenerator) -> list:
-        if gen.id not in self._gen_int_cache:
-            divisor = self._divisor(gen)
-            self._gen_int_cache[gen.id] = [self.integrator.divisor_integral(omega, divisor)
-                                           for omega in self.problem.curve.basis()]
-        return self._gen_int_cache[gen.id]
+        if gen.id not in self._gen_int_cache:  # [integrals, H terms once pairing_H asks]
+            self._gen_int_cache[gen.id] = [[self.integrator.divisor_integral(omega, gen.divisor)
+                                            for omega in self.problem.curve.basis()], None]
+        return self._gen_int_cache[gen.id][0]
 
     def pairing_H(self, gen: MWGenerator, omega: LogDifferential) -> PadicNumber:
         """H(G, omega) = int_G omega - sum_(Q,phi,lambda) phi(Res) i_lambda(Psi) log phi(pi)."""
         return _dot(omega.coeffs, self.generator_integrals(gen)) - self._H_correction(gen, omega)
 
     def _H_correction(self, gen: MWGenerator, omega: LogDifferential) -> PadicNumber:
-        psi = [(lam, self.psi_lambda(gen, lam)) for lam in self.model.lambdas]
-        return self._residue_log_sum(
-            omega, self._lambda_terms((lam, i_l) for lam, i_l in psi if i_l != 0))
+        """The log terms of H; psi depends on neither sigma nor omega, so its
+        terms are built once per generator, next to the generator's integrals."""
+        record = self._gen_int_cache[gen.id]
+        if record[1] is None:
+            psi = [(lam, self.psi_lambda(gen, lam)) for lam in self.model.lambdas]
+            record[1] = self._lambda_terms((lam, i_l) for lam, i_l in psi if i_l != 0)
+        return self._residue_log_sum(omega, record[1])
 
     # -- matrix assembly --------------------------------------------------------------
 
@@ -279,17 +278,13 @@ class Engine:
         roots = root_sets[0]
         for other in root_sets[1:]:
             roots = [(t, m) for (t, m) in roots
-                     if any(self._same_root(t, t2) for t2, _ in other)]
+                     if any(t.compare(t2) != "distinct" for t2, _ in other)]
         out = []
         for t, mult in roots:
             xv = exp.xs.evaluate(t)
             yv = exp.ys.evaluate(t)
             out.append(DiscRoot(t=t, x=xv, y=yv, matched=self._match_known(xv, yv)))
         return DiscLocus(disc, "ok", bound=bound, roots=out)
-
-    @staticmethod
-    def _same_root(t1: PadicNumber, t2: PadicNumber) -> bool:
-        return t1.compare(t2) != "distinct"
 
     def _match_known(self, xv: PadicNumber, yv: PadicNumber):
         candidates = list(self.known_points)
@@ -417,7 +412,7 @@ class Engine:
         each divisor's first point and skip the pair from it to itself."""
         out = []
         for gen in self.generators:
-            for base, pt, _ in self.integrator.divisor_pairs(self._divisor(gen)):
+            for base, pt, _ in self.integrator.divisor_pairs(gen.divisor):
                 vec = self.integrator.cached_vector(base, pt)
                 if vec is not None:
                     out.append({"from": [str(c) for c in base], "to": [str(c) for c in pt],
@@ -509,11 +504,8 @@ class Engine:
             good = True
             for q, fib in self.model.fibres.items():
                 want = sigma.component_choice.get(q)
-                if want is None:
-                    if q in cusp_at:
-                        continue
-                    good = False
-                    break
+                if want is None:  # a cusp choice: q is in cusp_at
+                    continue
                 pid = getattr(pt, "id", None)
                 vec = fib.incidences.get(pid or "")
                 if vec is None:

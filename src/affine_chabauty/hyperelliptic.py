@@ -30,9 +30,9 @@ from operator import mul
 from .curves import reduction_defect
 from .errors import BadReduction, DifferentDiscs, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
-from .padics import (INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, horner,
-                     nth_root, teichmuller)
-from .series import IntSeries, Subordination, antiderivative
+from .padics import (PadicNumber, _horner_mod, _normal, _taylor_shift, _vp, hensel_lift_root,
+                     horner, nth_root, teichmuller)
+from .series import _ZERO, IntSeries, Subordination, antiderivative
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
@@ -282,9 +282,7 @@ class HyperellipticModel:
         packed = _pack(flat, width)
 
         def out(c):
-            x = PadicNumber.from_int(c, p, cap + L)
-            return PadicNumber.unknown_zero(p, cap) if x.is_zero() else \
-                PadicNumber(p, x.v - L, x.u, cap)
+            return PadicNumber(p, *_normal(c, -L, cap, p))
 
         def divide(cs, k):  # n cs / k, exactly on the stored ints
             a = _vp(k, p)
@@ -431,10 +429,7 @@ class HyperellipticModel:
         x, y, zs = pt.x.residue(N + S), pt.y.residue(N + S), self._z_powers(pt)
         A = pow(y, n - self.basis[i][1], R) * \
             _horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R) % R
-        if not A:
-            return PadicNumber.unknown_zero(p, N)
-        v = _vp(A, p)
-        return PadicNumber(p, v - S, A // p ** v, N)
+        return PadicNumber(p, *_normal(A, -S, N, p))
 
     def _z_powers(self, pt: Point) -> list:
         """The powers z^k of z = 1/y^n at pt, for every k a dagger column reads, once
@@ -739,11 +734,7 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
     p = center.x.p
     mod, x0 = p ** M, center.x.residue(M)
     G = _taylor_shift([c.residue(M) for c in g], x0, mod)  # G(s) = g(x0 + s)
-    zero, pc, cx = (INF, 0, INF), (1, 1, M), (center.x.v, center.x.u, center.x.N)
-
-    def coeff(C, e, N):  # (v, u, N) of p^e C to absolute precision N; C is exact mod p^(N - e)
-        v = _vp(C, p) if C else N
-        return (v + e, C // p ** v % p ** (N - v - e), N) if v + e < N else (N, 0, N)
+    pc, cx = (1, 1, M), (center.x.v, center.x.u, center.x.N)
 
     def series(cs, offset, exact=False):
         return IntSeries(p, cs, Subordination(1, offset), exact)
@@ -761,20 +752,20 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
             F = (_int_sub(F, [0, 1], mod) + [0] * k)[len(E):k]  # G(E) - w = 0 mod w^len(E)
             E += [-c % mod for c in _int_pmul(F, _int_series_inv(D, k - len(E), mod), mod,
                                               0, k - len(E))]
-        X, xs = [x0] + E[1:], [cx] + [zero] * (T - 1)
+        X, xs = [x0] + E[1:], [cx] + [_ZERO] * (T - 1)
         for q in range(1, R):
-            xs[n * q] = coeff(X[q], n * q, M + n * q - 1)
+            xs[n * q] = _normal(X[q], n * q, M + n * q - 1, p)
         for i, b in basis:  # X' X^i / s^b = s^(n-1-b) sum_q m_q w^q
             m = _int_pmul(ints[i - 1, b], X, mod, 0, len(X) - 1) if i else \
                 [n * q * C for q, C in enumerate(X) if q]  # exact mod p^(M + v_p(q))
-            cs = [zero] * (T - 1 - b)
+            cs = [_ZERO] * (T - 1 - b)
             for q, C in enumerate(m):
                 j = n - 1 - b + n * q
                 if j < len(cs) and (x0 or q >= i):
-                    cs[j] = coeff(C, j + 1, M + j + (0 if i else _vp(q + 1, p)))
+                    cs[j] = _normal(C, j + 1, M + j + (0 if i else _vp(q + 1, p)), p)
             ints[i, b] = [c % mod for c in m]
             monos.append(series(cs, 1))
-        return series(xs, 0), series([zero, pc] + [zero] * (T - 2), 0, True), monos
+        return series(xs, 0), series([_ZERO, pc] + [_ZERO] * (T - 2), 0, True), monos
     # affine: x = x0 + s, z = G^(-1/n) by Newton (dividing by the unit n), y = G z^(n-1)
     z, ninv = [pow(center.y.residue(M), -1, mod)], pow(n, -1, mod)
     while len(z) < T:
@@ -789,11 +780,11 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
         zs.append(_int_pmul(zs[-1], z, mod, 0, T))
     Y = _int_pmul(G, zs[-1], mod, 0, T)
     lift = not x0 and G[1] % p == 0  # y_1 = p g_1 / (n y0^(n-1)) carried at M + 1
-    ys = [coeff(C, k, M + max(k - 1, 0) + (lift and k == 1)) for k, C in enumerate(Y)]
+    ys = [_normal(C, k, M + max(k - 1, 0) + (lift and k == 1), p) for k, C in enumerate(Y)]
     for i, b in basis:  # x^i dx/y^b = p (x0 + s)^i z^b dt
         prev = ints.get((i - 1, b))
         m = ints[i, b] = [(x0 * c + d) % mod for c, d in zip(prev, [0] + prev)] if i else \
             zs[b - 1][:T - 1]
-        monos.append(series([coeff(C, k + 1, M + k + (lift and k == i + 1)) if x0 or k >= i
-                             else zero for k, C in enumerate(m)], 1))
-    return series([cx, pc] + [zero] * (T - 2), 0, True), series(ys, 0), monos
+        monos.append(series([_normal(C, k + 1, M + k + (lift and k == i + 1), p)
+                             if x0 or k >= i else _ZERO for k, C in enumerate(m)], 1))
+    return series([cx, pc] + [_ZERO] * (T - 2), 0, True), series(ys, 0), monos

@@ -29,6 +29,15 @@ def _vp(n, p: int) -> int:
     return v
 
 
+def _normal(c: int, e: int, N: int, p: int) -> tuple:
+    """(v, u, N) of p^e c + O(p^N) for an int c, as a PadicNumber stores it:
+    (N, 0, N) when p^N divides p^e c.  The one normal form of an int."""
+    while c and not c % p:
+        c //= p
+        e += 1
+    return (e, c % p ** (N - e), N) if c and e < N else (N, 0, N)
+
+
 def _horner_mod(cs, t: int, m: int) -> int:
     """Value at t of the integer polynomial cs (ascending) modulo m."""
     acc = 0
@@ -78,13 +87,7 @@ class PadicNumber:
     def from_int(cls, n: int, p: int, N: int) -> "PadicNumber":
         if N >= INF:
             raise ValueError("finite precision required")
-        if n == 0:
-            return cls.exact_zero(p)
-        v = _vp(n, p)
-        if v >= N:
-            return cls.unknown_zero(p, N)
-        u = (n // p ** v) % p ** (N - v)
-        return cls(p, v, u, N)
+        return cls(p, *_normal(n, 0, N, p)) if n else cls.exact_zero(p)
 
     @classmethod
     def from_rational(cls, x, p: int, N: int) -> "PadicNumber":
@@ -171,13 +174,7 @@ class PadicNumber:
             w, s = self.v, self.u + o.u * p ** (o.v - self.v)
         else:
             w, s = o.v, self.u * p ** (self.v - o.v) + o.u
-        s %= p ** (N - w)
-        if s == 0:
-            return PadicNumber.unknown_zero(p, N)
-        dv = _vp(s, p)
-        if w + dv >= N:
-            return PadicNumber.unknown_zero(p, N)
-        return PadicNumber(p, w + dv, s // p ** dv, N)
+        return PadicNumber(p, *_normal(s % p ** (N - w), w, N, p))
 
     __radd__ = __add__
 
@@ -187,7 +184,8 @@ class PadicNumber:
         return PadicNumber(self.p, self.v, -self.u % self.p ** (self.N - self.v), self.N)
 
     def __sub__(self, other):
-        o = self._coerce(other, add=True)
+        o = other if type(other) is PadicNumber and other.p == self.p \
+            else self._coerce(other, add=True)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -251,9 +249,7 @@ class PadicNumber:
         """Truncate (never extend) the stored precision to N."""
         if N >= self.N:
             return self
-        if self.u == 0 or self.v >= N:
-            return PadicNumber.unknown_zero(self.p, N)
-        return PadicNumber(self.p, self.v, self.u % self.p ** (N - self.v), N)
+        return PadicNumber(self.p, *_normal(self.u, self.v, N, self.p))
 
     # -- comparisons -------------------------------------------------------
 

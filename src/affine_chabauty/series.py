@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .errors import IndistinguishableFromZero, PrecisionLoss, ZeroInput
-from .padics import INF, PadicNumber, _horner_mod, _taylor_shift, _vp, hensel_lift_root, nth_root
+from .padics import (INF, PadicNumber, _horner_mod, _normal, _taylor_shift, _vp, hensel_lift_root,
+                     nth_root)
 
 _BIG = INF // 2
 
@@ -92,22 +93,16 @@ class IntSeries:
         v, u, N = _ZERO
         for vc, uc, Nc in reversed(self.cs):
             if v < INF:  # acc * t
-                N, v, u = min(v + Nt, vt + N), v + vt, u * ut
-                if v >= N:
-                    v, u = N, 0
+                v, u, N = _normal(u * ut, v + vt, min(v + Nt, vt + N), p)
             if vc < INF:  # + c
                 if v >= INF:
                     v, u, N = vc, uc, Nc
                     continue
                 N, w = min(N, Nc), min(v, vc)
-                acc = (u * p ** (v - w) + uc * p ** (vc - w)) % p ** (N - w)
-                d = _vp(acc, p) if acc else N - w
-                v, u = w + d, acc // p ** d
-            elif v < INF:
-                u %= p ** (N - v)
+                v, u, N = _normal((u * p ** (v - w) + uc * p ** (vc - w)) % p ** (N - w), w, N, p)
         err = max(int(ceil((vt + self.bound.slope) * self.order + self.bound.offset)), 1)
         if not self.exact and N > err:
-            v, u, N = (v, u % p ** (err - v), err) if u and v < err else (err, 0, err)
+            v, u, N = _normal(u, v, err, p)
         return PadicNumber(p, v, u, N)
 
 
@@ -138,9 +133,7 @@ def dot(coeffs, series) -> IntSeries:
                 if uc and ua:
                     parts.append((vc + va, uc * ua))
         w = min((v for v, _ in parts), default=N)
-        acc = sum(x * p ** (v - w) for v, x in parts) % p ** (N - w) if w < N else 0
-        d = _vp(acc, p) if acc else 0
-        cs.append((w + d, acc // p ** d, N) if acc else (N, 0, N))
+        cs.append(_normal(sum(x * p ** (v - w) for v, x in parts), w, N, p))
     bounds = [(s.bound.slope, s.bound.offset + c.v) if c.v < INF else (1, _BIG)
               for c, s in pairs]
     return IntSeries(p, cs, Subordination(min(b for b, _ in bounds), min(o for _, o in bounds)),
@@ -155,13 +148,8 @@ def antiderivative(f: IntSeries, const: PadicNumber | None = None) -> IntSeries:
     cs = [_ZERO if const is None else (const.v, const.u, const.N)]
     for k, (v, u, N) in enumerate(f.cs[:-1], 1):
         e = _vp(k, p)
-        if v >= INF:
-            cs.append(_ZERO)
-        elif u:
-            m = p ** (N - v)
-            cs.append((v - e, u * pow(k // p ** e, -1, m) % m, N - e))
-        else:
-            cs.append((N - e, 0, N - e))
+        cs.append(_ZERO if v >= INF else
+                  _normal(u * pow(k // p ** e, -1, p ** (N - v)), v - e, N - e, p))
     # v(c_(n-1) / n) >= slope (n - 1) + offset - v_p(n) and v_p(n) <= n/4 + 2 for p >= 3
     slope, offset = f.bound.slope - Fraction(1, 4), f.bound.offset - f.bound.slope - 2
     return IntSeries(p, cs, Subordination(slope, min(offset, cs[0][0])),
@@ -323,8 +311,7 @@ def strassmann_roots(f: IntSeries) -> StrassmannResult:
     g = [u * p ** (v - m) if u else 0 for v, u, _ in cs]
     Ns = [INF if N >= INF else (N if u else max(N, ceil(f.bound.at(n)))) - m
           for n, (_, u, N) in enumerate(cs)]
-    roots = [(PadicNumber.exact_zero(p) if n >= INF else PadicNumber.from_int(r, p, n) if r
-              else PadicNumber.unknown_zero(p, n), 1)
+    roots = [(PadicNumber.exact_zero(p) if n >= INF else PadicNumber(p, *_normal(r, 0, n, p)), 1)
              for r, n in _isolate(p, (g, Ns, f.bound.slope, f.bound.offset - m, f.exact),
                                   min(N for _, _, N in f.cs) + 2)]
     if len(roots) > star:

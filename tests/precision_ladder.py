@@ -1,15 +1,20 @@
-"""Precision ladder: a solve report against the same solve at a higher precision.
+"""Precision ladder: a solve or verify report against the same run at a higher precision.
 
     python tests/precision_ladder.py LOW.json HIGH.json
 
-Exits 1 and names each field if a matrix, kernel, c, t, x or y value printed in
-LOW contradicts HIGH (compared by `parse_padic` to the lesser of the two
-precisions), or if a disc has a different number of roots.  A reduction type
-or disc that only one report holds counts as a difference.
+For two solve reports, exits 1 and names each field if a matrix, kernel, c, t, x
+or y value printed in LOW contradicts HIGH (compared by `parse_padic` to the
+lesser of the two precisions), or if a disc has a different number of roots.  A
+reduction type or disc that only one report holds counts as a difference.
+
+For two verify reports, exits 1 if either report fails, if their (point, sigma)
+rows differ, if their determinant subsets differ, or if a determinant's
+precision is lower in HIGH than in LOW.
 """
 
 import json
 import sys
+from itertools import zip_longest
 
 from affine_chabauty.padics import parse_padic
 
@@ -49,9 +54,20 @@ def contradictions(low: dict, high: dict) -> list[str]:
     return out + [f"{label}: missing at the lower precision" for label in types]
 
 
+def verify_differences(low: dict, high: dict) -> list[str]:
+    out = [f"{name} report fails" for name, r in (("LOW", low), ("HIGH", high)) if not r["pass"]]
+    rows = ([(x["point"], x["sigma"]) for x in r["points"]] for r in (low, high))
+    out += [f"(point, sigma) row {a} against {b}" for a, b in zip_longest(*rows) if a != b]
+    if [d["points"] for d in low["determinants"]] != [d["points"] for d in high["determinants"]]:
+        return out + ["the determinant subsets differ"]
+    return out + [f"determinant {d['points']}: precision {d['precision']} falls to {e['precision']}"
+                  for d, e in zip(low["determinants"], high["determinants"])
+                  if e["precision"] < d["precision"]]
+
+
 def main(argv) -> int:
     low, high = (json.loads(open(path).read()) for path in argv)
-    bad = contradictions(low, high)
+    bad = (verify_differences if "determinants" in low else contradictions)(low, high)
     for line in bad:
         print(f"{argv[0]} vs {argv[1]}: {line}")
     return 1 if bad else 0

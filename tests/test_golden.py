@@ -277,6 +277,25 @@ def test_precision_ladder_flags_a_contradicted_digit_and_a_lost_root():
         assert len(contradictions(report, high)) == 1
 
 
+def test_precision_ladder_flags_a_failing_verify_a_changed_row_and_a_lost_digit():
+    """The verify half of tests/precision_ladder.py, run on the prec 6 and 10 verify reports."""
+    from precision_ladder import verify_differences
+
+    report = json.loads((GOLDEN / "hyperelliptic_6081b.verify.json").read_text())
+    assert verify_differences(report, report) == []
+    for change in ("fail", "row", "subset", "precision"):
+        high = json.loads(json.dumps(report))
+        if change == "fail":
+            high["pass"] = False
+        elif change == "row":
+            high["points"][0]["sigma"] = "Sigma(3:E2, 2027:D0)"
+        elif change == "subset":
+            high["determinants"].pop()
+        else:
+            high["determinants"][0]["precision"] -= 1
+        assert len(verify_differences(report, high)) == 1, change
+
+
 if __name__ == "__main__":
     (GOLDEN / "disc_layer.json").write_text(json.dumps(_disc_layer(), indent=1))
     (GOLDEN / "model_disc_layer.json").write_text(json.dumps(_model_disc_layer(), indent=1))

@@ -8,8 +8,10 @@ from affine_chabauty.errors import NeedsOverride, NonSeparableReduction, NotAUni
 from affine_chabauty.models import LambdaRecord
 from affine_chabauty.numberfield import NumberField, hensel_embed, lambda_valuation
 from affine_chabauty.padics import (
+    INF,
     PadicNumber,
     _horner_mod,
+    _normal,
     _vp,
     iwasawa_log,
     parse_padic,
@@ -85,6 +87,7 @@ def test_add_fast_path_matches_the_coerce_path():
             for x, y in ((a, b), (b, a)):
                 slow = x + _ViaCoerce(y.p, y.v, y.u, y.N)
                 assert _vun(x + y) == _vun(slow) == _vun(_add_reference(x, y)), (x, y)
+                assert _vun(x - y) == _vun(x - _ViaCoerce(y.p, y.v, y.u, y.N)), (x, y)
     with pytest.raises(ValueError):
         num(3) + PadicNumber.from_int(3, 5, 6)
     with pytest.raises(ValueError):
@@ -95,6 +98,62 @@ def test_add_fast_path_matches_the_coerce_path():
             zero + rational
         with pytest.raises(ValueError):
             rational + zero
+
+
+def _from_int_reference(n, p, N_):
+    """PadicNumber.from_int as it normalized a nonzero int before padics._normal."""
+    v = _vp(n, p)
+    return (N_, 0, N_) if v >= N_ else (v, (n // p ** v) % p ** (N_ - v), N_)
+
+
+def _at_precision_reference(v, u, N_):
+    """PadicNumber.at_precision of a stored (v, u, .) cut to N_, before padics._normal."""
+    return (N_, 0, N_) if u == 0 or v >= N_ else (v, u % P ** (N_ - v), N_)
+
+
+def _dagger_tail_reference(A, S, N_, p):
+    """The tail of dagger_eval for A mod p^(N_ + S), before padics._normal."""
+    if not A:
+        return (N_, 0, N_)
+    v = _vp(A, p)
+    return (v - S, A // p ** v, N_)
+
+
+def test_normal_form_against_its_definition_and_the_forms_it_replaced():
+    rng = random.Random(24)
+    for p in (2, 3, 7, 23):
+        for _ in range(600):
+            e, N_ = rng.randrange(-4, 6), rng.randrange(-3, 14)
+            k = rng.randrange(0, max(N_ - e, 0) + 4)  # p^k | c, k beyond N - e too
+            unit = rng.randrange(1, p ** 4)
+            unit += not unit % p
+            c = 0 if rng.random() < 0.1 else rng.choice((1, -1)) * p ** k * unit
+            for a in (c, c % p ** max(N_ - e, 0)):  # and c mod p^(N - e), as dagger_eval reads
+                if a:
+                    assert _normal(a, 0, N_, p) == _from_int_reference(a, p, N_) \
+                        == _vun(PadicNumber.from_int(a, p, N_))
+                if e <= 0 and 0 <= a < p ** (N_ - e):
+                    assert _normal(a, e, N_, p) == _dagger_tail_reference(a, -e, N_, p)
+            v, u, N2 = _normal(c, e, N_, p)
+            x = Fraction(c) * Fraction(p) ** e  # p^e c
+            assert N2 == N_
+            if x == 0 or _vp(x, p) >= N_:
+                assert (v, u, N2) == (N_, 0, N_), (p, c, e, N_)
+            else:
+                assert u % p and 0 < u < p ** (N_ - v), (p, c, e, N_)
+                d = Fraction(u) * Fraction(p) ** v - x
+                assert d == 0 or _vp(d, p) >= N_, (p, c, e, N_)
+    for _ in range(400):  # a stored (v, u, N) cut to a lower precision
+        v = rng.randrange(-3, 8)
+        N0 = v + rng.randrange(1, 10)
+        u = rng.randrange(1, P ** (N0 - v))
+        u = 0 if rng.random() < 0.1 else u - (not u % P)
+        x = PadicNumber(P, N0, 0, N0) if u == 0 else PadicNumber(P, v, u, N0)
+        for N_ in range(v - 2, N0):
+            assert _normal(x.u, x.v, N_, P) == _at_precision_reference(x.v, x.u, N_)
+            assert _vun(x.at_precision(N_)) == _at_precision_reference(x.v, x.u, N_)
+    assert _vun(PadicNumber.exact_zero(P).at_precision(5)) == (5, 0, 5)
+    assert PadicNumber.from_int(0, P, 5).v == INF
 
 
 def test_mul_precision_rule():
