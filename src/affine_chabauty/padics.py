@@ -174,7 +174,7 @@ class PadicNumber:
             w, s = self.v, self.u + o.u * p ** (o.v - self.v)
         else:
             w, s = o.v, self.u * p ** (self.v - o.v) + o.u
-        return PadicNumber(p, *_normal(s % p ** (N - w), w, N, p))
+        return PadicNumber(p, *_normal(s, w, N, p))
 
     __radd__ = __add__
 

@@ -99,7 +99,7 @@ class IntSeries:
                     v, u, N = vc, uc, Nc
                     continue
                 N, w = min(N, Nc), min(v, vc)
-                v, u, N = _normal((u * p ** (v - w) + uc * p ** (vc - w)) % p ** (N - w), w, N, p)
+                v, u, N = _normal(u * p ** (v - w) + uc * p ** (vc - w), w, N, p)
         err = max(int(ceil((vt + self.bound.slope) * self.order + self.bound.offset)), 1)
         if not self.exact and N > err:
             v, u, N = _normal(u, v, err, p)
