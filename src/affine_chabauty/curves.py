@@ -36,29 +36,23 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _separable(fbar, p) -> bool:
-    """Whether the integer polynomial fbar is squarefree mod p: gcd(f, f') = 1 over Fp."""
-    a = [c % p for c in fbar]
-    b = [(k * c) % p for k, c in enumerate(fbar)][1:]
-    while any(b):
-        while a and a[-1] % p == 0:
-            a.pop()
-        while b and b[-1] % p == 0:
-            b.pop()
-        if not b:
-            break
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], -1, p)
-        shift = len(a) - len(b)
-        c = a[-1] * inv % p
-        for k in range(len(b)):
-            a[k + shift] = (a[k + shift] - c * b[k]) % p
-        a.pop()
-    while a and a[-1] % p == 0:
-        a.pop()
-    return len(a) == 1
+def _inverse_mod_p(a, f, p):
+    """b with a b = 1 mod (f, p) and deg b < deg f, or None when a and f share a
+    factor mod p (f of positive degree mod p): the extended Euclid over F_p."""
+    def sub(u, v, c=0, k=0):  # u - c x^k v mod p, without leading zeros
+        u = u + [0] * (k + len(v) - len(u))
+        u[k:k + len(v)] = [x - c * y for x, y in zip(u[k:], v)]
+        while u and not u[-1] % p:
+            u.pop()
+        return [x % p for x in u]
+
+    (r0, s0), (r1, s1) = (sub(f, []), []), (sub(a, []), [1])  # r_i = s_i a mod f
+    while r1:
+        while len(r0) >= len(r1):
+            c, k = r0[-1] * pow(r1[-1], -1, p), len(r0) - len(r1)
+            r0, s0 = sub(r0, r1, c, k), sub(s0, s1, c, k)
+        (r0, s0), (r1, s1) = (r1, s1), (r0, s0)
+    return [c * pow(r0[0], -1, p) % p for c in s0] if len(r0) == 1 else None
 
 
 def reduction_defect(g, n: int, p: int) -> str | None:
@@ -72,7 +66,7 @@ def reduction_defect(g, n: int, p: int) -> str | None:
     gbar = [c.numerator * pow(c.denominator, -1, p) % p for c in map(Fraction, g)]
     if not gbar[-1]:
         return "leading coefficient must be a unit"
-    if not _separable(gbar, p):
+    if _inverse_mod_p([k * c for k, c in enumerate(gbar)][1:], gbar, p) is None:
         return f"discriminant of f vanishes mod {p}"
     return None
 
@@ -296,6 +290,7 @@ def make_curve(family: str, **kw) -> CurveFamily:
 class KnownPoint:
     x: Fraction
     y: Fraction
+    id: str = ""
 
     def __iter__(self):
         return iter((self.x, self.y))

@@ -36,19 +36,9 @@ DETERMINANT_SUBSETS = 200  # point subsets per cuspidal part checked by verify()
 
 
 @dataclass
-class NamedPoint:
-    id: str
-    x: Fraction
-    y: Fraction
-
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-
-@dataclass
 class MWGenerator:
     id: str
-    divisor: list          # [(NamedPoint, multiplicity)], degree zero, support in Y
+    divisor: list          # [(KnownPoint, multiplicity)], degree zero, support in Y
 
 
 @dataclass
@@ -131,9 +121,6 @@ class Engine:
         # PadicNumber * 1 keeps v, u and N, so the unit coefficient moves no digit
         return [(cusp, self.problem.logs(cusp, val), 1) for cusp in self.problem.curve.cusps
                 if (val := ug.values.get(cusp.id)) is not None and not val.is_zero()]
-
-    def base_pair(self):
-        return (self.problem.base_point.x, self.problem.base_point.y)
 
     # -- the Chabauty condition ---------------------------------------------------
 
@@ -262,7 +249,7 @@ class Engine:
         if disc.cuspidal:
             return DiscLocus(disc, "cuspidal", reason="boundary disc excluded from search")
         I = self.integrator
-        base = self.base_pair()
+        base = self.problem.base_point
         try:
             center = I.disc_center(disc)
             root_sets = []
@@ -287,12 +274,7 @@ class Engine:
         return DiscLocus(disc, "ok", bound=bound, roots=out)
 
     def _match_known(self, xv: PadicNumber, yv: PadicNumber):
-        candidates = list(self.known_points)
-        bp = self.problem.base_point
-        if not any(Fraction(pt.x) == bp.x and Fraction(pt.y) == bp.y
-                   for pt in candidates):
-            candidates.append(NamedPoint("P0", bp.x, bp.y))
-        for pt in candidates:
+        for pt in [*self.known_points, self.problem.base_point]:
             okx = xv.compare(Fraction(pt.x)) != "distinct" if not xv.is_exact_zero() \
                 else Fraction(pt.x) == 0
             oky = yv.compare(Fraction(pt.y)) != "distinct" if not yv.is_exact_zero() \
@@ -305,12 +287,12 @@ class Engine:
 
     def determinant_criterion(self, labeled_points) -> PadicNumber:
         """det( int_P0^Pi omega_j - c(P0, Sigma_i, omega_j) ) for points sharing a
-        cuspidal part; labeled_points is [(point-pair, ReductionType)]."""
+        cuspidal part; labeled_points is [(point (x, y), ReductionType)]."""
         basis = self.problem.curve.basis()
         size = len(basis)
         if len(labeled_points) != size:
             raise ValueError(f"need exactly {size} points")
-        base = self.base_pair()
+        base = self.problem.base_point
         rows = []
         for pt, sigma in labeled_points:
             st = self.type_record(sigma).target
@@ -433,7 +415,7 @@ class Engine:
         types = enumerate_reduction_types(self.problem, self.model)
         rows = []
         groups: dict = {}      # cuspidal part -> [(point, its first compatible type)]
-        base = self.base_pair()
+        base = self.problem.base_point
         for pt in self.known_points:
             point = [str(pt.x), str(pt.y)]
             if not self.problem.curve.contains(pt.x, pt.y):
@@ -451,7 +433,7 @@ class Engine:
             for sigma in candidates:
                 try:
                     tr = self.locus_record(sigma)
-                    residuals = [self.integrator.integral(om, base, (pt.x, pt.y)) - c
+                    residuals = [self.integrator.integral(om, base, pt) - c
                                  for om, c in zip(tr.kernel[1], tr.constants)]
                 except ChabautyError as e:
                     best = best or {"point": point, "sigma": sigma.label,
@@ -476,8 +458,7 @@ class Engine:
         dets = []
         for members in groups.values():
             for subset in islice(combinations(members, size), DETERMINANT_SUBSETS):
-                det = self.determinant_criterion(
-                    [((pt.x, pt.y), sigma) for pt, sigma in subset])
+                det = self.determinant_criterion(subset)
                 dets.append({
                     "points": [[str(pt.x), str(pt.y)] for pt, _ in subset],
                     "valuation": "inf" if det.is_zero() else det.v,
@@ -506,8 +487,7 @@ class Engine:
                 want = sigma.component_choice.get(q)
                 if want is None:  # a cusp choice: q is in cusp_at
                     continue
-                pid = getattr(pt, "id", None)
-                vec = fib.incidences.get(pid or "")
+                vec = fib.incidences.get(pt.id)
                 if vec is None:
                     vec = fib.incidences.get(f"({pt.x},{pt.y})")
                 if vec is None:

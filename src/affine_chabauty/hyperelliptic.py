@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from .curves import reduction_defect
+from .curves import _inverse_mod_p, reduction_defect
 from .errors import BadReduction, DifferentDiscs, EndpointRestriction, PrecisionExceeded
 from .linalg import padic_det, padic_solve
 from .padics import (PadicNumber, _horner_mod, _normal, _taylor_shift, _vp, hensel_lift_root,
@@ -228,7 +228,7 @@ class HyperellipticModel:
         m = N - L - 1
         Kp = min(K, m - 1)  # K': the terms k >= m vanish mod p^m
         fm = [c.residue(m) for c in self.f]
-        fint, t_bez = ([c.residue(N) for c in cs] for cs in (self.f, self._bezout()))
+        fint, t_bez = [c.residue(N) for c in self.f], self._bezout()
         zero = PadicNumber.exact_zero(p)
         shifts = [p * i + p - 1 for i in range(d - 1)]
         # one tower of f^(2^k) mod p^m for every numerator and every x^shift
@@ -337,24 +337,17 @@ class HyperellipticModel:
             results.append(([out(c) for c in P] + [out(0)] * (d - 1 - len(P)), poles, yparts))
         return results
 
-    def _bezout(self):
-        """t of some s*f + t*f' = 1 (solvable since disc(f) is a unit)."""
-        p = self.p
-        fprime = [c * k for k, c in enumerate(self.f)][1:]
-        ns, nt = self.deg - 1, self.deg
-        size = ns + nt
-        rows = []
-        rhs = []
-        zero = PadicNumber.exact_zero(p)
-        for r in range(size):
-            row = []
-            for k in range(ns):
-                row.append(self.f[r - k] if 0 <= r - k <= self.deg else zero)
-            for k in range(nt):
-                row.append(fprime[r - k] if 0 <= r - k <= self.deg - 1 else zero)
-            rows.append(row)
-            rhs.append(PadicNumber.from_int(1, p, self.M) if r == 0 else zero)
-        return padic_solve(rows, rhs)[ns:]
+    def _bezout(self) -> list:
+        """t with t f' = 1 mod f, deg t < deg f, as ints mod p^M (disc f is a unit):
+        f'^-1 mod (f, p) by the extended Euclid, lifted by Newton's t <- t (2 - f' t) mod f."""
+        mod = self.p ** self.M
+        f = [c.residue(self.M) for c in self.f]
+        fprime = [k * c % mod for k, c in enumerate(f)][1:]
+        t = _inverse_mod_p(fprime, f, self.p)
+        for _ in range(self.M.bit_length()):  # after k steps t is right mod p^(2^k)
+            err = _int_divmod_f(_int_pmul(fprime, t, mod), f, mod)[1]
+            t = _int_divmod_f(_int_pmul(t, _int_sub([2], err, mod), mod), f, mod)[1]
+        return t
 
     def _verify(self, matrix):
         p = self.p
@@ -670,13 +663,17 @@ def _int_divmod_f(poly, f, mod):
     return q, [c % mod for c in rem[:d]]
 
 
-def _int_series_inv(a, n, mod, h=()):
-    """1/a mod x^n, a(0) a unit, by Newton iteration from h = 1/a mod x^len(h)."""
-    h = list(h) or [pow(a[0], -1, mod)]
+def _int_series_inv(a, n, mod, h=(), r=1):
+    """a^(-1/r) mod x^n, a(0) and r units, by Newton's iteration h <- h + h (1 - a h^r) / r
+    from h = a^(-1/r) mod x^len(h), by default 1/a(0) for r = 1."""
+    h, rinv = list(h) or [pow(a[0], -1, mod)], pow(r, -1, mod)
     while len(h) < n:
         k = min(2 * len(h), n)
-        err = _int_pmul(a[:k], h, mod, len(h), k)  # a h = 1 + x^len(h) err
-        h += _int_pmul([-c % mod for c in err], h, mod, 0, k - len(h))
+        hr = h
+        for _ in range(r - 1):
+            hr = _int_pmul(hr, h, mod, 0, k)
+        err = _int_pmul(a[:k], hr, mod, len(h), k)  # a h^r = 1 + x^len(h) err
+        h += _int_pmul([-c * rinv % mod for c in err], h, mod, 0, k - len(h))
     return h
 
 
@@ -766,15 +763,8 @@ def _local_parametrization(g, n: int, center: Point, M: int, T: int, basis) -> t
             ints[i, b] = [c % mod for c in m]
             monos.append(series(cs, 1))
         return series(xs, 0), series([_ZERO, pc] + [_ZERO] * (T - 2), 0, True), monos
-    # affine: x = x0 + s, z = G^(-1/n) by Newton (dividing by the unit n), y = G z^(n-1)
-    z, ninv = [pow(center.y.residue(M), -1, mod)], pow(n, -1, mod)
-    while len(z) < T:
-        k = min(2 * len(z), T)
-        zn = z
-        for _ in range(n - 1):
-            zn = _int_pmul(zn, z, mod, 0, k)
-        err = _int_pmul(G, zn, mod, len(z), k)  # G z^n = 1 + s^len(z) err
-        z += _int_pmul([-c * ninv % mod for c in err], z, mod, 0, k - len(z))
+    # affine: x = x0 + s, z = G^(-1/n) from 1/y0, y = G z^(n-1)
+    z = _int_series_inv(G, T, mod, [pow(center.y.residue(M), -1, mod)], n)
     zs = [z]
     for _ in range(n - 2):
         zs.append(_int_pmul(zs[-1], z, mod, 0, T))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curves import CurveProblem, KnownPoint, _is_prime, make_curve
-from .engine import Engine, MWGenerator, NamedPoint, UnitGenerator
+from .engine import Engine, MWGenerator, UnitGenerator
 from .errors import ProblemFileError
 from .linalg import RationalMatrix
 from .models import ComponentData, FibreData, LambdaRecord, RegularModelData
@@ -104,6 +104,12 @@ class _Record:
         value = self.raw(key, default)
         return value if value is default else _int(value, self.at(key))
 
+    def positive(self, key, default=_REQUIRED) -> int:
+        value = self.int(key, default)
+        if value < 1:
+            raise ProblemFileError(f"field {self.at(key)!r} must be positive, got {value}")
+        return value
+
     def fracs(self, key) -> list:
         return _fracs(self.raw(key), self.at(key))
 
@@ -149,13 +155,13 @@ def build_engine(data: dict, p_override: int | None = None,
     S = [_prime(q, f"arithmetic.S[{i}]") for i, q in enumerate(arith.ints("S"))]
 
     bp = doc.record("base_point")
-    base = KnownPoint(bp.frac("x"), bp.frac("y"))
+    base = KnownPoint(bp.frac("x"), bp.frac("y"), "P0")
     problem = CurveProblem(curve=curve, base_point=base, S=S, p=p, prec=prec,
                            label=doc.get("label", str, "problem"))
 
-    points = {"P0": NamedPoint("P0", base.x, base.y)}
+    points = {"P0": base}
     for rec in doc.records("points"):
-        pt = NamedPoint(rec.get("id", str), rec.frac("x"), rec.frac("y"))
+        pt = KnownPoint(rec.frac("x"), rec.frac("y"), rec.get("id", str))
         if not curve.contains(pt.x, pt.y):
             raise ProblemFileError(f"point {pt.id} is not on the curve")
         points[pt.id] = pt
@@ -204,7 +210,7 @@ def build_engine(data: dict, p_override: int | None = None,
     known = []
     for i, xy in enumerate(doc.get("known_points", list, [])):
         x, y = _pair(xy, "a known point", f"known_points[{i}]")
-        kp = NamedPoint(f"({xy[0]},{xy[1]})", x, y)
+        kp = KnownPoint(x, y, f"({xy[0]},{xy[1]})")
         if not curve.contains(kp.x, kp.y):
             raise ProblemFileError(f"known point {xy} is not on the curve")
         known.append(kp)
@@ -217,7 +223,7 @@ def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
     fibres = {}
     for rec in block.records("fibres"):
         q = rec.prime("prime")
-        comps = [ComponentData(c.get("id", str), c.int("multiplicity"),
+        comps = [ComponentData(c.get("id", str), c.positive("multiplicity"),
                                c.get("has_smooth_point", bool, True))
                  for c in rec.records("components")]
         rows = [_fracs(row, f"{rec.at('intersection_matrix')}[{i}]")
@@ -240,7 +246,7 @@ def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
         incidences = rec.record("component_incidences", {})
         lambdas.append(LambdaRecord(
             id=lid, cusp=cusp, over_prime=rec.prime("over_prime"),
-            e=rec.int("e", 1), f=rec.int("f", 1),
+            e=rec.positive("e", 1), f=rec.positive("f", 1),
             generator=gen,
             gen_exponent=rec.frac("exponent", Fraction(1)),
             split_residue=rec.int("split_residue", None),

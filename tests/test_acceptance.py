@@ -313,7 +313,7 @@ def test_criterion_7_pseudoinverse_and_H(eng51):
 def test_criterion_8_determinant_criterion(eng51):
     types = enumerate_reduction_types(eng51.problem, eng51.model)
     sigma = types[0]
-    base = eng51.base_pair()
+    base = eng51.problem.base_point
     rows = {}
     from affine_chabauty.models import selmer_target
     basis = eng51.problem.curve.basis()

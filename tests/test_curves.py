@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from affine_chabauty.curves import (
     EvenHyperellipticCurve,
     KnownPoint,
     SuperellipticCurve,
+    _inverse_mod_p,
     make_curve,
 )
 from affine_chabauty.errors import BadReduction, ProblemFileError, UnsupportedFamily
@@ -149,3 +151,70 @@ def test_counts_match_chabauty_inputs():
                         S=[], p=7, prec=10)
     counts = prob.counts()
     assert counts == {"g": 2, "n": 2, "num_cusps": 2, "n1": 2, "n2": 0}
+
+
+def _separable_reference(fbar, p) -> bool:
+    """The squarefree test that _inverse_mod_p replaced: gcd(f, f') = 1 over F_p."""
+    a = [c % p for c in fbar]
+    b = [(k * c) % p for k, c in enumerate(fbar)][1:]
+    while any(b):
+        while a and a[-1] % p == 0:
+            a.pop()
+        while b and b[-1] % p == 0:
+            b.pop()
+        if not b:
+            break
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        inv = pow(b[-1], -1, p)
+        shift = len(a) - len(b)
+        c = a[-1] * inv % p
+        for k in range(len(b)):
+            a[k + shift] = (a[k + shift] - c * b[k]) % p
+        a.pop()
+    while a and a[-1] % p == 0:
+        a.pop()
+    return len(a) == 1
+
+
+def _mul(a, b, p):
+    """a b over F_p."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return [c % p for c in prod]
+
+
+def _mul_mod(a, b, f, p):
+    """a b mod (f, p) as deg f coefficients."""
+    prod = _mul(a, b, p) + [0] * len(f)
+    d, inv = len(f) - 1, pow(f[-1], -1, p)
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i] * inv % p
+        for k, fk in enumerate(f):
+            prod[i - d + k] -= c * fk
+    return [c % p for c in prod[:d]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
+def test_inverse_mod_p_is_the_squarefree_test_and_an_inverse(p):
+    """_inverse_mod_p(f', f, p) is None exactly when the reference finds f not
+    squarefree mod p.  For a random a it returns b with a b = 1 mod (f, p) and
+    deg b < deg f, or None; times a common factor g it returns None."""
+    rng = random.Random(p)
+    inverses = 0
+    for _ in range(300):
+        d = rng.randrange(1, 8)
+        f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        fprime = [k * c for k, c in enumerate(f)][1:]
+        assert (_inverse_mod_p(fprime, f, p) is not None) == _separable_reference(f, p), f
+        a = [rng.randrange(p) for _ in range(rng.randrange(12))]
+        b = _inverse_mod_p(a, f, p)
+        if b is not None:
+            inverses += 1
+            assert len(b) <= d and _mul_mod(a, b, f, p) == [1] + [0] * (d - 1), (a, f)
+        g = [rng.randrange(p), 1]
+        assert _inverse_mod_p(_mul(a, g, p), _mul(f, g, p), p) is None
+    assert inverses > 100

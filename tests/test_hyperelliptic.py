@@ -15,7 +15,8 @@ from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
                            padic_disc_series, padic_series, poly_of_series, series_claims,
-                           single_layer_digits, single_layer_numerator, single_layer_tower)
+                           single_layer_digits, single_layer_numerator, single_layer_tower,
+                           sylvester_bezout)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -141,7 +142,7 @@ def test_tiny_integrals_to_the_own_teichmueller_point_are_exact_zeros():
                           prec_override=PREC)
     I = engine.integrator
     m = I.main_model()
-    P = m.point(*engine.base_pair())
+    P = m.point(*engine.problem.base_point)
     T = m.teichmueller_point(P)
     assert [(v.v, v.u, v.N) for v in m.tiny_basis_integrals(P, T)] == [(INF, 0, INF)] * m.dim
 
@@ -393,6 +394,57 @@ def test_an_extended_tower_converts_like_a_fresh_one():
             assert _f_adic_digits(poly, f12, p ** 12, got) == _f_adic_digits(poly, f12, p ** 12)
 
 
+def _root_inverse_reference(G, T, mod, z0, n):
+    """The z = G^(-1/n) loop that _local_parametrization ran before it called
+    _int_series_inv(G, T, mod, [z0], n)."""
+    from affine_chabauty.hyperelliptic import _int_pmul
+
+    z, ninv = [z0], pow(n, -1, mod)
+    while len(z) < T:
+        k = min(2 * len(z), T)
+        zn = z
+        for _ in range(n - 1):
+            zn = _int_pmul(zn, z, mod, 0, k)
+        err = _int_pmul(G, zn, mod, len(z), k)  # G z^n = 1 + s^len(z) err
+        z += _int_pmul([-c * ninv % mod for c in err], z, mod, 0, k - len(z))
+    return z
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_int_series_inv_takes_the_r_th_root_of_the_inverse_like_the_inline_loop(r):
+    """_int_series_inv(a, T, mod, [h0], r), h0^r a(0) = 1, equals the loop it
+    replaced, and a h^r = 1 mod x^T; for r = 1 the default start 1/a(0) too."""
+    from affine_chabauty.hyperelliptic import _int_pmul, _int_series_inv
+
+    rng = random.Random(r)
+    for p, N, T in ((7, 12, 1), (7, 12, 13), (13, 20, 48), (37, 10, 33)):
+        mod = p ** N
+        h0 = (rng.randrange(1, p) + p * rng.randrange(mod)) % mod
+        a = [pow(h0, -r, mod)] + _random_poly(rng, T + 3, mod)
+        h = _int_series_inv(a, T, mod, [h0], r)
+        assert h == _root_inverse_reference(a, T, mod, h0, r)
+        hr = [1]
+        for _ in range(r):
+            hr = _int_pmul(hr, h, mod, 0, T)
+        assert _int_pmul(a, hr, mod, 0, T) == [1] + [0] * (T - 1)
+        if r == 1:
+            assert _int_series_inv(a, T, mod) == h
+
+
+@pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
+                                            ("hyperelliptic_6081b", 23, 16),
+                                            ("hyperelliptic_6081b", 47, 12),
+                                            ("superelliptic_a1", 7, 12),
+                                            ("superelliptic_a1", 37, 8)])
+def test_lifted_bezout_cofactor_equals_the_sylvester_solve(fixture, p, prec):
+    """_bezout lifts f'^-1 mod (f, p) by Newton to the t of the Sylvester system
+    s f + t f' = 1 mod p^M; t is unique with deg t < deg f."""
+    curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
+    m = HyperellipticModel(curve.g, p, prec, curve.n)
+    t = m._bezout()
+    assert len(t) <= m.deg and (t + [0] * m.deg)[:m.deg] == sylvester_bezout(m)
+
+
 @pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
                                             ("hyperelliptic_6081b", 23, 12),
                                             ("superelliptic_a1", 7, 12),
@@ -437,7 +489,7 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
     p, M = m.p, m.M
     mod = p ** M
     f = [c.residue(M) for c in m.f]
-    t = [c.residue(M) for c in m._bezout()]
+    t = m._bezout()
     # d(1/y^3) = -(3/2) f' dx/y^5: nothing left in cohomology, exact part 1/y^3
     dform = [-3 * k * c * pow(2, -1, mod) % mod for k, c in enumerate(f)][1:]
     col, poles, yparts = m._reduce([dform], [0], 2, f, t, M, 0, 10)[0]
@@ -456,7 +508,7 @@ def test_a_division_beyond_the_headroom_raises():
     m = model(QUARTIC)
     p, M = m.p, m.M
     f = [c.residue(M) for c in m.f]
-    t = [c.residue(M) for c in m._bezout()]
+    t = m._bezout()
     assert any(c % p for c in t)  # t f' = 1 mod f: t is a unit mod p
     # dx/y^9 = -d(2 t / (7 y^7)) + (...) dx/y^7: an exact part that needs one
     # digit more than L = 0 allows
@@ -568,7 +620,7 @@ def _frobenius_reference(m):
     fint = [c.residue(N) for c in at_N.f]
     num = single_layer_numerator(fint, p, K, N)
     digits = _f_adic_digits([c * p % mod for c in num], fint, mod)
-    t = [c.residue(N) for c in at_N._bezout()]
+    t = sylvester_bezout(at_N)
     runs = [_reduce_reference(m, digits, p * i + p - 1, top, fint, t, N, tp) for i in range(m.dim)]
     return [col for col, _, _ in runs], [(poles, yparts) for _, poles, yparts in runs]
 
@@ -662,7 +714,7 @@ def test_the_model_at_M_agrees_with_a_model_twelve_digits_higher(fixture, p):
     each center agree on their own digits with the model at prec + 12, and
     every integral from the base point reaches the truncation cap tp."""
     engine = load_problem(PROBLEMS / f"{fixture}.json", p_override=p)
-    curve, base = engine.problem.curve, engine.base_pair()
+    curve, base = engine.problem.curve, engine.problem.base_point
     low, high = (HyperellipticModel(curve.g, p, prec, curve.n) for prec in (4, 16))
     assert low.M == low.tp + 2 * low.L
     discs = list(zip(_claims_of_the_disc_layer(low, base), _claims_of_the_disc_layer(high, base)))

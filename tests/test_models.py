@@ -196,3 +196,23 @@ def test_fractional_hyperelliptic_coefficient_is_rejected():
     data["curve"]["f"][0] = "1/2"
     with pytest.raises(ProblemFileError, match="integer coefficients required"):
         build_engine(data)
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("cusp_primes", 0, "e"), 0, "model.cusp_primes[0].e"),
+    (("cusp_primes", 0, "f"), 0, "model.cusp_primes[0].f"),
+    (("cusp_primes", 0, "f"), -1, "model.cusp_primes[0].f"),
+    (("fibres", 0, "components", 1, "multiplicity"), 0,
+     "model.fibres[0].components[1].multiplicity"),
+])
+def test_non_positive_model_integers_are_rejected(path, value, where):
+    # e = 0 or f = 0 on inf+|3 used to load, and solve then ended complete: the only
+    # check that reads e f, check_pi_compatibility, skips groups where e f != degree
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    node = data["model"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == f"field {where!r} must be positive, got {value}"

@@ -4,7 +4,8 @@ to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
 the residue-disc series and the disc locus built on PadicNumbers (the
 references for the model's int kernel and the engine's int locus), the
 single-layer Frobenius numerator and its digits (the reference for the graded
-ones), and the intersection of Psi with the fibre components."""
+ones), the Bezout cofactor from a Sylvester solve (the reference for the lifted
+one), and the intersection of Psi with the fibre components."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,6 +19,7 @@ from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _f_adic_di
                                            _frobenius_numerator, _int_pmul, _int_pmul_stride,
                                            _int_series_inv, _int_sub)
 from affine_chabauty.integration import _dot
+from affine_chabauty.linalg import padic_solve
 from affine_chabauty.models import enumerate_reduction_types
 from affine_chabauty.padics import INF, PadicNumber, _vp, horner, nth_root, sqrt
 from affine_chabauty.series import (_BIG, IntSeries, StrassmannResult, Subordination,
@@ -412,7 +414,7 @@ def disc_locus_differences(engine) -> tuple:
     loci compared, of those whose omega has an exact-zero coefficient, and of
     those whose series order T reaches p (so some k + 1 = p^e w with e > 0)."""
     I, p = engine.integrator, engine.problem.p
-    base = engine.base_pair()
+    base = engine.problem.base_point
     pairs = [(om, PadicNumber.exact_zero(p), f"basis[{j}]")
              for j, om in enumerate(engine.problem.curve.basis())]
     for sigma in enumerate_reduction_types(engine.problem, engine.model):
@@ -491,10 +493,25 @@ def single_layer_digits(f, p, K, N, alphas, size):
     return [_f_adic_digits(num, f, p ** N, tower) for num in nums], tower
 
 
+def sylvester_bezout(m):
+    """The reference for m._bezout(): t of s f + t f' = 1, deg s < deg f - 1 and
+    deg t < deg f, from the Sylvester system over PadicNumbers at m's precision M,
+    as ints mod p^M."""
+    p, d, f = m.p, m.deg, m.f
+    fprime = [c * k for k, c in enumerate(f)][1:]
+    zero = PadicNumber.exact_zero(p)
+    rows = [[f[r - k] if 0 <= r - k <= d else zero for k in range(d - 1)]
+            + [fprime[r - k] if 0 <= r - k <= d - 1 else zero for k in range(d)]
+            for r in range(2 * d - 1)]
+    rhs = [PadicNumber.from_int(1, p, m.M)] + [zero] * (2 * d - 2)
+    return [c.residue(m.M) for c in padic_solve(rows, rhs)[d - 1:]]
+
+
 def single_layer_frobenius(m):
     """The FrobeniusData of a fresh copy of the model m, its numerator digits taken
-    by single_layer_digits."""
+    by single_layer_digits and its Bezout cofactor by sylvester_bezout."""
     fresh = HyperellipticModel(m.f_rational, m.p, m.prec, m.n)
+    fresh._bezout = lambda: sylvester_bezout(fresh)
     kernel = hyperelliptic._numerator_digits
     hyperelliptic._numerator_digits = single_layer_digits
     try:
