@@ -244,19 +244,20 @@ class Engine:
     def disc_locus(self, pairs, disc: ResidueDisc) -> DiscLocus:
         """Roots of int_P0^. omega = c on one disc, for a list of (omega, c) pairs.
 
-        Several pairs (a kernel of dimension > 1) intersect their root sets.
+        Only the constant int_P0^center omega - c is per type; omega's expansion
+        is shared.  Several pairs (a kernel of dimension > 1) intersect their root sets.
         """
         if disc.cuspidal:
             return DiscLocus(disc, "cuspidal", reason="boundary disc excluded from search")
         I = self.integrator
         base = self.problem.base_point
         try:
-            center = I.disc_center(disc)
             root_sets = []
             bound = None
             for omega, c in pairs:
-                const = I.integral(omega, base, center) - c
                 exp = I.expand_differential_on_disc(omega, disc)
+                center = exp.xs.padic(0), exp.ys.padic(0)
+                const = I.integral(omega, base, center) - c
                 res = strassmann_roots(antiderivative(exp.series, const))
                 root_sets.append(res.roots)
                 bound = res.bound if bound is None else min(bound, res.bound)

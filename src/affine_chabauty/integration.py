@@ -28,7 +28,7 @@ from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces th
 @dataclass
 class DiscExpansion:
     """omega restricted to a non-cuspidal disc:  series(t) dt, on the disc
-    parametrization (xs, ys) it was built on."""
+    parametrization (xs, ys) it was built on, centered at t = 0."""
 
     series: IntSeries
     xs: IntSeries
@@ -48,7 +48,7 @@ class Integrator:
         self.imported = {self._pair_key(P, Q): values for P, Q, values in imported}
         self._model: HyperellipticModel | None = None
         self._pair_cache: dict = {}
-        self._disc_cache: dict = {}
+        self._expansions: dict = {}
 
     # -- model access --------------------------------------------------------
 
@@ -110,25 +110,19 @@ class Integrator:
     def residue_discs(self) -> list[ResidueDisc]:
         return self.curve.residue_discs(self.p)
 
-    def _disc_point(self, disc: ResidueDisc) -> Point:
-        """disc as a point known mod p: all the model reads to find a disc."""
-        if disc.cuspidal:
-            raise PoleOnDisc("cuspidal discs have no integration center")
-        return Point(*(PadicNumber.from_int(c, self.p, 1) for c in (disc.xbar, disc.ybar)))
-
     def disc_center(self, disc: ResidueDisc):
-        """Canonical (Teichmueller-type) center of a non-cuspidal disc."""
-        T = self.main_model().teichmueller_point(self._disc_point(disc))
-        return T.x, T.y
+        """Canonical (Teichmueller-type) center of a non-cuspidal disc: t = 0 of its series."""
+        xs, ys, *_ = self._disc_series(disc)
+        return xs.padic(0), ys.padic(0)
 
     def _disc_series(self, disc: ResidueDisc) -> list:
         """x(t), y(t) and the family's basis monomials on disc, from the model's
-        disc_series, cut to order 2 prec once per disc."""
-        pt, key = self._disc_point(disc), (disc.xbar, disc.ybar)
-        if key not in self._disc_cache:
-            xs, ys, ms = self.main_model().disc_series(pt)
-            self._disc_cache[key] = [s.truncate(2 * self.prec) for s in (xs, ys, *self._pick(ms))]
-        return self._disc_cache[key]
+        disc_series, cut to order 2 prec."""
+        if disc.cuspidal:
+            raise PoleOnDisc("cuspidal discs have no integration center")
+        pt = Point(*(PadicNumber.from_int(c, self.p, 1) for c in (disc.xbar, disc.ybar)))
+        xs, ys, ms = self.main_model().disc_series(pt)
+        return [s.truncate(2 * self.prec) for s in (xs, ys, *self._pick(ms))]
 
     def disc_parametrization(self, disc: ResidueDisc):
         """Series (x(t), y(t)) to order 2 prec around the canonical center;
@@ -138,10 +132,14 @@ class Integrator:
 
     def expand_differential_on_disc(self, omega: LogDifferential,
                                     disc: ResidueDisc) -> DiscExpansion:
-        """omega|disc = series dt in the disc parameter: one int dot product of
-        omega's coefficients with the basis series per coefficient (series.dot)."""
-        xs, ys, *terms = self._disc_series(disc)
-        return DiscExpansion(dot(omega.coeffs, terms), xs, ys)
+        """omega|disc = series dt in the disc parameter: one int dot product per
+        coefficient (series.dot), built once per disc and (v, u, N) of omega."""
+        key = (disc.xbar, disc.ybar, *((c.v, c.u, c.N) if isinstance(c, PadicNumber) else c
+                                       for c in omega.coeffs))
+        if key not in self._expansions:
+            xs, ys, *terms = self._disc_series(disc)
+            self._expansions[key] = DiscExpansion(dot(omega.coeffs, terms), xs, ys)
+        return self._expansions[key]
 
     # -- tiny integrals ------------------------------------------------------------
 

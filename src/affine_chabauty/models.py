@@ -309,15 +309,19 @@ def check_pi_compatibility(problem: CurveProblem, model: RegularModelData) -> No
         for q, group in by_q.items():
             rho = Fraction(model.rho.get(q, q))
             efsum = sum(lam.e * lam.f for lam in group)
-            if efsum != cusp.nfield.degree:
+            if efsum > cusp.nfield.degree:
+                raise ProblemFileError(
+                    f"the records over {q} at cusp {cusp.id} have sum of e f = {efsum}, "
+                    f"above the degree {cusp.nfield.degree} of the cusp field")
+            if efsum < cusp.nfield.degree:
                 # records do not list every prime over q; skip the identity check
                 continue
             for lam in group:
-                v = _vp(lam.generator.norm(), q)
-                if Fraction(v) * lam.gen_exponent != lam.f:
+                v = Fraction(_vp(lam.generator.norm(), q)) * lam.gen_exponent
+                if v != lam.f:
                     raise ProblemFileError(
-                        f"generator of {lam.id} has q-norm valuation {v}, "
-                        f"expected f/exponent = {lam.f}/{lam.gen_exponent}")
+                        f"pi of {lam.id}, its generator to the power {lam.gen_exponent}, "
+                        f"has q-norm valuation {v}, expected f = {lam.f}")
             gen_logs = [problem.logs(cusp, lam.generator) for lam in group]
             for k, target in enumerate(problem.logs(cusp, cusp.nfield(rho))):
                 diff = reduce(add, (logs[k] * lam.gen_exponent * lam.e

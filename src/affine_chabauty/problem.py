@@ -232,8 +232,12 @@ def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
             raise ProblemFileError(f"fibre over {q}: matrix shape mismatch")
         mat = RationalMatrix(rows)
         inc = rec.record("incidences", {})
-        fibres[q] = FibreData(prime=q, components=comps, matrix=mat,
-                              incidences={k: inc.fracs(k) for k in inc.data},
+        incidences = {k: inc.fracs(k) for k in inc.data}
+        for k, vec in incidences.items():
+            if len(vec) != len(comps):
+                raise ProblemFileError(f"field {inc.at(k)!r} must hold {len(comps)} entries, "
+                                       f"one per component, got {len(vec)}")
+        fibres[q] = FibreData(prime=q, components=comps, matrix=mat, incidences=incidences,
                               base_component=rec.get("base_component", str, ""))
     lambdas = []
     for rec in block.records("cusp_primes"):

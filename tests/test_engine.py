@@ -269,6 +269,49 @@ def test_solve_builds_each_disc_once(monkeypatch):
     assert len(calls) == len(eng.integrator.main_model()._discs) == 9
 
 
+def test_solve_expands_each_kernel_differential_once_per_disc(monkeypatch):
+    """The four reduction types of the hyperelliptic fixture share one kernel, so
+    series.dot runs once per (kernel differential, non-cuspidal disc), not once
+    per type; a disc center is t = 0 of the disc's series, equal to the
+    Teichmueller lift as (v, u, N), and reading it lifts nothing again."""
+    from affine_chabauty import integration
+    from affine_chabauty.hyperelliptic import HyperellipticModel, Point
+
+    dots, lifts = [], []
+    orig_dot, orig_lift = integration.dot, HyperellipticModel.teichmueller_point
+    monkeypatch.setattr(integration, "dot", lambda *a: dots.append(a) or orig_dot(*a))
+    monkeypatch.setattr(HyperellipticModel, "teichmueller_point",
+                        lambda self, pt: lifts.append(pt) or orig_lift(self, pt))
+    eng = load("hyperelliptic_6081b.json", p_override=7, prec_override=6)
+    report = eng.solve()
+    I = eng.integrator
+    discs = [d for d in I.residue_discs() if not d.cuspidal]
+    assert report["status"] == "complete" and len(report["reduction_types"]) == 4
+    assert len(eng._kernels) == 1
+    assert len(dots) == len(discs) * sum(len(k[1]) for k in eng._kernels.values())
+    lifts.clear()
+    centers = [I.disc_center(d) for d in discs]
+    assert lifts == []
+    p = I.p
+    for d, (x, y) in zip(discs, centers):
+        T = orig_lift(I.main_model(), Point(PadicNumber.from_int(d.xbar, p, 1),
+                                            PadicNumber.from_int(d.ybar, p, 1)))
+        assert (x.v, x.u, x.N, y.v, y.u, y.N) == (T.x.v, T.x.u, T.x.N, T.y.v, T.y.u, T.y.N)
+
+
+@pytest.mark.parametrize("fixture", ["hyperelliptic_6081b", "superelliptic_a1"])
+def test_a_type_solved_alone_reads_as_in_the_full_solve(fixture):
+    """Expansions shared between reduction types leak nothing from one type
+    into another: each type solved alone, on a fresh engine, gives the entry
+    of the full solve."""
+    full = load(f"{fixture}.json", p_override=7, prec_override=6).solve()
+    types = full["reduction_types"]
+    assert len(types) > 1
+    for i, entry in enumerate(types):
+        alone = load(f"{fixture}.json", p_override=7, prec_override=6).solve(sigma=i)
+        assert alone["reduction_types"][0] == entry
+
+
 def test_hyperelliptic_p23_solve_integrates_no_series_between_identical_points(monkeypatch):
     """Every tiny integral of the hyperelliptic solve at p = 23 runs from a point
     to itself (its own Teichmueller point, or a disc center to itself), and

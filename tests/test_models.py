@@ -216,3 +216,40 @@ def test_non_positive_model_integers_are_rejected(path, value, where):
     with pytest.raises(ProblemFileError) as e:
         build_engine(data)
     assert e.value.args[0] == f"field {where!r} must be positive, got {value}"
+
+
+@pytest.mark.parametrize("fibre, key, vec", [
+    (0, "P0", []), (0, "(1,3)", []), (0, "(1,3)", [0, 0, 1]), (0, "P2", [0, 0, 1, 0, 0]),
+    (1, "P1", []),
+])
+def test_incidence_vectors_of_the_wrong_length_are_rejected(fibre, key, vec):
+    # an empty vector for P0 or (1,3) used to raise an untyped ValueError from max()
+    # in solve and verify, and a shortened one loaded silently
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["model"]["fibres"][fibre]["incidences"][key] = vec
+    size = len(data["model"]["fibres"][fibre]["components"])
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == (f"field 'model.fibres[{fibre}].incidences.{key}' must hold "
+                               f"{size} entries, one per component, got {len(vec)}")
+
+
+def test_a_sum_of_e_f_above_the_cusp_degree_is_rejected():
+    # no set of primes over 3 has sum e f = 2 in the rational cusp field of inf+;
+    # "e": 2 on inf+|3 used to load, and solve then ended complete
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["model"]["cusp_primes"][0]["e"] = 2
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == ("the records over 3 at cusp inf+ have sum of e f = 2, "
+                               "above the degree 1 of the cusp field")
+
+
+def test_a_zero_exponent_is_rejected_with_the_valuation_of_pi():
+    # the message used to read "expected f/exponent = 1/0"
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["model"]["cusp_primes"][0]["exponent"] = 0
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == ("pi of inf+|3, its generator to the power 0, has q-norm "
+                               "valuation 0, expected f = 1")
