@@ -6,7 +6,8 @@ typed error or a report.
 Changes one leaf of the fixture's JSON at a time: an integer to 0, -1, v + 1
 and 10^6; a string to "0", "1/0", "", "abc" and "-1"; an array to [] and to
 itself without its last element (and then each of its entries); a boolean
-flipped.  Identical values, `label`, every `id` and `arithmetic.precision` are
+flipped.  A change that keeps the value or repeats another change of the
+same field is skipped, and `label`, every `id` and `arithmetic.precision` are
 left alone.  Each mutant is loaded, solved and verified at prec 6 at the
 fixture's p, and counted as
 
@@ -46,8 +47,8 @@ def mutants(node, path=()):
         changes = [[], node[:-1]]
     else:
         changes = []
-    for value in changes:
-        if value != node:
+    for i, value in enumerate(changes):
+        if value != node and value not in changes[:i]:
             yield path, value
     children = node.items() if isinstance(node, dict) else \
         enumerate(node) if isinstance(node, list) else ()
