@@ -197,8 +197,8 @@ class HyperellipticModel:
         denominators of the whole reduction of an integral form by p^L:
         L = floor(log_p(n top + b)) for the pole steps plus
         floor(log_p(n p (deg - 1) + (2n - 1) deg)) for the degree steps, at b = n - 1.
-        The digits enter _reduce times p^L, so its divisions are exact on ints.  A
-        reduction mod p^N adds p^(N-L) times an integral form, which the rest
+        _reduce scales the digits by p^(L+1), p^L and the p of phi, so its divisions
+        are exact on ints.  A reduction mod p^N adds p^(N-L) times an integral form, which the rest
         multiplies by at most p^-L: N = tp + 2L, the model's M, keeps tp digits
         (L = 3 and N = 24 at p = 23, prec 16, where summing every v_p gave 46).
 
@@ -219,6 +219,11 @@ class HyperellipticModel:
         U = u/p, needed only mod p^(m-h).  Radix conversion is linear, and exact over
         Z/p^j as f has a unit leading coefficient: the digits of num' mod p^m are
         those of A_0 moved up p(K' - h + 1) places plus p^h times those of A_1.
+
+        Both layers are shifted by x^(p - 1) before their conversion: the digits are
+        those of x^(p - 1) num', and _reduce takes each next basis element's from
+        the one before times x^p, one product by ceil((p + 1)/deg) digits and one
+        carry per digit mod p^m (the f-adic expansion is unique mod p^m).
         """
         p, K, d, n = self.p, self.K, self.deg, self.n
         tp, L, N = self.tp, self.L, self.M
@@ -231,15 +236,14 @@ class HyperellipticModel:
         fint, t_bez = [c.residue(N) for c in self.f], self._bezout()
         zero = PadicNumber.exact_zero(p)
         shifts = [p * i + p - 1 for i in range(d - 1)]
-        # one tower of f^(2^k) mod p^m for every numerator and every x^shift
+        # one tower of f^(2^k) mod p^m for every numerator times x^(p - 1), and for x^p
         nums, tower = _numerator_digits(fm, p, Kp, m, [Fraction(-b, n) for b in range(1, n)],
-                                        shifts[-1] + 1)
+                                        p + 1, shifts[0])
         matrix, dagger = [], []
         for b, num in enumerate(nums, 1):
-            digits = [[c * p ** (L + 1) for c in r] for r in num]
-            # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of num'
-            # start at level pK' + (p - 1)b/n
-            for col, poles, ys in self._reduce(digits, shifts, p * Kp + (p - 1) * b // n,
+            # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of x^(p - 1) num'
+            # start at level pK' + (p - 1)b/n, and _reduce scales them by p^(N-m) = p^(L+1)
+            for col, poles, ys in self._reduce(num, shifts, p * Kp + (p - 1) * b // n,
                                                fint, t_bez, N, L, tp, b, (p ** m, tower)):
                 # Frobenius keeps each eigenspace: exact zeros outside block b
                 matrix.append([zero] * (b - 1) * (d - 1) + col + [zero] * (n - 1 - b) * (d - 1))
@@ -249,15 +253,16 @@ class HyperellipticModel:
                              a_p=a_p, point_count=count)
 
     def _reduce(self, digits, shifts, top, f, t, M, L, cap, b=1, tower=None):
-        """Reduce  sum_j x^shift digits[j] dx / (p^L y^(b + n(top - j)))  to the basis
-        x^i dx/y^b for each shift in shifts, recording the exact parts.  Integer
-        polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.
-        tower, (p^m, _f_adic_tower of f mod p^m), gives the x^shift digits mod p^m:
-        enough when every digits[j] is 0 mod p^(M - m) (by default m = M).  A
-        stored int c stands for c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg
-        divides by its p-part exactly or raises PrecisionExceeded.  Per shift the
-        outputs are c / p^L to absolute precision cap, M >= cap + 2L: the column as
-        PadicNumbers, the exact parts as the ints c mod p^(cap + L)."""
+        """Reduce  p^(M-m) x^(s - shifts[0]) sum_j digits[j] dx / (p^L y^(b + n(top - j)))  to
+        the basis x^i dx/y^b for each shift s in shifts, recording the exact parts.
+        digits are the f-adic digits mod p^m of x^(shifts[0]) times a numerator;
+        tower, (p^m, _f_adic_tower of f mod p^m), converts x^(s - s') for consecutive
+        shifts s' < s (by default m = M).  Integer polynomials mod p^M; f is the
+        model's, t the cofactor of f' from _bezout.  A stored int c stands for
+        c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg divides by its p-part
+        exactly or raises PrecisionExceeded.  Per shift the outputs are c / p^L to
+        absolute precision cap, M >= cap + 2L: the column as PadicNumbers, the exact
+        parts as the ints c mod p^(cap + L)."""
         p, d, n = self.p, self.deg, self.n
         mod, keep = p ** M, p ** (cap + L)
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
@@ -271,15 +276,9 @@ class HyperellipticModel:
                 raise PrecisionExceeded("f does not divide P - B f' to the working precision")
             maps.append([(B + [0] * d)[:d], (Q + [0] * d)[:d]])
         Bcols, Qcols = (list(zip(*cols)) for cols in zip(*maps))  # R -> B and R -> Q
-        # D: the f-adic digits of x^shift sum_j digits[j] f^j, from one product of
-        # the digit sequences of x^shift and of the sum and one carry per digit;
-        # the sum's sequence is packed once for every shift
-        w = 2 * d - 1
-        xdigits = [_f_adic_digits([0] * s + [1], f, *(tower or (mod,))) for s in shifts]
-        flat, *xflats = ([c for r in rs for c in r + [0] * (w - len(r))]
-                         for rs in [digits] + xdigits)
-        width = _slot_width(mod, min(len(flat), max(map(len, xflats))))
-        packed = _pack(flat, width)
+        # per level m: k = b + n(m - 1) and n/k mod p^M, or None where p | k
+        steps = [(m, k, n * pow(k, -1, mod) if k % p else None)
+                 for m, k in ((m, b + n * (m - 1)) for m in range(top, 0, -1))]
 
         def out(c):
             return PadicNumber(p, *_normal(c, -L, cap, p))
@@ -294,22 +293,19 @@ class HyperellipticModel:
 
         frac = (n - b) * pow(n, -1, mod) % mod
         results = []
-        for xflat in xflats:
-            prod = _unpack(packed * _pack(xflat, width), len(flat) + len(xflat) - 1, width, mod)
-            D, carry = [], []
-            for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
-                q, r = _int_divmod_f(prod[j:j + w], f, mod)
-                D.append(_int_padd(r, carry, mod))
-                carry = q
+        modm, tower = tower or (mod, None)
+        for Dm in _shifted_digits(digits, shifts, [c % modm for c in f], modm, tower):
+            D = [[c * (mod // modm) for c in r] for r in Dm]
             poles = []   # (m, poly): exact part  poly(x) / y^(b + n(m-1))
             yparts = []  # (s, coeff): exact part  coeff * x^s * y^(n-b)
             C = []  # what the steps above m left in degree < deg
-            for m in range(top, 0, -1):
+            for m, k, inv in steps:
                 # level m holds (H f + R) dx/y^(b+nm), and H f dx/y^(b+nm) is H dx/y^(b+n(m-1));
                 # with R = B f' + Q f, B = R t mod f, k = b + n(m-1), R dx/y^(b+nm) =
                 # (Q + n B'/k) dx/y^k - d(n B / (k y^k))
                 R = _int_padd(D[top - m] if top - m < len(D) else [], C, mod)
-                B = divide([sum(map(mul, R, col)) for col in Bcols], b + n * (m - 1))
+                B = [sum(map(mul, R, col)) for col in Bcols]
+                B = [c * inv % mod for c in B] if inv else divide(B, k)
                 C = [sum(map(mul, R, col)) for col in Qcols]
                 for k in range(1, d):
                     C[k - 1] += k * B[k]
@@ -351,9 +347,7 @@ class HyperellipticModel:
 
     def _verify(self, matrix):
         p = self.p
-        tr = matrix[0][0]
-        for i in range(1, self.dim):
-            tr = tr + matrix[i][i]
+        tr = sum((matrix[i][i] for i in range(1, self.dim)), matrix[0][0])
         count, at_infinity = self._point_count_fp()
         # the log classes see the n points at infinity: Frobenius acts on their
         # degree-zero combinations by p times its permutation of the points
@@ -514,16 +508,9 @@ class HyperellipticModel:
             return [PadicNumber.exact_zero(p)] * self.dim
         frob = self.frobenius_data()
         rhs = [b - a for a, b in zip(self._dagger_vector(TP), self._dagger_vector(TQ))]
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                if i == j:
-                    row.append(PadicNumber.from_int(1, p, self.M) - frob.matrix[i][j])
-                else:
-                    row.append(-frob.matrix[i][j])
-            rows.append(row)
-        return padic_solve(rows, rhs)
+        one = PadicNumber.from_int(1, p, self.M)
+        return padic_solve([[one - c if i == j else -c for j, c in enumerate(row)]
+                            for i, row in enumerate(frob.matrix)], rhs)
 
 
 # -- integer polynomial helpers (the Frobenius kernel, mod p^N) ----------------
@@ -584,10 +571,10 @@ def _int_pmul_stride(a, g, p, mod):
     return out
 
 
-def _numerator_digits(f, p, K, N, alphas, size):
-    """The f-adic digits mod p^N of num = sum_k c_k u^k f^(p(K-k)), c_k = binomial(alpha,
-    k) and u = f(x^p) - f^p, so that (1 + u/f^p)^alpha = num / f^(pK) to K terms, per
-    p-adic integer alpha in alphas, in the two layers of
+def _numerator_digits(f, p, K, N, alphas, size, shift):
+    """The f-adic digits mod p^N of x^shift num, num = sum_k c_k u^k f^(p(K-k)), c_k =
+    binomial(alpha, k) and u = f(x^p) - f^p, so that (1 + u/f^p)^alpha = num / f^(pK) to
+    K terms, per p-adic integer alpha in alphas, in the two layers of
     HyperellipticModel._compute_frobenius, and the tower of f mod p^N they share,
     which covers polys of length size too."""
     h = (K + 2) // 2
@@ -602,24 +589,52 @@ def _numerator_digits(f, p, K, N, alphas, size):
         Uh = _int_pmul(Uh, Uh, mod1)
         if bit == "1":
             Uh = _int_pmul(Uh, U, mod1)
-    d = len(f) - 1  # A_0 and A_1 have lengths p d (h - 1) + 1 and p d K + 1
-    tower = _f_adic_tower(f, max(size, p * d * (h - 1) + 1), mod)
-    upper = _f_adic_tower(f, p * d * K + 1, mod1, tower)
+    d = len(f) - 1  # A_0 and A_1 have lengths p d (h - 1) + 1 and p d K + 1 before the shift
+    tower = _f_adic_tower(f, max(size, p * d * (h - 1) + 1 + shift), mod)
+    upper = _f_adic_tower(f, p * d * K + 1 + shift, mod1, tower)
     out = []
     for alpha in alphas:
         c, ck = [], Fraction(1)
         for k in range(K + 1):
             c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
             ck = ck * (alpha - k) / (k + 1)
-        A1 = _int_pmul(Uh, _frobenius_numerator([a % mod1 for a in c[h:]], fpow1, u1, p, mod1),
-                       mod1)
+        A1 = [0] * shift + _int_pmul(
+            Uh, _frobenius_numerator([a % mod1 for a in c[h:]], fpow1, u1, p, mod1), mod1)
         digits = [[a * p ** h for a in r] for r in _f_adic_digits(A1, f, mod1, upper)]
-        A0 = _frobenius_numerator(c[:h], fpow, u, p, mod)
+        A0 = [0] * shift + _frobenius_numerator(c[:h], fpow, u, p, mod)
         for j, r in enumerate(_f_adic_digits(A0, f, mod, tower), p * (K - h + 1)):
             digits += [[]] * (j + 1 - len(digits))
             digits[j] = _int_padd(digits[j], r, mod)
         out.append(digits)
     return out, tower
+
+
+def _shifted_digits(digits, shifts, f, mod, tower):
+    """Per shift s, the f-adic digits mod mod of x^(s - shifts[0]) sum_j digits[j] f^j:
+    each from the one before times x^(s - s'), s' the shift before, on the tower of f."""
+    out = [digits]
+    for prev, s in zip(shifts, shifts[1:]):
+        out.append(_digit_product(out[-1], _f_adic_digits([0] * (s - prev) + [1], f, mod, tower),
+                                  f, mod))
+    return out
+
+
+def _digit_product(a, b, f, mod):
+    """The f-adic digits mod mod of (sum_j a_j f^j)(sum_k b_k f^k), a and b digit lists:
+    one Kronecker product with 2 deg f - 1 slots per digit, then one carry per digit,
+    trailing zero digits trimmed."""
+    w = 2 * len(f) - 3
+    fa, fb = ([c for r in rs for c in r + [0] * (w - len(r))] for rs in (a, b))
+    width = _slot_width(mod, min(len(fa), len(fb)))
+    prod = _unpack(_pack(fa, width) * _pack(fb, width), len(fa) + len(fb) - 1, width, mod)
+    D, carry = [], []
+    for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
+        q, r = _int_divmod_f(prod[j:j + w], f, mod)
+        D.append(_int_padd(r, carry, mod))
+        carry = q
+    while D and not any(D[-1]):
+        D.pop()
+    return D
 
 
 def _frobenius_numerator(c, fpow, u, p, mod):

@@ -150,9 +150,9 @@ class Integrator:
 
 
 def _point_key(pt) -> tuple:
-    """An endpoint (x, y) of rationals or PadicNumbers as strings: equal keys
-    are identical endpoints."""
-    return tuple(str(c) if isinstance(c, PadicNumber) else str(Fraction(c)) for c in pt)
+    """An endpoint (x, y) of rationals or PadicNumbers, each coordinate as its Fraction
+    or its (v, u, N): equal keys are identical endpoints."""
+    return tuple((c.v, c.u, c.N) if isinstance(c, PadicNumber) else Fraction(c) for c in pt)
 
 
 def _dot(coeffs, values):

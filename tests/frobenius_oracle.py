@@ -6,9 +6,11 @@ For each prime it loads the fixture at PREC and compares the FrobeniusData of
 its model (every matrix entry as (v, u, N), the dagger ints, the truncation cap,
 the headroom, a_p and #C(F_p)) with the data of the same model whose numerator
 digits come from `tests_support.single_layer_digits` (every term at one
-precision, on one tower) and whose Bezout cofactor comes from
-`tests_support.sylvester_bezout` (a Sylvester solve over PadicNumbers).  Exits 1
-and prints each difference.
+precision, on one tower), whose basis elements' shifted digits come from
+`tests_support.per_shift_digits` (one product by the digits of x^(p i) per
+element, not each from the one before times x^p) and whose Bezout cofactor
+comes from `tests_support.sylvester_bezout` (a Sylvester solve over
+PadicNumbers).  Exits 1 and prints each difference.
 """
 
 import sys

@@ -345,15 +345,18 @@ def test_binary_splitting_numerator_matches_horner(p):
         _numerator_reference(polys[2], p, 5, N, alpha)
 
 
+@pytest.mark.parametrize("shifted", [False, True], ids=["shift0", "shift_p_minus_1"])
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 23, 47])
-def test_graded_numerator_digits_match_the_single_layer_reference(p):
+def test_graded_numerator_digits_match_the_single_layer_reference(p, shifted):
     """The two layers, A_0 mod p^N and A_1 mod p^(N-h), give the digits of the
     numerator at one precision exactly, for n = 2 and 3, K = 0, 1, 2, an odd and an
     even K, N = K + 1 and N = K + 4 (c_k = binomial(-b/n, k) is a p-adic integer for
-    p != n); at p = 23 and K >= 12, p divides c_k."""
+    p != n), and so do the layers times x^shift, shift 0 or p - 1; at p = 23 and
+    K >= 12, p divides c_k."""
     from affine_chabauty.hyperelliptic import _f_adic_digits, _numerator_digits
 
     rng = random.Random(35 + p)
+    shift = (p - 1) * shifted
     Ks = [0, 1, 2, 5, 8] + ([12, 19] if p == 23 else [])
     for n, deg in [(2, 4), (2, 6)] + [(3, 3), (3, 6)] * (p != 3):
         alphas = [Fraction(-b, n) for b in range(1, n)]
@@ -362,15 +365,68 @@ def test_graded_numerator_digits_match_the_single_layer_reference(p):
                 mod = p ** N
                 f = _random_poly(rng, deg, mod, zeros=0) + [rng.randrange(1, p)]
                 size = p * (deg - 1)
-                got, tower = _numerator_digits(f, p, K, N, alphas, size)
-                want, _ = single_layer_digits(f, p, K, N, alphas, size)
+                got, tower = _numerator_digits(f, p, K, N, alphas, size, shift)
+                want, _ = single_layer_digits(f, p, K, N, alphas, size, shift)
                 # digit by digit as polynomials: the same count, each padded to deg f
-                assert [[(r + [0] * deg)[:deg] for r in ds] for ds in got] == \
-                    [[(r + [0] * deg)[:deg] for r in ds] for ds in want], (n, deg, K, N)
-                # the shared tower also converts the x^shift that _reduce reads
+                assert [_padded(ds, deg) for ds in got] == [_padded(ds, deg) for ds in want], \
+                    (n, deg, K, N)
+                # the shared tower also converts polys of length size, as the x^p that
+                # _reduce reads
                 for s in (0, size - 1):
                     assert _f_adic_digits([0] * s + [1], f, mod, tower) == \
                         _f_adic_digits([0] * s + [1], f, mod)
+
+
+def _padded(digits, deg):
+    """Each digit padded to deg coefficients: digit lists compared as polynomials."""
+    return [(r + [0] * deg)[:deg] for r in digits]
+
+
+@pytest.mark.parametrize("p,deg", [(3, 6), (5, 6), (7, 4), (23, 6)])
+def test_each_chained_shift_has_the_digits_of_x_to_the_shift_times_the_polynomial(p, deg):
+    """_shifted_digits takes each shift's digits from the one before times x^p: they
+    are the f-adic digits of x^s times the polynomial, for shifts that start at 0 or
+    at p - 1, with a step x^p shorter than f when p < deg f, and from digit lists
+    whose digits are shorter than deg f or empty."""
+    from affine_chabauty.hyperelliptic import (_f_adic_digits, _f_adic_tower, _int_padd,
+                                               _int_pmul, _shifted_digits)
+
+    rng = random.Random(37 + p)
+    mod = p ** 9
+    f = _random_poly(rng, deg, mod, zeros=0) + [rng.randrange(1, p)]
+    tower = _f_adic_tower(f, p + 1, mod)
+    for digits in ([[1]], [[2, 0, 1], [], [5]], [_random_poly(rng, rng.randrange(deg + 1), mod)
+                                                 for _ in range(3 * deg)]):
+        poly, fj = [], [1]
+        for r in digits:  # poly = sum_j digits[j] f^j
+            poly, fj = _int_padd(poly, _int_pmul(r, fj, mod), mod), _int_pmul(fj, f, mod)
+        for start in (0, p - 1):
+            shifts = [start + p * i for i in range(deg - 1)]
+            first = digits if start == 0 else _f_adic_digits([0] * start + poly, f, mod)
+            got = _shifted_digits(first, shifts, f, mod, tower)
+            assert len(got) == len(shifts) and got[0] == first
+            for s, D in zip(shifts[1:], got[1:]):
+                assert _padded(D, deg) == _padded(_f_adic_digits([0] * s + poly, f, mod), deg)
+
+
+@pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 5), ("hyperelliptic_6081b", 23),
+                                       ("superelliptic_a1", 13)])
+def test_each_eigenspace_makes_deg_f_minus_2_short_shift_products(fixture, p, monkeypatch):
+    """The first basis element's digits come shifted out of the numerator, and each next
+    one's from the one before by a product with the ceil((p + 1)/deg f) digits of x^p."""
+    from affine_chabauty import hyperelliptic
+
+    curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
+    m = HyperellipticModel(curve.g, p, 12, curve.n)
+    product, sizes = hyperelliptic._digit_product, []
+
+    def counted(a, b, f, mod):
+        sizes.append(len(b))
+        return product(a, b, f, mod)
+    monkeypatch.setattr(hyperelliptic, "_digit_product", counted)
+    m.frobenius_data()
+    assert len(sizes) == (m.deg - 2) * (m.n - 1)
+    assert max(sizes) <= -(-(p + 1) // m.deg)
 
 
 def test_an_extended_tower_converts_like_a_fresh_one():
@@ -474,12 +530,11 @@ def test_the_numerator_past_K_prime_terms_only_shifts_its_digits(fixture, p, pre
     assert Kp < m.K
     fm = [c.residue(mm) for c in m.f]
     for b in range(1, m.n):
-        full, short = (single_layer_digits(fm, p, K, mm, [Fraction(-b, m.n)], 1)[0][0]
+        full, short = (single_layer_digits(fm, p, K, mm, [Fraction(-b, m.n)], 1, 0)[0][0]
                        for K in (m.K, Kp))
         assert full == [[0] * m.deg] * (p * (m.K - Kp)) + short
-        graded = _numerator_digits(fm, p, Kp, mm, [Fraction(-b, m.n)], 1)[0][0]
-        assert [(r + [0] * m.deg)[:m.deg] for r in graded] == \
-            [(r + [0] * m.deg)[:m.deg] for r in short]
+        graded = _numerator_digits(fm, p, Kp, mm, [Fraction(-b, m.n)], 1, 0)[0][0]
+        assert _padded(graded, m.deg) == _padded(short, m.deg)
 
 
 def test_reduction_records_an_exact_form_and_checks_the_division():

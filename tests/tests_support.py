@@ -4,8 +4,9 @@ to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
 the residue-disc series and the disc locus built on PadicNumbers (the
 references for the model's int kernel and the engine's int locus), the
 single-layer Frobenius numerator and its digits (the reference for the graded
-ones), the Bezout cofactor from a Sylvester solve (the reference for the lifted
-one), and the intersection of Psi with the fibre components."""
+ones), one digit product per basis element's shift (the reference for the
+chained ones), the Bezout cofactor from a Sylvester solve (the reference for
+the lifted one), and the intersection of Psi with the fibre components."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,8 +17,9 @@ from affine_chabauty.errors import (ChabautyError, IndistinguishableFromZero, Po
                                     PrecisionLoss)
 from affine_chabauty import hyperelliptic
 from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _f_adic_digits,
-                                           _frobenius_numerator, _int_pmul, _int_pmul_stride,
-                                           _int_series_inv, _int_sub)
+                                           _frobenius_numerator, _int_divmod_f, _int_padd,
+                                           _int_pmul, _int_pmul_stride, _int_series_inv,
+                                           _int_sub, _pack, _slot_width, _unpack)
 from affine_chabauty.integration import _dot
 from affine_chabauty.linalg import padic_solve
 from affine_chabauty.models import enumerate_reduction_types
@@ -485,12 +487,35 @@ def single_layer_tower(f, size, mod):
     return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
 
 
-def single_layer_digits(f, p, K, N, alphas, size):
+def single_layer_digits(f, p, K, N, alphas, size, shift):
     """The reference for hyperelliptic._numerator_digits, same arguments and result:
-    each numerator at one precision p^N, converted on one tower of f mod p^N."""
-    nums = [single_layer_numerator(f, p, K, N, alpha) for alpha in alphas]
+    each numerator at one precision p^N, times x^shift, converted on one tower of f
+    mod p^N."""
+    nums = [[0] * shift + single_layer_numerator(f, p, K, N, alpha) for alpha in alphas]
     tower = single_layer_tower(f, max([size] + [len(num) for num in nums]), p ** N)
     return [_f_adic_digits(num, f, p ** N, tower) for num in nums], tower
+
+
+def per_shift_digits(digits, shifts, f, mod, tower):
+    """The reference for hyperelliptic._shifted_digits, same arguments and result: per
+    shift s, one Kronecker product of the digit sequence with that of x^(s - shifts[0])
+    and one carry per digit, each shift on its own."""
+    w = 2 * len(f) - 3
+    xdigits = [_f_adic_digits([0] * (s - shifts[0]) + [1], f, mod, tower) for s in shifts]
+    flat, *xflats = ([c for r in rs for c in r + [0] * (w - len(r))]
+                     for rs in [digits] + xdigits)
+    width = _slot_width(mod, min(len(flat), max(map(len, xflats))))
+    packed = _pack(flat, width)
+    out = []
+    for xflat in xflats:
+        prod = _unpack(packed * _pack(xflat, width), len(flat) + len(xflat) - 1, width, mod)
+        D, carry = [], []
+        for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
+            q, r = _int_divmod_f(prod[j:j + w], f, mod)
+            D.append(_int_padd(r, carry, mod))
+            carry = q
+        out.append(D)
+    return out
 
 
 def sylvester_bezout(m):
@@ -509,15 +534,17 @@ def sylvester_bezout(m):
 
 def single_layer_frobenius(m):
     """The FrobeniusData of a fresh copy of the model m, its numerator digits taken
-    by single_layer_digits and its Bezout cofactor by sylvester_bezout."""
+    by single_layer_digits, each basis element's shifted digits by per_shift_digits
+    and its Bezout cofactor by sylvester_bezout."""
     fresh = HyperellipticModel(m.f_rational, m.p, m.prec, m.n)
     fresh._bezout = lambda: sylvester_bezout(fresh)
-    kernel = hyperelliptic._numerator_digits
+    kernels = hyperelliptic._numerator_digits, hyperelliptic._shifted_digits
     hyperelliptic._numerator_digits = single_layer_digits
+    hyperelliptic._shifted_digits = per_shift_digits
     try:
         return fresh.frobenius_data()
     finally:
-        hyperelliptic._numerator_digits = kernel
+        hyperelliptic._numerator_digits, hyperelliptic._shifted_digits = kernels
 
 
 def frobenius_differences(m) -> list:
