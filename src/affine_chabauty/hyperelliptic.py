@@ -254,15 +254,14 @@ class HyperellipticModel:
 
     def _reduce(self, digits, shifts, top, f, t, M, L, cap, b=1, tower=None):
         """Reduce  p^(M-m) x^(s - shifts[0]) sum_j digits[j] dx / (p^L y^(b + n(top - j)))  to
-        the basis x^i dx/y^b for each shift s in shifts, recording the exact parts.
-        digits are the f-adic digits mod p^m of x^(shifts[0]) times a numerator;
-        tower, (p^m, _f_adic_tower of f mod p^m), converts x^(s - s') for consecutive
-        shifts s' < s (by default m = M).  Integer polynomials mod p^M; f is the
-        model's, t the cofactor of f' from _bezout.  A stored int c stands for
-        c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg divides by its p-part
-        exactly or raises PrecisionExceeded.  Per shift the outputs are c / p^L to
-        absolute precision cap, M >= cap + 2L: the column as PadicNumbers, the exact
-        parts as the ints c mod p^(cap + L)."""
+        the basis x^i dx/y^b for each shift s in shifts, recording the exact parts: digits
+        are the f-adic digits mod p^m of x^(shifts[0]) times a numerator, and tower, (p^m,
+        _f_adic_tower of f mod p^m), converts the steps between shifts (by default m = M).
+        Integer polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.
+        A stored int c stands for c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg
+        divides by its p-part exactly or raises PrecisionExceeded.  Per shift the outputs
+        are c / p^L to absolute precision cap, M >= cap + 2L: the column as PadicNumbers,
+        the exact parts as the ints c mod p^(cap + L)."""
         p, d, n = self.p, self.deg, self.n
         mod, keep = p ** M, p ** (cap + L)
         fprime = [k * c % mod for k, c in enumerate(f)][1:]
@@ -294,8 +293,9 @@ class HyperellipticModel:
         frac = (n - b) * pow(n, -1, mod) % mod
         results = []
         modm, tower = tower or (mod, None)
+        scale = mod // modm
         for Dm in _shifted_digits(digits, shifts, [c % modm for c in f], modm, tower):
-            D = [[c * (mod // modm) for c in r] for r in Dm]
+            D = [[c * scale for c in r] for r in Dm]
             poles = []   # (m, poly): exact part  poly(x) / y^(b + n(m-1))
             yparts = []  # (s, coeff): exact part  coeff * x^s * y^(n-b)
             C = []  # what the steps above m left in degree < deg
