@@ -109,9 +109,11 @@ class HyperellipticModel:
         self.zeta = teichmuller(PadicNumber.from_int(order_n, p, self.M))
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
+        self._centers: dict = {}
         self._daggers: dict = {}
-        self._dagger_tables: dict = {}
-        self._z_chains: dict = {}
+        self._dagger_tables: list = []
+        self._x_classes: dict = {}
+        self._solve_frob = None
 
     # -- point utilities -------------------------------------------------------
 
@@ -136,16 +138,19 @@ class HyperellipticModel:
         return pt.x.residue(1), pt.y.residue(1)
 
     def teichmueller_point(self, pt: Point) -> Point:
-        """The Frobenius-fixed center of pt's disc, at precision M: on a
-        Weierstrass disc the root of f over x mod p with y = 0, otherwise the
-        Teichmueller lift of x mod p and the n-th root of f there over y mod p."""
-        xbar, ybar = self._disc_key(pt)
-        zero = PadicNumber.exact_zero(self.p)
-        if self.is_weierstrass_disc(pt):
-            x0 = hensel_lift_root([c.residue(self.M) for c in self.f], xbar, self.p, self.M)
-            return Point(PadicNumber.from_int(x0, self.p, self.M), zero)
-        xt = zero if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, self.p, self.M))
-        return Point(xt, nth_root(self.curve_rhs(xt), self.n, ybar))
+        """The Frobenius-fixed center of pt's disc at precision M, once per disc: on a
+        Weierstrass disc (y = 0 mod p) the root of f over x mod p with y = 0, otherwise
+        the Teichmueller lift of x mod p and the n-th root of f there over y mod p."""
+        key = xbar, ybar = self._disc_key(pt)
+        if key not in self._centers:
+            zero = PadicNumber.exact_zero(self.p)
+            if self.is_weierstrass_disc(pt):
+                x0 = hensel_lift_root([c.residue(self.M) for c in self.f], xbar, self.p, self.M)
+                self._centers[key] = Point(PadicNumber.from_int(x0, self.p, self.M), zero)
+            else:
+                xt = zero if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, self.p, self.M))
+                self._centers[key] = Point(xt, nth_root(self.curve_rhs(xt), self.n, ybar))
+        return self._centers[key]
 
     # -- local expansions --------------------------------------------------------
 
@@ -386,52 +391,58 @@ class HyperellipticModel:
         """(S, Nc, cols): the dagger function of basis element i = x^j dx/y^b is
         y^(n-b) F(x, 1/y^n) with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m]
         is p^S times the coefficient of x^k z^m as an int, S clears every
-        denominator and Nc is the coefficients' common absolute precision.  Built
-        once per element, straight from the ints c / p^L of the reduction."""
-        if i not in self._dagger_tables:
+        denominator and Nc is the coefficients' common absolute precision.  Built once
+        per model, from the ints c / p^L of the reduction, with _chain: max(Nc + S)
+        and the longest column, the precision and length of every chain of z-powers."""
+        if not self._dagger_tables:
             frob = self.frobenius_data()
             p, L = self.p, frob.headroom
-            terms = [(m, k, c) for m, B in frob.dagger[i][0] for k, c in enumerate(B)]
-            terms += [(0, s, lam) for s, lam in frob.dagger[i][1]]
-            g = gcd(*(c for _, _, c in terms))
-            S = max(0, L - _vp(g, p)) if g else 0
-            q = p ** (L - S)  # divides every c
-            cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
-            for m, k, c in terms:
-                cols[k] += [0] * (m + 1 - len(cols[k]))
-                cols[k][m] = c // q
-            self._dagger_tables[i] = S, frob.trunc_prec, cols
+            for poles, yparts in frob.dagger:
+                terms = [(m, k, c) for m, B in poles for k, c in enumerate(B)]
+                terms += [(0, s, lam) for s, lam in yparts]
+                g = gcd(*(c for _, _, c in terms))
+                S = max(0, L - _vp(g, p)) if g else 0
+                q = p ** (L - S)  # divides every c
+                cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
+                for m, k, c in terms:
+                    cols[k] += [0] * (m + 1 - len(cols[k]))
+                    cols[k][m] = c // q
+                self._dagger_tables.append((S, frob.trunc_prec, cols))
+            self._chain = (max(Nc + S for S, Nc, _ in self._dagger_tables),
+                           max(len(col) for _, _, cols in self._dagger_tables for col in cols))
         return self._dagger_tables[i]
 
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
         """Value at pt of the recorded dagger function for basis element i, on ints
-        mod p^(N + S), N the provable precision: each x-degree column is one dot
-        product with the powers of z = 1/y^n (`_z_powers`), then one Horner pass in x."""
+        mod p^(N + S), N the provable precision: y^(n-b) times F(x, z), F once per
+        x-class (`_x_class`) from one dot product of each x-degree column with the
+        powers of z = 1/y^n and one Horner pass in x."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
-        p, n = self.p, self.n
         S, Nc, cols = self._dagger_table(i)
         N = min(Nc, pt.x.N - S, pt.y.N - S)
-        R = p ** (N + S)
-        x, y, zs = pt.x.residue(N + S), pt.y.residue(N + S), self._z_powers(pt)
-        A = pow(y, n - self.basis[i][1], R) * \
-            _horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R) % R
-        return PadicNumber(p, *_normal(A, -S, N, p))
+        R = self.p ** (N + S)
+        zs, Fs = self._x_class(pt)
+        if i not in Fs:  # N + S = min(Nc + S, e), e in the class's key
+            Fs[i] = _horner_mod([sum(map(mul, col, zs)) % R for col in cols],
+                                pt.x.residue(N + S), R)
+        A = pow(pt.y.residue(N + S), self.n - self.basis[i][1], R) * Fs[i] % R
+        return PadicNumber(self.p, *_normal(A, -S, N, self.p))
 
-    def _z_powers(self, pt: Point) -> list:
-        """The powers z^k of z = 1/y^n at pt, for every k a dagger column reads, once
-        per point: mod p^e with e the largest N + S of the basis at pt, so that each
-        dagger_eval reads them mod its own p^(N + S)."""
-        key = _point_key(pt)
-        if key not in self._z_chains:
-            tables = [self._dagger_table(i) for i in range(self.dim)]
-            e = min(max(Nc + S for S, Nc, _ in tables), pt.x.N, pt.y.N)
-            R = self.p ** e
-            zs = [1, pow(pt.y.residue(e), -self.n, R)]
-            for _ in range(max(len(col) for _, _, cols in tables for col in cols) - 2):
-                zs.append(zs[-1] * zs[1] % R)
-            self._z_chains[key] = zs
-        return self._z_chains[key]
+    def _x_class(self, pt: Point) -> tuple:
+        """(zs, Fs) of pt's x-class, the points (x, zeta^k y) sharing z = 1/y^n, keyed on
+        x's (v, u, N), e and the int z: z^k mod p^e for every k a column reads, e = min(
+        max(Nc + S), x.N, y.N) >= each N + S, and F(x, z) mod p^(N + S) per element."""
+        e = min(self._chain[0], pt.x.N, pt.y.N)
+        R = self.p ** e
+        z = pow(pt.y.residue(e), -self.n, R)
+        key = pt.x.v, pt.x.u, pt.x.N, e, z
+        if key not in self._x_classes:
+            zs = [1, z]
+            for _ in range(self._chain[1] - 2):
+                zs.append(zs[-1] * z % R)
+            self._x_classes[key] = zs, {}
+        return self._x_classes[key]
 
     def _dagger_vector(self, T: Point) -> list[PadicNumber]:
         """dagger_eval of every basis element at the Teichmueller point T, once per point."""
@@ -489,8 +500,7 @@ class HyperellipticModel:
                     for i, (_, b) in enumerate(self.basis)]
         if wQ:
             return [-x for x in self.basis_integrals(Q, P)]
-        TP = self.teichmueller_point(P)
-        TQ = self.teichmueller_point(Q)
+        TP, TQ = self.teichmueller_point(P), self.teichmueller_point(Q)
         t1 = self.tiny_basis_integrals(P, TP)
         t2 = self.tiny_basis_integrals(TQ, Q)
         mid = self._teich_system(TP, TQ)
@@ -503,14 +513,14 @@ class HyperellipticModel:
         return out
 
     def _teich_system(self, TP: Point, TQ: Point) -> list[PadicNumber]:
-        p = self.p
         if (TP.x - TQ.x).is_zero() and (TP.y - TQ.y).is_zero():
-            return [PadicNumber.exact_zero(p)] * self.dim
-        frob = self.frobenius_data()
+            return [PadicNumber.exact_zero(self.p)] * self.dim
         rhs = [b - a for a, b in zip(self._dagger_vector(TP), self._dagger_vector(TQ))]
-        one = PadicNumber.from_int(1, p, self.M)
-        return padic_solve([[one - c if i == j else -c for j, c in enumerate(row)]
-                            for i, row in enumerate(frob.matrix)], rhs)
+        if self._solve_frob is None:  # I - Frob eliminated once per model
+            one = PadicNumber.from_int(1, self.p, self.M)
+            self._solve_frob = padic_solve([[one - c if i == j else -c for j, c in enumerate(row)]
+                                            for i, row in enumerate(self.frobenius_data().matrix)])
+        return self._solve_frob(rhs)
 
 
 # -- integer polynomial helpers (the Frobenius kernel, mod p^N) ----------------

@@ -143,14 +143,14 @@ def _pick_pivot(a, rows, used_cols, ncols):
 
 def _eliminate(a, ncols, below=False, guard=False):
     """Elimination over Qp of the rows a, in place, on the columns below ncols,
-    each pivot picked by _pick_pivot.  Returns the pivots [(row, col)] in
-    order and the rows left without a pivot.
+    each pivot picked by _pick_pivot.  Returns the pivots [(row, col)] in order, the
+    rows left without a pivot and the row operations (i, i0, f), a[i] -= f a[i0], in order.
 
     below clears a pivot's column only in the rows not yet pivoted (clearing
     above a pivot would cost earlier pivots precision); guard raises
     PrecisionLoss when the picked pivot has PIVOT_GUARD digits or fewer.
     """
-    pivots, cols, free = [], [], list(range(len(a)))
+    pivots, cols, free, ops = [], [], list(range(len(a))), []
     for _ in range(min(len(a), ncols)):
         best = _pick_pivot(a, free, cols, ncols)
         if best is None:
@@ -169,7 +169,8 @@ def _eliminate(a, ncols, below=False, guard=False):
                 continue
             f = a[i][j0] * inv
             a[i] = [x - f * y for x, y in zip(a[i], a[i0])]
-    return pivots, free
+            ops.append((i, i0, f))
+    return pivots, free, ops
 
 
 def padic_kernel(rows) -> PadicKernel:
@@ -185,7 +186,7 @@ def padic_kernel(rows) -> PadicKernel:
     p = next((x.p for r in a for x in r if isinstance(x, PadicNumber)), None)
     if p is None:
         raise ValueError("empty matrix")
-    pivots, free = _eliminate(a, n, guard=True)
+    pivots, free, _ = _eliminate(a, n, guard=True)
     # remaining rows must be indistinguishable from zero
     if any(not x.is_zero() for i in free for x in a[i]):
         raise PrecisionLoss("residual row is nonzero after elimination")
@@ -221,17 +222,21 @@ def _normalize_kernel_vector(vec):
     return out
 
 
-def padic_solve(rows, rhs):
-    """Solve A x = b over Qp for square nonsingular A; min-valuation pivots, no PIVOT_GUARD."""
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    n = len(a)
-    pivots, free = _eliminate(a, n)
+def padic_solve(rows, rhs=None):
+    """Solve A x = b over Qp for square nonsingular A; min-valuation pivots, no PIVOT_GUARD.
+    Without rhs, the function b -> x: A is eliminated once, and each b takes its
+    row operations, in order, and the divisions by the pivots."""
+    a = [list(r) for r in rows]
+    pivots, free, ops = _eliminate(a, len(a))
     if free:
         raise PrecisionLoss("matrix is singular to working precision")
-    x = [None] * n
-    for i, j in pivots:
-        x[j] = a[i][n] / a[i][j]
-    return x
+
+    def solve(b):
+        b = list(b)
+        for i, i0, f in ops:
+            b[i] = b[i] - f * b[i0]
+        return [b[i] / a[i][j] for i, j in sorted(pivots, key=lambda ij: ij[1])]
+    return solve if rhs is None else solve(rhs)
 
 
 def padic_det(rows):
@@ -240,7 +245,7 @@ def padic_det(rows):
     n = len(a)
     p = a[0][0].p
     prec0 = max((x.N for r in a for x in r if x.N < INF), default=12) + 8
-    pivots, free = _eliminate(a, n, below=True)
+    pivots, free, _ = _eliminate(a, n, below=True)
     if free:
         # remaining block indistinguishable from zero: det is a zero class
         det = PadicNumber.unknown_zero(p, min(x.N for i in free for x in a[i]))

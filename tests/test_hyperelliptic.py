@@ -825,7 +825,7 @@ def _scaled(m, k):
     fd = m.frobenius_data()
     out = copy.copy(m)
     out._frob = dataclasses.replace(fd, headroom=fd.headroom + k, trunc_prec=fd.trunc_prec - k)
-    out._daggers, out._dagger_tables = {}, {}
+    out._daggers, out._dagger_tables, out._x_classes = {}, [], {}
     return out
 
 
@@ -898,3 +898,53 @@ def test_integer_dagger_rejects_weierstrass_discs(key):
     for pt in (W, Point(W.x, PadicNumber.from_int(m.p, m.p, m.M))):
         with pytest.raises(EndpointRestriction):
             m.dagger_eval(0, pt)
+
+
+# -- per-point work once: x-classes, one elimination, one center per disc --------
+
+X_CLASS_MODELS = [("hyperelliptic_6081b", 7), ("hyperelliptic_6081b", 13),
+                  ("hyperelliptic_6081b", 23), ("superelliptic_a1", 7), ("superelliptic_a1", 13)]
+
+
+@pytest.mark.parametrize("fixture,p", X_CLASS_MODELS)
+def test_dagger_values_shared_per_x_class_match_the_padic_reference(fixture, p):
+    """At every affine Teichmueller point dagger_eval equals the PadicNumber Horner of
+    _dagger_reference as (v, u, N), and the n points (x, zeta^k y) over one x share one
+    x-class: one z-chain and one F(x, z) per basis element."""
+    engine = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=PREC)
+    m = engine.integrator.main_model()
+    points = _affine_teichmueller_points(m)
+    for T in points:
+        for i in range(m.dim):
+            assert _vun(m.dagger_eval(i, T)) == _vun(_dagger_reference(m, i, T))
+    assert len(points) == m.n * len(m._x_classes) > 0
+    assert all(len(Fs) == m.dim for _, Fs in m._x_classes.values())
+
+
+@pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 7), ("superelliptic_a1", 7)])
+def test_a_solve_eliminates_I_minus_frobenius_once(fixture, p, monkeypatch):
+    """Every pair solve of a model replays one elimination of I - Frob: padic_solve's
+    eliminations (neither below nor guard) number one, the pair solves more."""
+    from affine_chabauty import linalg
+    eliminations, systems = [], []
+    orig_eliminate, orig_system = linalg._eliminate, HyperellipticModel._teich_system
+    monkeypatch.setattr(linalg, "_eliminate", lambda a, n, below=False, guard=False: (
+        eliminations.append(below or guard) or orig_eliminate(a, n, below, guard)))
+    monkeypatch.setattr(HyperellipticModel, "_teich_system",
+                        lambda self, TP, TQ: systems.append(1) or orig_system(self, TP, TQ))
+    load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=PREC).solve()
+    assert eliminations.count(False) == 1 and len(systems) > 1
+
+
+def test_each_disc_center_is_lifted_once_and_equals_a_fresh_lift():
+    """teichmueller_point keeps one center per (x mod p, y mod p): two points of one
+    disc get the same Point, equal as (v, u, N) to the center lifted again."""
+    from tests_support import lifted_center
+    m = _fixture_model("hyperelliptic_6081b", "main_model", 23)
+    for xb, yb in _discs_mod_p(m):
+        pt = _mod_p_point(m, xb, yb)
+        T = m.teichmueller_point(pt)
+        assert m.teichmueller_point(Point(pt.x.at_precision(1), pt.y)) is T
+        ref = lifted_center(m, pt)
+        assert (_vun(T.x), _vun(T.y)) == (_vun(ref.x), _vun(ref.y))
+    assert len(m._centers) == len(_discs_mod_p(m))

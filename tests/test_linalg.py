@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_chabauty.errors import NotSymmetric
+from affine_chabauty.errors import NotSymmetric, PrecisionLoss
 from affine_chabauty.linalg import (
     RationalMatrix,
     moore_penrose,
@@ -154,3 +154,41 @@ def test_rational_matrix_shape_mismatch_raises():
         row * row
     with pytest.raises(ValueError):
         row.inverse()
+
+
+def _vuns(xs):
+    return [(x.v, x.u, x.N) for x in xs]
+
+
+def test_the_replaying_solve_equals_the_one_shot_and_the_augmented_solve():
+    """padic_solve(rows) eliminates A once and replays its row operations on each b:
+    the same x as padic_solve(rows, b) and as the augmented elimination of A | b, as
+    (v, u, N), for random right-hand sides, exact zeros and unknown zeros."""
+    from tests_support import augmented_solve
+    rng = random.Random(15)
+    solved = 0
+    for n in range(1, 6):
+        for _ in range(8):
+            rows = [[pad(rng.randint(-9, 9) * P ** rng.choice((0, 0, 1, 2)), rng.choice((8, 12)))
+                     for _ in range(n)] for _ in range(n)]
+            try:
+                solve = padic_solve(rows)
+            except PrecisionLoss:
+                continue
+            rhss = [[pad(rng.randint(-50, 50) * P ** rng.choice((0, 1)), rng.choice((6, 12)))
+                     for _ in range(n)] for _ in range(3)]
+            rhss += [[PadicNumber.exact_zero(P)] * n, [PadicNumber.unknown_zero(P, 5)] * n,
+                     [PadicNumber.exact_zero(P)] * (n - 1) + [pad(1)]]
+            for b in rhss:
+                want = _vuns(augmented_solve(rows, b))
+                assert _vuns(solve(b)) == _vuns(padic_solve(rows, b)) == want
+            solved += 1
+    assert solved >= 25
+
+
+def test_a_singular_matrix_raises_with_or_without_a_right_hand_side():
+    rows = [[pad(1), pad(2)], [pad(3), pad(6)]]
+    with pytest.raises(PrecisionLoss):
+        padic_solve(rows)
+    with pytest.raises(PrecisionLoss):
+        padic_solve(rows, [pad(1), pad(2)])

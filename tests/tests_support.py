@@ -6,24 +6,29 @@ references for the model's int kernel and the engine's int locus), the
 single-layer Frobenius numerator and its digits (the reference for the graded
 ones), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
-the lifted one), and the intersection of Psi with the fibre components."""
+the lifted one), the intersection of Psi with the fibre components, and the
+per-point dagger values, per-pair solves, disc centers, determinant rows and
+known-point matches (the reference for the shared ones)."""
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 from math import ceil
 
+from affine_chabauty import linalg
 from affine_chabauty import series as series_module
-from affine_chabauty.errors import (ChabautyError, IndistinguishableFromZero, PoleOnDisc,
-                                    PrecisionLoss)
+from affine_chabauty.errors import (ChabautyError, EndpointRestriction,
+                                    IndistinguishableFromZero, PoleOnDisc, PrecisionLoss)
 from affine_chabauty import hyperelliptic
 from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _f_adic_digits,
                                            _frobenius_numerator, _int_divmod_f, _int_padd,
                                            _int_pmul, _int_pmul_stride, _int_series_inv,
                                            _int_sub, _pack, _slot_width, _unpack)
 from affine_chabauty.integration import _dot
-from affine_chabauty.linalg import padic_solve
+from affine_chabauty.linalg import padic_det, padic_solve
 from affine_chabauty.models import enumerate_reduction_types
-from affine_chabauty.padics import INF, PadicNumber, _vp, horner, nth_root, sqrt
+from affine_chabauty.padics import (INF, PadicNumber, _horner_mod, _normal, _vp,
+                                    hensel_lift_root, horner, nth_root, sqrt, teichmuller)
 from affine_chabauty.series import (_BIG, IntSeries, StrassmannResult, Subordination,
                                     TruncatedSeries, antiderivative, nth_root_series,
                                     strassmann_roots)
@@ -560,3 +565,134 @@ def frobenius_differences(m) -> list:
            if getattr(got, name) != getattr(want, name)]
     return out + [f"matrix[{i}][{j}]" for i, (row, ref) in enumerate(zip(got.matrix, want.matrix))
                   for j, (a, b) in enumerate(zip(row, ref)) if _vun(a) != _vun(b)]
+
+
+# -- the per-point pair integrals and determinant rows: the reference for the shared ones --
+
+
+def per_point_dagger_eval(m, i, pt):
+    """The reference for HyperellipticModel.dagger_eval, same arguments and result: the
+    powers of z = 1/y^n and F(x, z) built for pt alone, mod p^e with e = min(max(Nc + S)
+    over the basis, x.N, y.N), from the model's dagger tables."""
+    if pt.y.is_zero() or pt.y.v != 0:
+        raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
+    p, n = m.p, m.n
+    tables = [m._dagger_table(k) for k in range(m.dim)]
+    S, Nc, cols = tables[i]
+    N = min(Nc, pt.x.N - S, pt.y.N - S)
+    R = p ** (N + S)
+    e = min(max(Nc + S for S, Nc, _ in tables), pt.x.N, pt.y.N)
+    zs = [1, pow(pt.y.residue(e), -n, p ** e)]
+    for _ in range(max(len(col) for _, _, cs in tables for col in cs) - 2):
+        zs.append(zs[-1] * zs[1] % p ** e)
+    x, y = pt.x.residue(N + S), pt.y.residue(N + S)
+    A = pow(y, n - m.basis[i][1], R) * \
+        _horner_mod([sum(a * z for a, z in zip(col, zs)) % R for col in cols], x, R) % R
+    return PadicNumber(p, *_normal(A, -S, N, p))
+
+
+def augmented_solve(rows, rhs):
+    """The reference for linalg.padic_solve(rows, rhs): A | b eliminated as one matrix,
+    pivots on the columns of A, then x_j = b_i / a_ij per pivot (i, j)."""
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(a)
+    pivots, free, _ = linalg._eliminate(a, n)
+    if free:
+        raise PrecisionLoss("matrix is singular to working precision")
+    x = [None] * n
+    for i, j in pivots:
+        x[j] = a[i][n] / a[i][j]
+    return x
+
+
+def per_pair_teich_system(m, TP, TQ):
+    """The reference for HyperellipticModel._teich_system: I - Frob built and eliminated,
+    with the right-hand side, for this pair alone."""
+    if (TP.x - TQ.x).is_zero() and (TP.y - TQ.y).is_zero():
+        return [PadicNumber.exact_zero(m.p)] * m.dim
+    matrix = m.frobenius_data().matrix
+    rhs = [b - a for a, b in zip(m._dagger_vector(TP), m._dagger_vector(TQ))]
+    one = PadicNumber.from_int(1, m.p, m.M)
+    return augmented_solve([[one - c if i == j else -c for j, c in enumerate(row)]
+                            for i, row in enumerate(matrix)], rhs)
+
+
+def lifted_center(m, pt):
+    """The reference for HyperellipticModel.teichmueller_point: the center of pt's disc
+    lifted again on every call."""
+    xbar, ybar = m._disc_key(pt)
+    zero = PadicNumber.exact_zero(m.p)
+    if m.is_weierstrass_disc(pt):
+        x0 = hensel_lift_root([c.residue(m.M) for c in m.f], xbar, m.p, m.M)
+        return Point(PadicNumber.from_int(x0, m.p, m.M), zero)
+    xt = zero if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, m.p, m.M))
+    return Point(xt, nth_root(m.curve_rhs(xt), m.n, ybar))
+
+
+def per_subset_determinant(engine, labeled_points):
+    """The reference for Engine.determinant_criterion: every row of the subset built
+    again, each c(b, omega_j) by constant_c."""
+    basis = engine.problem.curve.basis()
+    if len(labeled_points) != len(basis):
+        raise ValueError(f"need exactly {len(basis)} points")
+    rows = []
+    for pt, sigma in labeled_points:
+        st = engine.type_record(sigma).target
+        vec = engine.integrator.basis_integral_vector(engine.problem.base_point, pt)
+        rows.append([vec[j] - engine.constant_c(st, basis[j]) for j in range(len(basis))])
+    return padic_det(rows)
+
+
+def per_compare_match(engine, xv, yv):
+    """The reference for Engine._match_known: each known point's coordinates made
+    PadicNumbers again by compare(Fraction) on every call."""
+    for pt in [*engine.known_points, engine.problem.base_point]:
+        okx = xv.compare(Fraction(pt.x)) != "distinct" if not xv.is_exact_zero() \
+            else Fraction(pt.x) == 0
+        oky = yv.compare(Fraction(pt.y)) != "distinct" if not yv.is_exact_zero() \
+            else Fraction(pt.y) == 0
+        if okx and oky:
+            return (pt.x, pt.y)
+    return None
+
+
+@contextmanager
+def per_point_reference():
+    """Swap in the per-point code for the shared work of the pair integrals and verify:
+    per_point_dagger_eval, per_pair_teich_system, lifted_center, per_subset_determinant
+    and per_compare_match."""
+    from affine_chabauty.engine import Engine
+    swaps = [(HyperellipticModel, "dagger_eval", per_point_dagger_eval),
+             (HyperellipticModel, "_teich_system", per_pair_teich_system),
+             (HyperellipticModel, "teichmueller_point", lifted_center),
+             (Engine, "determinant_criterion", per_subset_determinant),
+             (Engine, "_match_known", per_compare_match)]
+    saved = [(cls, name, vars(cls)[name]) for cls, name, _ in swaps]
+    for cls, name, ref in swaps:
+        setattr(cls, name, ref)
+    try:
+        yield
+    finally:
+        for cls, name, orig in saved:
+            setattr(cls, name, orig)
+
+
+def report_texts(load) -> list:
+    """The solve and verify reports of fresh engines from load(), as the CLI writes them
+    (json.dumps, indent 2), or a ChabautyError as its text."""
+    out = []
+    for command in ("solve", "verify"):
+        try:
+            out.append(json.dumps(getattr(load(), command)(), indent=2))
+        except ChabautyError as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def pair_differences(load) -> list:
+    """The commands whose report from fresh engines of load() differs from the report
+    under per_point_reference()."""
+    got = report_texts(load)
+    with per_point_reference():
+        want = report_texts(load)
+    return [command for command, a, b in zip(("solve", "verify"), got, want) if a != b]
