@@ -431,8 +431,8 @@ class HyperellipticModel:
 
     def _x_class(self, pt: Point) -> tuple:
         """(zs, Fs) of pt's x-class, the points (x, zeta^k y) sharing z = 1/y^n, keyed on
-        x's (v, u, N), e and the int z: z^k mod p^e for every k a column reads, e = min(
-        max(Nc + S), x.N, y.N) >= each N + S, and F(x, z) mod p^(N + S) per element."""
+        x's (v, u, N), e = min(max(Nc + S), x.N, y.N) >= each N + S and the int z: z^k
+        mod p^e for every k a column reads, and F(x, z) mod p^(N + S) per basis element."""
         e = min(self._chain[0], pt.x.N, pt.y.N)
         R = self.p ** e
         z = pow(pt.y.residue(e), -self.n, R)
