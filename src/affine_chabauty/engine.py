@@ -15,7 +15,7 @@ from .errors import (
     PoleOnDisc,
     PrecisionLoss,
 )
-from .integration import Integrator, _dot, _point_key, residue_log_sum
+from .integration import Integrator, _dot, residue_log_sum
 from .linalg import padic_det, padic_kernel
 from .models import (
     LambdaRecord,
@@ -75,13 +75,12 @@ class DiscLocus:
 @dataclass
 class TypeRecord:
     """What the engine builds once per reduction type: its Selmer target, the kernel
-    of its cuspidal part (annihilator(), shared by every type with that part), c(b,
-    omega) per kernel and per basis differential, and each point's determinant row."""
+    of its cuspidal part (annihilator(), shared by every type with that part), and
+    c(b, omega) for each kernel and each basis differential."""
     target: SelmerTarget
     kernel: tuple | None = None
     constants: list | None = None
     basis_constants: list | None = None
-    rows: dict = field(default_factory=dict)
 
 
 class Engine:
@@ -97,7 +96,6 @@ class Engine:
         self._gen_int_cache = {}
         self._types = {}      # type label -> TypeRecord
         self._kernels = {}    # cuspidal part -> annihilator()
-        self._known = {}      # N -> the points _match_known reads, at precision N
         self._cusps = {c.id: c for c in problem.curve.cusps}
         check_pi_compatibility(problem, model)
 
@@ -278,17 +276,12 @@ class Engine:
         return DiscLocus(disc, "ok", bound=bound, roots=out)
 
     def _match_known(self, xv: PadicNumber, yv: PadicNumber):
-        """The first known point, then the base point, that (xv, yv) does not contradict;
-        their coordinates are read at each N once, as compare(Fraction) reads them."""
-        points = [*self.known_points, self.problem.base_point]
-        for v in (xv, yv):
-            if v.N not in self._known and not v.is_exact_zero():
-                self._known[v.N] = [[PadicNumber.from_rational(Fraction(c), v.p, v.N) for c in pt]
-                                    for pt in points]
-        for k, pt in enumerate(points):
-            if all(Fraction(c) == 0 if v.is_exact_zero() else
-                   v.compare(self._known[v.N][k][axis]) != "distinct"
-                   for axis, (v, c) in enumerate(zip((xv, yv), pt))):
+        for pt in [*self.known_points, self.problem.base_point]:
+            okx = xv.compare(Fraction(pt.x)) != "distinct" if not xv.is_exact_zero() \
+                else Fraction(pt.x) == 0
+            oky = yv.compare(Fraction(pt.y)) != "distinct" if not yv.is_exact_zero() \
+                else Fraction(pt.y) == 0
+            if okx and oky:
                 return (pt.x, pt.y)
         return None
 
@@ -298,18 +291,17 @@ class Engine:
         """det( int_P0^Pi omega_j - c(P0, Sigma_i, omega_j) ) for points sharing a
         cuspidal part; labeled_points is [(point (x, y), ReductionType)]."""
         basis = self.problem.curve.basis()
-        if len(labeled_points) != len(basis):
-            raise ValueError(f"need exactly {len(basis)} points")
+        size = len(basis)
+        if len(labeled_points) != size:
+            raise ValueError(f"need exactly {size} points")
+        base = self.problem.base_point
         rows = []
         for pt, sigma in labeled_points:
             rec = self.type_record(sigma)
-            key = _point_key(pt)
-            if key not in rec.rows:  # padic_det copies its rows: one row per (point, type)
-                if rec.basis_constants is None:
-                    rec.basis_constants = [self.constant_c(rec.target, om) for om in basis]
-                vec = self.integrator.basis_integral_vector(self.problem.base_point, pt)
-                rec.rows[key] = [v - c for v, c in zip(vec, rec.basis_constants)]
-            rows.append(rec.rows[key])
+            if rec.basis_constants is None:
+                rec.basis_constants = [self.constant_c(rec.target, om) for om in basis]
+            vec = self.integrator.basis_integral_vector(base, pt)
+            rows.append([vec[j] - rec.basis_constants[j] for j in range(size)])
         return padic_det(rows)
 
     # -- orchestration ----------------------------------------------------------------------

@@ -431,13 +431,15 @@ class HyperellipticModel:
 
     def _x_class(self, pt: Point) -> tuple:
         """(zs, Fs) of pt's x-class, the points (x, zeta^k y) sharing z = 1/y^n, keyed on
-        x's (v, u, N), e = min(max(Nc + S), x.N, y.N) >= each N + S and the int z: z^k
-        mod p^e for every k a column reads, and F(x, z) mod p^(N + S) per basis element."""
+        x's (v, u, N), e = min(max(Nc + S), x.N, y.N) >= each N + S and the int y^n mod
+        p^e, inverted once per class: z^k mod p^e for every k a column reads, and
+        F(x, z) mod p^(N + S) per basis element."""
         e = min(self._chain[0], pt.x.N, pt.y.N)
         R = self.p ** e
-        z = pow(pt.y.residue(e), -self.n, R)
-        key = pt.x.v, pt.x.u, pt.x.N, e, z
+        yn = pow(pt.y.residue(e), self.n, R)
+        key = pt.x.v, pt.x.u, pt.x.N, e, yn
         if key not in self._x_classes:
+            z = pow(yn, -1, R)
             zs = [1, z]
             for _ in range(self._chain[1] - 2):
                 zs.append(zs[-1] * z % R)

@@ -222,10 +222,10 @@ def _normalize_kernel_vector(vec):
     return out
 
 
-def padic_solve(rows, rhs=None):
-    """Solve A x = b over Qp for square nonsingular A; min-valuation pivots, no PIVOT_GUARD.
-    Without rhs, the function b -> x: A is eliminated once, and each b takes its
-    row operations, in order, and the divisions by the pivots."""
+def padic_solve(rows):
+    """The solver b -> x of A x = b over Qp for square nonsingular A; min-valuation
+    pivots, no PIVOT_GUARD.  A is eliminated once, and each b takes its row
+    operations, in order, and the divisions by the pivots."""
     a = [list(r) for r in rows]
     pivots, free, ops = _eliminate(a, len(a))
     if free:
@@ -236,7 +236,7 @@ def padic_solve(rows, rhs=None):
         for i, i0, f in ops:
             b[i] = b[i] - f * b[i0]
         return [b[i] / a[i][j] for i, j in sorted(pivots, key=lambda ij: ij[1])]
-    return solve if rhs is None else solve(rhs)
+    return solve
 
 
 def padic_det(rows):

@@ -8,9 +8,8 @@ under `tests_support.per_point_reference`: dagger values with the powers of
 z = 1/y^n and F(x, z) built for each point alone, not once per x-class; one
 augmented elimination of I - Frob per pair, not one elimination per model
 replayed on each right-hand side; every disc center lifted again on each
-call; every determinant row and constant c built again for each subset; and
-each known point made a PadicNumber again on each comparison.  Exits 1 and
-prints each report that differs.
+call; and every constant c of a determinant row taken again for each subset.
+Exits 1 and prints each report that differs.
 """
 
 import sys

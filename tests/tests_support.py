@@ -7,8 +7,8 @@ single-layer Frobenius numerator and its digits (the reference for the graded
 ones), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
 the lifted one), the intersection of Psi with the fibre components, and the
-per-point dagger values, per-pair solves, disc centers, determinant rows and
-known-point matches (the reference for the shared ones)."""
+per-point dagger values, per-pair solves, disc centers and determinant rows
+(the reference for the shared ones)."""
 
 import json
 from contextlib import contextmanager
@@ -534,7 +534,7 @@ def sylvester_bezout(m):
             + [fprime[r - k] if 0 <= r - k <= d - 1 else zero for k in range(d)]
             for r in range(2 * d - 1)]
     rhs = [PadicNumber.from_int(1, p, m.M)] + [zero] * (2 * d - 2)
-    return [c.residue(m.M) for c in padic_solve(rows, rhs)[d - 1:]]
+    return [c.residue(m.M) for c in padic_solve(rows)(rhs)[d - 1:]]
 
 
 def single_layer_frobenius(m):
@@ -592,7 +592,7 @@ def per_point_dagger_eval(m, i, pt):
 
 
 def augmented_solve(rows, rhs):
-    """The reference for linalg.padic_solve(rows, rhs): A | b eliminated as one matrix,
+    """The reference for linalg.padic_solve(rows)(rhs): A | b eliminated as one matrix,
     pivots on the columns of A, then x_j = b_i / a_ij per pivot (i, j)."""
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
     n = len(a)
@@ -643,30 +643,16 @@ def per_subset_determinant(engine, labeled_points):
     return padic_det(rows)
 
 
-def per_compare_match(engine, xv, yv):
-    """The reference for Engine._match_known: each known point's coordinates made
-    PadicNumbers again by compare(Fraction) on every call."""
-    for pt in [*engine.known_points, engine.problem.base_point]:
-        okx = xv.compare(Fraction(pt.x)) != "distinct" if not xv.is_exact_zero() \
-            else Fraction(pt.x) == 0
-        oky = yv.compare(Fraction(pt.y)) != "distinct" if not yv.is_exact_zero() \
-            else Fraction(pt.y) == 0
-        if okx and oky:
-            return (pt.x, pt.y)
-    return None
-
-
 @contextmanager
 def per_point_reference():
     """Swap in the per-point code for the shared work of the pair integrals and verify:
-    per_point_dagger_eval, per_pair_teich_system, lifted_center, per_subset_determinant
-    and per_compare_match."""
+    per_point_dagger_eval, per_pair_teich_system, lifted_center and
+    per_subset_determinant."""
     from affine_chabauty.engine import Engine
     swaps = [(HyperellipticModel, "dagger_eval", per_point_dagger_eval),
              (HyperellipticModel, "_teich_system", per_pair_teich_system),
              (HyperellipticModel, "teichmueller_point", lifted_center),
-             (Engine, "determinant_criterion", per_subset_determinant),
-             (Engine, "_match_known", per_compare_match)]
+             (Engine, "determinant_criterion", per_subset_determinant)]
     saved = [(cls, name, vars(cls)[name]) for cls, name, _ in swaps]
     for cls, name, ref in swaps:
         setattr(cls, name, ref)
