@@ -495,8 +495,7 @@ class Engine:
                     vec = fib.incidences.get(f"({pt.x},{pt.y})")
                 if vec is None:
                     continue  # component unknown: any choice stays possible
-                idx = max(range(len(vec)), key=lambda i: Fraction(vec[i]))
-                if fib.components[idx].id != want:
+                if fib.components[vec.index(1)].id != want:  # a unit vector, checked at load
                     good = False
                     break
             if good:

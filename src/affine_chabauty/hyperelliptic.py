@@ -227,8 +227,8 @@ class HyperellipticModel:
 
         Both layers are shifted by x^(p - 1) before their conversion: the digits are
         those of x^(p - 1) num', and _reduce takes each next basis element's from
-        the one before times x^p, one product by ceil((p + 1)/deg) digits and one
-        carry per digit mod p^m (the f-adic expansion is unique mod p^m).
+        the one before times x^p, one linear map on its digit columns mod p^m by the
+        digits of x^(p + k), k < deg, with no carry (_shifted_digits).
         """
         p, K, d, n = self.p, self.K, self.deg, self.n
         tp, L, N = self.tp, self.L, self.M
@@ -241,9 +241,9 @@ class HyperellipticModel:
         fint, t_bez = [c.residue(N) for c in self.f], self._bezout()
         zero = PadicNumber.exact_zero(p)
         shifts = [p * i + p - 1 for i in range(d - 1)]
-        # one tower of f^(2^k) mod p^m for every numerator times x^(p - 1), and for x^p
+        # one tower of f^(2^k) mod p^m for every numerator times x^(p - 1), and for x^(p + k)
         nums, tower = _numerator_digits(fm, p, Kp, m, [Fraction(-b, n) for b in range(1, n)],
-                                        p + 1, shifts[0])
+                                        p + d, shifts[0])
         matrix, dagger = [], []
         for b, num in enumerate(nums, 1):
             # phi(x^i dx/y^b) = p x^(p i + p - 1) S dx/y^(pb); the digits of x^(p - 1) num'
@@ -261,7 +261,7 @@ class HyperellipticModel:
         """Reduce  p^(M-m) x^(s - shifts[0]) sum_j digits[j] dx / (p^L y^(b + n(top - j)))  to
         the basis x^i dx/y^b for each shift s in shifts, recording the exact parts: digits
         are the f-adic digits mod p^m of x^(shifts[0]) times a numerator, and tower, (p^m,
-        _f_adic_tower of f mod p^m), converts the steps between shifts (by default m = M).
+        _f_adic_tower of f mod p^m), converts the step between shifts (by default m = M).
         Integer polynomials mod p^M; f is the model's, t the cofactor of f' from _bezout.
         A stored int c stands for c / p^L: dividing by b + n(m - 1) or n s + (n - b) deg
         divides by its p-part exactly or raises PrecisionExceeded.  Per shift the outputs
@@ -622,31 +622,34 @@ def _numerator_digits(f, p, K, N, alphas, size, shift):
 
 
 def _shifted_digits(digits, shifts, f, mod, tower):
-    """Per shift s, the f-adic digits mod mod of x^(s - shifts[0]) sum_j digits[j] f^j:
-    each from the one before times x^(s - s'), s' the shift before, on the tower of f."""
-    out = [digits]
-    for prev, s in zip(shifts, shifts[1:]):
-        out.append(_digit_product(out[-1], _f_adic_digits([0] * (s - prev) + [1], f, mod, tower),
-                                  f, mod))
+    """Per shift s, the f-adic digits mod mod of x^(s - shifts[0]) sum_j digits[j] f^j,
+    shifts spaced by one step e: each from the one before by a linear map on its digit
+    columns.  With T_k the digits of x^(e + k), k < deg f, converted once (tower, if
+    given, seeds their tower of f), x^e sum_j D_j f^j = sum_(j, l) f^(j + l) sum_k D_j[k]
+    T_k[l], and as the f-adic expansion mod mod is unique (f has a unit leading
+    coefficient), the next digits are E_(j + l)[c] = sum_k D_j[k] T_k[l][c]: per c, one
+    Kronecker sum of scalar multiples of the packed columns D_.[k], with no carry."""
+    d, out = len(f) - 1, [digits]
+    e = shifts[1] - shifts[0] if len(shifts) > 1 else 0
+    own = _f_adic_tower(f, e + d, mod, tower or ())
+    T = [_f_adic_digits([0] * (e + k) + [1], f, mod, own) for k in range(d)]
+    L = max(map(len, T))
+    T = [[(r + [0] * d)[:d] for r in t] + [[0] * d] * (L - len(t)) for t in T]  # T[k][l][c]
+    width = _slot_width(mod, d * L)
+    for _ in shifts[1:]:
+        D = out[-1]
+        cols = [_pack(col, width) for col in zip(*(r + [0] * (d - len(r)) for r in D))]
+        E = []
+        for c in range(d):
+            acc = 0
+            for l in range(L - 1, -1, -1):
+                acc = (acc << 8 * width) + sum(t[l][c] * col for t, col in zip(T, cols))
+            E.append(_unpack(acc, len(D) + L - 1, width, mod))
+        D = [list(r) for r in zip(*E)]
+        while D and not any(D[-1]):
+            D.pop()
+        out.append(D)
     return out
-
-
-def _digit_product(a, b, f, mod):
-    """The f-adic digits mod mod of (sum_j a_j f^j)(sum_k b_k f^k), a and b digit lists:
-    one Kronecker product with 2 deg f - 1 slots per digit, then one carry per digit,
-    trailing zero digits trimmed."""
-    w = 2 * len(f) - 3
-    fa, fb = ([c for r in rs for c in r + [0] * (w - len(r))] for rs in (a, b))
-    width = _slot_width(mod, min(len(fa), len(fb)))
-    prod = _unpack(_pack(fa, width) * _pack(fb, width), len(fa) + len(fb) - 1, width, mod)
-    D, carry = [], []
-    for j in range(0, len(prod), w):  # the last slot is padding: it takes the last carry
-        q, r = _int_divmod_f(prod[j:j + w], f, mod)
-        D.append(_int_padd(r, carry, mod))
-        carry = q
-    while D and not any(D[-1]):
-        D.pop()
-    return D
 
 
 def _frobenius_numerator(c, fpow, u, p, mod):

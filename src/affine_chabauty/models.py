@@ -281,9 +281,7 @@ def selmer_target(problem: CurveProblem, model: RegularModelData,
                 vec[fib.component_index(chosen)] += 1
                 if "P0" not in fib.incidences:
                     raise MissingIncidence(f"no incidence vector for P0 over {q}")
-                p0vec = fib.incidences["P0"]
-                i0 = max(range(len(p0vec)), key=lambda i: Fraction(p0vec[i]))
-                vec[i0] -= 1
+                vec[fib.incidences["P0"].index(1)] -= 1  # a unit vector, checked at load
                 corr = correction_divisor(model, q, fib.matrix.matvec(vec))
                 total += sum(Fraction(corr.coeffs.get(cid, 0)) * Fraction(inc)
                              for cid, inc in lam.component_incidences.items())

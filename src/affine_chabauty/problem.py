@@ -195,8 +195,6 @@ def build_engine(data: dict, p_override: int | None = None,
             values[cid] = cusp_fields[cid](by_cusp.fracs(cid))
         units.append(UnitGenerator(uid, values))
 
-    model = _build_model(doc.record("model", {}), cusp_fields)
-
     imported = []
     for rec in doc.records("imported_integrals"):
         values = [_padic(v, p, f"{rec.at('values')}[{i}]")
@@ -215,11 +213,16 @@ def build_engine(data: dict, p_override: int | None = None,
             raise ProblemFileError(f"known point {xy} is not on the curve")
         known.append(kp)
 
+    rational = {*points, *(kp.id for kp in known), *(f"({kp.x},{kp.y})" for kp in known)}
+    model = _build_model(doc.record("model", {}), cusp_fields, rational)
     return Engine(problem, model, generators, units=units,
                   imported=imported, known_points=known)
 
 
-def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
+def _build_model(block: _Record, cusp_fields: dict, rational: set) -> RegularModelData:
+    """The model data.  A rational point's (id in rational) incidence vector is a unit vector
+    on a multiplicity-1 component: a section of a regular model meets the special fibre
+    there (Liu, Algebraic Geometry and Arithmetic Curves, 9.1)."""
     fibres = {}
     for rec in block.records("fibres"):
         q = rec.prime("prime")
@@ -237,6 +240,11 @@ def _build_model(block: _Record, cusp_fields: dict) -> RegularModelData:
             if len(vec) != len(comps):
                 raise ProblemFileError(f"field {inc.at(k)!r} must hold {len(comps)} entries, "
                                        f"one per component, got {len(vec)}")
+            if k in rational and (sorted(vec) != [0] * (len(vec) - 1) + [1]
+                                  or comps[vec.index(1)].multiplicity != 1):
+                raise ProblemFileError(f"field {inc.at(k)!r}, a rational point's incidences, "
+                                       "must be a unit vector on a component of multiplicity 1, "
+                                       f"got [{', '.join(map(str, vec))}]")
         fibres[q] = FibreData(prime=q, components=comps, matrix=mat, incidences=incidences,
                               base_component=rec.get("base_component", str, ""))
     lambdas = []

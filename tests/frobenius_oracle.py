@@ -7,8 +7,9 @@ its model (every matrix entry as (v, u, N), the dagger ints, the truncation cap,
 the headroom, a_p and #C(F_p)) with the data of the same model whose numerator
 digits come from `tests_support.single_layer_digits` (every term at one
 precision, on one tower), whose basis elements' shifted digits come from
-`tests_support.per_shift_digits` (one product by the digits of x^(p i) per
-element, not each from the one before times x^p) and whose Bezout cofactor
+`tests_support.per_shift_digits` (one product by the digits of x^(p i) and one
+carry per digit, per element, where the program applies one linear map to the
+digit columns of the element before) and whose Bezout cofactor
 comes from `tests_support.sylvester_bezout` (a Sylvester solve over
 PadicNumbers).  Exits 1 and prints each difference.
 """

@@ -14,9 +14,9 @@ from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
-                           padic_disc_series, padic_series, poly_of_series, series_claims,
-                           single_layer_digits, single_layer_numerator, single_layer_tower,
-                           sylvester_bezout)
+                           padic_disc_series, padic_series, per_shift_digits, poly_of_series,
+                           series_claims, single_layer_digits, single_layer_numerator,
+                           single_layer_tower, sylvester_bezout)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -382,7 +382,7 @@ def _padded(digits, deg):
     return [(r + [0] * deg)[:deg] for r in digits]
 
 
-@pytest.mark.parametrize("p,deg", [(3, 6), (5, 6), (7, 4), (23, 6)])
+@pytest.mark.parametrize("p,deg", [(3, 6), (5, 6), (7, 4), (23, 6), (47, 6), (97, 6)])
 def test_each_chained_shift_has_the_digits_of_x_to_the_shift_times_the_polynomial(p, deg):
     """_shifted_digits takes each shift's digits from the one before times x^p: they
     are the f-adic digits of x^s times the polynomial, for shifts that start at 0 or
@@ -409,24 +409,60 @@ def test_each_chained_shift_has_the_digits_of_x_to_the_shift_times_the_polynomia
                 assert _padded(D, deg) == _padded(_f_adic_digits([0] * s + poly, f, mod), deg)
 
 
+@pytest.mark.parametrize("p", [3, 47, 97])
+def test_a_chained_shift_of_digits_all_mod_minus_one_fits_its_slots(p):
+    """Every digit coefficient mod - 1, the largest sums the Kronecker slots of the column
+    map hold: the digits agree with per_shift_digits, one product and one carry per
+    shift.  At p = 47 and 97 x^(p + k) has more digits than deg f."""
+    from affine_chabauty.hyperelliptic import _f_adic_tower, _shifted_digits
+
+    rng = random.Random(41 + p)
+    deg, mod = 6, p ** 9
+    f = _random_poly(rng, deg, mod, zeros=0) + [rng.randrange(1, p)]
+    digits = [[mod - 1] * deg for _ in range(4 * deg)]
+    shifts = [p - 1 + p * i for i in range(deg - 1)]
+    tower = _f_adic_tower(f, p * deg, mod)
+
+    def trimmed(D):
+        D = _padded(D, deg)
+        while D and not any(D[-1]):
+            D.pop()
+        return D
+    assert [trimmed(D) for D in _shifted_digits(digits, shifts, f, mod, tower)] == \
+        [trimmed(D) for D in per_shift_digits(digits, shifts, f, mod, tower)]
+
+
 @pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 5), ("hyperelliptic_6081b", 23),
                                        ("superelliptic_a1", 13)])
-def test_each_eigenspace_makes_deg_f_minus_2_short_shift_products(fixture, p, monkeypatch):
+def test_each_eigenspace_converts_x_to_the_p_plus_k_once_and_maps_deg_f_minus_2_steps(
+        fixture, p, monkeypatch):
     """The first basis element's digits come shifted out of the numerator, and each next
-    one's from the one before by a product with the ceil((p + 1)/deg f) digits of x^p."""
+    one's from the one before by one map on its digit columns: per eigenspace the digits
+    of x^(p + k), k < deg f, are converted once, and each of the deg f - 2 steps unpacks
+    one Kronecker sum per digit coefficient, outside any polynomial product."""
     from affine_chabauty import hyperelliptic
 
     curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
     m = HyperellipticModel(curve.g, p, 12, curve.n)
-    product, sizes = hyperelliptic._digit_product, []
+    stack, monomials, unpacks = [], [], 0
 
-    def counted(a, b, f, mod):
-        sizes.append(len(b))
-        return product(a, b, f, mod)
-    monkeypatch.setattr(hyperelliptic, "_digit_product", counted)
+    def traced(name, kernel):
+        def call(*args):
+            nonlocal unpacks
+            if name == "_f_adic_digits" and "_shifted_digits" in stack and not any(args[0][:-1]):
+                monomials.append(len(args[0]) - 1)
+            unpacks += name == "_unpack" and stack == ["_shifted_digits"]
+            stack.append(name)
+            try:
+                return kernel(*args)
+            finally:
+                stack.pop()
+        return call
+    for name in ("_shifted_digits", "_f_adic_digits", "_int_pmul", "_unpack"):
+        monkeypatch.setattr(hyperelliptic, name, traced(name, getattr(hyperelliptic, name)))
     m.frobenius_data()
-    assert len(sizes) == (m.deg - 2) * (m.n - 1)
-    assert max(sizes) <= -(-(p + 1) // m.deg)
+    assert sorted(monomials) == sorted([p + k for k in range(m.deg)] * (m.n - 1))
+    assert unpacks == (m.n - 1) * (m.deg - 2) * m.deg
 
 
 def test_an_extended_tower_converts_like_a_fresh_one():

@@ -234,6 +234,50 @@ def test_incidence_vectors_of_the_wrong_length_are_rejected(fibre, key, vec):
                                f"{size} entries, one per component, got {len(vec)}")
 
 
+@pytest.mark.parametrize("fixture, fibre, key, vec, shown", [
+    ("hyperelliptic_6081b", 0, "P0", [2, 0, 0, 0], "2, 0, 0, 0"),
+    ("hyperelliptic_6081b", 0, "P0", [0, 0, 0, 0], "0, 0, 0, 0"),
+    ("hyperelliptic_6081b", 0, "P1", [1, 0, 1, 0], "1, 0, 1, 0"),
+    ("hyperelliptic_6081b", 0, "(1,3)", ["1/2", 0, "1/2", 0], "1/2, 0, 1/2, 0"),
+    ("hyperelliptic_6081b", 0, "(-4,-37)", [1, -1, 1, 0], "1, -1, 1, 0"),
+    ("hyperelliptic_6081b", 1, "P2", [10 ** 6], "1000000"),
+    ("superelliptic_a1", 0, "A", [-1], "-1"),
+])
+def test_a_rational_point_off_a_unit_incidence_vector_is_rejected(fixture, fibre, key, vec,
+                                                                  shown):
+    # a section of a regular model meets its fibre in one component: these loaded, and
+    # solve and verify read the vector by its argmax
+    data = json.loads((PROBLEMS / f"{fixture}.json").read_text())
+    data["model"]["fibres"][fibre]["incidences"][key] = vec
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == (f"field 'model.fibres[{fibre}].incidences.{key}', a rational "
+                               "point's incidences, must be a unit vector on a component of "
+                               f"multiplicity 1, got [{shown}]")
+
+
+def test_a_rational_point_on_a_component_of_multiplicity_two_is_rejected():
+    # the fibre over 3 of the superelliptic fixture is one component, C0, which P0 and A
+    # meet: with multiplicity 2 its matrix [[0]] still kills the fibre, and it loaded
+    data = json.loads((PROBLEMS / "superelliptic_a1.json").read_text())
+    data["model"]["fibres"][0]["components"][0]["multiplicity"] = 2
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == ("field 'model.fibres[0].incidences.P0', a rational point's "
+                               "incidences, must be a unit vector on a component of "
+                               "multiplicity 1, got [1]")
+
+
+def test_only_the_incidence_vectors_of_rational_points_are_unit_vectors():
+    # a vector under an id that names no rational point loads as it is, and a fibre
+    # may list only some of the points (the one over 2027 lists P0, P1 and P2)
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["model"]["fibres"][0]["incidences"]["D"] = [2, 0, 1, 0]
+    assert set(data["model"]["fibres"][1]["incidences"]) == {"P0", "P1", "P2"}
+    model = build_engine(data).model
+    assert model.fibres[3].incidences["D"] == [2, 0, 1, 0]
+
+
 def test_a_sum_of_e_f_above_the_cusp_degree_is_rejected():
     # no set of primes over 3 has sum e f = 2 in the rational cusp field of inf+;
     # "e": 2 on inf+|3 used to load, and solve then ended complete
