@@ -41,13 +41,17 @@ class Point:
     x: PadicNumber
     y: PadicNumber
 
+    def __iter__(self):
+        return iter((self.x, self.y))
+
     def __repr__(self):
         return f"({self.x}, {self.y})"
 
 
-def _point_key(pt: Point) -> tuple:
-    """(v, u, N) of x and of y: equal keys are identical points."""
-    return pt.x.v, pt.x.u, pt.x.N, pt.y.v, pt.y.u, pt.y.N
+def _point_key(pt) -> tuple:
+    """An endpoint (x, y) of rationals or PadicNumbers, each coordinate as its Fraction
+    or its (v, u, N): equal keys are identical endpoints."""
+    return tuple((c.v, c.u, c.N) if isinstance(c, PadicNumber) else Fraction(c) for c in pt)
 
 
 @dataclass
@@ -110,8 +114,7 @@ class HyperellipticModel:
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
         self._centers: dict = {}
-        self._daggers: dict = {}
-        self._dagger_tables: list = []
+        self._tables: tuple | None = None
         self._x_classes: dict = {}
         self._solve_frob = None
 
@@ -387,16 +390,17 @@ class HyperellipticModel:
 
     # -- integration ---------------------------------------------------------------
 
-    def _dagger_table(self, i: int):
-        """(S, Nc, cols): the dagger function of basis element i = x^j dx/y^b is
-        y^(n-b) F(x, 1/y^n) with F = sum_m B_m(x) z^m + sum_s lam_s x^s; cols[k][m]
-        is p^S times the coefficient of x^k z^m as an int, S clears every
-        denominator and Nc is the coefficients' common absolute precision.  Built once
-        per model, from the ints c / p^L of the reduction, with _chain: max(Nc + S)
-        and the longest column, the precision and length of every chain of z-powers."""
-        if not self._dagger_tables:
+    def _dagger_tables(self) -> tuple:
+        """(tables, e, length), once per model, from the ints c / p^L of the reduction.
+        The dagger function of basis element i = x^j dx/y^b is y^(n-b) F(x, 1/y^n), F =
+        sum_m B_m(x) z^m + sum_s lam_s x^s known to trunc_prec; tables[i] = (S, cols), with
+        cols[k][m] p^S times the coefficient of x^k z^m as an int and S clearing every
+        denominator.  e = trunc_prec + max S and the longest column's length are the
+        precision and length of every chain of z-powers."""
+        if self._tables is None:
             frob = self.frobenius_data()
             p, L = self.p, frob.headroom
+            tables = []
             for poles, yparts in frob.dagger:
                 terms = [(m, k, c) for m, B in poles for k, c in enumerate(B)]
                 terms += [(0, s, lam) for s, lam in yparts]
@@ -407,51 +411,37 @@ class HyperellipticModel:
                 for m, k, c in terms:
                     cols[k] += [0] * (m + 1 - len(cols[k]))
                     cols[k][m] = c // q
-                self._dagger_tables.append((S, frob.trunc_prec, cols))
-            self._chain = (max(Nc + S for S, Nc, _ in self._dagger_tables),
-                           max(len(col) for _, _, cols in self._dagger_tables for col in cols))
-        return self._dagger_tables[i]
+                tables.append((S, cols))
+            self._tables = (tables, frob.trunc_prec + max(S for S, _ in tables),
+                            max(len(col) for _, cols in tables for col in cols))
+        return self._tables
 
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
-        """Value at pt of the recorded dagger function for basis element i, on ints
-        mod p^(N + S), N the provable precision: y^(n-b) times F(x, z), F once per
-        x-class (`_x_class`) from one dot product of each x-degree column with the
-        powers of z = 1/y^n and one Horner pass in x."""
+        """Value at pt of the recorded dagger function for basis element i, on ints mod
+        p^(N + S), N the provable precision.  The points (x, zeta^k y) share z = 1/y^n: on
+        the first touch of their x-class, keyed on x's (v, u, N), e = min(trunc_prec +
+        max S, x.N, y.N) >= each N + S and the int y^n mod p^e, the powers of z and every
+        element's F(x, z) are built mod p^e, by one dot product per x-degree column and
+        one Horner pass in x; F mod p^(N + S), a ring map's image, is read from them."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
-        S, Nc, cols = self._dagger_table(i)
-        N = min(Nc, pt.x.N - S, pt.y.N - S)
-        R = self.p ** (N + S)
-        zs, Fs = self._x_class(pt)
-        if i not in Fs:  # N + S = min(Nc + S, e), e in the class's key
-            Fs[i] = _horner_mod([sum(map(mul, col, zs)) % R for col in cols],
-                                pt.x.residue(N + S), R)
-        A = pow(pt.y.residue(N + S), self.n - self.basis[i][1], R) * Fs[i] % R
-        return PadicNumber(self.p, *_normal(A, -S, N, self.p))
-
-    def _x_class(self, pt: Point) -> tuple:
-        """(zs, Fs) of pt's x-class, the points (x, zeta^k y) sharing z = 1/y^n, keyed on
-        x's (v, u, N), e = min(max(Nc + S), x.N, y.N) >= each N + S and the int y^n mod
-        p^e, inverted once per class: z^k mod p^e for every k a column reads, and
-        F(x, z) mod p^(N + S) per basis element."""
-        e = min(self._chain[0], pt.x.N, pt.y.N)
+        tables, e, length = self._dagger_tables()
+        e = min(e, pt.x.N, pt.y.N)
         R = self.p ** e
         yn = pow(pt.y.residue(e), self.n, R)
         key = pt.x.v, pt.x.u, pt.x.N, e, yn
         if key not in self._x_classes:
-            z = pow(yn, -1, R)
-            zs = [1, z]
-            for _ in range(self._chain[1] - 2):
-                zs.append(zs[-1] * z % R)
-            self._x_classes[key] = zs, {}
-        return self._x_classes[key]
-
-    def _dagger_vector(self, T: Point) -> list[PadicNumber]:
-        """dagger_eval of every basis element at the Teichmueller point T, once per point."""
-        key = _point_key(T)
-        if key not in self._daggers:
-            self._daggers[key] = [self.dagger_eval(i, T) for i in range(self.dim)]
-        return self._daggers[key]
+            zs = [1, pow(yn, -1, R)]
+            for _ in range(length - 2):
+                zs.append(zs[-1] * zs[1] % R)
+            x = pt.x.residue(e)
+            self._x_classes[key] = [_horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R)
+                                    for _, cols in tables]
+        S = tables[i][0]
+        N = min(self.frobenius_data().trunc_prec, pt.x.N - S, pt.y.N - S)
+        R = self.p ** (N + S)
+        A = pow(pt.y.residue(N + S), self.n - self.basis[i][1], R) * self._x_classes[key][i] % R
+        return PadicNumber(self.p, *_normal(A, -S, N, self.p))
 
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
         """Integrals of the basis between two points of one residue disc.
@@ -515,9 +505,9 @@ class HyperellipticModel:
         return out
 
     def _teich_system(self, TP: Point, TQ: Point) -> list[PadicNumber]:
-        if (TP.x - TQ.x).is_zero() and (TP.y - TQ.y).is_zero():
+        if _point_key(TP) == _point_key(TQ):
             return [PadicNumber.exact_zero(self.p)] * self.dim
-        rhs = [b - a for a, b in zip(self._dagger_vector(TP), self._dagger_vector(TQ))]
+        rhs = [self.dagger_eval(i, TQ) - self.dagger_eval(i, TP) for i in range(self.dim)]
         if self._solve_frob is None:  # I - Frob eliminated once per model
             one = PadicNumber.from_int(1, self.p, self.M)
             self._solve_frob = padic_solve([[one - c if i == j else -c for j, c in enumerate(row)]

@@ -13,13 +13,12 @@ All integrals use the Iwasawa branch log(p) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import add
 
 from .curves import CurveProblem, LogDifferential, ResidueDisc
 from .errors import PoleOnDisc
-from .hyperelliptic import HyperellipticModel, Point
+from .hyperelliptic import HyperellipticModel, Point, _point_key
 from .padics import PadicNumber
 from .series import IntSeries, dot
 from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces this binding)
@@ -147,12 +146,6 @@ class Integrator:
         """Integral between two points of one non-cuspidal residue disc."""
         m = self.main_model()
         return _dot(omega.coeffs, self._pick(m.tiny_basis_integrals(m.point(*P), m.point(*Q))))
-
-
-def _point_key(pt) -> tuple:
-    """An endpoint (x, y) of rationals or PadicNumbers, each coordinate as its Fraction
-    or its (v, u, N): equal keys are identical endpoints."""
-    return tuple((c.v, c.u, c.N) if isinstance(c, PadicNumber) else Fraction(c) for c in pt)
 
 
 def _dot(coeffs, values):

@@ -222,7 +222,8 @@ def build_engine(data: dict, p_override: int | None = None,
 def _build_model(block: _Record, cusp_fields: dict, rational: set) -> RegularModelData:
     """The model data.  A rational point's (id in rational) incidence vector is a unit vector
     on a multiplicity-1 component: a section of a regular model meets the special fibre
-    there (Liu, Algebraic Geometry and Arithmetic Curves, 9.1)."""
+    there (Liu, Algebraic Geometry and Arithmetic Curves, 9.1).  Where P0 has a vector, its
+    component is the fibre's base component."""
     fibres = {}
     for rec in block.records("fibres"):
         q = rec.prime("prime")
@@ -245,8 +246,15 @@ def _build_model(block: _Record, cusp_fields: dict, rational: set) -> RegularMod
                 raise ProblemFileError(f"field {inc.at(k)!r}, a rational point's incidences, "
                                        "must be a unit vector on a component of multiplicity 1, "
                                        f"got [{', '.join(map(str, vec))}]")
+        base = rec.get("base_component", str, "")
+        if "P0" in incidences:
+            own = comps[incidences["P0"].index(1)].id
+            if base not in ("", own):
+                raise ProblemFileError(f"field {rec.at('base_component')!r} must name P0's "
+                                       f"component {own}, got {base!r}")
+            base = own
         fibres[q] = FibreData(prime=q, components=comps, matrix=mat, incidences=incidences,
-                              base_component=rec.get("base_component", str, ""))
+                              base_component=base)
     lambdas = []
     for rec in block.records("cusp_primes"):
         lid, cusp = rec.get("id", str), rec.get("cusp", str)

@@ -226,24 +226,6 @@ def test_verify_builds_each_selmer_target_and_pseudoinverse_once(monkeypatch):
     assert calls["moore_penrose"] <= len(eng.model.fibres)
 
 
-def test_solve_evaluates_each_dagger_function_once_per_teichmueller_point(monkeypatch):
-    from affine_chabauty.hyperelliptic import HyperellipticModel
-
-    calls = []
-    orig = HyperellipticModel.dagger_eval
-
-    def counted(self, i, pt):
-        calls.append((id(self), i, (pt.x.v, pt.x.u, pt.x.N, pt.y.v, pt.y.u, pt.y.N)))
-        return orig(self, i, pt)
-    monkeypatch.setattr(HyperellipticModel, "dagger_eval", counted)
-    eng = load("hyperelliptic_6081b.json", prec_override=8)
-    eng.solve()
-    assert calls
-    assert len(calls) == len(set(calls))
-    dim = eng.integrator.main_model().dim
-    assert len(calls) <= dim * len({pt for _, _, pt in calls})
-
-
 def test_solve_builds_each_disc_once(monkeypatch):
     """One parametrization per residue disc, whichever layer asks for it: the
     integrator reads its discs from the model's disc_series."""

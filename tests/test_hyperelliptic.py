@@ -14,9 +14,9 @@ from affine_chabauty.hyperelliptic import HyperellipticModel, Point
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
-                           padic_disc_series, padic_series, per_shift_digits, poly_of_series,
-                           series_claims, single_layer_digits, single_layer_numerator,
-                           single_layer_tower, sylvester_bezout)
+                           padic_disc_series, padic_series, per_point_dagger_eval, per_shift_digits,
+                           poly_of_series, series_claims, single_layer_digits,
+                           single_layer_numerator, single_layer_tower, sylvester_bezout)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -861,7 +861,21 @@ def _scaled(m, k):
     fd = m.frobenius_data()
     out = copy.copy(m)
     out._frob = dataclasses.replace(fd, headroom=fd.headroom + k, trunc_prec=fd.trunc_prec - k)
-    out._daggers, out._dagger_tables, out._x_classes = {}, [], {}
+    out._tables, out._x_classes = None, {}
+    return out
+
+
+def _mixed(m, k, i):
+    """_scaled(m, k) with the dagger ints of basis element i multiplied by p^k, mod
+    p^(trunc_prec + headroom) as the reduction keeps them: i keeps S = 0 and the others
+    need S > 0, so i's N + S lies below the precision e of every x-class."""
+    out = _scaled(m, k)
+    fd, q = out._frob, m.p ** k
+    keep = m.p ** (fd.trunc_prec + fd.headroom)
+    poles, yparts = fd.dagger[i]
+    times = ([(mm, [c * q % keep for c in B]) for mm, B in poles],
+             [(s, c * q % keep) for s, c in yparts])
+    out._frob = dataclasses.replace(fd, dagger=fd.dagger[:i] + [times] + fd.dagger[i + 1:])
     return out
 
 
@@ -897,7 +911,7 @@ def test_integer_dagger_matches_padic_horner_at_full_precision(key):
         for pt in pts:
             for i in range(m.dim):
                 assert _vun(m.dagger_eval(i, pt)) == _vun(_dagger_reference(m, i, pt))
-    assert all(scaled._dagger_table(i)[0] > 0 for i in range(base.dim))
+    assert all(S > 0 for S, _ in scaled._dagger_tables()[0])
 
 
 @pytest.mark.parametrize("key", DAGGER_MODELS)
@@ -905,8 +919,8 @@ def test_integer_dagger_on_truncated_points_never_claims_more_precision(key):
     base = _fixture_model(*key)
     pt = points_on(base, 1, random.Random(42))[0]
     for m in (base, _scaled(base, 3)):
-        for i in range(m.dim):
-            S, Nc, _ = m._dagger_table(i)
+        Nc = m.frobenius_data().trunc_prec
+        for i, (S, _) in enumerate(m._dagger_tables()[0]):
             for cut in (Nc + S - 1, Nc + S - 4, S + 2):
                 for x, y in ((pt.x.at_precision(cut), pt.y), (pt.x, pt.y.at_precision(cut)),
                              (pt.x.at_precision(cut), pt.y.at_precision(cut + 1))):
@@ -914,6 +928,32 @@ def test_integer_dagger_on_truncated_points_never_claims_more_precision(key):
                     ref = _dagger_reference(m, i, Point(x, y))
                     assert got.N == min(Nc, x.N - S, y.N - S) <= ref.N
                     assert got.compare(ref) != "distinct"
+
+
+@pytest.mark.parametrize("key", DAGGER_MODELS)
+def test_integer_dagger_with_mixed_headroom_reads_each_element_below_its_x_class(key):
+    """One element at S = 0, the others at S > 0: every F is built mod p^e and the S = 0
+    element's read mod p^(N + S) < p^e.  dagger_eval equals per_point_dagger_eval as
+    (v, u, N) at every affine Teichmueller point and at truncated points; it equals
+    _dagger_reference at the former and claims no more precision than it at the latter."""
+    m = _mixed(_fixture_model(*key), 3, 0)
+    tables, e, _ = m._dagger_tables()
+    Nc = m.frobenius_data().trunc_prec
+    assert tables[0][0] == 0 < min(S for S, _ in tables[1:]) and Nc < e
+    for T in _affine_teichmueller_points(m):
+        for i in range(m.dim):
+            got = _vun(m.dagger_eval(i, T))
+            assert got == _vun(per_point_dagger_eval(m, i, T)) == _vun(_dagger_reference(m, i, T))
+    pt = points_on(m, 1, random.Random(43))[0]
+    for cut in (e - 1, Nc - 1, 5):
+        for x, y in ((pt.x.at_precision(cut), pt.y), (pt.x, pt.y.at_precision(cut)),
+                     (pt.x.at_precision(cut), pt.y.at_precision(cut + 1))):
+            for i, (S, _) in enumerate(tables):
+                got = m.dagger_eval(i, Point(x, y))
+                assert _vun(got) == _vun(per_point_dagger_eval(m, i, Point(x, y)))
+                ref = _dagger_reference(m, i, Point(x, y))
+                assert got.N == min(Nc, x.N - S, y.N - S) <= ref.N
+                assert got.compare(ref) != "distinct"
 
 
 @pytest.mark.parametrize("key", DAGGER_MODELS[:2])
@@ -954,7 +994,7 @@ def test_dagger_values_shared_per_x_class_match_the_padic_reference(fixture, p):
         for i in range(m.dim):
             assert _vun(m.dagger_eval(i, T)) == _vun(_dagger_reference(m, i, T))
     assert len(points) == m.n * len(m._x_classes) > 0
-    assert all(len(Fs) == m.dim for _, Fs in m._x_classes.values())
+    assert all(len(Fs) == m.dim for Fs in m._x_classes.values())
 
 
 @pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 7), ("superelliptic_a1", 7)])

@@ -20,7 +20,7 @@ from affine_chabauty.models import (
     selmer_target,
 )
 from affine_chabauty.problem import build_engine, load_problem
-from tests_support import psi_intersection_with_components
+from tests_support import psi_intersection_with_components, report_texts
 
 import pathlib
 
@@ -297,3 +297,30 @@ def test_a_zero_exponent_is_rejected_with_the_valuation_of_pi():
         build_engine(data)
     assert e.value.args[0] == ("pi of inf+|3, its generator to the power 0, has q-norm "
                                "valuation 0, expected f = 1")
+
+
+@pytest.mark.parametrize("fibre, value, own", [(0, "E2", "C0"), (1, "C0", "D0")])
+def test_a_base_component_off_the_base_points_vector_is_rejected(fibre, value, own):
+    # "E2" over 3 used to load, and solve then ended complete with a changed report:
+    # correction_divisor normalized Phi on a component that P0 does not meet
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    data["model"]["fibres"][fibre]["base_component"] = value
+    with pytest.raises(ProblemFileError) as e:
+        build_engine(data)
+    assert e.value.args[0] == (f"field 'model.fibres[{fibre}].base_component' must name P0's "
+                               f"component {own}, got {value!r}")
+
+
+@pytest.mark.parametrize("blank", ["", None])
+def test_a_blank_or_missing_base_component_is_the_base_points_own(blank):
+    # "" or no field used to skip the normalization of Phi, and solve reported other
+    # values; now the component comes from P0's unit vector
+    data = json.loads((PROBLEMS / "hyperelliptic_6081b.json").read_text())
+    want = report_texts(lambda: build_engine(data, prec_override=6))
+    for fib in data["model"]["fibres"]:
+        if blank is None:
+            del fib["base_component"]
+        else:
+            fib["base_component"] = blank
+    assert [f.base_component for f in build_engine(data).model.fibres.values()] == ["C0", "D0"]
+    assert report_texts(lambda: build_engine(data, prec_override=6)) == want

@@ -572,18 +572,18 @@ def frobenius_differences(m) -> list:
 
 def per_point_dagger_eval(m, i, pt):
     """The reference for HyperellipticModel.dagger_eval, same arguments and result: the
-    powers of z = 1/y^n and F(x, z) built for pt alone, mod p^e with e = min(max(Nc + S)
-    over the basis, x.N, y.N), from the model's dagger tables."""
+    powers of z = 1/y^n mod p^e, e = min(trunc_prec + max S over the basis, x.N, y.N),
+    and F(x, z) mod p^(N + S) built for pt alone, from the model's dagger tables."""
     if pt.y.is_zero() or pt.y.v != 0:
         raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
     p, n = m.p, m.n
-    tables = [m._dagger_table(k) for k in range(m.dim)]
-    S, Nc, cols = tables[i]
+    tables, Nc = m._dagger_tables()[0], m.frobenius_data().trunc_prec
+    S, cols = tables[i]
     N = min(Nc, pt.x.N - S, pt.y.N - S)
     R = p ** (N + S)
-    e = min(max(Nc + S for S, Nc, _ in tables), pt.x.N, pt.y.N)
+    e = min(Nc + max(S for S, _ in tables), pt.x.N, pt.y.N)
     zs = [1, pow(pt.y.residue(e), -n, p ** e)]
-    for _ in range(max(len(col) for _, _, cs in tables for col in cs) - 2):
+    for _ in range(max(len(col) for _, cs in tables for col in cs) - 2):
         zs.append(zs[-1] * zs[1] % p ** e)
     x, y = pt.x.residue(N + S), pt.y.residue(N + S)
     A = pow(y, n - m.basis[i][1], R) * \
@@ -611,7 +611,7 @@ def per_pair_teich_system(m, TP, TQ):
     if (TP.x - TQ.x).is_zero() and (TP.y - TQ.y).is_zero():
         return [PadicNumber.exact_zero(m.p)] * m.dim
     matrix = m.frobenius_data().matrix
-    rhs = [b - a for a, b in zip(m._dagger_vector(TP), m._dagger_vector(TQ))]
+    rhs = [m.dagger_eval(i, TQ) - m.dagger_eval(i, TP) for i in range(m.dim)]
     one = PadicNumber.from_int(1, m.p, m.M)
     return augmented_solve([[one - c if i == j else -c for j, c in enumerate(row)]
                             for i, row in enumerate(matrix)], rhs)
