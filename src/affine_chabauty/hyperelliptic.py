@@ -22,6 +22,7 @@ every disc center, expansion and tiny integral from it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -621,7 +622,7 @@ def _shifted_digits(digits, shifts, f, mod, tower):
     Kronecker sum of scalar multiples of the packed columns D_.[k], with no carry."""
     d, out = len(f) - 1, [digits]
     e = shifts[1] - shifts[0] if len(shifts) > 1 else 0
-    own = _f_adic_tower(f, e + d, mod, tower or ())
+    own = _f_adic_tower(f, e + d, mod, tower)
     T = [_f_adic_digits([0] * (e + k) + [1], f, mod, own) for k in range(d)]
     L = max(map(len, T))
     T = [[(r + [0] * d)[:d] for r in t] + [[0] * d] * (L - len(t)) for t in T]  # T[k][l][c]
@@ -697,45 +698,87 @@ def _int_series_inv(a, n, mod, h=(), r=1):
     return h
 
 
-def _f_adic_tower(f, size, mod, tables=()):
+_Tower = namedtuple("_Tower", "mod levels phi")  # levels: (f^(2^k), 1 / rev f^(2^k))
+
+
+def _f_adic_tower(f, size, mod, tables=None):
     """(f^(2^k), inverse of its reversal) mod mod up to the first 2 deg f^(2^k) >= size,
     each inverse as long as the quotients of a poly of length size use: deg f^(2^k)
-    below the top level, size - deg at it; a shorter poly reads a prefix of each.
-    It extends tables, a tower of f mod a multiple of mod, and starts each new
-    inverse from the square of the one below: 1/rev(g^2) = (1/rev g)^2."""
+    below the top level, size - deg at it (a shorter poly reads a prefix); and the leaf
+    map of _f_adic_digits.  It extends tables, a tower of f mod a multiple of mod, reducing
+    its levels and map, and seeds each new inverse: 1/rev(g^2) = (1/rev g)^2."""
     out = []
     while not out or 2 * (len(out[-1][0]) - 1) < size:
-        if len(out) < len(tables):
-            g, h = ([c % mod for c in cs] for cs in tables[len(out)])
+        if tables and len(out) < len(tables.levels):
+            g, h = ([c % mod for c in cs] for cs in tables.levels[len(out)])
         else:
             g, h = (_int_pmul(g, g, mod), _int_pmul(h, h, mod, 0, len(h))) if out else (f, [])
         n = len(g) - 1
         h = _int_series_inv(g[::-1], n if 2 * n < size else size - n, mod, h)
         out.append((g, h))
-    return out
+    if tables:
+        phi = tables.phi if tables.mod == mod else [[c % mod for c in r] for r in tables.phi]
+    else:  # row c, the digits of x^c, is row c - 1 times x, x^deg f = (f - f_low) / lc(f)
+        d, lead_inv = len(f) - 1, pow(f[-1], -1, mod)
+        rows = [[1] + [0] * (8 * d - 1)]
+        while len(rows) < 8 * d:
+            new, carry = [], 0
+            for o in range(0, len(rows) // d * d + 1, d):  # x^c has digits j <= c / deg f
+                s = rows[-1][o + d - 1] * lead_inv % mod
+                new += [(a - s * fc) % mod for a, fc in zip([carry] + rows[-1][o:o + d - 1], f)]
+                carry = s
+            rows.append(new + [0] * (8 * d - len(new)))
+        phi = [list(col[r // d * d:]) for r, col in enumerate(zip(*rows))]
+    return _Tower(mod, out, phi)
 
 
-def _f_adic_digits(poly, f, mod, tables=None):
-    """Digits r_j, deg r_j < deg f, of poly = sum_j r_j f^j, on the tower tables
-    of f (by default built for poly).
+def _f_adic_digits(poly, f, mod, tower=None):
+    """Digits r_j, deg r_j < deg f, of poly = sum_j r_j f^j, on the tower of f (by
+    default built for poly).
 
-    Radix conversion: divide and conquer over f^(2^k), each division one
-    product with the inverse of the reversed divisor (von zur Gathen-Gerhard,
-    Modern Computer Algebra, 9.1-9.2).
+    Radix conversion: divide and conquer over g = f^(2^k), k >= 3, each division one
+    product with the inverse of the reversed divisor (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 9.1-9.2): g and its inverse packed once per conversion in
+    _slot_width(mod, deg g + 1) bytes (a slot sums at most deg g + 1 products below
+    mod^2), the inverse masked to the quotient's lq slots, the remainder read off the
+    product's slots in one pass.  Levels 0-2 are one linear map on the chunks left, of
+    length B = 8 deg f at most: phi[r] holds coefficient r = j deg f + i of the digits
+    of x^c, j deg f <= c < B (x^c has no digit j below), each x^c the one before times
+    x with one carry per digit.  Per output coefficient, one Kronecker sum of scalar
+    multiples of the packed columns (one slot per chunk, one int per index c), a slot
+    summing B products below mod^2 in _slot_width(mod, B) bytes.  As f has a unit
+    leading coefficient the expansion mod every p^j is unique and linear: these are the
+    recursion's digits.  B = 8 deg f beat 4 and 16 deg f at hyper p = 7, 23, super p = 7.
     """
-    tables = tables or _f_adic_tower(f, len(poly), mod)
-    top = next(k for k, (g, _) in enumerate(tables) if 2 * (len(g) - 1) >= len(poly))
+    tower = tower or _f_adic_tower(f, len(poly), mod)
+    d, B = len(f) - 1, 8 * len(f) - 8
+    top = next(k for k, (g, _) in enumerate(tower.levels) if 2 * (len(g) - 1) >= len(poly))
+    packed = [(len(g) - 1, w, _pack(g, w), _pack(h, w)) for g, h in tower.levels[3:top + 1]
+              for w in [_slot_width(mod, len(g))]]
+    chunks = []
 
-    def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits
-        if k < 0:
-            return [a]
-        g, ginv = tables[k]
-        n = len(g) - 1
-        lq = max(len(a) - n, 0)
-        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
-        return split(_int_sub(a[:n], _int_pmul(q, g, mod, 0, n), mod), k - 1) + split(q, k - 1)
+    def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits, 2^(k-2) leaf chunks
+        if k < 3:
+            return chunks.append(a)
+        n, w, G, H = packed[k - 3]
+        lq, q = len(a) - n, []
+        if lq > 0:
+            mask = (1 << 8 * w * lq) - 1
+            q = _unpack(_pack(a[:n - 1:-1], w) * (H & mask) & mask, lq, w, mod)[::-1]
+            raw = (_pack(q, w) * G).to_bytes((lq + n) * w, "little")
+            a = [(c - int.from_bytes(raw[i:i + w], "little")) % mod
+                 for c, i in zip(a, range(0, n * w, w))]
+        split(a, k - 1)
+        split(q, k - 1)
 
-    digits = split(poly, top)
+    split(poly, top)
+    w, L = _slot_width(mod, B), max(map(len, chunks))  # columns c >= L and digits j >= L / d: 0
+    cols = [_pack(col, w) for col in zip(*(a + [0] * (L - len(a)) for a in chunks))]
+    tails = [cols[o:] for o in range(0, L, d)]  # digit j reads the columns c >= j deg f
+    out = [_unpack(sum(map(mul, row, tails[r // d])), len(chunks), w, mod)
+           for r, row in enumerate(tower.phi[:len(tails) * d])]
+    out += [[0] * len(chunks)] * (B - len(out))
+    digits = [list(cs[i:i + d]) for cs in zip(*out) for i in range(0, B, d)]
     while digits and not any(digits[-1]):
         digits.pop()
     return digits

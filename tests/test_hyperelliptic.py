@@ -15,8 +15,9 @@ from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
 from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
                            padic_disc_series, padic_series, per_point_dagger_eval, per_shift_digits,
-                           poly_of_series, series_claims, single_layer_digits,
-                           single_layer_numerator, single_layer_tower, sylvester_bezout)
+                           poly_of_series, reference_digits, series_claims,
+                           single_layer_digits, single_layer_numerator, single_layer_tower,
+                           sylvester_bezout)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -478,12 +479,57 @@ def test_an_extended_tower_converts_like_a_fresh_one():
         for size in (1, 3 * d, 40 * d + 3):
             got = _f_adic_tower(f12, size, p ** 12, low)
             want = single_layer_tower(f12, size, p ** 12)
-            assert [g for g, _ in got] == [g for g, _ in want]
-            for (g, h), (_, h_ref) in zip(got, want):
+            assert [g for g, _ in got.levels] == [g for g, _ in want]
+            for (g, h), (_, h_ref) in zip(got.levels, want):
                 assert h[:len(h_ref)] == h_ref and len(h) >= len(h_ref)
                 assert _int_series_inv(g[::-1], len(h), p ** 12) == h
             poly = _random_poly(rng, size, p ** 12)
             assert _f_adic_digits(poly, f12, p ** 12, got) == _f_adic_digits(poly, f12, p ** 12)
+
+
+def test_a_reduced_tower_carries_the_leaf_map_of_a_fresh_one():
+    """A tower mod p^20 reduced mod p^12 and extended carries the leaf map of a tower
+    built from scratch mod p^12, and converts polys that end at, below or above every
+    leaf boundary k B, B = 8 deg f, exactly as the fresh tower does."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _f_adic_tower
+
+    rng = random.Random(43)
+    for p, d in ((3, 3), (7, 4), (23, 6)):
+        f = _random_poly(rng, d, p ** 20, zeros=0) + [rng.randrange(1, p)]
+        low = _f_adic_tower(f, 5 * d, p ** 20)
+        f12 = [c % p ** 12 for c in f]
+        B = 8 * d
+        sizes = [n for k in range(1, 5) for n in (k * B - 1, k * B, k * B + 1)]
+        got = _f_adic_tower(f12, sizes[-1], p ** 12, low)
+        fresh = _f_adic_tower(f12, sizes[-1], p ** 12)
+        assert got.phi == fresh.phi and len(got.phi) == B
+        for size in sizes:
+            poly = _random_poly(rng, size, p ** 12)
+            assert _f_adic_digits(poly, f12, p ** 12, got) == \
+                _f_adic_digits(poly, f12, p ** 12, fresh), (p, size)
+
+
+@pytest.mark.parametrize("deg", [3, 6])
+@pytest.mark.parametrize("p", [7, 23, 97])
+def test_the_leaf_map_gives_the_digits_of_the_recursive_reference(p, deg):
+    """The packed levels and the leaf map give the digits of the recursive split down to
+    single digits (tests_support.reference_digits), each padded to deg f: on a tower mod
+    p^m and on the same tower reduced mod p^(m - h), as the two numerator layers use
+    them, for lengths at the leaf size B = 8 deg f and around it, and with every
+    coefficient mod - 1, the largest sums the slots hold."""
+    from affine_chabauty.hyperelliptic import _f_adic_digits, _f_adic_tower
+
+    rng = random.Random(44 + p + deg)
+    m, h, B = 12, 5, 8 * deg
+    f = _random_poly(rng, deg, p ** m, zeros=0) + [rng.randrange(1, p)]
+    tower = _f_adic_tower(f, 3000, p ** m)
+    for mod, tw in ((p ** m, tower), (p ** (m - h), _f_adic_tower(f, 3000, p ** (m - h), tower))):
+        fm = [c % mod for c in f]
+        polys = [_random_poly(rng, n, mod) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1, 3000)]
+        polys += [[mod - 1] * n for n in (B, 2 * B + 1, 3000)]
+        for poly in polys:
+            assert _padded(_f_adic_digits(poly, fm, mod, tw), deg) == \
+                _padded(reference_digits(poly, fm, mod), deg), (mod, len(poly))
 
 
 def _root_inverse_reference(G, T, mod, z0, n):

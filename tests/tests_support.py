@@ -4,7 +4,8 @@ to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
 the residue-disc series and the disc locus built on PadicNumbers (the
 references for the model's int kernel and the engine's int locus), the
 single-layer Frobenius numerator and its digits (the reference for the graded
-ones), one digit product per basis element's shift (the reference for the
+ones), the recursive radix conversion down to single digits (the reference for
+the leaf map), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
 the lifted one), the intersection of Psi with the fibre components, and the
 per-point dagger values, per-pair solves, disc centers and determinant rows
@@ -20,10 +21,10 @@ from affine_chabauty import series as series_module
 from affine_chabauty.errors import (ChabautyError, EndpointRestriction,
                                     IndistinguishableFromZero, PoleOnDisc, PrecisionLoss)
 from affine_chabauty import hyperelliptic
-from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _f_adic_digits,
-                                           _frobenius_numerator, _int_divmod_f, _int_padd,
-                                           _int_pmul, _int_pmul_stride, _int_series_inv,
-                                           _int_sub, _pack, _slot_width, _unpack)
+from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _frobenius_numerator,
+                                           _int_divmod_f, _int_padd, _int_pmul, _int_pmul_stride,
+                                           _int_series_inv, _int_sub, _pack, _slot_width,
+                                           _unpack)
 from affine_chabauty.integration import _dot
 from affine_chabauty.linalg import padic_det, padic_solve
 from affine_chabauty.models import enumerate_reduction_types
@@ -492,21 +493,46 @@ def single_layer_tower(f, size, mod):
     return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
 
 
+def reference_digits(poly, f, mod, tables=None):
+    """The reference for hyperelliptic._f_adic_digits: the digits of poly = sum_j r_j
+    f^j by the recursive split over every level of tables, a single_layer_tower of f
+    (by default built for poly), down to single digits, each division one product
+    with the inverse of the reversed divisor and one subtraction; a digit may be
+    shorter than deg f."""
+    tables = tables or single_layer_tower(f, len(poly), mod)
+    top = next(k for k, (g, _) in enumerate(tables) if 2 * (len(g) - 1) >= len(poly))
+
+    def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits
+        if k < 0:
+            return [a]
+        g, ginv = tables[k]
+        n = len(g) - 1
+        lq = max(len(a) - n, 0)
+        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
+        return split(_int_sub(a[:n], _int_pmul(q, g, mod, 0, n), mod), k - 1) + split(q, k - 1)
+
+    digits = split(poly, top)
+    while digits and not any(digits[-1]):
+        digits.pop()
+    return digits
+
+
 def single_layer_digits(f, p, K, N, alphas, size, shift):
     """The reference for hyperelliptic._numerator_digits, same arguments and result:
-    each numerator at one precision p^N, times x^shift, converted on one tower of f
-    mod p^N."""
+    each numerator at one precision p^N, times x^shift, converted by reference_digits
+    on one tower of f mod p^N."""
     nums = [[0] * shift + single_layer_numerator(f, p, K, N, alpha) for alpha in alphas]
     tower = single_layer_tower(f, max([size] + [len(num) for num in nums]), p ** N)
-    return [_f_adic_digits(num, f, p ** N, tower) for num in nums], tower
+    return [reference_digits(num, f, p ** N, tower) for num in nums], tower
 
 
 def per_shift_digits(digits, shifts, f, mod, tower):
     """The reference for hyperelliptic._shifted_digits, same arguments and result: per
     shift s, one Kronecker product of the digit sequence with that of x^(s - shifts[0])
-    and one carry per digit, each shift on its own."""
+    and one carry per digit, each shift on its own.  The digits of x^(s - shifts[0])
+    come from reference_digits on its own tower: tower is not read."""
     w = 2 * len(f) - 3
-    xdigits = [_f_adic_digits([0] * (s - shifts[0]) + [1], f, mod, tower) for s in shifts]
+    xdigits = [reference_digits([0] * (s - shifts[0]) + [1], f, mod) for s in shifts]
     flat, *xflats = ([c for r in rs for c in r + [0] * (w - len(r))]
                      for rs in [digits] + xdigits)
     width = _slot_width(mod, min(len(flat), max(map(len, xflats))))
