@@ -396,15 +396,16 @@ class HyperellipticModel:
         The dagger function of basis element i = x^j dx/y^b is y^(n-b) F(x, 1/y^n), F =
         sum_m B_m(x) z^m + sum_s lam_s x^s known to trunc_prec; tables[i] = (S, cols), with
         cols[k][m] p^S times the coefficient of x^k z^m as an int and S clearing every
-        denominator.  e = trunc_prec + max S and the longest column's length are the
-        precision and length of every chain of z-powers."""
+        denominator.  Zero coefficients are left out (the top pole levels are all zero
+        mod p^(trunc_prec + L)), so e = trunc_prec + max S and the longest column's length,
+        the precision and length of every chain of z-powers, stop at the last nonzero one."""
         if self._tables is None:
             frob = self.frobenius_data()
             p, L = self.p, frob.headroom
             tables = []
             for poles, yparts in frob.dagger:
-                terms = [(m, k, c) for m, B in poles for k, c in enumerate(B)]
-                terms += [(0, s, lam) for s, lam in yparts]
+                terms = [(m, k, c) for m, B in poles for k, c in enumerate(B) if c]
+                terms += [(0, s, lam) for s, lam in yparts if lam]
                 g = gcd(*(c for _, _, c in terms))
                 S = max(0, L - _vp(g, p)) if g else 0
                 q = p ** (L - S)  # divides every c
@@ -534,15 +535,25 @@ def _int_sub(a, b, mod):
 
 def _int_pmul(a, b, mod, lo=0, hi=None):
     """Slots lo..hi - 1 of the product of polynomials with coefficients in [0, mod),
-    reduced mod mod; hi defaults to, and is capped at, the product's length."""
+    reduced mod mod; hi defaults to, and is capped at, the product's length.
+
+    Kronecker substitution into byte-aligned slots: below _KS2 coefficients per factor
+    one native bigint product, from _KS2 on Harvey's KS2 ("Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symb. Comput. 2009),
+    two products of half the length (_pack2, _mul2, _unpack2)."""
     if not a or not b:
         return []
-    # Kronecker substitution into byte-aligned slots: one native bigint multiply
-    size = len(a) + len(b) - 1
-    width = _slot_width(mod, min(len(a), len(b)))
-    xa = _pack(a, width)
-    xb = xa if b is a else _pack(b, width)
-    return _unpack(xa * xb, size, width, mod, lo, hi)
+    width, ks2 = _slot_width(mod, min(len(a), len(b))), min(len(a), len(b)) >= _KS2
+    xa = _pack2(a, width, ks2)
+    xb = xa if b is a else _pack2(b, width, ks2)
+    return _unpack2(_mul2(xa, xb, width), len(a) + len(b) - 1, width, mod, lo, hi)
+
+
+# Factors of at least _KS2 coefficients multiply by KS2: against one product, a
+# product of two n-coefficient factors mod about p^24 (p = 7, 23, 47) took 1.03-1.06
+# at n = 16, 0.93-1.01 at n = 24, 0.87-1.01 at n = 32 and 0.71-0.75 at n = 512; the
+# Frobenius build moved less than its run-to-run spread from _KS2 = 16 to 64.
+_KS2 = 32
 
 
 def _slot_width(mod, terms):
@@ -562,6 +573,40 @@ def _unpack(x, size, width, mod, lo=0, hi=None):
     hi = size if hi is None else min(hi, size)
     return [int.from_bytes(raw[i:i + width], "little") % mod
             for i in range(lo * width, hi * width, width)]
+
+
+def _pack2(cs, width, ks2):
+    """a = sum cs[i] x^i as a Kronecker factor: (a(2^(8 width)),), or for KS2 (a(2^(4
+    width)), a(-2^(4 width))), the even coefficients packed in width-byte slots plus
+    and minus the odd ones packed and moved up half a slot."""
+    if not ks2:
+        return (_pack(cs, width),)
+    even, odd = _pack(cs[::2], width), _pack(cs[1::2], width) << 4 * width
+    return even + odd, even - odd
+
+
+def _mul2(xa, xb, width):
+    """The product of two _pack2 factors as its k = len(xa) phases: phase j packs the
+    coefficients i = j mod k in width-byte slots.  For KS2 they are (P + M) / 2 and
+    (P - M) / 2^(4 width + 1), P and M the products at +-2^(4 width), exact as every
+    coefficient fits its slot."""
+    if len(xa) == 1:
+        return [xa[0] * xb[0]]
+    plus, minus = xa[0] * xb[0], xa[1] * xb[1]
+    return [(plus + minus) >> 1, (plus - minus) >> 4 * width + 1]
+
+
+def _unpack2(phases, size, width, mod, lo=0, hi=None):
+    """_unpack for the size-slot product given as _mul2's phases, interleaved."""
+    k = len(phases)
+    if k == 1:
+        return _unpack(phases[0], size, width, mod, lo, hi)
+    hi = size if hi is None else min(hi, size)
+    out = [0] * max(hi - lo, 0)
+    for j, x in enumerate(phases):  # coefficient i = j + k t is slot t of phase j
+        out[(j - lo) % k::k] = _unpack(x, (size - j + k - 1) // k, width, mod,
+                                       (lo - j + k - 1) // k, (hi - j + k - 1) // k)
+    return out
 
 
 def _int_pmul_stride(a, g, p, mod):
@@ -738,12 +783,13 @@ def _f_adic_digits(poly, f, mod, tower=None):
 
     Radix conversion: divide and conquer over g = f^(2^k), k >= 3, each division one
     product with the inverse of the reversed divisor (von zur Gathen-Gerhard, Modern
-    Computer Algebra, 9.1-9.2): g and its inverse packed once per conversion in
-    _slot_width(mod, deg g + 1) bytes (a slot sums at most deg g + 1 products below
-    mod^2), the inverse masked to the quotient's lq slots, the remainder read off the
-    product's slots in one pass.  Levels 0-2 are one linear map on the chunks left, of
-    length B = 8 deg f at most: phi[r] holds coefficient r = j deg f + i of the digits
-    of x^c, j deg f <= c < B (x^c has no digit j below), each x^c the one before times
+    Computer Algebra, 9.1-9.2): g and its inverse, sliced to the quotient's lq slots,
+    packed by _pack2 once per conversion and lq in _slot_width(mod, deg g + 1) bytes (a
+    slot sums at most deg g + 1 products below mod^2), both products by _mul2 (KS2 from
+    lq = _KS2 on), the remainder read off the bytes of each phase in one pass.  Levels
+    0-2 are one linear map on the chunks left, of length B = 8 deg f at most: phi[r]
+    holds coefficient r = j deg f + i of the digits of x^c, j deg f <= c < B (x^c has
+    no digit j below), each x^c the one before times
     x with one carry per digit.  Per output coefficient, one Kronecker sum of scalar
     multiples of the packed columns (one slot per chunk, one int per index c), a slot
     summing B products below mod^2 in _slot_width(mod, B) bytes.  As f has a unit
@@ -753,21 +799,27 @@ def _f_adic_digits(poly, f, mod, tower=None):
     tower = tower or _f_adic_tower(f, len(poly), mod)
     d, B = len(f) - 1, 8 * len(f) - 8
     top = next(k for k, (g, _) in enumerate(tower.levels) if 2 * (len(g) - 1) >= len(poly))
-    packed = [(len(g) - 1, w, _pack(g, w), _pack(h, w)) for g, h in tower.levels[3:top + 1]
-              for w in [_slot_width(mod, len(g))]]
+    levels = [(len(g) - 1, _slot_width(mod, len(g)), g, h, {}) for g, h in tower.levels[3:top + 1]]
     chunks = []
 
     def split(a, k):  # deg a < 2 deg f^(2^k): 2^(k+1) digits, 2^(k-2) leaf chunks
         if k < 3:
             return chunks.append(a)
-        n, w, G, H = packed[k - 3]
+        n, w, g, h, packed = levels[k - 3]
         lq, q = len(a) - n, []
         if lq > 0:
-            mask = (1 << 8 * w * lq) - 1
-            q = _unpack(_pack(a[:n - 1:-1], w) * (H & mask) & mask, lq, w, mod)[::-1]
-            raw = (_pack(q, w) * G).to_bytes((lq + n) * w, "little")
-            a = [(c - int.from_bytes(raw[i:i + w], "little")) % mod
-                 for c, i in zip(a, range(0, n * w, w))]
+            ks2 = lq >= _KS2
+            if lq not in packed:  # g and the inverse sliced to lq, once per quotient length
+                packed[lq] = _pack2(g, w, ks2), _pack2(h[:lq], w, ks2)
+            G, H = packed[lq]
+            q = _mul2(_pack2(a[:n - 1:-1], w, ks2), H, w)
+            q = _unpack2(q, 2 * lq - 1, w, mod, 0, lq)[::-1]
+            phases = _mul2(_pack2(q, w, ks2), G, w)
+            a, step = a[:n], len(phases)
+            for j, x in enumerate(phases):  # the remainder, read off each phase's bytes
+                raw = x.to_bytes((lq + n - j + step - 1) // step * w, "little")
+                a[j::step] = [(c - int.from_bytes(raw[i:i + w], "little")) % mod
+                              for c, i in zip(a[j::step], range(0, n * w, w))]
         split(a, k - 1)
         split(q, k - 1)
 

@@ -58,6 +58,7 @@ class NumberField:
         self.degree = len(self.minpoly) - 1
         self.name = name
         self._roots_mod: dict = {}  # p -> (minpoly over Z, its roots mod p, why none embed)
+        self._signature: tuple[int, int] | None = None
 
     def __call__(self, coeffs) -> "NFElement":
         if isinstance(coeffs, NFElement):
@@ -76,9 +77,12 @@ class NumberField:
         return self([0, 1])
 
     def signature(self) -> tuple[int, int]:
-        """(number of real roots, number of complex-conjugate pairs) of minpoly."""
-        real = _count_real_roots([Fraction(c) for c in self.minpoly])
-        return real, (self.degree - real) // 2
+        """(number of real roots, number of complex-conjugate pairs) of minpoly, by one
+        Sturm chain per field."""
+        if self._signature is None:
+            real = _count_real_roots([Fraction(c) for c in self.minpoly])
+            self._signature = real, (self.degree - real) // 2
+        return self._signature
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly

@@ -12,9 +12,12 @@ of 8 deg f coefficients and converts them all by one linear map), whose basis
 elements' shifted digits come from `tests_support.per_shift_digits` (one product
 by the digits of x^(p i), also from `reference_digits`, and one carry per digit,
 per element, where the program applies one linear map to the digit columns of
-the element before) and whose Bezout cofactor
+the element before), whose Bezout cofactor
 comes from `tests_support.sylvester_bezout` (a Sylvester solve over
-PadicNumbers).  Exits 1 and prints each difference.
+PadicNumbers) and whose every polynomial product is
+`tests_support.kronecker_pmul` (one bigint product at every length, where the
+program makes a product of factors of `_KS2` coefficients or more from two
+half-size products, Harvey's KS2).  Exits 1 and prints each difference.
 """
 
 import sys

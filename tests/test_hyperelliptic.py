@@ -241,8 +241,10 @@ def _random_poly(rng, n, mod, zeros=0.2):
 
 def test_kronecker_product_matches_schoolbook():
     """_int_pmul(a, b, mod, lo, hi) is the slice [lo:hi] of the product: empty
-    ranges, hi past the end and lopsided shapes included."""
-    from affine_chabauty.hyperelliptic import _int_pmul
+    ranges, hi past the end and lopsided shapes included, and with every coefficient
+    mod - 1, the largest sums the slots hold, for odd and even lengths, lengths at
+    the KS2 threshold and one either side of it, squares (b is a) and odd lo, hi."""
+    from affine_chabauty.hyperelliptic import _KS2, _int_pmul
 
     rng = random.Random(31)
     shapes = [(1, 1), (1, 9), (4, 3), (17, 40), (64, 64), (2100, 3), (5, 2050), (300, 290)]
@@ -265,6 +267,18 @@ def test_kronecker_product_matches_schoolbook():
         assert _int_pmul([0] * 30, a, mod) == [0] * 79
         assert _int_pmul([], a, mod) == []
         assert _int_pmul([], a, mod, 3, 9) == []
+    lengths = [_KS2 - 1, _KS2, _KS2 + 1, 2 * _KS2, 2 * _KS2 + 1, 3 * _KS2 + 4]
+    for p, e in ((2, 1), (3, 7), (7, 20), (23, 24), (97, 33)):
+        mod = p ** e
+        for la in lengths:
+            a = [mod - 1] * la
+            for b in [a] + [[mod - 1] * lb for lb in lengths]:
+                full = _schoolbook(a, b, mod)
+                n = len(full)
+                assert _int_pmul(a, b, mod) == full, (mod, la, len(b))
+                for lo, hi in ((1, n), (0, n - 1), (1, n - 2), (3, n // 2), (n // 2 - 1, n + 5),
+                               (2, _KS2 + 1), (_KS2, 2 * _KS2 - 1)):
+                    assert _int_pmul(a, b, mod, lo, hi) == full[lo:hi], (mod, la, len(b), lo, hi)
 
 
 def test_radix_conversion_round_trips():
@@ -590,6 +604,94 @@ def test_lifted_bezout_cofactor_equals_the_sylvester_solve(fixture, p, prec):
 def test_graded_frobenius_data_equals_the_single_layer_data(fixture, p, prec):
     I = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=prec).integrator
     assert frobenius_differences(I.main_model()) == []
+
+
+def test_berkowitz_gives_the_determinants_of_t_minus_a():
+    """berkowitz(A, mod) evaluated at T = t is det(t - A) mod mod, by exact elimination
+    over Q, for d = 0..6, t = 0..d + 1 and mod a prime power."""
+    from tests_support import berkowitz
+
+    def det(M):
+        M, out = [[Fraction(c) for c in row] for row in M], Fraction(1)
+        for i in range(len(M)):
+            k = next((k for k in range(i, len(M)) if M[k][i]), None)
+            if k is None:
+                return Fraction(0)
+            if k != i:
+                M[i], M[k], out = M[k], M[i], -out
+            out *= M[i][i]
+            for r in M[i + 1:]:
+                q = r[i] / M[i][i]
+                r[:] = [a - q * b for a, b in zip(r, M[i])]
+        return out
+
+    rng = random.Random(45)
+    for d in range(7):
+        mod = 7 ** 9
+        A = [[rng.randrange(-50, 50) for _ in range(d)] for _ in range(d)]
+        cs = berkowitz([[c % mod for c in row] for row in A], mod)
+        assert len(cs) == d + 1 and cs[0] == 1
+        for t in range(d + 2):
+            tA = [[t * (i == j) - c for j, c in enumerate(row)] for i, row in enumerate(A)]
+            assert sum(c * t ** (d - k) for k, c in enumerate(cs)) % mod == det(tA) % mod
+
+
+@pytest.mark.parametrize("f,n,p", [(QUARTIC, 2, 5), (QUARTIC, 2, 7),
+                                   ([9, 20, 2, -18, -7, 2, 1], 2, 5), ([0, 1, 1, 1], 3, 7),
+                                   ([1, 0, 0, 5], 3, 7)])
+def test_point_counts_over_f_p_squared_by_their_norms_match_enumeration(f, n, p):
+    """#C(F_p) and #C(F_(p^2)) by the norm rule equal the count of every (x, y) of
+    F_(p^2) = F_p[s]/(s^2 - r) on y^n = f(x), plus the points at infinity: the n-th
+    roots of lc f in F_(p^2) (F_p for #C(F_p)); 5 is not a cube mod 7."""
+    from tests_support import point_counts
+
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+    def mul2(a, b):
+        return (a[0] * b[0] + r * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p
+
+    def power(a, k):
+        out = (1, 0)
+        for _ in range(k):
+            out = mul2(out, a)
+        return out
+
+    def value(x):
+        out = (0, 0)
+        for c in reversed(f):
+            out = mul2(out, x)
+            out = ((out[0] + c) % p, out[1])
+        return out
+    field = [(a, b) for a in range(p) for b in range(p)]
+    affine = sum(power(y, n) == value(x) for x in field for y in field)
+    infinite = sum(power(y, n) == (f[-1] % p, 0) for y in field)
+    (n1, n2), rational = point_counts(f, n, p, 2)
+    assert n2 == affine + infinite
+    assert n1 == sum(pow(y, n, p) == _horner_mod([c % p for c in f], x, p)
+                     for x in range(p) for y in range(p)) + n * rational
+    assert rational == any(pow(y, n, p) == f[-1] % p for y in range(1, p))
+
+
+@pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 7, 6),
+                                            ("hyperelliptic_6081b", 23, 12),
+                                            ("superelliptic_a1", 7, 6),
+                                            ("superelliptic_a1", 13, 12)])
+def test_the_charpoly_oracle_passes_frobenius_and_rejects_an_entry_off_by_p_to_the_tp_minus_1(
+        fixture, p, prec):
+    """The characteristic polynomial of the Frobenius matrix is the one the point counts
+    give, to all tp digits; with one diagonal entry off by p^(tp - 1), c_1 (minus the
+    trace) differs from digit tp - 1 on."""
+    from tests_support import charpoly_differences
+
+    m = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=prec) \
+        .integrator.main_model()
+    assert charpoly_differences(m) == []
+    tp = m.frobenius_data().trunc_prec
+    for i in range(m.dim):
+        matrix = [row[:] for row in m.frobenius_data().matrix]
+        matrix[i][i] = matrix[i][i] + PadicNumber.from_int(p ** (tp - 1), p, tp)
+        diffs = charpoly_differences(m, matrix)
+        assert diffs and diffs[0].startswith("c_1: ") and diffs[0].endswith(f"digit {tp - 1}")
 
 
 @pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),

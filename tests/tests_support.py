@@ -4,17 +4,20 @@ to a point of a model y^n = f(x), the Frobenius exact parts as PadicNumbers,
 the residue-disc series and the disc locus built on PadicNumbers (the
 references for the model's int kernel and the engine's int locus), the
 single-layer Frobenius numerator and its digits (the reference for the graded
-ones), the recursive radix conversion down to single digits (the reference for
-the leaf map), one digit product per basis element's shift (the reference for the
+ones), one bigint product per polynomial product (the reference for KS2), the
+recursive radix conversion down to single digits (the reference for the leaf
+map), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
-the lifted one), the intersection of Psi with the fibre components, and the
+the lifted one), the characteristic polynomial of Frobenius from point counts,
+the intersection of Psi with the fibre components, and the
 per-point dagger values, per-pair solves, disc centers and determinant rows
 (the reference for the shared ones)."""
 
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
+from operator import mul
 
 from affine_chabauty import linalg
 from affine_chabauty import series as series_module
@@ -22,7 +25,7 @@ from affine_chabauty.errors import (ChabautyError, EndpointRestriction,
                                     IndistinguishableFromZero, PoleOnDisc, PrecisionLoss)
 from affine_chabauty import hyperelliptic
 from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _frobenius_numerator,
-                                           _int_divmod_f, _int_padd, _int_pmul, _int_pmul_stride,
+                                           _int_divmod_f, _int_padd, _int_pmul_stride,
                                            _int_series_inv, _int_sub, _pack, _slot_width,
                                            _unpack)
 from affine_chabauty.integration import _dot
@@ -468,19 +471,46 @@ def disc_locus_differences(engine) -> tuple:
 # -- the single-layer Frobenius numerator --------------------------------------
 
 
+def kronecker_pmul(a, b, mod, lo=0, hi=None):
+    """The reference for hyperelliptic._int_pmul, same arguments and result: one native
+    bigint product of the two factors packed into byte-aligned slots, at every length."""
+    if not a or not b:
+        return []
+    # Kronecker substitution into byte-aligned slots: one native bigint multiply
+    size = len(a) + len(b) - 1
+    width = _slot_width(mod, min(len(a), len(b)))
+    xa = _pack(a, width)
+    xb = xa if b is a else _pack(b, width)
+    return _unpack(xa * xb, size, width, mod, lo, hi)
+
+
+@contextmanager
+def one_product():
+    """Every hyperelliptic._int_pmul call made by kronecker_pmul: the program's helpers
+    that the references below call (_frobenius_numerator, _int_pmul_stride,
+    _int_series_inv, the reduction) then share no KS2 product with the kernels."""
+    kernel, hyperelliptic._int_pmul = hyperelliptic._int_pmul, kronecker_pmul
+    try:
+        yield
+    finally:
+        hyperelliptic._int_pmul = kernel
+
+
 def single_layer_numerator(f, p, K, N, alpha=Fraction(-1, 2)):
     """num = sum_k c_k u^k f^(p(K-k)) mod p^N, c_k = binomial(alpha, k) and u = f(x^p) -
-    f^p: every term at the one precision p^N, by the kernel's binary splitting."""
+    f^p: every term at the one precision p^N, by the kernel's binary splitting on
+    kronecker_pmul."""
     mod = p ** N
     fpow = [[1]]  # f^m for m <= p and every F-exponent, all <= (K + 1) / 2
     for _ in range(max(p, K // 2 + 1)):
-        fpow.append(_int_pmul(fpow[-1], f, mod))
-    u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
+        fpow.append(kronecker_pmul(fpow[-1], f, mod))
     c, ck = [], Fraction(1)
     for k in range(K + 1):
         c.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
         ck = ck * (alpha - k) / (k + 1)
-    return _frobenius_numerator(c, fpow, u, p, mod)
+    with one_product():
+        u = _int_sub(_int_pmul_stride([1], f, p, mod), fpow[p], mod)
+        return _frobenius_numerator(c, fpow, u, p, mod)
 
 
 def single_layer_tower(f, size, mod):
@@ -488,9 +518,10 @@ def single_layer_tower(f, size, mod):
     term, as long as a poly of length size needs."""
     gs = [f]
     while 2 * (len(gs[-1]) - 1) < size:
-        gs.append(_int_pmul(gs[-1], gs[-1], mod))
+        gs.append(kronecker_pmul(gs[-1], gs[-1], mod))
     lengths = [len(g) - 1 for g in gs[:-1]] + [size - len(gs[-1]) + 1]
-    return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
+    with one_product():
+        return [(g, _int_series_inv(g[::-1], n, mod)) for g, n in zip(gs, lengths)]
 
 
 def reference_digits(poly, f, mod, tables=None):
@@ -508,8 +539,9 @@ def reference_digits(poly, f, mod, tables=None):
         g, ginv = tables[k]
         n = len(g) - 1
         lq = max(len(a) - n, 0)
-        q = _int_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
-        return split(_int_sub(a[:n], _int_pmul(q, g, mod, 0, n), mod), k - 1) + split(q, k - 1)
+        q = kronecker_pmul(a[::-1][:lq], ginv[:lq], mod, 0, lq)[::-1]
+        r = _int_sub(a[:n], kronecker_pmul(q, g, mod, 0, n), mod)
+        return split(r, k - 1) + split(q, k - 1)
 
     digits = split(poly, top)
     while digits and not any(digits[-1]):
@@ -573,7 +605,8 @@ def single_layer_frobenius(m):
     hyperelliptic._numerator_digits = single_layer_digits
     hyperelliptic._shifted_digits = per_shift_digits
     try:
-        return fresh.frobenius_data()
+        with one_product():
+            return fresh.frobenius_data()
     finally:
         hyperelliptic._numerator_digits, hyperelliptic._shifted_digits = kernels
 
@@ -591,6 +624,95 @@ def frobenius_differences(m) -> list:
            if getattr(got, name) != getattr(want, name)]
     return out + [f"matrix[{i}][{j}]" for i, (row, ref) in enumerate(zip(got.matrix, want.matrix))
                   for j, (a, b) in enumerate(zip(row, ref)) if _vun(a) != _vun(b)]
+
+
+# -- the characteristic polynomial of Frobenius from point counts -------------------
+
+
+def berkowitz(A, mod):
+    """[1, c_1, ..., c_d] with det(T - A) = sum_k c_k T^(d - k) mod mod, A a d x d list of
+    ints, by ring operations only (Berkowitz, Inform. Process. Lett. 18, 1984): with
+    A = [[a, R], [C, A']], the polynomial of A is a lower-triangular Toeplitz matrix
+    of 1, -a and -R A'^i C times that of A'.  Nothing is divided, so no d! is either."""
+    if not A:
+        return [1]
+    R, C, sub = A[0][1:], [row[0] for row in A[1:]], [row[1:] for row in A[1:]]
+    diag, v = [1, -A[0][0] % mod], C
+    for _ in range(len(A) - 1):
+        diag.append(-sum(map(mul, R, v)) % mod)
+        v = [sum(map(mul, row, v)) % mod for row in sub]
+    below = berkowitz(sub, mod)
+    return [sum(diag[i - j] * below[j] for j in range(min(i + 1, len(below)))) % mod
+            for i in range(len(A) + 1)]
+
+
+def point_counts(f, n, p, degree):
+    """#C(F_(p^k)), k = 1..degree <= 2, of the smooth model of y^n = f(x), f in Q[x] with
+    n | deg f and p = 1 mod n, by brute force, and whether its n points at infinity are
+    F_p-rational: a nonzero a of F_q has n n-th roots if it is an n-th power, else none,
+    and the points at infinity are the n-th roots of lc f.  In F_(p^2) = F_p[s]/(s^2 -
+    r), r a non-square, a is an n-th power iff its norm is one in F_p."""
+    fp = [c.numerator * pow(c.denominator, -1, p) % p for c in map(Fraction, f)]
+    while not fp[-1]:
+        fp.pop()
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+    def roots(norm):  # the n-th roots of an element of F_q with this norm to F_p
+        return 1 if norm == 0 else n if pow(norm, (p - 1) // n, p) == 1 else 0
+    counts = [sum(roots(_horner_mod(fp, x, p)) for x in range(p)) + roots(fp[-1])]
+    if degree >= 2:
+        total = roots(fp[-1] ** 2 % p)
+        for x0 in range(p):
+            for x1 in range(p):
+                a, b = 0, 0  # f(x0 + x1 s) = a + b s by Horner
+                for c in reversed(fp):
+                    a, b = (a * x0 + b * x1 * r + c) % p, (a * x1 + b * x0) % p
+                total += roots((a * a - r * b * b) % p)
+        counts.append(total)
+    return counts, roots(fp[-1]) == n
+
+
+def frobenius_charpoly(f, n, p):
+    """[1, c_1, ..., c_d], det(T - Frob) = sum_k c_k T^(d - k) on H^1 of the affine curve
+    y^n = f(x), n prime, genus g <= 2, as the Weil conjectures give it (Kedlaya 2001,
+    section 5): the reversed L-polynomial T^(2g) - e_1 T^(2g-1) + ... + p^g, e_k from the
+    power sums S_k = p^k + 1 - #C(F_(p^k)) by Newton's identities and e_(2g-k) = p^(g-k)
+    e_k, times the log part, p times the permutation of the n points at infinity on
+    degree-zero divisors: (T - p)^(n-1) if they are rational, else an n-cycle's,
+    T^(n-1) + p T^(n-2) + ... + p^(n-1)."""
+    g = (n - 1) * (len(f) - 3) // 2
+    counts, rational = point_counts(f, n, p, g)
+    S = [p ** k + 1 - N for k, N in enumerate(counts, 1)]
+    e = [1]
+    for k in range(1, g + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * S[i - 1] for i in range(1, k + 1)) // k)
+    e += [p ** (k - g) * e[2 * g - k] for k in range(g + 1, 2 * g + 1)]
+    lpart = [(-1) ** k * c for k, c in enumerate(e)]
+    log = [comb(n - 1, k) * (-p) ** k if rational else p ** k for k in range(n)]
+    return [sum(lpart[i] * log[k - i] for i in range(len(lpart)) if 0 <= k - i < n)
+            for k in range(len(lpart) + n - 1)]
+
+
+def charpoly_differences(m, matrix=None) -> list:
+    """Where the characteristic polynomial of m's Frobenius matrix (or of matrix, in its
+    place) differs from frobenius_charpoly.  Each entry is c / p^L to absolute
+    precision trunc_prec, c an int, so A = p^s matrix, s <= L the largest power of p
+    in a denominator, is an int matrix mod p^(trunc_prec + s), and berkowitz gives
+    det(T - A) = sum_k p^(s k) c_k T^(d - k) mod that: c_k to trunc_prec - (k - 1) s
+    digits, all trunc_prec where the matrix is integral (every model tried).  Per
+    differing c_k, the digit where it first differs."""
+    frob = m.frobenius_data()
+    matrix, p, tp = matrix or frob.matrix, m.p, frob.trunc_prec
+    s = max([0] + [-c.v for row in matrix for c in row if not c.is_zero()])
+    mod = p ** (tp + s)
+    A = [[0 if c.is_zero() else c.u * p ** (c.v + s) % mod for c in row] for row in matrix]
+    want = frobenius_charpoly(m.f_rational, m.n, p)
+    out = []
+    for k, (got, c) in enumerate(zip(berkowitz(A, mod), want)):
+        diff = (got - p ** (s * k) * c) % mod
+        if diff:
+            out.append(f"c_{k}: {got} != p^{s * k} * {c} from digit {_vp(diff, p) - s * k}")
+    return out
 
 
 # -- the per-point pair integrals and determinant rows: the reference for the shared ones --
