@@ -277,10 +277,8 @@ class Engine:
 
     def _match_known(self, xv: PadicNumber, yv: PadicNumber):
         for pt in [*self.known_points, self.problem.base_point]:
-            okx = xv.compare(Fraction(pt.x)) != "distinct" if not xv.is_exact_zero() \
-                else Fraction(pt.x) == 0
-            oky = yv.compare(Fraction(pt.y)) != "distinct" if not yv.is_exact_zero() \
-                else Fraction(pt.y) == 0
+            okx = xv.compare(pt.x) != "distinct" if not xv.is_exact_zero() else pt.x == 0
+            oky = yv.compare(pt.y) != "distinct" if not yv.is_exact_zero() else pt.y == 0
             if okx and oky:
                 return (pt.x, pt.y)
         return None

@@ -51,8 +51,9 @@ class Point:
 
 def _point_key(pt) -> tuple:
     """An endpoint (x, y) of rationals or PadicNumbers, each coordinate as its Fraction
-    or its (v, u, N): equal keys are identical endpoints."""
-    return tuple((c.v, c.u, c.N) if isinstance(c, PadicNumber) else Fraction(c) for c in pt)
+    (an int or Fraction as it is) or its (v, u, N): equal keys are identical endpoints."""
+    return tuple((c.v, c.u, c.N) if isinstance(c, PadicNumber)
+                 else c if type(c) is Fraction or type(c) is int else Fraction(c) for c in pt)
 
 
 @dataclass

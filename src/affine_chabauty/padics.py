@@ -93,7 +93,8 @@ class PadicNumber:
     def from_rational(cls, x, p: int, N: int) -> "PadicNumber":
         if N >= INF:
             raise ValueError("finite precision required")
-        x = Fraction(x)
+        if type(x) is not Fraction and type(x) is not int:
+            x = Fraction(x)
         if x == 0:
             return cls.exact_zero(p)
         num, den = x.numerator, x.denominator
@@ -364,38 +365,45 @@ def parse_padic(s: str, p: int) -> PadicNumber:
 # -- unit roots and lifting ------------------------------------------------
 
 def teichmuller(x: PadicNumber) -> PadicNumber:
-    """The (p-1)-th root of unity congruent to the unit x modulo p."""
+    """The (p-1)-th root of unity congruent to the unit x modulo p: Newton on
+    r^(p-1) = 1 from x mod p, r <- r - r (r^(p-1) - 1) / (p-1) doubling the digits."""
     if not x.is_unit():
         raise NotAUnit("teichmuller lift requires a unit")
-    return nth_root(PadicNumber.from_int(1, x.p, x.N), x.p - 1, x.u % x.p)
+    p, N = x.p, x.N
+    r, k = x.u % p, 1
+    while k < N:
+        k = min(2 * k, N)
+        m = p ** k
+        r = (r - r * (pow(r, p - 1, m) - 1) * pow(p - 1, -1, m)) % m
+    return PadicNumber(p, 0, r, N)
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """p-adic logarithm under the branch log(p) = 0.
 
-    Strips p^v and the Teichmuller part, then evaluates
-    log(1+z) = sum_k (-1)^(k+1) z^k / k.
+    Strips p^v and takes log u = log(u^(p-1)) / (p-1) on the unit part u, as
+    log kills roots of unity: 1 + z = u^(p-1) is a 1-unit, and
+    log(1+z) = sum_k (-1)^(k+1) z^k / k runs on ints modulo p^N, N = x.N - x.v.
     """
     if x.is_zero():
         raise ZeroInput("log of (possible) zero")
-    p = x.p
-    unit = PadicNumber(p, 0, x.u, x.N - x.v)  # the branch kills p^v
-    one_unit = unit / teichmuller(unit)
-    z = one_unit - 1
-    if z.is_zero():
-        return PadicNumber.unknown_zero(p, z.N if not z.is_exact_zero() else unit.N)
-    N = z.N
-    out = PadicNumber.unknown_zero(p, N)
-    term = z  # (-1)^(k+1) z^k
-    k = 1
-    while True:
-        if term.u != 0:
-            out = out + term / k
-        k += 1
-        if k * z.v - _digits_base_p(k, p) >= N:
-            break
-        term = term * (-z)
-    return out
+    p, N = x.p, x.N - x.v
+    m = p ** N
+    z = pow(x.u, p - 1, m) - 1
+    if z == 0:
+        return PadicNumber.unknown_zero(p, N)
+    v = _vp(z, p)
+    K = 2  # the first k with k v - (base-p digits of k) >= N: it and later terms are 0
+    while K * v - _digits_base_p(K, p) < N:
+        K += 1
+    mk = m * p ** (_digits_base_p(K - 1, p) - 1)  # z^k mod p^(N + max v_p(k)), k < K
+    s, zk = 0, 1
+    for k in range(1, K):
+        zk = zk * z % mk
+        pa = p ** _vp(k, p)
+        t = zk // pa * pow(k // pa, -1, m)  # z^k / k = (z^k / p^a) (k / p^a)^-1
+        s = s + t if k & 1 else s - t
+    return PadicNumber(p, *_normal(s * pow(p - 1, -1, m) % m, 0, N, p))
 
 
 def _digits_base_p(k: int, p: int) -> int:

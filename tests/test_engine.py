@@ -6,7 +6,7 @@ import pytest
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.numberfield import NumberField, hensel_embed
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
-from tests_support import disc_locus_differences, lift_x
+from tests_support import disc_locus_differences, lift_x, log_differences, reference_log
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -43,8 +43,8 @@ def test_beta_correction_matches_paper():
     eng = load("superelliptic_a1.json")
     gen = eng.generators[0]
     basis = eng.problem.curve.basis()
-    beta_expected = -iwasawa_log(PadicNumber.from_int(2, 7, 30)) \
-        - iwasawa_log(PadicNumber.from_int(3, 7, 30)) / 2
+    beta_expected = -reference_log(PadicNumber.from_int(2, 7, 30)) \
+        - reference_log(PadicNumber.from_int(3, 7, 30)) / 2
     for j in (1, 2):
         H = eng.pairing_H(gen, basis[j])
         plain = eng.generator_integrals(gen)[j]
@@ -119,7 +119,7 @@ def test_constant_c_direct_evaluation():
     st.b = {"inf+|3": Fraction(1)}
     om = eng.problem.curve.basis()[2]   # residues -+1
     c = eng.constant_c(st, om)
-    expected = -iwasawa_log(PadicNumber.from_int(3, 7, 30))
+    expected = -reference_log(PadicNumber.from_int(3, 7, 30))
     assert c.compare(expected) == "equal"
     # with both cusp lambdas weighted equally the residues cancel
     st.b = {"inf+|3": Fraction(1), "inf-|3": Fraction(1)}
@@ -353,8 +353,9 @@ def test_verify_keeps_a_point_without_a_reduction_type_in_the_report():
     }
 
 
-def _count_logs(monkeypatch) -> list:
-    """The argument of every iwasawa_log call through any module of the package."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument of every call of padics.<name> through any module of the package,
+    padics itself included."""
     import importlib
     import pkgutil
 
@@ -362,22 +363,23 @@ def _count_logs(monkeypatch) -> list:
     from affine_chabauty import padics
 
     calls = []
-    orig = padics.iwasawa_log
+    orig = getattr(padics, name)
 
     def counted(x):
         calls.append(x)
         return orig(x)
     for info in pkgutil.iter_modules(affine_chabauty.__path__):
         module = importlib.import_module(f"affine_chabauty.{info.name}")
-        if vars(module).get("iwasawa_log") is orig:
-            monkeypatch.setattr(module, "iwasawa_log", counted)
+        if vars(module).get(name) is orig:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_solve_takes_each_cusp_log_once_at_load(monkeypatch):
     """One log per (cusp, value, embedding): the pi-compatibility check at load
-    takes the logs of every generator and of every rho_q, and solve() reads them."""
-    calls = _count_logs(monkeypatch)
+    takes the logs of every generator and of every rho_q, 15 at p = 7, and solve()
+    reads them."""
+    calls = _count_calls(monkeypatch, "iwasawa_log")
     eng = load("superelliptic_a1.json", prec_override=12)
     assert eng.problem.p == 7
     at_load = len(calls)
@@ -389,18 +391,38 @@ def test_solve_takes_each_cusp_log_once_at_load(monkeypatch):
                                                                     lam.over_prime)))
                for lam in eng.model.lambdas}
     distinct = sum(len(eng.problem.embeddings(cusps[cid])) for cid, _ in values)
-    assert distinct == 15
-    assert at_load <= distinct
+    assert at_load == distinct == 15
 
 
 def test_hyperelliptic_solve_and_verify_take_no_log(monkeypatch):
-    calls = _count_logs(monkeypatch)
+    calls = _count_calls(monkeypatch, "iwasawa_log")
     eng = load("hyperelliptic_6081b.json", prec_override=8)
     assert len(calls) <= 4  # log 3 and log 2027 at each of the two rational cusps
     at_load = len(calls)
     assert eng.verify()["pass"]
     assert eng.solve()["status"] == "complete"
     assert len(calls) == at_load
+
+
+def test_hyperelliptic_solve_lifts_zeta_and_each_disc_center_once(monkeypatch):
+    """Load and solve at p = 23, prec 12 take 21 Teichmueller lifts: one for the model's
+    zeta and one per center the solve visits off the Weierstrass discs and x = 0 mod p;
+    the cusp logs take none."""
+    calls = _count_calls(monkeypatch, "teichmuller")
+    eng = load("hyperelliptic_6081b.json", p_override=23, prec_override=12)
+    assert eng.solve()["status"] == "complete"
+    lifted = [key for key, center in eng.integrator.main_model()._centers.items()
+              if key[0] and not center.y.is_exact_zero()]
+    assert len(calls) == 1 + len(lifted) == 21
+
+
+@pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 7), ("superelliptic_a1", 13)])
+def test_cusp_logs_zeta_and_centers_match_their_padic_reference(fixture, p):
+    """Every log of the load's table, the model's zeta and every disc center equal the
+    PadicNumber-series log and the Hensel-lifted root as (v, u, N)."""
+    diffs, counts = log_differences(load(f"{fixture}.json", p_override=p, prec_override=12))
+    assert diffs == []
+    assert counts["logs"] > 0 and counts["centers"] > 0
 
 
 LOCUS_GRID = ([("hyperelliptic_6081b", p) for p in (5, 7, 11, 13, 19, 23)]

@@ -14,9 +14,9 @@ from affine_chabauty.curves import (
 from affine_chabauty.errors import DifferentDiscs, PoleOnDisc
 from affine_chabauty.hyperelliptic import HyperellipticModel
 from affine_chabauty.integration import Integrator
-from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
+from affine_chabauty.padics import PadicNumber, parse_padic
 from affine_chabauty.series import sqrt_series
-from tests_support import derivative, lift_x, polynomial
+from tests_support import derivative, lift_x, polynomial, reference_log
 
 F61 = [9, 20, 2, -18, -7, 2, 1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -39,8 +39,8 @@ def test_superelliptic_vector_matches_paper_row():
     vec = I.basis_integral_vector((Fraction(0), Fraction(0)),
                                   (Fraction(1, 18), Fraction(7, 18)))
     assert vec[0].compare(parse_padic("2*7 + 5*7^2 + 4*7^4 + 5*7^5 + O(7^6)", 7)) == "equal"
-    b = -iwasawa_log(PadicNumber.from_int(2, 7, 30)) \
-        - iwasawa_log(PadicNumber.from_int(3, 7, 30)) / 2
+    b = -reference_log(PadicNumber.from_int(2, 7, 30)) \
+        - reference_log(PadicNumber.from_int(3, 7, 30)) / 2
     assert (vec[1] - b).compare(parse_padic("6*7 + 7^2 + 3*7^4 + O(7^6)", 7)) == "equal"
     assert (vec[2] - b).compare(parse_padic("2*7 + 6*7^2 + 2*7^3 + O(7^6)", 7)) == "equal"
 

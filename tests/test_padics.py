@@ -20,6 +20,7 @@ from affine_chabauty.padics import (
     teichmuller,
 )
 from affine_chabauty.problem import load_problem
+from tests_support import reference_log, reference_teichmuller
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -250,6 +251,45 @@ def test_log_against_series_oracle():
     oracle = num(acc, 10)
     got = iwasawa_log(num(1 + z, 14))
     assert got.compare(oracle.at_precision(got.precision())) != "distinct"
+
+
+def _vun(x):
+    return x.v, x.u, x.N
+
+
+def test_log_and_teichmuller_match_their_padic_reference():
+    """iwasawa_log (log u^(p-1) / (p-1) on ints) and teichmuller (Newton on
+    r^(p-1) = 1) give the (v, u, N) of the PadicNumber-series log and the Hensel-lifted
+    root, on a seeded grid of p, N <= 80 and v in -3..3 and at the edges: exact 1,
+    every Teichmueller root (log O(p^N)), p^k u, relative precision 1 and zeros."""
+    rng = random.Random(33)
+    for p in (3, 5, 7, 11, 13, 23, 47, 97):
+        for _ in range(30):
+            rel, v = rng.randint(1, 80), rng.randint(-3, 3)
+            u = rng.randrange(1, p ** rel)
+            while u % p == 0:
+                u = rng.randrange(1, p ** rel)
+            for x in (PadicNumber(p, v, u, v + rel), PadicNumber(p, v, u % p, v + 1)):
+                assert _vun(iwasawa_log(x)) == _vun(reference_log(x)), (p, x)
+            w = PadicNumber(p, 0, u, rel)
+            assert _vun(teichmuller(w)) == _vun(reference_teichmuller(w)), (p, w)
+        for n in (1, 2, 9, 40):
+            one = PadicNumber.from_int(1, p, n)
+            assert _vun(iwasawa_log(one)) == _vun(reference_log(one)) == (n, 0, n)
+            for r in range(1, p):
+                w = teichmuller(PadicNumber.from_int(r, p, n))
+                assert _vun(w) == _vun(reference_teichmuller(PadicNumber.from_int(r, p, n)))
+                assert _vun(iwasawa_log(w)) == _vun(reference_log(w)) == (n, 0, n)
+                for k in (1, 3):  # p^k u at relative precision n
+                    x = PadicNumber.from_int(p ** k * (r + p), p, n + k)
+                    assert _vun(iwasawa_log(x)) == _vun(reference_log(x)), (p, x)
+        for zero in (PadicNumber.exact_zero(p), PadicNumber.unknown_zero(p, 5)):
+            for log in (iwasawa_log, reference_log):
+                with pytest.raises(ZeroInput):
+                    log(zero)
+            for lift in (teichmuller, reference_teichmuller):
+                with pytest.raises(NotAUnit):
+                    lift(zero)
 
 
 def test_sqrt():

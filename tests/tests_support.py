@@ -9,9 +9,10 @@ recursive radix conversion down to single digits (the reference for the leaf
 map), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
 the lifted one), the characteristic polynomial of Frobenius from point counts,
-the intersection of Psi with the fibre components, and the
+the intersection of Psi with the fibre components, the
 per-point dagger values, per-pair solves, disc centers and determinant rows
-(the reference for the shared ones)."""
+(the reference for the shared ones), and the PadicNumber-series logarithm and
+Hensel-lifted Teichmueller lift (the references for the int ones)."""
 
 import json
 from contextlib import contextmanager
@@ -22,7 +23,8 @@ from operator import mul
 from affine_chabauty import linalg
 from affine_chabauty import series as series_module
 from affine_chabauty.errors import (ChabautyError, EndpointRestriction,
-                                    IndistinguishableFromZero, PoleOnDisc, PrecisionLoss)
+                                    IndistinguishableFromZero, NotAUnit, PoleOnDisc,
+                                    PrecisionLoss, ZeroInput)
 from affine_chabauty import hyperelliptic
 from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _frobenius_numerator,
                                            _int_divmod_f, _int_padd, _int_pmul_stride,
@@ -31,8 +33,8 @@ from affine_chabauty.hyperelliptic import (HyperellipticModel, Point, _frobenius
 from affine_chabauty.integration import _dot
 from affine_chabauty.linalg import padic_det, padic_solve
 from affine_chabauty.models import enumerate_reduction_types
-from affine_chabauty.padics import (INF, PadicNumber, _horner_mod, _normal, _vp,
-                                    hensel_lift_root, horner, nth_root, sqrt, teichmuller)
+from affine_chabauty.padics import (INF, PadicNumber, _digits_base_p, _horner_mod, _normal,
+                                    _vp, hensel_lift_root, horner, nth_root, sqrt)
 from affine_chabauty.series import (_BIG, IntSeries, StrassmannResult, Subordination,
                                     TruncatedSeries, antiderivative, nth_root_series,
                                     strassmann_roots)
@@ -767,13 +769,13 @@ def per_pair_teich_system(m, TP, TQ):
 
 def lifted_center(m, pt):
     """The reference for HyperellipticModel.teichmueller_point: the center of pt's disc
-    lifted again on every call."""
+    lifted again on every call, x by reference_teichmuller."""
     xbar, ybar = m._disc_key(pt)
     zero = PadicNumber.exact_zero(m.p)
     if m.is_weierstrass_disc(pt):
         x0 = hensel_lift_root([c.residue(m.M) for c in m.f], xbar, m.p, m.M)
         return Point(PadicNumber.from_int(x0, m.p, m.M), zero)
-    xt = zero if xbar == 0 else teichmuller(PadicNumber.from_int(xbar, m.p, m.M))
+    xt = zero if xbar == 0 else reference_teichmuller(PadicNumber.from_int(xbar, m.p, m.M))
     return Point(xt, nth_root(m.curve_rhs(xt), m.n, ybar))
 
 
@@ -830,3 +832,72 @@ def pair_differences(load) -> list:
     with per_point_reference():
         want = report_texts(load)
     return [command for command, a, b in zip(("solve", "verify"), got, want) if a != b]
+
+
+# -- the PadicNumber-series logarithm and Teichmueller lift ----------------------
+
+
+def reference_teichmuller(x: PadicNumber) -> PadicNumber:
+    """The reference for padics.teichmuller: the root of r^(p-1) = 1 over x mod p,
+    Hensel-lifted by nth_root."""
+    if not x.is_unit():
+        raise NotAUnit("teichmuller lift requires a unit")
+    return nth_root(PadicNumber.from_int(1, x.p, x.N), x.p - 1, x.u % x.p)
+
+
+def reference_log(x: PadicNumber) -> PadicNumber:
+    """The reference for padics.iwasawa_log: strips p^v and the Teichmuller part
+    (reference_teichmuller), then sums log(1+z) = sum_k (-1)^(k+1) z^k / k over
+    PadicNumbers."""
+    if x.is_zero():
+        raise ZeroInput("log of (possible) zero")
+    p = x.p
+    unit = PadicNumber(p, 0, x.u, x.N - x.v)  # the branch kills p^v
+    one_unit = unit / reference_teichmuller(unit)
+    z = one_unit - 1
+    if z.is_zero():
+        return PadicNumber.unknown_zero(p, z.N if not z.is_exact_zero() else unit.N)
+    N = z.N
+    out = PadicNumber.unknown_zero(p, N)
+    term = z  # (-1)^(k+1) z^k
+    k = 1
+    while True:
+        if term.u != 0:
+            out = out + term / k
+        k += 1
+        if k * z.v - _digits_base_p(k, p) >= N:
+            break
+        term = term * (-z)
+    return out
+
+
+def log_differences(engine) -> tuple:
+    """Compare, as (v, u, N), every cusp log in the engine's table (problem._logs)
+    with reference_log, the main model's zeta with reference_teichmuller, and the
+    teichmueller_point of every non-cuspidal disc with lifted_center.
+
+    Returns (differences, counts): one line per difference, and the number of
+    logs and of disc centers compared."""
+    problem, I = engine.problem, engine.integrator
+    p, m = problem.p, I.main_model()
+    cusps = {c.id: c for c in problem.curve.cusps}
+    where = f"p = {p}, prec {problem.prec}"
+    diffs, counts = [], {"logs": 0, "centers": 0}
+    for (cid, value), logs in problem._logs.items():
+        for phi, log in zip(problem.embeddings(cusps[cid]), logs, strict=True):
+            if _vun(log) != _vun(reference_log(phi(value))):
+                diffs.append(f"{where}: log of {value} at {cid} differs")
+            counts["logs"] += 1
+    order_n = next(r for r in range(2, p) if pow(r, m.n, p) == 1  # zeta mod p
+                   and all(pow(r, k, p) != 1 for k in range(1, m.n)))
+    if _vun(m.zeta) != _vun(reference_teichmuller(PadicNumber.from_int(order_n, p, m.M))):
+        diffs.append(f"{where}: zeta differs")
+    for disc in I.residue_discs():
+        if disc.cuspidal:
+            continue
+        pt = Point(*(PadicNumber.from_int(c, p, 1) for c in (disc.xbar, disc.ybar)))
+        got, want = m.teichmueller_point(pt), lifted_center(m, pt)
+        if [_vun(c) for c in got] != [_vun(c) for c in want]:
+            diffs.append(f"{where}: the center of {disc!r} differs")
+        counts["centers"] += 1
+    return diffs, counts
