@@ -15,7 +15,6 @@ elements of the cusp residue fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadReduction, NonSeparableReduction, ProblemFileError, UnsupportedFamily
@@ -71,25 +70,29 @@ def reduction_defect(g, n: int, p: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
 class Cusp:
     """A closed point of the boundary divisor with its residue field data."""
 
-    id: str
-    nfield: NumberField            # k(Q)
-    chart_coords: tuple            # coordinates of Q in the cusp chart, as NFElements
-    degree: int
+    __slots__ = ("id", "nfield", "chart_coords", "degree")
+
+    def __init__(self, id: str,
+                 nfield: NumberField,       # k(Q)
+                 chart_coords: tuple,       # coordinates of Q in the cusp chart, as NFElements
+                 degree: int):
+        self.id, self.nfield, self.chart_coords, self.degree = id, nfield, chart_coords, degree
 
     def signature(self) -> tuple[int, int]:
         return self.nfield.signature()
 
 
-@dataclass
 class LogDifferential:
     """A Qp- (or Q-) linear combination of the family basis omega_1..omega_(g+n-1)."""
 
-    curve: "CurveFamily"
-    coeffs: tuple                  # Fraction or PadicNumber entries
+    __slots__ = ("curve", "coeffs")
+
+    def __init__(self, curve: CurveFamily,
+                 coeffs: tuple):            # Fraction or PadicNumber entries
+        self.curve, self.coeffs = curve, coeffs
 
     def embedded_residue(self, cusp: Cusp, phi: FieldEmbedding) -> PadicNumber:
         """phi(Res_Q omega) for the combination, in Qp."""
@@ -104,17 +107,16 @@ class LogDifferential:
         return acc
 
 
-@dataclass
 class ResidueDisc:
     """A residue disc of the p-adic affine curve (or a flagged boundary disc)."""
 
-    curve: "CurveFamily"
-    p: int
-    xbar: int | None
-    ybar: int | None
-    kind: str                    # 'affine' | 'weierstrass' | 'infinite' | 'cuspidal'
-    label: str = ""
-    cuspidal: bool = False
+    __slots__ = ("curve", "p", "xbar", "ybar", "kind", "label", "cuspidal")
+
+    def __init__(self, curve: CurveFamily, p: int, xbar: int | None, ybar: int | None,
+                 kind: str,                 # 'affine' | 'weierstrass' | 'infinite' | 'cuspidal'
+                 label: str = "", cuspidal: bool = False):
+        self.curve, self.p, self.xbar, self.ybar = curve, p, xbar, ybar
+        self.kind, self.label, self.cuspidal = kind, label, cuspidal
 
     def __repr__(self):
         return f"<disc {self.label or (self.xbar, self.ybar)} {self.kind}>"
@@ -286,30 +288,25 @@ def make_curve(family: str, **kw) -> CurveFamily:
     raise UnsupportedFamily(family)
 
 
-@dataclass
 class KnownPoint:
-    x: Fraction
-    y: Fraction
-    id: str = ""
+    __slots__ = ("x", "y", "id")
+
+    def __init__(self, x: Fraction, y: Fraction, id: str = ""):
+        self.x, self.y, self.id = x, y, id
 
     def __iter__(self):
         return iter((self.x, self.y))
 
 
-@dataclass
 class CurveProblem:
     """A fully specified instance: curve, boundary data, primes and base point."""
 
-    curve: CurveFamily
-    base_point: KnownPoint
-    S: list
-    p: int
-    prec: int
-    label: str = "problem"
-    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _logs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("curve", "base_point", "S", "p", "prec", "label", "_embeddings", "_logs")
 
-    def __post_init__(self):
+    def __init__(self, curve: CurveFamily, base_point: KnownPoint, S: list, p: int, prec: int,
+                 label: str = "problem"):
+        self.curve, self.base_point, self.S, self.p, self.prec = curve, base_point, S, p, prec
+        self.label, self._embeddings, self._logs = label, {}, {}
         if not _is_prime(self.p):
             raise ProblemFileError(f"p = {self.p} is not a prime")
         if self.prec < 1:

@@ -3,7 +3,6 @@ constants, per-disc root loci and the determinant criterion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -35,52 +34,60 @@ from .series import antiderivative, strassmann_roots
 DETERMINANT_SUBSETS = 200  # point subsets per cuspidal part checked by verify()
 
 
-@dataclass
 class MWGenerator:
-    id: str
-    divisor: list          # [(KnownPoint, multiplicity)], degree zero, support in Y
+    __slots__ = ("id", "divisor")
+
+    def __init__(self, id: str,
+                 divisor: list):    # [(KnownPoint, multiplicity)], degree zero, support in Y
+        self.id, self.divisor = id, divisor
 
 
-@dataclass
 class UnitGenerator:
-    id: str
-    values: dict           # cusp id -> NFElement (unit of O_k(Q))
+    __slots__ = ("id", "values")
+
+    def __init__(self, id: str,
+                 values: dict):     # cusp id -> NFElement (unit of O_k(Q))
+        self.id, self.values = id, values
 
 
-@dataclass
 class ChabautyMatrix:
-    rows: list             # of lists of PadicNumber
-    row_labels: list
-    shape: tuple
-    blocks: dict           # 'r', 'k', 's', 'g', 'n'
+    __slots__ = ("rows", "row_labels", "shape", "blocks")
+
+    def __init__(self,
+                 rows: list,        # of lists of PadicNumber
+                 row_labels: list, shape: tuple,
+                 blocks: dict):     # 'r', 'k', 's', 'g', 'n'
+        self.rows, self.row_labels, self.shape, self.blocks = rows, row_labels, shape, blocks
 
 
-@dataclass
 class DiscRoot:
-    t: PadicNumber
-    x: PadicNumber
-    y: PadicNumber
-    matched: tuple | None
+    __slots__ = ("t", "x", "y", "matched")
+
+    def __init__(self, t: PadicNumber, x: PadicNumber, y: PadicNumber, matched: tuple | None):
+        self.t, self.x, self.y, self.matched = t, x, y, matched
 
 
-@dataclass
 class DiscLocus:
-    disc: ResidueDisc
-    status: str            # 'ok' | 'unresolved' | 'cuspidal'
-    bound: int | None = None
-    roots: list = field(default_factory=list)
-    reason: str = ""
+    __slots__ = ("disc", "status", "bound", "roots", "reason")
+
+    def __init__(self, disc: ResidueDisc,
+                 status: str,       # 'ok' | 'unresolved' | 'cuspidal'
+                 bound: int | None = None, roots: list | None = None, reason: str = ""):
+        self.disc, self.status, self.bound = disc, status, bound
+        self.roots, self.reason = [] if roots is None else roots, reason
 
 
-@dataclass
 class TypeRecord:
     """What the engine builds once per reduction type: its Selmer target, the kernel
     of its cuspidal part (annihilator(), shared by every type with that part), and
     c(b, omega) for each kernel and each basis differential."""
-    target: SelmerTarget
-    kernel: tuple | None = None
-    constants: list | None = None
-    basis_constants: list | None = None
+
+    __slots__ = ("target", "kernel", "constants", "basis_constants")
+
+    def __init__(self, target: SelmerTarget, kernel: tuple | None = None,
+                 constants: list | None = None, basis_constants: list | None = None):
+        self.target, self.kernel = target, kernel
+        self.constants, self.basis_constants = constants, basis_constants
 
 
 class Engine:

@@ -22,8 +22,6 @@ every disc center, expansion and tiny integral from it.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
@@ -37,10 +35,11 @@ from .series import _ZERO, IntSeries, Subordination, antiderivative
 from .series import sqrt_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
-@dataclass
 class Point:
-    x: PadicNumber
-    y: PadicNumber
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: PadicNumber, y: PadicNumber):
+        self.x, self.y = x, y
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -56,14 +55,17 @@ def _point_key(pt) -> tuple:
                  else c if type(c) is Fraction or type(c) is int else Fraction(c) for c in pt)
 
 
-@dataclass
 class FrobeniusData:
-    matrix: list          # rows: image of omega_i in the basis
-    dagger: list          # per i: (pole_parts [(m, poly)], y_parts [(s, coeff)]) as ints
-    trunc_prec: int       # precision cap coming from the series truncation
-    headroom: int         # L: a dagger int c is c / p^L to absolute precision trunc_prec
-    a_p: int
-    point_count: int
+    __slots__ = ("matrix", "dagger", "trunc_prec", "headroom", "a_p", "point_count")
+
+    def __init__(self,
+                 matrix: list,     # rows: image of omega_i in the basis
+                 dagger: list,     # per i: (pole_parts [(m, poly)], y_parts [(s, coeff)]), ints
+                 trunc_prec: int,  # precision cap coming from the series truncation
+                 headroom: int,    # L: a dagger int c is c / p^L to absolute precision trunc_prec
+                 a_p: int, point_count: int):
+        self.matrix, self.dagger, self.trunc_prec = matrix, dagger, trunc_prec
+        self.headroom, self.a_p, self.point_count = headroom, a_p, point_count
 
 
 class HyperellipticModel:
@@ -744,7 +746,11 @@ def _int_series_inv(a, n, mod, h=(), r=1):
     return h
 
 
-_Tower = namedtuple("_Tower", "mod levels phi")  # levels: (f^(2^k), 1 / rev f^(2^k))
+class _Tower:
+    __slots__ = ("mod", "levels", "phi")
+
+    def __init__(self, mod, levels, phi):  # levels: (f^(2^k), 1 / rev f^(2^k))
+        self.mod, self.levels, self.phi = mod, levels, phi
 
 
 def _f_adic_tower(f, size, mod, tables=None):

@@ -12,7 +12,6 @@ All integrals use the Iwasawa branch log(p) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -24,14 +23,14 @@ from .series import IntSeries, dot
 from .series import nth_root_series  # noqa: F401  (perfbench/spans.py traces this binding)
 
 
-@dataclass
 class DiscExpansion:
     """omega restricted to a non-cuspidal disc:  series(t) dt, on the disc
     parametrization (xs, ys) it was built on, centered at t = 0."""
 
-    series: IntSeries
-    xs: IntSeries
-    ys: IntSeries
+    __slots__ = ("series", "xs", "ys")
+
+    def __init__(self, series: IntSeries, xs: IntSeries, ys: IntSeries):
+        self.series, self.xs, self.ys = series, xs, ys
 
 
 class Integrator:
@@ -108,11 +107,6 @@ class Integrator:
 
     def residue_discs(self) -> list[ResidueDisc]:
         return self.curve.residue_discs(self.p)
-
-    def disc_center(self, disc: ResidueDisc):
-        """Canonical (Teichmueller-type) center of a non-cuspidal disc: t = 0 of its series."""
-        xs, ys, *_ = self._disc_series(disc)
-        return xs.padic(0), ys.padic(0)
 
     def _disc_series(self, disc: ResidueDisc) -> list:
         """x(t), y(t) and the family's basis monomials on disc, from the model's

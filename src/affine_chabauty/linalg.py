@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSymmetric, PrecisionLoss
@@ -115,11 +114,14 @@ def moore_penrose(M: RationalMatrix) -> RationalMatrix:
     return left * right
 
 
-@dataclass
 class PadicKernel:
-    basis: list            # kernel vectors, each a list of PadicNumber
-    rank: int
-    loss: int              # worst pivot valuation encountered (precision digits lost)
+    __slots__ = ("basis", "rank", "loss")
+
+    def __init__(self,
+                 basis: list,       # kernel vectors, each a list of PadicNumber
+                 rank: int,
+                 loss: int):        # worst pivot valuation encountered (precision digits lost)
+        self.basis, self.rank, self.loss = basis, rank, loss
 
 
 PIVOT_GUARD = 2  # entries within this many digits of their precision cannot pivot

@@ -11,7 +11,6 @@ overrides otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
@@ -29,36 +28,36 @@ from .numberfield import NFElement, lambda_valuation
 from .padics import _vp
 
 
-@dataclass
 class ComponentData:
-    id: str
-    multiplicity: int
-    has_smooth_point: bool = True
+    __slots__ = ("id", "multiplicity", "has_smooth_point")
+
+    def __init__(self, id: str, multiplicity: int, has_smooth_point: bool = True):
+        self.id, self.multiplicity, self.has_smooth_point = id, multiplicity, has_smooth_point
 
 
-@dataclass
 class LambdaRecord:
     """A prime of a cusp ring O_k(Q), with its generator in k(Q)^x tensor Q."""
 
-    id: str
-    cusp: str
-    over_prime: int
-    e: int
-    f: int
-    generator: NFElement
-    gen_exponent: Fraction = Fraction(1)       # pi_lambda = generator^gen_exponent
-    split_residue: int | None = None           # identifies the prime among split ones
-    component_incidences: dict = field(default_factory=dict)
-    cuspidal_point: bool = False               # an Fq-point of D's fibre, smooth on X
+    __slots__ = ("id", "cusp", "over_prime", "e", "f", "generator", "gen_exponent",
+                 "split_residue", "component_incidences", "cuspidal_point")
+
+    def __init__(self, id: str, cusp: str, over_prime: int, e: int, f: int, generator: NFElement,
+                 gen_exponent: Fraction = Fraction(1),     # pi_lambda = generator^gen_exponent
+                 split_residue: int | None = None,         # identifies the prime among split ones
+                 component_incidences: dict | None = None,
+                 cuspidal_point: bool = False):            # an Fq-point of D's fibre, smooth on X
+        self.id, self.cusp, self.over_prime, self.e, self.f = id, cusp, over_prime, e, f
+        self.generator, self.gen_exponent = generator, gen_exponent
+        self.split_residue, self.cuspidal_point = split_residue, cuspidal_point
+        self.component_incidences = {} if component_incidences is None else component_incidences
 
 
-@dataclass
 class FibreData:
-    prime: int
-    components: list
-    matrix: RationalMatrix
-    incidences: dict                            # horizontal object id -> vector
-    base_component: str = ""
+    def __init__(self, prime: int, components: list, matrix: RationalMatrix,
+                 incidences: dict,              # horizontal object id -> vector
+                 base_component: str = ""):
+        self.prime, self.components, self.matrix = prime, components, matrix
+        self.incidences, self.base_component = incidences, base_component
 
     @cached_property
     def pseudoinverse(self) -> RationalMatrix:
@@ -72,14 +71,20 @@ class FibreData:
         raise ProblemFileError(f"unknown component {cid} in fibre over {self.prime}")
 
 
-@dataclass
 class RegularModelData:
-    fibres: dict                                # q -> FibreData
-    lambdas: list                               # LambdaRecord list
-    rho: dict                                   # q -> Fraction generator of (q)
-    transversal_over: list
-    overrides: dict = field(default_factory=dict)   # (object_id, lambda_id) -> Fraction
-    regular_charts: list = field(default_factory=list)  # primes where the plane chart is regular
+    __slots__ = ("fibres", "lambdas", "rho", "transversal_over", "overrides", "regular_charts")
+
+    def __init__(self,
+                 fibres: dict,                  # q -> FibreData
+                 lambdas: list,                 # LambdaRecord list
+                 rho: dict,                     # q -> Fraction generator of (q)
+                 transversal_over: list,
+                 overrides: dict | None = None,        # (object_id, lambda_id) -> Fraction
+                 regular_charts: list | None = None):  # primes where the plane chart is regular
+        self.fibres, self.lambdas, self.rho = fibres, lambdas, rho
+        self.transversal_over = transversal_over
+        self.overrides = {} if overrides is None else overrides
+        self.regular_charts = [] if regular_charts is None else regular_charts
 
     def validate(self):
         for q, fib in self.fibres.items():
@@ -106,27 +111,35 @@ class RegularModelData:
         raise ProblemFileError(f"unknown lambda record {lid}")
 
 
-@dataclass
 class CorrectionDivisor:
-    prime: int
-    coeffs: dict                                 # component id -> Fraction
+    __slots__ = ("prime", "coeffs")
+
+    def __init__(self, prime: int,
+                 coeffs: dict):                 # component id -> Fraction
+        self.prime, self.coeffs = prime, coeffs
 
 
-@dataclass
 class ReductionType:
-    label: str
-    cuspidal_support: tuple                      # primes q in S_0
-    component_choice: dict                       # q -> component id (q not in S_0)
-    cuspidal_choice: dict                        # q -> lambda id (q in S_0)
+    __slots__ = ("label", "cuspidal_support", "component_choice", "cuspidal_choice")
+
+    def __init__(self, label: str,
+                 cuspidal_support: tuple,       # primes q in S_0
+                 component_choice: dict,        # q -> component id (q not in S_0)
+                 cuspidal_choice: dict):        # q -> lambda id (q in S_0)
+        self.label, self.cuspidal_support = label, cuspidal_support
+        self.component_choice, self.cuspidal_choice = component_choice, cuspidal_choice
 
     def cuspidal_part(self) -> tuple:
         return tuple(sorted(self.cuspidal_choice.items()))
 
 
-@dataclass
 class SelmerTarget:
-    b: dict                                      # lambda id -> Fraction
-    u_basis: list                                # list of {lambda id: Fraction}
+    __slots__ = ("b", "u_basis")
+
+    def __init__(self,
+                 b: dict,                       # lambda id -> Fraction
+                 u_basis: list):                # list of {lambda id: Fraction}
+        self.b, self.u_basis = b, u_basis
 
     @property
     def s(self) -> int:

@@ -9,7 +9,6 @@ Hensel lifts of simple roots of the minimal polynomial mod p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NeedsOverride, NonSeparableReduction
@@ -94,10 +93,19 @@ class NumberField:
         return f"NumberField({[str(c) for c in self.minpoly]})"
 
 
-@dataclass(frozen=True)
 class NFElement:
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+        self.field, self.coeffs = field, coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -217,12 +225,13 @@ def _count_real_roots(minpoly: list[Fraction]) -> int:
 # -- embeddings into Qp ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldEmbedding:
     """An embedding k(Q) -> Qp determined by a root of the minimal polynomial."""
 
-    field: NumberField
-    root: PadicNumber
+    __slots__ = ("field", "root")
+
+    def __init__(self, field: NumberField, root: PadicNumber):
+        self.field, self.root = field, root
 
     def __call__(self, x) -> PadicNumber:
         if isinstance(x, (int, Fraction)):

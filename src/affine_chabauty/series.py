@@ -24,7 +24,6 @@ precisions, the certificate and the tail prove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 
@@ -35,34 +34,35 @@ from .padics import (INF, PadicNumber, _horner_mod, _normal, _taylor_shift, _vp,
 _BIG = INF // 2
 
 
-@dataclass(frozen=True)
 class Subordination:
     """Certificate v(c_n) >= slope*n + offset for every coefficient index n."""
 
-    slope: Fraction
-    offset: Fraction
+    __slots__ = ("slope", "offset")
+
+    def __init__(self, slope: Fraction, offset: Fraction):
+        self.slope, self.offset = Fraction(slope), Fraction(offset)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.slope, self.offset) == (other.slope, other.offset)
 
     def at(self, n: int) -> Fraction:
         return self.slope * n + self.offset
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "offset", Fraction(self.offset))
 
 
 _ZERO = (INF, 0, INF)  # an exact zero as (v, u, N)
 
 
-@dataclass
 class IntSeries:
     """c_0 + c_1 t + ... + c_(T-1) t^(T-1) with each c_n the ints (v, u, N) of
     p^v u + O(p^N): (N, 0, N) for a zero class, (INF, 0, INF) for an exact zero.
     exact: the coefficients beyond the truncation are exactly zero."""
 
-    p: int
-    cs: list
-    bound: Subordination
-    exact: bool = False
+    __slots__ = ("p", "cs", "bound", "exact")
+
+    def __init__(self, p: int, cs: list, bound: Subordination, exact: bool = False):
+        self.p, self.cs, self.bound, self.exact = p, cs, bound, exact
 
     @property
     def order(self) -> int:
@@ -281,10 +281,13 @@ def nth_root_series(f: TruncatedSeries, n: int, residue_hint: int) -> TruncatedS
 # -- Strassmann --------------------------------------------------------------
 
 
-@dataclass
 class StrassmannResult:
-    roots: list   # (root: PadicNumber, multiplicity: int)
-    bound: int    # certified upper bound on the number of roots in Zp
+    __slots__ = ("roots", "bound")
+
+    def __init__(self,
+                 roots: list,   # (root: PadicNumber, multiplicity: int)
+                 bound: int):   # certified upper bound on the number of roots in Zp
+        self.roots, self.bound = roots, bound
 
 
 def strassmann_roots(f: IntSeries) -> StrassmannResult:

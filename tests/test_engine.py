@@ -6,7 +6,8 @@ import pytest
 from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.numberfield import NumberField, hensel_embed
 from affine_chabauty.padics import PadicNumber, iwasawa_log, parse_padic
-from tests_support import disc_locus_differences, lift_x, log_differences, reference_log
+from tests_support import (disc_center, disc_locus_differences, lift_x, log_differences,
+                           reference_log)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 
@@ -272,7 +273,7 @@ def test_solve_expands_each_kernel_differential_once_per_disc(monkeypatch):
     assert len(eng._kernels) == 1
     assert len(dots) == len(discs) * sum(len(k[1]) for k in eng._kernels.values())
     lifts.clear()
-    centers = [I.disc_center(d) for d in discs]
+    centers = [disc_center(I, d) for d in discs]
     assert lifts == []
     p = I.p
     for d, (x, y) in zip(discs, centers):

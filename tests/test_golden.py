@@ -48,7 +48,7 @@ from affine_chabauty.models import enumerate_reduction_types, selmer_target
 from affine_chabauty.padics import (PadicNumber, _horner_mod, hensel_lift_root, parse_padic,
                                     render_padic)
 from affine_chabauty.problem import load_problem
-from tests_support import lift_x, padic_dagger, padic_series
+from tests_support import disc_center, lift_x, padic_dagger, padic_series
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "src/affine_chabauty/problems"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -97,7 +97,7 @@ def _disc_layer() -> dict:
                 expansions = [I.expand_differential_on_disc(om, disc) for om in I.curve.basis()]
                 discs.append({
                     "disc": [disc.xbar, disc.ybar, disc.kind],
-                    "center": render(I.disc_center(disc)),
+                    "center": render(disc_center(I, disc)),
                     "x": render(padic_series(xs).coeffs),
                     "y": render(padic_series(ys).coeffs),
                     "omega": [{"series": render(padic_series(e.series).coeffs)}

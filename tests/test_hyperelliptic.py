@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import pathlib
 import random
@@ -1008,7 +1007,8 @@ def _scaled(m, k):
     c / p^(L + k), known to k digits less."""
     fd = m.frobenius_data()
     out = copy.copy(m)
-    out._frob = dataclasses.replace(fd, headroom=fd.headroom + k, trunc_prec=fd.trunc_prec - k)
+    out._frob = copy.copy(fd)
+    out._frob.headroom, out._frob.trunc_prec = fd.headroom + k, fd.trunc_prec - k
     out._tables, out._x_classes = None, {}
     return out
 
@@ -1023,7 +1023,8 @@ def _mixed(m, k, i):
     poles, yparts = fd.dagger[i]
     times = ([(mm, [c * q % keep for c in B]) for mm, B in poles],
              [(s, c * q % keep) for s, c in yparts])
-    out._frob = dataclasses.replace(fd, dagger=fd.dagger[:i] + [times] + fd.dagger[i + 1:])
+    out._frob = copy.copy(fd)
+    out._frob.dagger = fd.dagger[:i] + [times] + fd.dagger[i + 1:]
     return out
 
 

@@ -9,10 +9,11 @@ recursive radix conversion down to single digits (the reference for the leaf
 map), one digit product per basis element's shift (the reference for the
 chained ones), the Bezout cofactor from a Sylvester solve (the reference for
 the lifted one), the characteristic polynomial of Frobenius from point counts,
-the intersection of Psi with the fibre components, the
-per-point dagger values, per-pair solves, disc centers and determinant rows
-(the reference for the shared ones), and the PadicNumber-series logarithm and
-Hensel-lifted Teichmueller lift (the references for the int ones)."""
+the intersection of Psi with the fibre components, a disc's center read at
+t = 0 of its series, the per-point dagger values, per-pair solves, disc
+centers and determinant rows (the reference for the shared ones), and the
+PadicNumber-series logarithm and Hensel-lifted Teichmueller lift (the
+references for the int ones)."""
 
 import json
 from contextlib import contextmanager
@@ -416,6 +417,12 @@ def strassmann_claims(rho, strassmann, at_roots=lambda t: ()) -> tuple:
     return levels, out
 
 
+def disc_center(I, disc):
+    """Canonical (Teichmueller-type) center of a non-cuspidal disc: t = 0 of its series."""
+    xs, ys, *_ = I._disc_series(disc)
+    return xs.padic(0), ys.padic(0)
+
+
 def disc_locus_differences(engine) -> tuple:
     """Compare the engine's int disc locus with the PadicNumber reference on every
     non-cuspidal disc, for each basis differential (c = 0) and each kernel omega
@@ -442,7 +449,7 @@ def disc_locus_differences(engine) -> tuple:
         if disc.cuspidal:
             continue
         try:
-            center = I.disc_center(disc)
+            center = disc_center(I, disc)
         except ChabautyError:
             continue
         xs, ys, *terms = I._disc_series(disc)
