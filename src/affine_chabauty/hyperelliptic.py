@@ -118,7 +118,7 @@ class HyperellipticModel:
         self._frob: FrobeniusData | None = None
         self._discs: dict = {}
         self._centers: dict = {}
-        self._tables: tuple | None = None
+        self._dagger: tuple | None = None
         self._x_classes: dict = {}
         self._solve_frob = None
 
@@ -370,11 +370,14 @@ class HyperellipticModel:
                 f"Frobenius trace {tr} does not match the point count {count}")
         if a_p * a_p > 4 * self.g * self.g * p:
             raise BadReduction("point count violates the Weil bound")
+        # det = p^g (the L-part) times p^(n-1) and the sign of Frobenius on the points at
+        # infinity's degree-zero combinations: 1 if it fixes them, else (-1)^(n-1), an
+        # n-cycle's (n <= 3)
         det = padic_det([row[:] for row in matrix])
-        if det.is_zero() or det.v != self.g + self.n - 1:
+        sign = 1 if at_infinity == self.n else (-1) ** (self.n - 1)
+        if det.is_zero() or det.compare(sign * p ** (self.g + self.n - 1)) == "distinct":
             raise PrecisionExceeded(
-                f"det(Frobenius) valuation {det.v if not det.is_zero() else '?'}"
-                f" != {self.g + self.n - 1}")
+                f"det(Frobenius) {det} != {sign} p^{self.g + self.n - 1}")
         return a_p, count
 
     def _point_count_fp(self) -> tuple[int, int]:
@@ -394,59 +397,64 @@ class HyperellipticModel:
 
     # -- integration ---------------------------------------------------------------
 
-    def _dagger_tables(self) -> tuple:
-        """(tables, e, length), once per model, from the ints c / p^L of the reduction.
-        The dagger function of basis element i = x^j dx/y^b is y^(n-b) F(x, 1/y^n), F =
-        sum_m B_m(x) z^m + sum_s lam_s x^s known to trunc_prec; tables[i] = (S, cols), with
-        cols[k][m] p^S times the coefficient of x^k z^m as an int and S clearing every
-        denominator.  Zero coefficients are left out (the top pole levels are all zero
-        mod p^(trunc_prec + L)), so e = trunc_prec + max S and the longest column's length,
-        the precision and length of every chain of z-powers, stop at the last nonzero one."""
-        if self._tables is None:
+    def _packed_dagger(self) -> tuple:
+        """(scales, packed, width, yparts), once per model, from the ints c / p^L of
+        FrobeniusData.dagger.  The dagger function of basis element i = x^j dx/y^b is
+        y^(n-b) F_i(x, 1/y^n), F_i = sum_m B_m(x) z^m + sum_s lam_s x^s, and p^S F_i, S =
+        scales[i] the least that clears every denominator, is an int known to trunc_prec + S
+        digits.  packed[m - 1] holds every element's B_m in width-byte slots, element by
+        element and x-degree by x-degree, up to the last level with a nonzero B_m (the top
+        levels are zero mod p^(trunc_prec + L)); yparts[i] lists element i's lam_s by s."""
+        if self._dagger is None:
             frob = self.frobenius_data()
-            p, L = self.p, frob.headroom
-            tables = []
-            for poles, yparts in frob.dagger:
-                terms = [(m, k, c) for m, B in poles for k, c in enumerate(B) if c]
-                terms += [(0, s, lam) for s, lam in yparts if lam]
-                g = gcd(*(c for _, _, c in terms))
-                S = max(0, L - _vp(g, p)) if g else 0
-                q = p ** (L - S)  # divides every c
-                cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
-                for m, k, c in terms:
-                    cols[k] += [0] * (m + 1 - len(cols[k]))
-                    cols[k][m] = c // q
-                tables.append((S, cols))
-            self._tables = (tables, frob.trunc_prec + max(S for S, _ in tables),
-                            max(len(col) for _, cols in tables for col in cols))
-        return self._tables
+            p, L, d = self.p, frob.headroom, self.deg
+            rows, scales, yparts = {}, [], []
+            for i, (poles, ys) in enumerate(frob.dagger):
+                for m, B in poles:
+                    if any(B):
+                        rows.setdefault(m, [0] * d * self.dim)[i * d:(i + 1) * d] = B
+                g = gcd(p ** L, *(c for _, B in poles for c in B), *(lam for _, lam in ys))
+                scales.append(L - _vp(g, p))
+                yparts.append([0] * (1 + max((s for s, _ in ys), default=-1)))
+                for s, lam in ys:
+                    yparts[-1][s] = lam
+            top = max(rows, default=0)
+            width = _slot_width(p ** (frob.trunc_prec + L), top)
+            packed = [_pack(rows.get(m, ()), width) for m in range(1, top + 1)]
+            self._dagger = scales, packed, width, yparts
+        return self._dagger
 
     def dagger_eval(self, i: int, pt: Point) -> PadicNumber:
         """Value at pt of the recorded dagger function for basis element i, on ints mod
         p^(N + S), N the provable precision.  The points (x, zeta^k y) share z = 1/y^n: on
         the first touch of their x-class, keyed on x's (v, u, N), e = min(trunc_prec +
-        max S, x.N, y.N) >= each N + S and the int y^n mod p^e, the powers of z and every
-        element's F(x, z) are built mod p^e, by one dot product per x-degree column and
-        one Horner pass in x; F mod p^(N + S), a ring map's image, is read from them."""
+        max S, x.N, y.N) >= each N + S and the int y^n mod p^e, one dot product of the
+        powers of z mod p^e with _packed_dagger's levels gives p^(L - S) times every
+        coefficient of every element's F(x, z), and one Horner pass in x mod p^(e + L - S)
+        per element finishes it.  F mod p^(N + S), a ring map's image, is read from it."""
         if pt.y.is_zero() or pt.y.v != 0:
             raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
-        tables, e, length = self._dagger_tables()
-        e = min(e, pt.x.N, pt.y.N)
-        R = self.p ** e
+        scales, packed, width, yparts = self._packed_dagger()
+        frob, p, d = self.frobenius_data(), self.p, self.deg
+        e = min(frob.trunc_prec + max(scales), pt.x.N, pt.y.N)
+        R = p ** e
         yn = pow(pt.y.residue(e), self.n, R)
         key = pt.x.v, pt.x.u, pt.x.N, e, yn
         if key not in self._x_classes:
-            zs = [1, pow(yn, -1, R)]
-            for _ in range(length - 2):
-                zs.append(zs[-1] * zs[1] % R)
-            x = pt.x.residue(e)
-            self._x_classes[key] = [_horner_mod([sum(map(mul, col, zs)) % R for col in cols], x, R)
-                                    for _, cols in tables]
-        S = tables[i][0]
-        N = min(self.frobenius_data().trunc_prec, pt.x.N - S, pt.y.N - S)
-        R = self.p ** (N + S)
+            zs = [pow(yn, -1, R)]
+            for _ in range(len(packed) - 1):
+                zs.append(zs[-1] * zs[0] % R)
+            dot, x, Fs = sum(map(mul, packed, zs)), pt.x.residue(e), []
+            for k, (S, ys) in enumerate(zip(scales, yparts)):
+                mod = p ** (e + frob.headroom - S)
+                F = _horner_mod(_unpack(dot, len(scales) * d, width, mod, k * d, k * d + d), x, mod)
+                Fs.append((F + _horner_mod(ys, x, mod)) % mod // p ** (frob.headroom - S))
+            self._x_classes[key] = Fs
+        S = scales[i]
+        N = min(frob.trunc_prec, pt.x.N - S, pt.y.N - S)
+        R = p ** (N + S)
         A = pow(pt.y.residue(N + S), self.n - self.basis[i][1], R) * self._x_classes[key][i] % R
-        return PadicNumber(self.p, *_normal(A, -S, N, self.p))
+        return PadicNumber(p, *_normal(A, -S, N, p))
 
     def tiny_basis_integrals(self, P: Point, Q: Point) -> list[PadicNumber]:
         """Integrals of the basis between two points of one residue disc.

@@ -5,7 +5,9 @@
 For each prime it loads the fixture at PREC, solves and verifies it, and
 compares both reports, as the CLI writes them, with those of fresh engines
 under `tests_support.per_point_reference`: dagger values with the powers of
-z = 1/y^n and F(x, z) built for each point alone, not once per x-class; one
+z = 1/y^n and F(x, z) built for each point alone, by one dot product per
+x-degree column of `tests_support.dagger_tables`, not once per x-class from
+one int of packed coefficients per pole level; one
 augmented elimination of I - Frob per pair, not one elimination per model
 replayed on each right-hand side; every disc center lifted again on each
 call; and every constant c of a determinant row taken again for each subset.

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_chabauty.errors import BadReduction, DifferentDiscs, EndpointRestriction
+from affine_chabauty.errors import (BadReduction, DifferentDiscs, EndpointRestriction,
+                                    PrecisionExceeded)
 from affine_chabauty.hyperelliptic import HyperellipticModel, Point
+from affine_chabauty.linalg import padic_det
 from affine_chabauty.padics import INF, PadicNumber, _horner_mod, horner
 from affine_chabauty.problem import load_problem
-from tests_support import (exact_parts, frobenius_differences, involution, lift_x, padic_dagger,
-                           padic_disc_series, padic_series, per_point_dagger_eval, per_shift_digits,
-                           poly_of_series, reference_digits, series_claims,
+from tests_support import (dagger_tables, exact_parts, frobenius_differences, involution, lift_x,
+                           padic_dagger, padic_disc_series, padic_series, per_point_dagger_eval,
+                           per_shift_digits, poly_of_series, reference_digits, series_claims,
                            single_layer_digits, single_layer_numerator, single_layer_tower,
                            sylvester_bezout)
 
@@ -93,6 +95,36 @@ def test_weil_and_det_checks_run():
         m = model(f, p=p)
         fd = m.frobenius_data()
         assert fd.a_p ** 2 <= 4 * m.g * m.g * p + 4 * m.g  # Weil bound (slack for g=1)
+
+
+@pytest.mark.parametrize("f,n,p", [(QUARTIC, 2, 7), ([2, 1, 0, 1, 3], 2, 7),
+                                   ([9, 20, 2, -18, -7, 2, 3], 2, 7), ([0, 1, 1, 1], 3, 7),
+                                   ([1, 0, 0, 5], 3, 7)])
+def test_det_of_frobenius_is_the_sign_of_infinity_times_p_to_the_g_plus_n_minus_1(f, n, p):
+    """det(Frob) = sign p^(g + n - 1): sign 1 where the points at infinity are rational, else
+    (-1)^(n - 1), Frobenius's n-cycle on them (3 is not a square and 5 not a cube mod 7)."""
+    m = HyperellipticModel(f, p, PREC, n)
+    rational = m._point_count_fp()[1] == n
+    assert rational == (pow(f[-1], (p - 1) // n, p) == 1)
+    det = padic_det([row[:] for row in m.frobenius_data().matrix])
+    sign = 1 if rational else (-1) ** (n - 1)
+    assert det.compare(sign * p ** (m.g + n - 1)) == "equal"
+
+
+@pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 7), ("superelliptic_a1", 7)])
+def test_verify_rejects_a_determinant_of_the_right_valuation_and_the_wrong_value(fixture, p):
+    """One off-diagonal entry moved by p^(g + n) keeps the trace and v(det) = g + n - 1, so
+    the valuation check alone passes it, but det moves off p^(g + n - 1)."""
+    m = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=12) \
+        .integrator.main_model()
+    frob = m.frobenius_data()
+    assert m._verify(frob.matrix) == (frob.a_p, frob.point_count)
+    matrix = [row[:] for row in frob.matrix]
+    matrix[0][1] = matrix[0][1] + PadicNumber.from_int(p ** (m.g + m.n), p, frob.trunc_prec)
+    det = padic_det([row[:] for row in matrix])
+    assert det.v == m.g + m.n - 1 and det.compare(p ** (m.g + m.n - 1)) == "distinct"
+    with pytest.raises(PrecisionExceeded, match=r"det\(Frobenius\)"):
+        m._verify(matrix)
 
 
 def test_concatenation_and_antisymmetry():
@@ -693,6 +725,56 @@ def test_the_charpoly_oracle_passes_frobenius_and_rejects_an_entry_off_by_p_to_t
         assert diffs and diffs[0].startswith("c_1: ") and diffs[0].endswith(f"digit {tp - 1}")
 
 
+def _mutant_frobenius(curve, p, prec, dK, dL):
+    """A model of curve whose Frobenius series has K + dK terms and whose reduction takes
+    L + dL as its headroom, with tp and M unchanged and _verify's checks off, so that its
+    data reaches the charpoly oracle."""
+    m = HyperellipticModel(curve.g, p, prec, curve.n)
+    m.K, m.L = m.K + dK, m.L + dL
+    m._verify = lambda matrix: (None, None)
+    return m
+
+
+# (fixture, p, prec, dK, dL, the digit from which the oracle sees c_1 move, or None)
+FROBENIUS_MUTANTS = [("hyperelliptic_6081b", 7, 6, -1, 0, None),
+                     ("hyperelliptic_6081b", 7, 6, 0, -1, None),
+                     ("hyperelliptic_6081b", 7, 6, 0, 1, None),
+                     ("hyperelliptic_6081b", 7, 6, -5, 0, 7),
+                     ("hyperelliptic_6081b", 23, 12, -1, 0, None),
+                     ("hyperelliptic_6081b", 23, 12, 0, -1, None),
+                     ("hyperelliptic_6081b", 23, 12, 0, 1, None),
+                     ("hyperelliptic_6081b", 23, 12, -6, 0, 13),
+                     ("hyperelliptic_6081b", 23, 12, 0, 2, 13),
+                     ("superelliptic_a1", 7, 12, -1, 0, None),
+                     ("superelliptic_a1", 7, 12, 0, -1, None),
+                     ("superelliptic_a1", 7, 12, 0, 1, None),
+                     ("superelliptic_a1", 7, 12, -5, 0, 13)]
+
+
+@pytest.mark.parametrize("fixture,p,prec,dK,dL,digit", FROBENIUS_MUTANTS)
+def test_the_charpoly_oracle_on_frobenius_built_with_a_wrong_k_or_headroom(
+        fixture, p, prec, dK, dL, digit):
+    """K lowered by one and L off by one (tp = K - 4 of the unchanged model) leave every
+    entry of the matrix identical as (v, u, N): Kedlaya's bounds have that much slack, so
+    there is nothing for the oracle to see, and it sees nothing.  K lowered by 5 or 6, or L
+    raised by 2 at p = 23 (m = M - L - 1 two digits short), moves digit tp - 1, and the
+    oracle reports c_1 from there."""
+    from tests_support import charpoly_differences
+
+    curve = load_problem(PROBLEMS / f"{fixture}.json", p_override=p).problem.curve
+    base, mutant = (_mutant_frobenius(curve, p, prec, *d) for d in ((0, 0), (dK, dL)))
+    tp = base.frobenius_data().trunc_prec
+    assert mutant.frobenius_data().trunc_prec == tp
+    same = [[_vun(c) for c in row] for row in mutant.frobenius_data().matrix] == \
+        [[_vun(c) for c in row] for row in base.frobenius_data().matrix]
+    diffs = charpoly_differences(mutant)
+    if digit is None:
+        assert same and diffs == []
+    else:
+        assert digit == tp - 1 and not same
+        assert diffs and diffs[0].startswith("c_1: ") and diffs[0].endswith(f"digit {digit}")
+
+
 @pytest.mark.parametrize("fixture,p,prec", [("hyperelliptic_6081b", 5, 6),
                                             ("hyperelliptic_6081b", 7, 12),
                                             ("hyperelliptic_6081b", 23, 12),
@@ -721,7 +803,6 @@ def test_the_numerator_past_K_prime_terms_only_shifts_its_digits(fixture, p, pre
 
 
 def test_reduction_records_an_exact_form_and_checks_the_division():
-    from affine_chabauty.errors import PrecisionExceeded
 
     m = model(QUARTIC)
     p, M = m.p, m.M
@@ -741,7 +822,6 @@ def test_reduction_records_an_exact_form_and_checks_the_division():
 
 
 def test_a_division_beyond_the_headroom_raises():
-    from affine_chabauty.errors import PrecisionExceeded
 
     m = model(QUARTIC)
     p, M = m.p, m.M
@@ -765,7 +845,6 @@ def _reduce_reference(m, digits, shift, top, f, t, M, cap):
     """The reduction with its p^E bookkeeping at the loss-sum precision: the
     reference for the exact divisions under a fixed headroom.  A stored value c
     stands for c / p^E, p^E the p-parts of the divisors met so far."""
-    from affine_chabauty.errors import PrecisionExceeded
     from affine_chabauty.hyperelliptic import _int_divmod_f, _int_pmul, _int_sub
     from affine_chabauty.padics import _vp
 
@@ -1009,7 +1088,7 @@ def _scaled(m, k):
     out = copy.copy(m)
     out._frob = copy.copy(fd)
     out._frob.headroom, out._frob.trunc_prec = fd.headroom + k, fd.trunc_prec - k
-    out._tables, out._x_classes = None, {}
+    out._dagger, out._x_classes = None, {}
     return out
 
 
@@ -1060,7 +1139,7 @@ def test_integer_dagger_matches_padic_horner_at_full_precision(key):
         for pt in pts:
             for i in range(m.dim):
                 assert _vun(m.dagger_eval(i, pt)) == _vun(_dagger_reference(m, i, pt))
-    assert all(S > 0 for S, _ in scaled._dagger_tables()[0])
+    assert all(S > 0 for S, _ in dagger_tables(scaled)[0])
 
 
 @pytest.mark.parametrize("key", DAGGER_MODELS)
@@ -1069,7 +1148,7 @@ def test_integer_dagger_on_truncated_points_never_claims_more_precision(key):
     pt = points_on(base, 1, random.Random(42))[0]
     for m in (base, _scaled(base, 3)):
         Nc = m.frobenius_data().trunc_prec
-        for i, (S, _) in enumerate(m._dagger_tables()[0]):
+        for i, (S, _) in enumerate(dagger_tables(m)[0]):
             for cut in (Nc + S - 1, Nc + S - 4, S + 2):
                 for x, y in ((pt.x.at_precision(cut), pt.y), (pt.x, pt.y.at_precision(cut)),
                              (pt.x.at_precision(cut), pt.y.at_precision(cut + 1))):
@@ -1086,7 +1165,7 @@ def test_integer_dagger_with_mixed_headroom_reads_each_element_below_its_x_class
     (v, u, N) at every affine Teichmueller point and at truncated points; it equals
     _dagger_reference at the former and claims no more precision than it at the latter."""
     m = _mixed(_fixture_model(*key), 3, 0)
-    tables, e, _ = m._dagger_tables()
+    tables, e, _ = dagger_tables(m)
     Nc = m.frobenius_data().trunc_prec
     assert tables[0][0] == 0 < min(S for S, _ in tables[1:]) and Nc < e
     for T in _affine_teichmueller_points(m):
@@ -1144,6 +1223,32 @@ def test_dagger_values_shared_per_x_class_match_the_padic_reference(fixture, p):
             assert _vun(m.dagger_eval(i, T)) == _vun(_dagger_reference(m, i, T))
     assert len(points) == m.n * len(m._x_classes) > 0
     assert all(len(Fs) == m.dim for Fs in m._x_classes.values())
+
+
+@pytest.mark.parametrize("fixture,p", X_CLASS_MODELS)
+def test_a_solve_packs_the_dagger_coefficients_once_and_each_x_class_matches_per_point(
+        fixture, p, monkeypatch):
+    """A solve at prec 12 packs each model's dagger coefficients once, and each of its
+    dagger_eval calls reads them (at hyperelliptic p = 23: 240 calls over 11 x-classes).
+    Each x-class's values then equal per_point_dagger_eval's, the per-point dot products on
+    the old tables, at every affine Teichmueller point, as (v, u, N)."""
+    reads = []
+    packed = HyperellipticModel._packed_dagger
+    monkeypatch.setattr(HyperellipticModel, "_packed_dagger",
+                        lambda self: reads.append((self, self._dagger is None)) or packed(self))
+    engine = load_problem(PROBLEMS / f"{fixture}.json", p_override=p, prec_override=12)
+    assert engine.solve()["status"] == "complete"
+    models = {id(m): m for m, _ in reads}
+    assert sorted(id(m) for m, build in reads if build) == sorted(models)
+    m = engine.integrator.main_model()
+    assert id(m) in models
+    if (fixture, p) == ("hyperelliptic_6081b", 23):
+        assert len(reads) == 240 and len(m._x_classes) == 11
+    points = _affine_teichmueller_points(m)
+    for T in points:
+        for i in range(m.dim):
+            assert _vun(m.dagger_eval(i, T)) == _vun(per_point_dagger_eval(m, i, T))
+    assert len(points) == m.n * len(m._x_classes)
 
 
 @pytest.mark.parametrize("fixture,p", [("hyperelliptic_6081b", 7), ("superelliptic_a1", 7)])

@@ -16,9 +16,10 @@ PadicNumber-series logarithm and Hensel-lifted Teichmueller lift (the
 references for the int ones)."""
 
 import json
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, gcd
 from operator import mul
 
 from affine_chabauty import linalg
@@ -727,20 +728,53 @@ def charpoly_differences(m, matrix=None) -> list:
 # -- the per-point pair integrals and determinant rows: the reference for the shared ones --
 
 
+_DAGGER_TABLES = weakref.WeakKeyDictionary()
+
+
+def dagger_tables(m) -> tuple:
+    """(tables, e, length), once per model, from the ints c / p^L of the reduction: the
+    per-element layout that HyperellipticModel._packed_dagger replaces.  The dagger function of
+    basis element i = x^j dx/y^b is y^(n-b) F(x, 1/y^n), F = sum_m B_m(x) z^m + sum_s
+    lam_s x^s known to trunc_prec; tables[i] = (S, cols), with cols[k][m] p^S times the
+    coefficient of x^k z^m as an int and S clearing every denominator.  Zero coefficients
+    are left out (the top pole levels are all zero mod p^(trunc_prec + L)), so e =
+    trunc_prec + max S and the longest column's length, the precision and length of every
+    chain of z-powers, stop at the last nonzero one."""
+    if m not in _DAGGER_TABLES:
+        frob = m.frobenius_data()
+        p, L = m.p, frob.headroom
+        tables = []
+        for poles, yparts in frob.dagger:
+            terms = [(mm, k, c) for mm, B in poles for k, c in enumerate(B) if c]
+            terms += [(0, s, lam) for s, lam in yparts if lam]
+            g = gcd(*(c for _, _, c in terms))
+            S = max(0, L - _vp(g, p)) if g else 0
+            q = p ** (L - S)  # divides every c
+            cols = [[] for _ in range(1 + max((k for _, k, _ in terms), default=0))]
+            for mm, k, c in terms:
+                cols[k] += [0] * (mm + 1 - len(cols[k]))
+                cols[k][mm] = c // q
+            tables.append((S, cols))
+        _DAGGER_TABLES[m] = (tables, frob.trunc_prec + max(S for S, _ in tables),
+                             max(len(col) for _, cols in tables for col in cols))
+    return _DAGGER_TABLES[m]
+
+
 def per_point_dagger_eval(m, i, pt):
     """The reference for HyperellipticModel.dagger_eval, same arguments and result: the
     powers of z = 1/y^n mod p^e, e = min(trunc_prec + max S over the basis, x.N, y.N),
-    and F(x, z) mod p^(N + S) built for pt alone, from the model's dagger tables."""
+    and F(x, z) mod p^(N + S) built for pt alone, by one dot product per column of
+    dagger_tables and one Horner pass in x."""
     if pt.y.is_zero() or pt.y.v != 0:
         raise EndpointRestriction("dagger functions diverge on Weierstrass discs")
     p, n = m.p, m.n
-    tables, Nc = m._dagger_tables()[0], m.frobenius_data().trunc_prec
+    (tables, e, length), Nc = dagger_tables(m), m.frobenius_data().trunc_prec
     S, cols = tables[i]
     N = min(Nc, pt.x.N - S, pt.y.N - S)
     R = p ** (N + S)
-    e = min(Nc + max(S for S, _ in tables), pt.x.N, pt.y.N)
+    e = min(e, pt.x.N, pt.y.N)
     zs = [1, pow(pt.y.residue(e), -n, p ** e)]
-    for _ in range(max(len(col) for _, cs in tables for col in cs) - 2):
+    for _ in range(length - 2):
         zs.append(zs[-1] * zs[1] % p ** e)
     x, y = pt.x.residue(N + S), pt.y.residue(N + S)
     A = pow(y, n - m.basis[i][1], R) * \
